@@ -9,8 +9,9 @@ pub struct Flags {
 }
 
 impl Flags {
-    /// Parses `--key value` pairs; unknown keys are kept, bare flags get
-    /// an empty value.
+    /// Parses `--key value` pairs; bare flags get an empty value. Every
+    /// key is kept: [`Self::accepting`] rejects those a command does not
+    /// take.
     ///
     /// # Errors
     ///
@@ -33,6 +34,31 @@ impl Flags {
             values.insert(key.to_string(), value);
         }
         Ok(Self { values })
+    }
+
+    /// Keeps the flags if every key belongs to one of `accepted`'s
+    /// groups; otherwise fails naming each unknown flag, so a typo such
+    /// as `--iter` is reported instead of silently ignored.
+    ///
+    /// # Errors
+    ///
+    /// Returns an error naming the unknown flags (sorted) and `command`.
+    pub fn accepting(self, command: &str, accepted: &[&[&str]]) -> Result<Self, String> {
+        let mut unknown: Vec<String> = self
+            .values
+            .keys()
+            .filter(|k| !accepted.iter().any(|group| group.contains(&k.as_str())))
+            .map(|k| format!("--{k}"))
+            .collect();
+        if unknown.is_empty() {
+            return Ok(self);
+        }
+        unknown.sort();
+        let noun = if unknown.len() == 1 { "flag" } else { "flags" };
+        Err(format!(
+            "unknown {noun} {} for `lsopc {command}` (try `lsopc help`)",
+            unknown.join(", ")
+        ))
     }
 
     /// Raw string flag.
@@ -117,6 +143,21 @@ mod tests {
     fn index_list_is_one_based() {
         let flags = Flags::parse(&argv(&["--cases", "1,4,10"])).expect("parses");
         assert_eq!(flags.index_list("cases").expect("list"), vec![0, 3, 9]);
+    }
+
+    #[test]
+    fn accepting_names_every_unknown_flag() {
+        let flags = Flags::parse(&argv(&["--iter", "3", "--grid", "128", "--rfft"]))
+            .expect("parses")
+            .accepting("optimize", &[&["grid"], &["iters"]]);
+        let err = flags.expect_err("unknown flags");
+        assert!(err.contains("--iter, --rfft"), "{err}");
+        assert!(err.contains("lsopc optimize"), "{err}");
+        let ok = Flags::parse(&argv(&["--grid", "128", "--iters", "3"]))
+            .expect("parses")
+            .accepting("optimize", &[&["grid"], &["iters"]])
+            .expect("known flags pass");
+        assert_eq!(ok.get("iters"), Some("3"));
     }
 
     #[test]

@@ -28,8 +28,7 @@ lsopc — level-set inverse lithography mask optimization
 USAGE:
   lsopc optimize --glp <design.glp> --out <mask.glp>
                  [--grid 512] [--iters 30] [--kernels 24] [--pvb-weight 1.0]
-                 [--threads N] [--recover on|off|strict]
-                 [--precision f64|f32|mixed] [--rfft on|off]
+                 [--threads N] [--recover on|off|strict] [--precision f64|f32]
                  [--schedule auto|off|CPX,K,CI,FI]
                  [--tile N] [--halo N] [--warm-start mem|<dir>] [--warm-iters N]
                  [--deadline SECS] [--max-wall SECS] [--iter-budget N]
@@ -41,19 +40,20 @@ USAGE:
                  [--grid 512] [--kernels 24] [--min-width-nm 40] [--min-space-nm 40]
                  [--threads N]
   lsopc suite    [--cases 1,2,...] [--grid 256] [--iters 20] [--kernels 24]
-                 [--threads N] [--recover on|off|strict]
-                 [--precision f64|f32|mixed] [--rfft on|off]
-                 [--schedule auto|off|CPX,K,CI,FI]
+                 [--pvb-weight 1.0] [--threads N] [--recover on|off|strict]
+                 [--precision f64|f32] [--schedule auto|off|CPX,K,CI,FI]
                  [--deadline SECS] [--max-wall SECS]
                  [--trace <out.jsonl>] [--metrics <out.json>]
   lsopc profile  [--pattern wire|dense|contacts] [--grid 256] [--iters 10]
-                 [--kernels 24] [--threads N] [--recover on|off|strict]
-                 [--rfft on|off] [--json]
+                 [--kernels 24] [--pvb-weight 1.0] [--threads N]
+                 [--recover on|off|strict] [--precision f64|f32]
+                 [--schedule auto|off|CPX,K,CI,FI] [--json]
                  [--trace <out.jsonl>] [--metrics <out.json>]
   lsopc analyze  <trace.jsonl>
   lsopc help
 
 The field is 2048nm; --grid sets the pixels per side (power of two).
+A flag a command does not take is a usage error naming the flag.
 --threads sizes the shared worker pool (default: LSOPC_THREADS if set,
 otherwise the machine's available cores).
 --recover controls the solver health guard (default on): `on` rolls back
@@ -61,13 +61,9 @@ to the last healthy checkpoint and halves the step on numerical trouble,
 `strict` turns an exhausted guard into a hard error, `off` disables it.
 --precision picks the arithmetic for the optimization loop (default f64):
 `f32` runs fields and transforms in single precision (the paper's GPU
-arithmetic, reproduced on CPU), `mixed` runs f32 convolutions/spectra
-under f64 accumulation and optimizer state (the master-weights pattern).
-Scoring and reporting always run at f64 (see DESIGN.md §11).
---rfft on routes the backends' real-input transforms through the
-half-spectrum fast path (DESIGN.md §13); results deviate from the dense
-default only at round-off level. A bare --rfft means on; the default is
-off (or the LSOPC_RFFT environment variable when set).
+arithmetic, reproduced on CPU). Scoring and reporting always run at f64
+(see DESIGN.md §11). Every precision takes the mask spectrum through the
+real-input half-spectrum FFT (DESIGN.md §13).
 --schedule runs the early iterations on a coarse grid with a reduced
 kernel set, then upsamples ψ and refines at full resolution (DESIGN.md
 §14). `auto` (also a bare --schedule) derives the stages from the grid
@@ -139,6 +135,11 @@ fn outcome_for(stopped: Option<StopReason>) -> Outcome {
 }
 
 type CliResult = Result<Outcome, CliError>;
+
+/// Flags [`CommandTrace::start`] reads.
+const TRACE_FLAGS: &[&str] = &["trace", "metrics"];
+/// Flags [`scorer_for`] reads for the read-only commands.
+const SCORER_FLAGS: &[&str] = &["grid", "kernels", "threads"];
 
 // Flag-parsing errors (missing/invalid values) are usage errors.
 impl From<String> for CliError {
@@ -220,7 +221,16 @@ fn load_layout(path: &str) -> Result<Layout, CliError> {
 
 /// `lsopc optimize`: design in, optimized mask out.
 pub fn optimize(args: &[String]) -> CliResult {
-    let flags = Flags::parse(args)?;
+    let flags = Flags::parse(args)?.accepting(
+        "optimize",
+        &[
+            &["glp", "out"],
+            spec::SPEC_FLAGS,
+            spec::TILING_FLAGS,
+            spec::LIFECYCLE_FLAGS,
+            TRACE_FLAGS,
+        ],
+    )?;
     let session = CommandTrace::start(&flags)?;
     session.run(|| optimize_run(&flags))
 }
@@ -235,7 +245,6 @@ fn optimize_run(flags: &Flags) -> CliResult {
         SpecDefaults {
             grid: 512,
             iters: 30,
-            tiling: true,
         },
     )?;
     let control = spec::run_control_flags(flags)?;
@@ -243,7 +252,7 @@ fn optimize_run(flags: &Flags) -> CliResult {
     let design = load_layout(&glp_path)?;
     let engine = spec::engine_for(flags)?;
     let scorer = engine
-        .scorer(resolved.grid, resolved.kernels, resolved.rfft)
+        .scorer(resolved.grid, resolved.kernels, None)
         .map_err(CliError::from_engine)?;
     let (grid, pixel_nm) = (resolved.grid, lsopc_engine::pixel_nm(resolved.grid));
 
@@ -361,7 +370,7 @@ fn write_and_score_mask(
 
 /// `lsopc evaluate`: score an existing mask against a design.
 pub fn evaluate(args: &[String]) -> CliResult {
-    let flags = Flags::parse(args)?;
+    let flags = Flags::parse(args)?.accepting("evaluate", &[&["glp", "mask"], SCORER_FLAGS])?;
     let design = load_layout(flags.require("glp")?)?;
     let mask_layout = load_layout(flags.require("mask")?)?;
     let (scorer, grid) = scorer_for(&flags, 512)?;
@@ -387,22 +396,26 @@ pub fn evaluate(args: &[String]) -> CliResult {
 }
 
 /// Builds the shared f64 scoring simulator for the read-only commands
-/// from `--grid`/`--kernels`/`--threads` (and `--rfft`, which scoring
-/// honors exactly as the optimizing commands do).
+/// from `--grid`/`--kernels`/`--threads`.
 fn scorer_for(flags: &Flags, default_grid: usize) -> Result<(Scorer, usize), CliError> {
     let grid: usize = flags.num("grid", default_grid)?;
     let kernels: usize = flags.num("kernels", 24)?;
-    let rfft = spec::rfft_flag(flags)?;
     let engine = spec::engine_for(flags)?;
     let scorer = engine
-        .scorer(grid, kernels, rfft)
+        .scorer(grid, kernels, None)
         .map_err(CliError::from_engine)?;
     Ok((scorer, grid))
 }
 
 /// `lsopc report`: full quality + manufacturability report for a mask.
 pub fn report(args: &[String]) -> CliResult {
-    let flags = Flags::parse(args)?;
+    let flags = Flags::parse(args)?.accepting(
+        "report",
+        &[
+            &["glp", "mask", "min-width-nm", "min-space-nm"],
+            SCORER_FLAGS,
+        ],
+    )?;
     let design = load_layout(flags.require("glp")?)?;
     let mask_layout = load_layout(flags.require("mask")?)?;
     let min_width_nm: f64 = flags.num("min-width-nm", 40.0)?;
@@ -429,7 +442,14 @@ pub fn report(args: &[String]) -> CliResult {
 
 /// `lsopc suite`: run the level-set method over the built-in benchmarks.
 pub fn suite(args: &[String]) -> CliResult {
-    let flags = Flags::parse(args)?;
+    let flags = Flags::parse(args)?.accepting(
+        "suite",
+        &[
+            &["cases", "deadline", "max-wall"],
+            spec::SPEC_FLAGS,
+            TRACE_FLAGS,
+        ],
+    )?;
     let session = CommandTrace::start(&flags)?;
     session.run(|| suite_run(&flags))
 }
@@ -441,14 +461,13 @@ fn suite_run(flags: &Flags) -> CliResult {
         SpecDefaults {
             grid: 256,
             iters: 20,
-            tiling: false,
         },
     )?;
     let deadline_s = spec::secs_flag(flags, "deadline")?;
     let max_wall_s = spec::secs_flag(flags, "max-wall")?;
     let engine = spec::engine_for(flags)?;
     let scorer = engine
-        .scorer(resolved.grid, resolved.kernels, resolved.rfft)
+        .scorer(resolved.grid, resolved.kernels, None)
         .map_err(CliError::from_engine)?;
     let (grid, pixel_nm) = (resolved.grid, lsopc_engine::pixel_nm(resolved.grid));
 
@@ -564,7 +583,10 @@ fn synthetic_layout(pattern: &str) -> Result<Layout, CliError> {
 /// `lsopc profile`: optimize a built-in synthetic pattern under the
 /// in-memory aggregator and print the per-span self/total-time table.
 pub fn profile(args: &[String]) -> CliResult {
-    let flags = Flags::parse(args)?;
+    let flags = Flags::parse(args)?.accepting(
+        "profile",
+        &[&["pattern", "json"], spec::SPEC_FLAGS, TRACE_FLAGS],
+    )?;
     let pattern = flags
         .get("pattern")
         .filter(|v| !v.is_empty())
@@ -575,7 +597,6 @@ pub fn profile(args: &[String]) -> CliResult {
         SpecDefaults {
             grid: 256,
             iters: 10,
-            tiling: false,
         },
     )?;
     let design = synthetic_layout(&pattern)?;

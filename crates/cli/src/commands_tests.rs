@@ -61,7 +61,7 @@ mod cases {
             "BEGIN\nCELL prec_test\nRECT 832 480 384 1088 ;\nEND\n",
         )
         .expect("write design");
-        for prec in ["f64", "f32", "mixed"] {
+        for prec in ["f64", "f32"] {
             let mask_path = tmpfile(&format!("prec_{prec}.glp"));
             optimize(&to_args(&[
                 "--glp",
@@ -81,58 +81,6 @@ mod cases {
             assert!(mask_path.exists(), "--precision {prec} wrote a mask");
             std::fs::remove_file(mask_path).ok();
         }
-        std::fs::remove_file(design_path).ok();
-    }
-
-    #[test]
-    fn optimize_accepts_rfft_flag() {
-        let design_path = tmpfile("rfft_design.glp");
-        let mask_path = tmpfile("rfft_mask.glp");
-        std::fs::write(
-            &design_path,
-            "BEGIN\nCELL rfft_test\nRECT 832 480 384 1088 ;\nEND\n",
-        )
-        .expect("write design");
-        optimize(&to_args(&[
-            "--glp",
-            design_path.to_str().expect("utf8"),
-            "--out",
-            mask_path.to_str().expect("utf8"),
-            "--grid",
-            "128",
-            "--kernels",
-            "4",
-            "--iters",
-            "3",
-            "--rfft",
-            "on",
-        ]))
-        .expect("--rfft on runs");
-        assert!(mask_path.exists(), "--rfft on wrote a mask");
-        std::fs::remove_file(design_path).ok();
-        std::fs::remove_file(mask_path).ok();
-    }
-
-    #[test]
-    fn invalid_rfft_is_a_usage_error() {
-        use crate::error::Category;
-        let design_path = tmpfile("rfft_bad_design.glp");
-        std::fs::write(
-            &design_path,
-            "BEGIN\nCELL rfft_bad\nRECT 832 480 384 1088 ;\nEND\n",
-        )
-        .expect("write design");
-        let err = optimize(&to_args(&[
-            "--glp",
-            design_path.to_str().expect("utf8"),
-            "--out",
-            "y.glp",
-            "--rfft",
-            "maybe",
-        ]))
-        .expect_err("bad rfft value");
-        assert_eq!(err.category(), Category::Usage);
-        assert!(err.to_string().contains("--rfft"));
         std::fs::remove_file(design_path).ok();
     }
 
@@ -234,6 +182,9 @@ mod cases {
             (&["--tile", "128", "--halo", "256"][..], "smaller"),
             (&["--tile", "128", "--warm-start", ""][..], "--warm-start"),
             (&["--tile", "128", "--precision", "f32"][..], "f64"),
+            (&["--precision", "mixed"][..], "--precision"),
+            (&["--rfft", "on"][..], "--rfft"),
+            (&["--iter", "3"][..], "--iter"),
         ] {
             let mut args = base.to_vec();
             args.extend_from_slice(extra);
@@ -606,13 +557,38 @@ mod cases {
             (&["--precision", "f16"][..], "--precision"),
             (&["--schedule", "fast"][..], "--schedule"),
             (&["--recover", "maybe"][..], "--recover"),
-            (&["--rfft", "maybe"][..], "--rfft"),
+            (&["--precision", "mixed"][..], "--precision"),
+            (&["--rfft", "on"][..], "--rfft"),
+            (&["--tile", "128"][..], "--tile"),
         ] {
             let err = suite(&to_args(args)).expect_err("misuse rejected");
             assert_eq!(err.category(), Category::Usage, "args {args:?}");
             assert!(
                 err.to_string().contains(needle),
                 "args {args:?}: `{err}` lacks `{needle}`"
+            );
+        }
+    }
+
+    #[test]
+    fn every_command_rejects_unknown_flags() {
+        use crate::error::Category;
+        for (name, run) in [
+            ("optimize", optimize as fn(&[String]) -> CliResult),
+            ("evaluate", evaluate),
+            ("report", report),
+            ("suite", suite),
+            ("profile", profile),
+        ] {
+            // A typo of --iters: rejected before any file is read or any
+            // job runs, naming the flag and the command.
+            let err = run(&to_args(&["--glp", "x.glp", "--iter", "3"]))
+                .expect_err("unknown flag rejected");
+            assert_eq!(err.category(), Category::Usage, "{name}");
+            let msg = err.to_string();
+            assert!(
+                msg.contains("--iter ") && msg.contains(name),
+                "{name}: `{msg}`"
             );
         }
     }

@@ -15,16 +15,37 @@ use lsopc_engine::{Engine, JobSpec, Precision, Schedule, Tiling, WarmStart};
 use lsopc_grid::Grid;
 use std::time::{Duration, Instant};
 
-/// Per-command defaults and capabilities for [`resolve_spec`].
+/// Flags [`resolve_spec`] and [`engine_for`] read for every optimizing
+/// command.
+pub const SPEC_FLAGS: &[&str] = &[
+    "grid",
+    "iters",
+    "kernels",
+    "pvb-weight",
+    "threads",
+    "recover",
+    "precision",
+    "schedule",
+];
+/// The tiling and warm-start family [`resolve_spec`] reads; only
+/// `optimize` accepts it.
+pub const TILING_FLAGS: &[&str] = &["tile", "halo", "warm-start", "warm-iters"];
+/// The run-lifecycle family [`run_control_flags`] reads.
+pub const LIFECYCLE_FLAGS: &[&str] = &[
+    "deadline",
+    "max-wall",
+    "iter-budget",
+    "checkpoint",
+    "checkpoint-every",
+    "resume",
+];
+
+/// Per-command defaults for [`resolve_spec`].
 pub struct SpecDefaults {
     /// Default `--grid` when the flag is absent.
     pub grid: usize,
     /// Default `--iters` when the flag is absent.
     pub iters: usize,
-    /// Whether the command accepts the tiling/warm-start flag family
-    /// (`optimize` does; `suite` and `profile` ignore those flags, as
-    /// they always have).
-    pub tiling: bool,
 }
 
 /// Everything the flags determine about a job except the target raster
@@ -42,8 +63,6 @@ pub struct ResolvedSpec {
     pub recovery: RecoveryPolicy,
     /// Loop arithmetic.
     pub precision: Precision,
-    /// Real-input FFT routing override.
-    pub rfft: Option<bool>,
     /// Coarse-to-fine schedule selection.
     pub schedule: Schedule,
     /// Tile geometry, when tiling.
@@ -63,7 +82,6 @@ impl ResolvedSpec {
         job.pvb_weight = self.pvb_weight;
         job.recovery = self.recovery;
         job.precision = self.precision;
-        job.rfft = self.rfft;
         job.schedule = self.schedule;
         job.tiling = self.tiling;
         job.warm_start = self.warm_start.clone();
@@ -79,23 +97,19 @@ pub fn resolve_spec(flags: &Flags, defaults: SpecDefaults) -> Result<ResolvedSpe
     let pvb_weight: f64 = flags.num("pvb-weight", 1.0)?;
     let recovery = recovery_policy(flags)?;
     let precision = precision(flags)?;
-    let (tiling, warm_start, warm_iters) = if defaults.tiling {
-        let tiling = tiling_flags(flags)?;
-        let warm_start = warm_start_flag(flags, tiling.is_some())?;
-        let warm_iters: usize = flags.num("warm-iters", 0)?;
-        if tiling.is_some() && precision != Precision::F64 {
-            return Err(CliError::usage(
-                "--tile runs at f64; drop --precision or the tiling flags",
-            ));
-        }
-        (tiling, warm_start, warm_iters)
-    } else {
-        (None, None, 0)
-    };
+    // Only `optimize` accepts the tiling family; for the other commands
+    // the flags are absent and this resolves to a flat job.
+    let tiling = tiling_flags(flags)?;
+    let warm_start = warm_start_flag(flags, tiling.is_some())?;
+    let warm_iters: usize = flags.num("warm-iters", 0)?;
+    if tiling.is_some() && precision != Precision::F64 {
+        return Err(CliError::usage(
+            "--tile runs at f64; drop --precision or the tiling flags",
+        ));
+    }
     let grid: usize = flags.num("grid", defaults.grid)?;
     let kernels: usize = flags.num("kernels", 24)?;
     let schedule = schedule_flag(flags)?;
-    let rfft = rfft_flag(flags)?;
     Ok(ResolvedSpec {
         grid,
         kernels,
@@ -103,7 +117,6 @@ pub fn resolve_spec(flags: &Flags, defaults: SpecDefaults) -> Result<ResolvedSpe
         pvb_weight,
         recovery,
         precision,
-        rfft,
         schedule,
         tiling,
         warm_start,
@@ -132,22 +145,8 @@ fn precision(flags: &Flags) -> Result<Precision, CliError> {
     match flags.get("precision").filter(|v| !v.is_empty()) {
         None | Some("f64") => Ok(Precision::F64),
         Some("f32") => Ok(Precision::F32),
-        Some("mixed") => Ok(Precision::Mixed),
         Some(other) => Err(CliError::usage(format!(
-            "invalid value `{other}` for --precision: expected f64, f32 or mixed"
-        ))),
-    }
-}
-
-/// Parses `--rfft on|off` into a per-job routing override. Absent flag
-/// → `None` (the process default: off, or `LSOPC_RFFT` when set).
-pub fn rfft_flag(flags: &Flags) -> Result<Option<bool>, CliError> {
-    match flags.get("rfft") {
-        None => Ok(None),
-        Some("" | "on" | "1" | "true") => Ok(Some(true)),
-        Some("off" | "0" | "false") => Ok(Some(false)),
-        Some(other) => Err(CliError::usage(format!(
-            "invalid value `{other}` for --rfft: expected on or off"
+            "invalid value `{other}` for --precision: expected f64 or f32"
         ))),
     }
 }

@@ -151,9 +151,6 @@ pub struct TiledIlt {
     control: Option<RunControl>,
     /// Cache handles injected into the internal tile simulator.
     caches: Option<lsopc_litho::SimCaches>,
-    /// rfft routing for the internal tile simulator's backend (`None` →
-    /// the process default).
-    rfft: Option<bool>,
 }
 
 impl TiledIlt {
@@ -196,7 +193,6 @@ impl TiledIlt {
             ctx: None,
             control: None,
             caches: None,
-            rfft: None,
         })
     }
 
@@ -254,15 +250,6 @@ impl TiledIlt {
     /// embedded spectra instead of re-warming the process globals.
     pub fn with_caches(mut self, caches: lsopc_litho::SimCaches) -> Self {
         self.caches = Some(caches);
-        self
-    }
-
-    /// Overrides the rfft routing of the tile simulator's backend (the
-    /// tiled path builds its simulator internally, so callers cannot set
-    /// this on a backend themselves). `None`/unset → the process default
-    /// ([`lsopc_fft::rfft_default`]).
-    pub fn with_rfft(mut self, enabled: bool) -> Self {
-        self.rfft = Some(enabled);
         self
     }
 
@@ -394,14 +381,10 @@ impl TiledIlt {
         }
         let tile = self.tile_px();
         // Each tile solve is serial (the fan-out is across tiles), hence
-        // the 1-thread backend; rfft and cache handles forward to it
-        // because the simulator is built here, out of the caller's reach.
-        let mut backend = lsopc_litho::AcceleratedBackend::new(1);
-        if let Some(rfft) = self.rfft {
-            backend = backend.with_rfft(rfft);
-        }
-        let mut sim =
-            LithoSimulator::from_optics(optics, tile, pixel_nm)?.with_backend(Box::new(backend));
+        // the 1-thread backend; cache handles forward to it because the
+        // simulator is built here, out of the caller's reach.
+        let mut sim = LithoSimulator::from_optics(optics, tile, pixel_nm)?
+            .with_backend(Box::new(lsopc_litho::AcceleratedBackend::new(1)));
         if let Some(caches) = &self.caches {
             sim = sim.with_caches(caches.clone());
         }

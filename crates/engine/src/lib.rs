@@ -57,9 +57,7 @@ use lsopc_core::{
 };
 use lsopc_geometry::Layout;
 use lsopc_grid::Grid;
-use lsopc_litho::{
-    AcceleratedBackend, BuildSimulatorError, LithoSimulator, MixedBackend, SimCaches,
-};
+use lsopc_litho::{AcceleratedBackend, BuildSimulatorError, LithoSimulator, SimCaches};
 use lsopc_metrics::MaskEvaluation;
 use lsopc_optics::OpticsConfig;
 use lsopc_trace::{MetricsRegistry, TraceSink};
@@ -82,16 +80,12 @@ pub fn pixel_nm(grid: usize) -> f64 {
 /// always run at f64 regardless.
 #[derive(Copy, Clone, Debug, Default, PartialEq, Eq, Hash)]
 pub enum Precision {
-    /// Full double precision — the default, bit-identical to the
-    /// pre-generic pipeline.
+    /// Full double precision — the default.
     #[default]
     F64,
     /// Pure single precision fields and transforms (the paper's GPU
     /// arithmetic); the result mask is widened to f64 for scoring.
     F32,
-    /// f32 convolutions/spectra with f64 accumulation and optimizer
-    /// state (master-weights pattern).
-    Mixed,
 }
 
 /// Coarse-to-fine schedule selection for a job.
@@ -174,9 +168,6 @@ pub struct JobSpec {
     pub recovery: RecoveryPolicy,
     /// Loop arithmetic (default f64).
     pub precision: Precision,
-    /// Real-input FFT routing: `Some` pins it for this job's backends,
-    /// `None` keeps the process default (`LSOPC_RFFT` or off).
-    pub rfft: Option<bool>,
     /// Coarse-to-fine schedule (default off).
     pub schedule: Schedule,
     /// Tile the field instead of solving it whole (f64 only).
@@ -206,7 +197,6 @@ impl JobSpec {
             pvb_weight: 1.0,
             recovery: RecoveryPolicy::On(GuardConfig::default()),
             precision: Precision::F64,
-            rfft: None,
             schedule: Schedule::Off,
             tiling: None,
             warm_start: None,
@@ -446,7 +436,6 @@ struct SimKey {
     grid: usize,
     kernels: usize,
     precision: Precision,
-    rfft: Option<bool>,
 }
 
 #[derive(Debug)]
@@ -547,10 +536,7 @@ impl Engine {
         if let Some(SimEntry::F64(sim)) = sims.get(&key) {
             return Ok(sim.clone());
         }
-        let mut backend = AcceleratedBackend::new(self.inner.pool_threads);
-        if let Some(rfft) = key.rfft {
-            backend = backend.with_rfft(rfft);
-        }
+        let backend = AcceleratedBackend::new(self.inner.pool_threads);
         let sim = Arc::new(
             LithoSimulator::from_optics(&Self::optics(key.kernels), key.grid, pixel_nm(key.grid))?
                 .with_backend(Box::new(backend))
@@ -567,10 +553,7 @@ impl Engine {
         if let Some(SimEntry::F32(sim)) = sims.get(&key) {
             return Ok(sim.clone());
         }
-        let mut backend = AcceleratedBackend::new(self.inner.pool_threads);
-        if let Some(rfft) = key.rfft {
-            backend = backend.with_rfft(rfft);
-        }
+        let backend = AcceleratedBackend::new(self.inner.pool_threads);
         let sim = Arc::new(
             LithoSimulator::<f32>::from_optics(
                 &Self::optics(key.kernels),
@@ -584,41 +567,22 @@ impl Engine {
         Ok(sim)
     }
 
-    /// The cached mixed-precision simulator for `key`.
-    fn sim_mixed(&self, key: SimKey) -> Result<Arc<LithoSimulator<f64>>, EngineError> {
-        debug_assert_eq!(key.precision, Precision::Mixed);
-        let mut sims = self.inner.sims.lock().unwrap_or_else(|e| e.into_inner());
-        if let Some(SimEntry::F64(sim)) = sims.get(&key) {
-            return Ok(sim.clone());
-        }
-        let mut backend = MixedBackend::new();
-        if let Some(rfft) = key.rfft {
-            backend = backend.with_rfft(rfft);
-        }
-        let sim = Arc::new(
-            LithoSimulator::from_optics(&Self::optics(key.kernels), key.grid, pixel_nm(key.grid))?
-                .with_backend(Box::new(backend))
-                .with_caches(self.inner.caches.clone()),
-        );
-        sims.insert(key, SimEntry::F64(sim.clone()));
-        Ok(sim)
-    }
-
     /// The shared f64 scoring simulator for a grid/kernel-count pair.
     ///
-    /// `rfft` follows the job's routing so that scoring a job's mask
-    /// reproduces the pre-engine CLI bit-for-bit.
+    /// The third argument is ignored: it selected the FFT routing, and
+    /// the real-input path is now the only one. It stays only because
+    /// the benchmark harness calls this three-argument form; the next
+    /// change to the benchmark removes it.
     pub fn scorer(
         &self,
         grid: usize,
         kernels: usize,
-        rfft: Option<bool>,
+        _routing: Option<bool>,
     ) -> Result<Scorer, EngineError> {
         let sim = self.sim_f64(SimKey {
             grid,
             kernels,
             precision: Precision::F64,
-            rfft,
         })?;
         Ok(Scorer { sim })
     }
@@ -676,15 +640,10 @@ impl Engine {
             grid,
             kernels: spec.kernels,
             precision: spec.precision,
-            rfft: spec.rfft,
         };
         let result = match spec.precision {
             Precision::F64 => {
                 let sim = self.sim_f64(key)?;
-                ilt.optimize_controlled(&sim, &spec.target, &spec.control)?
-            }
-            Precision::Mixed => {
-                let sim = self.sim_mixed(key)?;
                 ilt.optimize_controlled(&sim, &spec.target, &spec.control)?
             }
             Precision::F32 => {
@@ -736,9 +695,6 @@ impl Engine {
         tiled = tiled
             .with_run_control(spec.control.clone())
             .with_caches(self.inner.caches.clone());
-        if let Some(rfft) = spec.rfft {
-            tiled = tiled.with_rfft(rfft);
-        }
         let started = Instant::now();
         let (mask, stats) =
             tiled.optimize_with_stats(optics, &spec.target, pixel_nm(spec.grid()))?;

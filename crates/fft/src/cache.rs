@@ -12,8 +12,9 @@
 //!   (backends, convolution helpers, optics kernel construction) goes
 //!   through;
 //! * [`plan`] — shorthand for `PlanCache::global().plan(w, h)` (`f64`);
-//! * [`plan_t`] — the scalar-generic equivalent, used by the f32 and
-//!   mixed-precision execution modes.
+//! * [`plan_t`] — the scalar-generic equivalent, used by the f32
+//!   execution mode;
+//! * [`rplan`]/[`rplan_t`] — the same for the real-input [`RfftPlan`].
 //!
 //! Plans are returned as `Arc<Fft2d<T>>`: repeated lookups of the same
 //! size and scalar type return clones of the *same* allocation, so

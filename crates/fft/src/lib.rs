@@ -15,8 +15,8 @@
 //!   across several band-limited spectra;
 //! * [`RfftPlan`]/[`HalfSpectrum`] — a true real-input 2-D transform that
 //!   stores only the non-redundant `(w/2 + 1) × h` Hermitian half and
-//!   reconstructs real output directly (opt-in for the simulation
-//!   backends — see [`rfft_default`]);
+//!   reconstructs real output directly; the simulation backends run every
+//!   full-size real transform through it;
 //! * [`PlanCache`]/[`plan`] — a process-wide cache handing out shared
 //!   `Arc<Fft2d>` plans so hot paths never rebuild twiddle tables;
 //! * [`naive_dft`]/[`naive_dft2d`] — O(n²) reference transforms used by the
@@ -63,5 +63,5 @@ pub use fft2d::Fft2d;
 pub use plan::FftPlan;
 pub use reference::{naive_dft, naive_dft2d};
 pub use resample::upsample_spectral;
-pub use rfft::{rfft_default, set_rfft_default, HalfSpectrum, RfftPlan};
+pub use rfft::{HalfSpectrum, RfftPlan};
 pub use shift::{cyclic_shift, fftshift, ifftshift, wrap_index};

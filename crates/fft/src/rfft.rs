@@ -23,11 +23,9 @@
 //! per-row arithmetic, so results are bit-identical at any thread count.
 //! The rfft path is *not* bit-identical to the dense complex path — the
 //! untangling performs the final butterfly stage in a different order —
-//! which is why the simulation backends keep it opt-in (see
-//! [`rfft_default`]) and the default dense path stays byte-for-byte
-//! reproducible.
-
-use std::sync::atomic::{AtomicU8, Ordering};
+//! so results agree with [`crate::Fft2d::forward_real`] to round-off
+//! only. The simulation backends route every full-size real transform
+//! through this path; the dense transform remains the test oracle.
 
 use crate::fft2d::rows_per_chunk;
 use crate::FftPlan;
@@ -430,48 +428,6 @@ impl<T: Scalar> RfftPlan<T> {
     }
 }
 
-/// Process-wide default for routing real transforms through the rfft
-/// path: `0` unset (fall back to the `LSOPC_RFFT` environment variable),
-/// `1` on, `2` off.
-static RFFT_DEFAULT: AtomicU8 = AtomicU8::new(0);
-
-/// Sets the process-wide rfft routing default (overrides `LSOPC_RFFT`).
-///
-/// Backends consult this only when no per-backend override is set (e.g.
-/// `with_rfft` in `lsopc-litho`); the CLI's `--rfft` flag lands here.
-/// Tests should prefer per-backend overrides: this is global state shared
-/// by every thread in the process.
-pub fn set_rfft_default(enabled: bool) {
-    RFFT_DEFAULT.store(if enabled { 1 } else { 2 }, Ordering::Relaxed);
-}
-
-/// Whether real transforms should route through the rfft path by default.
-///
-/// Resolution order: [`set_rfft_default`] if called, else the
-/// `LSOPC_RFFT` environment variable (`1`/`true`/`on`/`yes` enable),
-/// else off — the dense complex path stays the byte-for-byte
-/// reproducible default.
-pub fn rfft_default() -> bool {
-    match RFFT_DEFAULT.load(Ordering::Relaxed) {
-        1 => true,
-        2 => false,
-        _ => *ENV_DEFAULT,
-    }
-}
-
-static ENV_DEFAULT: std::sync::LazyLock<bool> =
-    std::sync::LazyLock::new(|| match std::env::var("LSOPC_RFFT").as_deref() {
-        Ok("1" | "true" | "on" | "yes") => true,
-        Ok("0" | "false" | "off" | "no" | "") | Err(_) => false,
-        Ok(other) => {
-            lsopc_trace::warn(
-                "lsopc-fft",
-                &format!("unrecognized LSOPC_RFFT value {other:?}; rfft stays off"),
-            );
-            false
-        }
-    });
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -614,13 +570,6 @@ mod tests {
     fn wrong_size_panics() {
         let plan = RfftPlan::<f64>::new(8, 8);
         let _ = plan.forward(&Grid::new(4, 4, 0.0));
-    }
-
-    #[test]
-    fn default_is_off_and_override_wins() {
-        // Note: other tests must not toggle the global default; backends
-        // use per-instance overrides precisely so tests stay isolated.
-        assert!(!rfft_default(), "dense path is the default");
     }
 
     #[test]

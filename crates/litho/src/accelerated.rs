@@ -23,12 +23,14 @@
 //!
 //! Per pass this needs 2–3 full-size FFTs instead of `2K`, a ~20x
 //! reduction at K = 24 that mirrors the paper's measured 71 % runtime
-//! reduction in structure (Table II). Results match [`FftBackend`] to
-//! rounding, which the test-suite pins.
+//! reduction in structure (Table II). Every full-size transform has real
+//! input or real output, so all of them run through the half-spectrum
+//! [`RfftPlan`](lsopc_fft::RfftPlan) (`DESIGN.md` §13). Results match
+//! [`FftBackend`] to rounding, which the test-suite pins.
 //!
 //! [`FftBackend`]: crate::FftBackend
 
-use crate::backend::{fold_kernel_grids, mask_spectrum, MaskSpectrum, SimBackend};
+use crate::backend::{fold_kernel_grids, mask_spectrum, SimBackend};
 use crate::caches::SimCaches;
 use lsopc_fft::{wrap_index, HalfSpectrum};
 use lsopc_grid::{Complex, Grid, Scalar};
@@ -67,8 +69,6 @@ use lsopc_parallel::ParallelContext;
 pub struct AcceleratedBackend {
     threads: usize,
     ctx: ParallelContext,
-    /// `None` → the process default ([`lsopc_fft::rfft_default`]).
-    rfft: Option<bool>,
     /// Cache handles; defaults to the process globals.
     caches: SimCaches,
 }
@@ -82,7 +82,6 @@ impl AcceleratedBackend {
         Self {
             threads,
             ctx: ParallelContext::global().with_max_threads(threads),
-            rfft: None,
             caches: SimCaches::default(),
         }
     }
@@ -93,24 +92,8 @@ impl AcceleratedBackend {
         Self {
             threads: ctx.threads(),
             ctx,
-            rfft: None,
             caches: SimCaches::default(),
         }
-    }
-
-    /// Overrides the rfft routing for this backend instance: `true` runs
-    /// every full-size real transform (the mask and sensitivity forwards
-    /// and the two real-output finishing inverses) through the real-input
-    /// fast path — in this backend the full-size transforms dominate, so
-    /// this is where the rfft saving is largest. Without an override the
-    /// process default ([`lsopc_fft::rfft_default`]) decides.
-    pub fn with_rfft(mut self, enabled: bool) -> Self {
-        self.rfft = Some(enabled);
-        self
-    }
-
-    fn rfft(&self) -> bool {
-        self.rfft.unwrap_or_else(lsopc_fft::rfft_default)
     }
 
     /// Requested thread fan-out.
@@ -149,36 +132,21 @@ fn centered_window<T: Scalar>(full: &Grid<Complex<T>>, size: usize) -> Grid<Comp
     })
 }
 
-/// Embeds a centred window into an `w x h` DFT-layout spectrum.
-fn embed_window<T: Scalar>(window: &Grid<Complex<T>>, w: usize, h: usize) -> Grid<Complex<T>> {
-    let size = window.width();
+/// [`centered_window`] of the full spectrum a Hermitian half stores,
+/// reconstructing mirrored samples through [`HalfSpectrum::at`]'s
+/// conjugate symmetry.
+fn centered_window_half<T: Scalar>(half: &HalfSpectrum<T>, size: usize) -> Grid<Complex<T>> {
+    let (w, h) = half.dims();
     let c = (size / 2) as i64;
-    let mut full = Grid::new(w, h, Complex::<T>::ZERO);
-    for (i, j, &v) in window.iter_coords() {
-        full[(wrap_index(i as i64 - c, w), wrap_index(j as i64 - c, h))] = v;
-    }
-    full
+    Grid::from_fn(size, size, |i, j| {
+        half.at(wrap_index(i as i64 - c, w), wrap_index(j as i64 - c, h))
+    })
 }
 
-/// [`centered_window`] reading from either mask-spectrum layout; the half
-/// layout reconstructs mirrored samples through
-/// [`HalfSpectrum::at`]'s conjugate symmetry.
-fn centered_window_of<T: Scalar>(mhat: &MaskSpectrum<T>, size: usize) -> Grid<Complex<T>> {
-    match mhat {
-        MaskSpectrum::Dense(full) => centered_window(full, size),
-        MaskSpectrum::Half(half) => {
-            let (w, h) = half.dims();
-            let c = (size / 2) as i64;
-            Grid::from_fn(size, size, |i, j| {
-                half.at(wrap_index(i as i64 - c, w), wrap_index(j as i64 - c, h))
-            })
-        }
-    }
-}
-
-/// [`embed_window`] into the Hermitian half layout: each window sample is
-/// accumulated as its Hermitian projection, so the rfft inverse of the
-/// result equals the real part the dense inverse would produce (see
+/// Embeds a centred window into a `w x h` spectrum in the Hermitian half
+/// layout: each window sample is accumulated as its Hermitian projection,
+/// so the rfft inverse of the result equals the real part a dense
+/// inverse of the full embedding would produce (see
 /// [`HalfSpectrum::accumulate_hermitian`]).
 fn embed_window_half<T: Scalar>(window: &Grid<Complex<T>>, w: usize, h: usize) -> HalfSpectrum<T> {
     let size = window.width();
@@ -204,13 +172,11 @@ impl<T: Scalar> SimBackend<T> for AcceleratedBackend {
             "grid {w}x{h} too small for kernel support {s}"
         );
         let nc = Self::coarse_size(s, w.min(h));
-        let use_rfft = self.rfft();
-        let fft_full = self.caches.plan_t::<T>(w, h);
         let fft_coarse = self.caches.plan_t::<T>(nc, nc);
 
         // One full-size forward FFT, then only the band matters.
-        let mhat = mask_spectrum(&self.caches, &fft_full, mask, use_rfft);
-        let m_window = centered_window_of(&mhat, s);
+        let mhat = mask_spectrum(&self.caches, mask);
+        let m_window = centered_window_half(&mhat, s);
 
         // Per-kernel coarse fields; e at full-grid sample points equals the
         // coarse IFFT scaled by nc²/(w·h).
@@ -243,23 +209,14 @@ impl<T: Scalar> SimBackend<T> for AcceleratedBackend {
         fft_coarse.forward(&mut ihat_c);
         let window = centered_window(&ihat_c, nc.min(2 * s - 1));
         let up = T::from_f64((w * h) as f64 / (nc * nc) as f64);
-        if use_rfft {
-            // Real-output finishing inverse straight from the half layout.
-            let mut half = embed_window_half(&window, w, h);
-            for v in half.as_mut_slice() {
-                *v = v.scale(up);
-            }
-            return self
-                .caches
-                .rplan_t::<T>(w, h)
-                .inverse_with(&self.ctx, &half);
-        }
-        let mut full = embed_window(&window, w, h);
-        for v in full.as_mut_slice() {
+        // Real-output finishing inverse straight from the half layout.
+        let mut half = embed_window_half(&window, w, h);
+        for v in half.as_mut_slice() {
             *v = v.scale(up);
         }
-        fft_full.inverse(&mut full);
-        full.map(|v| v.re)
+        self.caches
+            .rplan_t::<T>(w, h)
+            .inverse_with(&self.ctx, &half)
     }
 
     fn gradient(&self, kernels: &KernelSet<T>, mask: &Grid<T>, z: &Grid<T>) -> Grid<T> {
@@ -272,16 +229,14 @@ impl<T: Scalar> SimBackend<T> for AcceleratedBackend {
             "grid {w}x{h} too small for doubled band {}",
             2 * s - 1
         );
-        let use_rfft = self.rfft();
-        let fft_full = self.caches.plan_t::<T>(w, h);
 
         // Two full-size forward FFTs: the mask and the sensitivity field.
-        let mhat = mask_spectrum(&self.caches, &fft_full, mask, use_rfft);
-        let m_window = centered_window_of(&mhat, s);
-        let zhat = mask_spectrum(&self.caches, &fft_full, z, use_rfft);
+        let mhat = mask_spectrum(&self.caches, mask);
+        let m_window = centered_window_half(&mhat, s);
+        let zhat = mask_spectrum(&self.caches, z);
         // Ẑ on the doubled band (κ − ν reaches offsets up to 2(S/2)·2).
         let big = 2 * s - 1;
-        let z_big = centered_window_of(&zhat, big);
+        let z_big = centered_window_half(&zhat, big);
         let cb = (big / 2) as i64;
         let c = (s / 2) as i64;
         let inv_wh = T::from_f64(1.0 / (w * h) as f64);
@@ -319,21 +274,16 @@ impl<T: Scalar> SimBackend<T> for AcceleratedBackend {
         };
         let acc_window = fold_kernel_grids(&self.ctx, kernels.len(), &empty, accumulate);
 
-        // One full-size inverse FFT finishes the pass.
+        // One full-size inverse FFT finishes the pass. The gradient is
+        // 2·Re(IFFT(acc)); the Hermitian projection inside
+        // `embed_window_half` computes exactly that real part.
         let two = T::from_f64(2.0);
-        if use_rfft {
-            // The gradient is 2·Re(IFFT(acc)); the Hermitian projection
-            // inside `embed_window_half` computes exactly that real part.
-            let half = embed_window_half(&acc_window, w, h);
-            let real = self
-                .caches
-                .rplan_t::<T>(w, h)
-                .inverse_with(&self.ctx, &half);
-            return real.map(|&v| two * v);
-        }
-        let mut full = embed_window(&acc_window, w, h);
-        fft_full.inverse(&mut full);
-        full.map(|v| two * v.re)
+        let half = embed_window_half(&acc_window, w, h);
+        let real = self
+            .caches
+            .rplan_t::<T>(w, h)
+            .inverse_with(&self.ctx, &half);
+        real.map(|&v| two * v)
     }
 
     fn set_caches(&mut self, caches: &SimCaches) {
@@ -463,27 +413,6 @@ mod tests {
         let a = backend.aerial_image(&ks, &mask);
         let b = AcceleratedBackend::new(1).aerial_image(&ks, &mask);
         assert_eq!(a, b);
-    }
-
-    #[test]
-    fn rfft_path_matches_dense_path() {
-        let ks = kernels(512.0, 8);
-        let mask = test_mask(128);
-        let dense = AcceleratedBackend::new(1).with_rfft(false);
-        let rfft = AcceleratedBackend::new(1).with_rfft(true);
-        let da = max_diff(
-            &dense.aerial_image(&ks, &mask),
-            &rfft.aerial_image(&ks, &mask),
-        );
-        assert!(da < 1e-11, "aerial rfft-vs-dense diff {da}");
-        let z = Grid::from_fn(128, 128, |x, y| {
-            0.02 * ((x as f64 * 0.21).sin() + (y as f64 * 0.13).cos())
-        });
-        let dg = max_diff(
-            &dense.gradient(&ks, &mask, &z),
-            &rfft.gradient(&ks, &mask, &z),
-        );
-        assert!(dg < 1e-11, "gradient rfft-vs-dense diff {dg}");
     }
 
     #[test]

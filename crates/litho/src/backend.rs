@@ -2,6 +2,7 @@
 
 use crate::caches::SimCaches;
 use crate::spectra::EmbeddedSpectra;
+use lsopc_fft::HalfSpectrum;
 use lsopc_grid::{Complex, Grid, Scalar};
 use lsopc_optics::KernelSet;
 use lsopc_parallel::ParallelContext;
@@ -55,41 +56,20 @@ pub(crate) fn add_weighted_intensity<T: Scalar>(
     }
 }
 
-/// The mask spectrum in whichever layout the backend's transform path
-/// produced: full dense DFT layout (default, byte-for-byte reproducible)
-/// or the rfft half layout (opt-in, ~2× cheaper to produce).
-#[derive(Debug)]
-pub(crate) enum MaskSpectrum<T: Scalar> {
-    /// Full `w × h` layout from [`lsopc_fft::Fft2d::forward_real`].
-    Dense(Grid<Complex<T>>),
-    /// Hermitian `(w/2 + 1) × h` layout from [`lsopc_fft::RfftPlan`].
-    Half(lsopc_fft::HalfSpectrum<T>),
-}
-
-/// Transforms a real mask into its spectrum, routing through the rfft
-/// fast path when `use_rfft` is set (the plan comes from the backend's
-/// injected plan cache via `caches`).
-pub(crate) fn mask_spectrum<T: Scalar>(
-    caches: &SimCaches,
-    fft: &lsopc_fft::Fft2d<T>,
-    mask: &Grid<T>,
-    use_rfft: bool,
-) -> MaskSpectrum<T> {
-    if use_rfft {
-        let (w, h) = mask.dims();
-        MaskSpectrum::Half(caches.rplan_t::<T>(w, h).forward(mask))
-    } else {
-        MaskSpectrum::Dense(fft.forward_real(mask))
-    }
+/// The Hermitian half spectrum of a real mask, through the real-input
+/// fast path ([`lsopc_fft::RfftPlan`], the plan from the backend's
+/// injected plan cache).
+pub(crate) fn mask_spectrum<T: Scalar>(caches: &SimCaches, mask: &Grid<T>) -> HalfSpectrum<T> {
+    let (w, h) = mask.dims();
+    caches.rplan_t::<T>(w, h).forward(mask)
 }
 
 /// `fields[i] ← h_{k_i} ⊗ M` for one chunk of kernels: per-kernel window
-/// application (from either spectrum layout) followed by **one** batched
-/// band inverse over the whole chunk, so the pool sees every column FFT
-/// of the chunk at once instead of one narrow fan-out per kernel.
+/// application from the half spectrum followed by **one** batched band
+/// inverse over the whole chunk, so the pool sees every column FFT of
+/// the chunk at once instead of one narrow fan-out per kernel.
 /// Bit-identical to the sequential per-kernel transforms (see
-/// [`lsopc_fft::Fft2d::inverse_band_batch`]), so the default dense path
-/// stays byte-for-byte reproducible.
+/// [`lsopc_fft::Fft2d::inverse_band_batch`]).
 ///
 /// Returns the chunk's kernel indices with their fields, in ascending
 /// kernel order — callers accumulate in that order, preserving the
@@ -99,7 +79,7 @@ pub(crate) fn batched_kernel_fields<T: Scalar>(
     fft: &lsopc_fft::Fft2d<T>,
     spectra: &EmbeddedSpectra<T>,
     range: Range<usize>,
-    mhat: &MaskSpectrum<T>,
+    mhat: &HalfSpectrum<T>,
 ) -> (Vec<usize>, Vec<Grid<Complex<T>>>) {
     let (w, h) = spectra.dims();
     let ks: Vec<usize> = range.collect();
@@ -107,10 +87,7 @@ pub(crate) fn batched_kernel_fields<T: Scalar>(
         .iter()
         .map(|&k| {
             let mut f = Grid::new(w, h, Complex::<T>::ZERO);
-            match mhat {
-                MaskSpectrum::Dense(m) => spectra.apply_window_into(k, m, &mut f),
-                MaskSpectrum::Half(m) => spectra.apply_window_into_half(k, m, &mut f),
-            }
+            spectra.apply_window_into_half(k, mhat, &mut f);
             f
         })
         .collect();
@@ -130,9 +107,8 @@ pub(crate) fn batched_kernel_fields<T: Scalar>(
 ///   paper's GPU path, reproduced on CPU).
 ///
 /// The trait is generic over the scalar precision `T` the convolutions
-/// run at (`f64` default). A backend may implement it at several
-/// precisions; [`crate::MixedBackend`] implements `SimBackend<f64>`
-/// while computing its transforms in f32 internally.
+/// run at (`f64` default); every backend here implements it at both
+/// `f32` and `f64`.
 pub trait SimBackend<T: Scalar = f64>: Send + Sync + std::fmt::Debug {
     /// Human-readable backend name for reports.
     fn name(&self) -> &'static str;
@@ -263,13 +239,14 @@ fn convolve_direct<T: Scalar>(kernel: &Grid<Complex<T>>, mask: &Grid<T>) -> Grid
 
 /// Per-kernel FFT convolution — the paper's CPU implementation.
 ///
-/// Each pass performs one FFT of the mask plus, per kernel, one inverse
-/// FFT (aerial) or one inverse and one forward FFT (gradient). All plans
-/// come from the process-wide [`lsopc_fft::plan`] cache and the embedded
-/// kernel spectra from the per-`(KernelSet, grid size)`
-/// [`SpectrumCache`], so repeated calls (the optimizer loop) never
-/// rebuild twiddle tables or re-embed spectra. The per-kernel transforms
-/// use the band-limited variants ([`lsopc_fft::Fft2d::inverse_band`] /
+/// Each pass performs one real-input FFT of the mask plus, per kernel,
+/// one inverse FFT (aerial) or one inverse and one forward FFT
+/// (gradient). All plans come from the process-wide plan cache
+/// ([`lsopc_fft::plan`], [`lsopc_fft::rplan`]) and the embedded kernel
+/// spectra from the per-`(KernelSet, grid size)` [`crate::SpectrumCache`], so
+/// repeated calls (the optimizer loop) never rebuild twiddle tables or
+/// re-embed spectra. The per-kernel transforms use the band-limited
+/// variants ([`lsopc_fft::Fft2d::inverse_band`] /
 /// [`lsopc_fft::Fft2d::forward_band`]), which skip the spectrum columns
 /// the band provably leaves zero — bit-identical to the dense transforms
 /// on these inputs, just cheaper.
@@ -281,8 +258,6 @@ fn convolve_direct<T: Scalar>(kernel: &Grid<Complex<T>>, mask: &Grid<T>) -> Grid
 pub struct FftBackend {
     /// `None` → [`ParallelContext::global`].
     ctx: Option<ParallelContext>,
-    /// `None` → the process default ([`lsopc_fft::rfft_default`]).
-    rfft: Option<bool>,
     /// Cache handles; defaults to the process globals.
     caches: SimCaches,
 }
@@ -302,24 +277,10 @@ impl FftBackend {
         }
     }
 
-    /// Overrides the rfft routing for this backend instance: `true` runs
-    /// the mask → spectrum step through the real-input fast path
-    /// ([`lsopc_fft::RfftPlan`], close to but not bit-identical with the
-    /// dense path), `false` forces the dense path. Without an override
-    /// the process default ([`lsopc_fft::rfft_default`]) decides.
-    pub fn with_rfft(mut self, enabled: bool) -> Self {
-        self.rfft = Some(enabled);
-        self
-    }
-
     fn ctx(&self) -> &ParallelContext {
         self.ctx
             .as_ref()
             .unwrap_or_else(|| ParallelContext::global())
-    }
-
-    fn rfft(&self) -> bool {
-        self.rfft.unwrap_or_else(lsopc_fft::rfft_default)
     }
 }
 
@@ -333,7 +294,7 @@ impl<T: Scalar> SimBackend<T> for FftBackend {
         let (w, h) = mask.dims();
         let fft = self.caches.plan_t::<T>(w, h);
         let spectra = self.caches.embedded(kernels, w, h);
-        let mhat = mask_spectrum(&self.caches, &fft, mask, self.rfft());
+        let mhat = mask_spectrum(&self.caches, mask);
         let ctx = self.ctx();
         let empty = Grid::new(w, h, T::ZERO);
         fold_kernel_grids(ctx, kernels.len(), &empty, |range, intensity| {
@@ -353,7 +314,7 @@ impl<T: Scalar> SimBackend<T> for FftBackend {
         let (w, h) = mask.dims();
         let fft = self.caches.plan_t::<T>(w, h);
         let spectra = self.caches.embedded(kernels, w, h);
-        let mhat = mask_spectrum(&self.caches, &fft, mask, self.rfft());
+        let mhat = mask_spectrum(&self.caches, mask);
         let ctx = self.ctx();
         let empty: Grid<Complex<T>> = Grid::new(w, h, Complex::<T>::ZERO);
         let mut acc = fold_kernel_grids(ctx, kernels.len(), &empty, |range, acc| {
@@ -515,32 +476,11 @@ mod tests {
     }
 
     #[test]
-    fn rfft_path_matches_dense_path() {
+    fn fft_backend_is_deterministic_across_thread_counts() {
         let kernels = tiny_kernels();
         let mask = test_mask(32);
-        let dense = FftBackend::new().with_rfft(false);
-        let rfft = FftBackend::new().with_rfft(true);
-        let da = max_diff(
-            &dense.aerial_image(&kernels, &mask),
-            &rfft.aerial_image(&kernels, &mask),
-        );
-        assert!(da < 1e-12, "aerial rfft-vs-dense diff {da}");
-        let z = Grid::from_fn(32, 32, |x, y| {
-            0.1 * ((x as f64 * 0.7).sin() + (y as f64 * 0.3).cos())
-        });
-        let dg = max_diff(
-            &dense.gradient(&kernels, &mask, &z),
-            &rfft.gradient(&kernels, &mask, &z),
-        );
-        assert!(dg < 1e-12, "gradient rfft-vs-dense diff {dg}");
-    }
-
-    #[test]
-    fn rfft_path_is_deterministic_across_thread_counts() {
-        let kernels = tiny_kernels();
-        let mask = test_mask(32);
-        let serial = FftBackend::with_context(ParallelContext::new(1)).with_rfft(true);
-        let threaded = FftBackend::with_context(ParallelContext::new(4)).with_rfft(true);
+        let serial = FftBackend::with_context(ParallelContext::new(1));
+        let threaded = FftBackend::with_context(ParallelContext::new(4));
         assert_eq!(
             serial.aerial_image(&kernels, &mask).as_slice(),
             threaded.aerial_image(&kernels, &mask).as_slice(),

@@ -149,10 +149,10 @@ impl<T: Scalar> LithoSimulator<T> {
         if grid_px < required {
             return Err(BuildSimulatorError::GridTooSmall { grid_px, required });
         }
-        // Pre-warm the process-wide FFT plan cache for this grid size so
-        // the first simulation call pays no planning; the backends fetch
-        // the same shared plan on every pass.
-        let _ = lsopc_fft::plan_t::<T>(grid_px, grid_px);
+        // Pre-warm the process-wide real-input FFT plan for this grid
+        // size so the first simulation call pays no planning; every
+        // backend fetches the same shared plan for the mask spectrum.
+        let _ = lsopc_fft::rplan_t::<T>(grid_px, grid_px);
         Ok(Self {
             optics,
             grid_px,
@@ -225,7 +225,7 @@ impl<T: Scalar> LithoSimulator<T> {
     pub fn with_caches(mut self, caches: SimCaches) -> Self {
         // Pre-warm the injected plan cache like `from_optics` pre-warmed
         // the global one, so the first call pays no planning.
-        let _ = caches.plan_t::<T>(self.grid_px, self.grid_px);
+        let _ = caches.rplan_t::<T>(self.grid_px, self.grid_px);
         self.backend.set_caches(&caches);
         self.caches = caches;
         self
@@ -383,16 +383,6 @@ impl<T: Scalar> LithoSimulator<T> {
             inner,
             outer,
         }
-    }
-}
-
-impl LithoSimulator<f64> {
-    /// Convenience: use the mixed-precision backend (f32 transforms,
-    /// `f64` accumulation and optimizer state). Only meaningful at the
-    /// `f64` facade precision — the backend's contract is
-    /// `SimBackend<f64>`.
-    pub fn with_mixed_backend(self) -> Self {
-        self.with_backend(Box::new(crate::MixedBackend::new()))
     }
 }
 

@@ -20,7 +20,9 @@
 //! [`KernelSet::cast`]: lsopc_optics::KernelSet::cast
 //!
 //! All band-window application and adjoint accumulation in this crate
-//! goes through [`EmbeddedSpectra::apply_window_into`] and
+//! goes through [`EmbeddedSpectra::apply_window_into_half`] (the
+//! backends, reading the rfft half spectrum of the mask),
+//! [`EmbeddedSpectra::apply_window_into`] (one-shot dense callers) and
 //! [`EmbeddedSpectra::accumulate_adjoint`], so the wrap/centre logic
 //! exists in exactly one place: [`EmbeddedSpectra::new`].
 //!
@@ -45,7 +47,7 @@ struct SparseKernel<T: Scalar> {
     /// Per entry: the linear index into a `(w/2 + 1) × h` half-spectrum
     /// layout ([`lsopc_fft::HalfSpectrum`]) holding that sample's mask
     /// value, and whether the stored value must be conjugated (the entry
-    /// sits in the mirrored half). Precomputed so the rfft path pays no
+    /// sits in the mirrored half). Precomputed so the backends pay no
     /// per-call wrap arithmetic.
     half_entries: Vec<(usize, bool)>,
     /// Sorted, deduplicated full-grid columns holding those samples.
@@ -206,31 +208,6 @@ impl<T: Scalar> EmbeddedSpectra<T> {
         let a = acc.as_mut_slice();
         for &(idx, s) in &self.kernels[k].entries {
             a[idx] += s.conj() * f[idx].scale(weight);
-        }
-    }
-
-    /// Mixed-precision adjoint accumulation: each band sample's product
-    /// `conj(Ŝ_k[κ]) · field[κ]` is computed at the transform precision
-    /// `T`, widened to `f64`, scaled by the `f64` master weight and summed
-    /// into an `f64` accumulator — so the sum over kernels never loses
-    /// significance to `T`'s round-off.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `field` or `acc` does not match the embedded grid size.
-    pub(crate) fn accumulate_adjoint_upcast(
-        &self,
-        k: usize,
-        field: &Grid<Complex<T>>,
-        weight: f64,
-        acc: &mut Grid<Complex<f64>>,
-    ) {
-        assert_eq!(field.dims(), self.dims(), "field dimensions must match");
-        assert_eq!(acc.dims(), self.dims(), "accumulator dimensions must match");
-        let f = field.as_slice();
-        let a = acc.as_mut_slice();
-        for &(idx, s) in &self.kernels[k].entries {
-            a[idx] += (s.conj() * f[idx]).cast::<f64>().scale(weight);
         }
     }
 }

@@ -1,14 +1,17 @@
 //! Property tests pinning the cached, band-limited FFT backend to a
 //! cache-free dense reference — bit for bit, not just to a tolerance.
 //!
-//! The dense reference below rebuilds its plan per call (`Fft2d::new`),
-//! embeds each kernel spectrum densely (`KernelSet::embed_full`) and runs
-//! full transforms, exactly like the backend did before the caches. The
-//! cached path reuses a shared plan, applies sparse cached spectra and
-//! skips provably-zero spectrum columns — every one of which is an
-//! exact-arithmetic rewrite, so the outputs must be identical floats.
+//! The dense reference below rebuilds its plans per call (`Fft2d::new`,
+//! `RfftPlan::new`), embeds each kernel spectrum densely
+//! (`KernelSet::embed_full`) and runs full transforms. It takes the mask
+//! spectrum from the same real-input transform the backend uses,
+//! expanded to the full layout sample by sample with `HalfSpectrum::at`.
+//! The cached path reuses shared plans, applies sparse cached spectra
+//! straight from the half layout and skips provably-zero spectrum
+//! columns — every one of which is an exact-arithmetic rewrite, so the
+//! outputs must be identical floats.
 
-use lsopc_fft::{wrap_index, Fft2d};
+use lsopc_fft::{wrap_index, Fft2d, RfftPlan};
 use lsopc_grid::{Grid, C64};
 use lsopc_litho::{FftBackend, SimBackend};
 use lsopc_optics::{KernelSet, OpticsConfig};
@@ -21,11 +24,19 @@ fn kernels(count: usize) -> KernelSet {
         .kernels(0.0)
 }
 
-/// Uncached dense aerial image: fresh plan, dense embeddings, full FFTs.
+/// The mask spectrum in full DFT layout: a fresh real-input transform,
+/// each sample read through the Hermitian accessor.
+fn mask_spectrum(mask: &Grid<f64>) -> Grid<C64> {
+    let (w, h) = mask.dims();
+    let half = RfftPlan::<f64>::new(w, h).forward(mask);
+    Grid::from_fn(w, h, |kx, ky| half.at(kx, ky))
+}
+
+/// Uncached dense aerial image: fresh plans, dense embeddings, full FFTs.
 fn dense_aerial(kernels: &KernelSet, mask: &Grid<f64>) -> Grid<f64> {
     let (w, h) = mask.dims();
     let fft = Fft2d::<f64>::new(w, h);
-    let mhat = fft.forward_real(mask);
+    let mhat = mask_spectrum(mask);
     let mut intensity = Grid::new(w, h, 0.0);
     for k in 0..kernels.len() {
         let mut field = kernels.embed_full(k, w, h).zip_map(&mhat, |&s, &m| s * m);
@@ -38,11 +49,11 @@ fn dense_aerial(kernels: &KernelSet, mask: &Grid<f64>) -> Grid<f64> {
     intensity
 }
 
-/// Uncached dense gradient: fresh plan, dense embeddings, full FFTs.
+/// Uncached dense gradient: fresh plans, dense embeddings, full FFTs.
 fn dense_gradient(kernels: &KernelSet, mask: &Grid<f64>, z: &Grid<f64>) -> Grid<f64> {
     let (w, h) = mask.dims();
     let fft = Fft2d::<f64>::new(w, h);
-    let mhat = fft.forward_real(mask);
+    let mhat = mask_spectrum(mask);
     let mut acc: Grid<C64> = Grid::new(w, h, C64::ZERO);
     let c = kernels.center() as i64;
     for k in 0..kernels.len() {

@@ -8,10 +8,15 @@
 //! is what makes `lsopc analyze` usable on traces of crashed runs.
 
 use lsopc_trace::JsonlSink;
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
+
+/// `lsopc_trace::enabled()` is process-global: while one test holds a
+/// scoped sink, the other would see tracing on. One at a time.
+static SERIAL: Mutex<()> = Mutex::new(());
 
 #[test]
 fn killed_run_flushes_buffered_events_with_last_line_intact() {
+    let _serial = SERIAL.lock().unwrap_or_else(|e| e.into_inner());
     let path =
         std::env::temp_dir().join(format!("lsopc_trace_teardown_{}.jsonl", std::process::id()));
     // Enough events to overflow the writer's internal buffer at least
@@ -58,6 +63,7 @@ fn killed_run_flushes_buffered_events_with_last_line_intact() {
 
 #[test]
 fn scoped_tracing_state_recovers_after_a_killed_run() {
+    let _serial = SERIAL.lock().unwrap_or_else(|e| e.into_inner());
     assert!(!lsopc_trace::enabled(), "clean slate");
     let outcome = std::panic::catch_unwind(|| {
         let sink = Arc::new(lsopc_trace::MemorySink::new());

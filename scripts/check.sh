@@ -14,6 +14,9 @@ cargo clippy --workspace --all-targets -- -D warnings
 
 echo "==> cargo build --release"
 cargo build --release
+# The root build covers only the root package; the analyzer gate below
+# drives the CLI binary, so build it explicitly.
+cargo build --release -p lsopc-cli
 
 echo "==> cargo test (workspace, LSOPC_THREADS=1)"
 LSOPC_THREADS=1 cargo test -q --workspace
@@ -24,22 +27,18 @@ LSOPC_THREADS=4 cargo test -q --workspace
 echo "==> cargo test -p lsopc-core --features fault-injection"
 LSOPC_THREADS=4 cargo test -q -p lsopc-core --features fault-injection
 
-echo "==> precision suite (f32/mixed tolerances + thread determinism)"
-# The f32 and mixed paths must be deterministic per thread count; run the
+echo "==> precision suite (f32 tolerances + f64/f32 thread determinism)"
+# Both precisions must be deterministic per thread count; run the
 # dedicated suite at both pool sizes on top of the workspace runs above.
 LSOPC_THREADS=1 cargo test -q --test precision_tolerance
 LSOPC_THREADS=4 cargo test -q --test precision_tolerance
-LSOPC_THREADS=1 cargo test -q -p lsopc-litho mixed
-LSOPC_THREADS=4 cargo test -q -p lsopc-litho mixed
 
-echo "==> rfft suite (half-spectrum path vs dense oracle + golden hashes)"
-# The opt-in rfft routing must track the dense path at every precision
-# and stay bit-identical across thread counts; the default dense path
-# must keep its golden f64 hashes with the routing code merely present.
+echo "==> transform suite (real-input FFT vs dense oracle + golden hashes)"
+# The half-spectrum transform every backend runs must match the dense
+# complex oracle and stay bit-identical across thread counts; the f64
+# pipeline must keep its pinned golden hashes.
 LSOPC_THREADS=1 cargo test -q -p lsopc-fft --test proptest_rfft
 LSOPC_THREADS=4 cargo test -q -p lsopc-fft --test proptest_rfft
-LSOPC_THREADS=1 cargo test -q --test rfft_path
-LSOPC_THREADS=4 cargo test -q --test rfft_path
 LSOPC_THREADS=4 cargo test -q -p lsopc-core --test golden_f64
 
 echo "==> warm-start suite (fingerprint invariance + thread determinism)"
@@ -94,6 +93,19 @@ LSOPC_THREADS=4 cargo test -q -p lsopc-trace
 
 echo "==> telemetry bench smoke (record cost + registry overhead pipeline)"
 cargo bench -p lsopc-bench --bench telemetry -- --test
+
+echo "==> benchmark smoke (lsopc_bench --quick: every workload, no failures)"
+# The benchmark harness builds against the workspace crates; a quick
+# run catches an API break against it and any failed operation. The
+# last stdout line is the result object, which must report no failures.
+bench_out=$(cargo run --release --offline --quiet \
+  --manifest-path examples/lsopc_bench/Cargo.toml -- --quick --trace 0 --threads 1)
+result=$(tail -n 1 <<< "$bench_out")
+if ! grep -q '"failed": 0,' <<< "$result"; then
+  echo "error: lsopc_bench --quick reported failures:" >&2
+  echo "$result" >&2
+  exit 1
+fi
 
 echo "==> analyzer golden gate (profile --trace -> lsopc analyze round trip)"
 # A traced 3-iteration profile run must analyze back into a report that

@@ -1,6 +1,7 @@
-//! Cross-precision acceptance: the f32 and mixed pipelines must complete
-//! the synthetic suite and land within documented tolerances of the f64
-//! reference, and both must stay bit-identical across thread counts.
+//! Cross-precision acceptance: the f32 pipeline must complete the
+//! synthetic suite and land within documented tolerances of the f64
+//! reference, and both precisions must stay bit-identical across thread
+//! counts.
 //!
 //! Tolerances (see DESIGN.md §11): the level-set loop binarizes the mask
 //! every iteration, so sub-ulp differences at the zero crossing can flip
@@ -9,13 +10,13 @@
 //! ulp-level bounds:
 //!
 //! * first-iteration cost (identical initial mask, pure forward-model
-//!   error): within 1e-3 relative for f32, 1e-4 for mixed;
+//!   error): within 1e-3 relative for f32;
 //! * #EPE violations: within ±3 of the f64 run;
 //! * PV band area and contest score: within 10% relative.
 
 use lsopc::prelude::*;
 use lsopc_core::IltResult;
-use lsopc_litho::MixedBackend;
+use lsopc_litho::AcceleratedBackend;
 use lsopc_metrics::evaluate_mask;
 use lsopc_parallel::ParallelContext;
 
@@ -55,12 +56,12 @@ fn run_f32(threads: usize) -> IltResult<f32> {
     ilt().optimize(&sim, &target).expect("f32 run completes")
 }
 
-fn run_mixed(ctx: ParallelContext) -> IltResult {
+fn run_f64(ctx: ParallelContext) -> IltResult {
     let sim = LithoSimulator::<f64>::from_optics(&optics(), GRID, PIXEL_NM)
         .expect("valid configuration")
-        .with_backend(Box::new(MixedBackend::with_context(ctx)));
+        .with_backend(Box::new(AcceleratedBackend::with_context(ctx)));
     let target = rasterize(&layout(), GRID, GRID, PIXEL_NM);
-    ilt().optimize(&sim, &target).expect("mixed run completes")
+    ilt().optimize(&sim, &target).expect("f64 run completes")
 }
 
 fn rel_diff(a: f64, b: f64) -> f64 {
@@ -68,7 +69,7 @@ fn rel_diff(a: f64, b: f64) -> f64 {
 }
 
 #[test]
-fn f32_and_mixed_complete_the_suite_within_tolerance() {
+fn f32_completes_the_suite_within_tolerance() {
     let layout = layout();
     let target = rasterize(&layout, GRID, GRID, PIXEL_NM);
     let scoring_sim = sim_f64(2);
@@ -77,10 +78,9 @@ fn f32_and_mixed_complete_the_suite_within_tolerance() {
         .optimize(&scoring_sim, &target)
         .expect("f64 run completes");
     let f32run = run_f32(2).to_f64();
-    let mixed = run_mixed(ParallelContext::new(2));
 
     // Every precision must actually optimize.
-    for (name, r) in [("f64", &ref64), ("f32", &f32run), ("mixed", &mixed)] {
+    for (name, r) in [("f64", &ref64), ("f32", &f32run)] {
         let first = r.history.first().expect("history").cost_total;
         assert!(
             r.final_cost() < first,
@@ -97,37 +97,29 @@ fn f32_and_mixed_complete_the_suite_within_tolerance() {
         "f32 first cost {} vs f64 {c0}",
         f32run.history[0].cost_total
     );
-    assert!(
-        rel_diff(mixed.history[0].cost_total, c0) < 1e-4,
-        "mixed first cost {} vs f64 {c0}",
-        mixed.history[0].cost_total
-    );
 
-    // Contest metrics, all scored by the same f64 evaluator.
+    // Contest metrics, both scored by the same f64 evaluator.
     let e64 = evaluate_mask(&scoring_sim, &ref64.mask, &layout, &target);
     let e32 = evaluate_mask(&scoring_sim, &f32run.mask, &layout, &target);
-    let emx = evaluate_mask(&scoring_sim, &mixed.mask, &layout, &target);
-    for (name, e) in [("f32", &e32), ("mixed", &emx)] {
-        let d_epe = (e.epe.violations as i64 - e64.epe.violations as i64).abs();
-        assert!(
-            d_epe <= 3,
-            "{name} EPE {} vs f64 {} (tolerance ±3)",
-            e.epe.violations,
-            e64.epe.violations
-        );
-        assert!(
-            rel_diff(e.pvb_area_nm2, e64.pvb_area_nm2) < 0.10,
-            "{name} PVB {} vs f64 {}",
-            e.pvb_area_nm2,
-            e64.pvb_area_nm2
-        );
-        assert!(
-            rel_diff(e.score(0.0).value(), e64.score(0.0).value()) < 0.10,
-            "{name} score {} vs f64 {}",
-            e.score(0.0).value(),
-            e64.score(0.0).value()
-        );
-    }
+    let d_epe = (e32.epe.violations as i64 - e64.epe.violations as i64).abs();
+    assert!(
+        d_epe <= 3,
+        "f32 EPE {} vs f64 {} (tolerance ±3)",
+        e32.epe.violations,
+        e64.epe.violations
+    );
+    assert!(
+        rel_diff(e32.pvb_area_nm2, e64.pvb_area_nm2) < 0.10,
+        "f32 PVB {} vs f64 {}",
+        e32.pvb_area_nm2,
+        e64.pvb_area_nm2
+    );
+    assert!(
+        rel_diff(e32.score(0.0).value(), e64.score(0.0).value()) < 0.10,
+        "f32 score {} vs f64 {}",
+        e32.score(0.0).value(),
+        e64.score(0.0).value()
+    );
 
     // The f32 mask must be exactly binary after widening (0.0/1.0 are
     // exact in both formats — the widening seam adds no rounding).
@@ -179,10 +171,10 @@ fn f32_runs_are_bit_identical_across_thread_counts() {
 }
 
 #[test]
-fn mixed_runs_are_bit_identical_across_thread_counts() {
-    let baseline = run_mixed(ParallelContext::new(1));
-    for threads in [2, 3, 8] {
-        let run = run_mixed(ParallelContext::new(threads));
-        assert_runs_bit_identical(&format!("mixed @{threads} threads"), &baseline, &run);
+fn f64_runs_are_bit_identical_across_thread_counts() {
+    let baseline = run_f64(ParallelContext::new(1));
+    for threads in [2, 4] {
+        let run = run_f64(ParallelContext::new(threads));
+        assert_runs_bit_identical(&format!("f64 @{threads} threads"), &baseline, &run);
     }
 }
