@@ -181,6 +181,24 @@ impl PixelEngine {
     }
 }
 
+/// Runs `f` under a scoped metrics registry and returns its result with
+/// the number of process-corner simulations it ran (closed
+/// `litho.corner_cost` spans). A count, unlike a wall time, does not
+/// depend on what else shares the machine.
+#[cfg(test)]
+pub(crate) fn count_corner_sims<R>(f: impl FnOnce() -> R) -> (R, u64) {
+    let registry = std::sync::Arc::new(lsopc_trace::MetricsRegistry::new());
+    let out = lsopc_trace::with_scoped_sink(registry.clone(), f);
+    let sims = registry
+        .span_paths()
+        .iter()
+        .filter(|path| path.rsplit('/').next() == Some("litho.corner_cost"))
+        .filter_map(|path| registry.span_histogram(path))
+        .map(|hist| hist.count())
+        .sum();
+    (out, sims)
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

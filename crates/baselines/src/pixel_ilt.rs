@@ -194,20 +194,24 @@ mod tests {
     #[test]
     fn fast_mode_is_faster_than_exact() {
         let (sim, target) = setup();
-        let fast = PixelIlt::new(PixelIltMode::Fast)
-            .with_iterations(8)
-            .optimize(&sim, &target)
-            .expect("runs");
-        let exact = PixelIlt::new(PixelIltMode::Exact)
-            .with_iterations(8)
-            .optimize(&sim, &target)
-            .expect("runs");
-        // Same iteration count: fast simulates far fewer corners.
-        assert!(
-            fast.runtime_s < exact.runtime_s,
-            "fast {} vs exact {}",
-            fast.runtime_s,
-            exact.runtime_s
-        );
+        let iterations = 8;
+        let (fast, fast_sims) = crate::engine::count_corner_sims(|| {
+            PixelIlt::new(PixelIltMode::Fast)
+                .with_iterations(iterations)
+                .optimize(&sim, &target)
+                .expect("runs")
+        });
+        let (exact, exact_sims) = crate::engine::count_corner_sims(|| {
+            PixelIlt::new(PixelIltMode::Exact)
+                .with_iterations(iterations)
+                .optimize(&sim, &target)
+                .expect("runs")
+        });
+        // Same iteration count: fast samples the two off-nominal corners
+        // only every fourth iteration, exact samples all three every time.
+        assert_eq!(fast.iterations, iterations);
+        assert_eq!(exact.iterations, iterations);
+        assert_eq!(fast_sims, (iterations + 2 * (iterations / 4)) as u64);
+        assert_eq!(exact_sims, 3 * iterations as u64);
     }
 }

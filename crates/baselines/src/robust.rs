@@ -115,18 +115,25 @@ mod tests {
 
     #[test]
     fn runs_fewer_sims_than_exact_three_corner() {
-        // Two corners/iteration: runtime below a 3-corner run of the same
-        // length on the same machine.
+        // Two corners per iteration against the exact baseline's three.
         let (sim, target) = setup();
-        let robust = RobustOpc::new()
-            .with_iterations(8)
-            .optimize(&sim, &target)
-            .expect("runs");
-        let exact = crate::PixelIlt::new(crate::PixelIltMode::Exact)
-            .with_iterations(8)
-            .optimize(&sim, &target)
-            .expect("runs");
-        assert!(robust.runtime_s < exact.runtime_s);
+        let iterations = 8;
+        let (robust, robust_sims) = crate::engine::count_corner_sims(|| {
+            RobustOpc::new()
+                .with_iterations(iterations)
+                .optimize(&sim, &target)
+                .expect("runs")
+        });
+        let (exact, exact_sims) = crate::engine::count_corner_sims(|| {
+            crate::PixelIlt::new(crate::PixelIltMode::Exact)
+                .with_iterations(iterations)
+                .optimize(&sim, &target)
+                .expect("runs")
+        });
+        assert_eq!(robust.iterations, iterations);
+        assert_eq!(exact.iterations, iterations);
+        assert_eq!(robust_sims, 2 * iterations as u64);
+        assert_eq!(exact_sims, 3 * iterations as u64);
     }
 
     #[test]

@@ -22,6 +22,7 @@
 use lsopc_grid::{Grid, Scalar};
 use serde::{Deserialize, Serialize};
 use std::fmt;
+use std::panic::{catch_unwind, AssertUnwindSafe};
 
 /// Detection thresholds and backoff limits for the health guard.
 #[derive(Copy, Clone, Debug, PartialEq, Serialize, Deserialize)]
@@ -302,31 +303,15 @@ pub(crate) enum Health {
 }
 
 /// The runtime state machine behind a [`RecoveryPolicy`] (healthy →
-/// backoff → recovered/aborted; see DESIGN.md §10).
+/// backoff → recovered/aborted; see DESIGN.md §10). It lives in the
+/// optimizer's loop state; checkpoints encode every field but `config`,
+/// which the (hash-pinned) recovery policy supplies on resume.
 #[derive(Debug)]
 pub(crate) struct HealthGuard {
-    config: GuardConfig,
+    pub(crate) config: GuardConfig,
     /// Everything observed so far.
     pub(crate) diagnostics: SolverDiagnostics,
-    lambda_scale: f64,
-    rising_streak: usize,
-    stall_streak: usize,
-    last_healthy_cost: Option<f64>,
-    last_healthy_gradient_peak: Option<f64>,
-    /// Set after a backoff until the next healthy evaluation.
-    pending_recovery: bool,
-}
-
-/// The guard's complete mutable state at an iteration boundary, as
-/// captured into (and restored from) a checkpoint. The `config` is not
-/// part of the snapshot: it is derived deterministically from the
-/// optimizer's [`RecoveryPolicy`], which the checkpoint's config hash
-/// already pins.
-#[derive(Clone, Debug)]
-pub(crate) struct GuardSnapshot {
-    /// Everything observed so far.
-    pub(crate) diagnostics: SolverDiagnostics,
-    /// Current `λ_t` multiplier.
+    /// Current `λ_t` multiplier (halved per backoff).
     pub(crate) lambda_scale: f64,
     /// Consecutive cost-rising iterations.
     pub(crate) rising_streak: usize,
@@ -357,36 +342,6 @@ impl HealthGuard {
             last_healthy_gradient_peak: None,
             pending_recovery: false,
         })
-    }
-
-    /// Current effective `λ_t` multiplier (halved per backoff).
-    pub(crate) fn lambda_scale(&self) -> f64 {
-        self.lambda_scale
-    }
-
-    /// Captures the guard's mutable state for a checkpoint.
-    pub(crate) fn snapshot(&self) -> GuardSnapshot {
-        GuardSnapshot {
-            diagnostics: self.diagnostics.clone(),
-            lambda_scale: self.lambda_scale,
-            rising_streak: self.rising_streak,
-            stall_streak: self.stall_streak,
-            last_healthy_cost: self.last_healthy_cost,
-            last_healthy_gradient_peak: self.last_healthy_gradient_peak,
-            pending_recovery: self.pending_recovery,
-        }
-    }
-
-    /// Restores the state captured by [`HealthGuard::snapshot`] so a
-    /// resumed run replays the exact guard decisions of the original.
-    pub(crate) fn restore(&mut self, s: GuardSnapshot) {
-        self.diagnostics = s.diagnostics;
-        self.lambda_scale = s.lambda_scale;
-        self.rising_streak = s.rising_streak;
-        self.stall_streak = s.stall_streak;
-        self.last_healthy_cost = s.last_healthy_cost;
-        self.last_healthy_gradient_peak = s.last_healthy_gradient_peak;
-        self.pending_recovery = s.pending_recovery;
     }
 
     /// Classifies one cost/gradient evaluation, updating the divergence
@@ -529,8 +484,21 @@ fn guard_counter(kind: &GuardEventKind) -> &'static str {
     }
 }
 
+/// Runs `f`. With the guard on (`contain`), a worker-pool panic
+/// re-raised by lsopc-parallel is caught and returned as
+/// [`GuardEventKind::WorkerPanic`] trouble instead of aborting the
+/// process; with the guard off it propagates, the historical path.
+pub(crate) fn contain_panic<R>(contain: bool, f: impl FnOnce() -> R) -> Result<R, GuardEventKind> {
+    if !contain {
+        return Ok(f());
+    }
+    catch_unwind(AssertUnwindSafe(f)).map_err(|payload| GuardEventKind::WorkerPanic {
+        message: panic_message(payload),
+    })
+}
+
 /// Best-effort text from a caught panic payload.
-pub(crate) fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
+fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
     if let Some(s) = payload.downcast_ref::<&str>() {
         (*s).to_string()
     } else if let Some(s) = payload.downcast_ref::<String>() {
@@ -583,7 +551,7 @@ mod tests {
             );
         }
         assert!(!g.diagnostics.has_events());
-        assert_eq!(g.lambda_scale(), 1.0);
+        assert_eq!(g.lambda_scale, 1.0);
     }
 
     #[test]
@@ -664,7 +632,7 @@ mod tests {
                 g.trouble(k, GuardEventKind::NonFiniteCost),
                 BackoffOutcome::Retry
             );
-            assert_eq!(g.lambda_scale(), 0.5f64.powi(k as i32));
+            assert_eq!(g.lambda_scale, 0.5f64.powi(k as i32));
         }
         assert_eq!(
             g.trouble(7, GuardEventKind::NonFiniteCost),

@@ -1,13 +1,11 @@
 //! The optimization loop (paper Algorithm 1).
 
 use crate::cg::prp_beta;
-use crate::guard::{panic_message, BackoffOutcome, Health, HealthGuard};
-use crate::resume::{
-    self, Checkpoint, CheckpointError, CheckpointSpec, CoarseCarry, LoopSnapshot, StageTag,
-};
+use crate::guard::{contain_panic, BackoffOutcome, Health, HealthGuard};
+use crate::resume::{self, Checkpoint, CheckpointError, CoarseCarry, StageTag};
 use crate::{
-    Evolution, GuardEventKind, IterationRecord, LevelSetIlt, ResolutionSchedule, RunControl,
-    SolverDiagnostics, StopReason,
+    Evolution, GuardEventKind, IterationRecord, LevelSetIlt, RecoveryPolicy, ResolutionSchedule,
+    RunControl, SolverDiagnostics, StopReason,
 };
 use lsopc_grid::{max_abs, Grid, Scalar};
 use lsopc_levelset::{
@@ -17,7 +15,6 @@ use lsopc_levelset::{
 use lsopc_litho::{cost_and_gradient, cost_only, CostReport, LithoSimulator};
 use std::error::Error;
 use std::fmt;
-use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::time::Instant;
 
 /// Error returned by [`LevelSetIlt::optimize`].
@@ -46,7 +43,7 @@ pub enum OptimizeError {
         message: String,
     },
     /// The health guard exhausted its backoffs under
-    /// [`RecoveryPolicy::Strict`](crate::RecoveryPolicy::Strict).
+    /// [`RecoveryPolicy::Strict`].
     RecoveryFailed {
         /// Iteration at which the guard gave up.
         iteration: usize,
@@ -132,8 +129,7 @@ pub struct IltResult<T: Scalar = f64> {
     /// (for reproducing the paper's Fig. 2).
     pub snapshots: Vec<(usize, Grid<T>)>,
     /// What the solver health guard observed (empty with
-    /// [`RecoveryPolicy::Off`](crate::RecoveryPolicy::Off) or on a
-    /// healthy run).
+    /// [`RecoveryPolicy::Off`] or on a healthy run).
     pub diagnostics: SolverDiagnostics,
     /// Why the run was stopped early by its [`RunControl`] (`None` for
     /// a run that completed or converged normally). A stopped result
@@ -173,26 +169,130 @@ impl<T: Scalar> IltResult<T> {
     }
 }
 
-/// Mirrors one just-pushed [`IterationRecord`] to the trace layer (the
-/// per-iteration telemetry event). No-op when tracing is disabled or the
-/// history is empty.
-fn emit_iter(record: Option<&IterationRecord>) {
-    if !lsopc_trace::enabled() {
-        return;
+/// Everything Algorithm 1 carries from one iteration to the next. The
+/// caller builds it (from ψ₀ or a decoded checkpoint), the loop owns it
+/// and turns it into the [`IltResult`], the checkpoint codec encodes it
+/// in place, and a guard rollback restores it in one method — so a new
+/// piece of loop state is declared once, here.
+pub(crate) struct LoopState<T: Scalar> {
+    /// The next iteration to run (stage-local); after the loop, the
+    /// number of iterations run.
+    pub(crate) next_iteration: usize,
+    /// The level-set function ψ.
+    pub(crate) psi: Grid<T>,
+    /// PRP CG state (Eq. (15)–(16)): the previous gradient velocity.
+    pub(crate) prev_gradient_velocity: Option<Grid<T>>,
+    /// PRP CG state: the previous search velocity.
+    pub(crate) prev_velocity: Option<Grid<T>>,
+    /// Best-so-far iterate as `(total cost, ψ)`. Its mask is
+    /// `mask_from_levelset(ψ)`, re-derived exactly when it is returned.
+    pub(crate) best: Option<(f64, Grid<T>)>,
+    /// The health guard (`None` with [`RecoveryPolicy::Off`]).
+    pub(crate) guard: Option<HealthGuard>,
+    /// The guard's rollback target: the last pre-evolve ψ that passed
+    /// every check.
+    pub(crate) guard_checkpoint: Option<Grid<T>>,
+    /// Per-iteration records so far, rolled-back attempts included.
+    pub(crate) history: Vec<IterationRecord>,
+    /// Mask snapshots `(iteration, mask)` taken so far.
+    pub(crate) snapshots: Vec<(usize, Grid<T>)>,
+}
+
+impl<T: Scalar> LoopState<T> {
+    /// The state before the first iteration: ψ₀ and a fresh guard for
+    /// `recovery`.
+    pub(crate) fn new(psi: Grid<T>, recovery: &RecoveryPolicy) -> Self {
+        Self {
+            next_iteration: 0,
+            psi,
+            prev_gradient_velocity: None,
+            prev_velocity: None,
+            best: None,
+            guard: HealthGuard::from_policy(recovery),
+            guard_checkpoint: None,
+            history: Vec::new(),
+            snapshots: Vec::new(),
+        }
     }
-    if let Some(rec) = record {
-        lsopc_trace::iter(&lsopc_trace::IterRecord {
-            iteration: rec.iteration,
-            cost_total: rec.cost_total,
-            cost_nominal: rec.cost_nominal,
-            cost_pvb: rec.cost_pvb,
-            lambda_scale: rec.lambda_scale,
-            beta: rec.cg_beta,
-            time_step: rec.time_step,
-            max_velocity: rec.max_velocity,
-            rolled_back: rec.rolled_back,
-        });
+
+    /// Appends `record` to the history and mirrors it to the trace (the
+    /// per-iteration telemetry event).
+    fn record(&mut self, record: IterationRecord) {
+        if lsopc_trace::enabled() {
+            lsopc_trace::iter(&lsopc_trace::IterRecord {
+                iteration: record.iteration,
+                cost_total: record.cost_total,
+                cost_nominal: record.cost_nominal,
+                cost_pvb: record.cost_pvb,
+                lambda_scale: record.lambda_scale,
+                beta: record.cg_beta,
+                time_step: record.time_step,
+                max_velocity: record.max_velocity,
+                rolled_back: record.rolled_back,
+            });
+        }
+        self.history.push(record);
     }
+
+    /// The one guard rollback: reports `trouble` at iteration `i`, marks
+    /// the iteration's record rolled back (pushing `rejected` if it has
+    /// none yet), restores ψ to the guard checkpoint and restarts CG.
+    /// Retries after a backoff, stops when the guard gives up — or fails
+    /// with [`OptimizeError::RecoveryFailed`] under a `strict` policy.
+    fn roll_back(
+        &mut self,
+        i: usize,
+        trouble: GuardEventKind,
+        rejected: Option<IterationRecord>,
+        strict: bool,
+    ) -> Result<Step, OptimizeError> {
+        let guard = self
+            .guard
+            .as_mut()
+            .expect("only a guarded loop reports trouble");
+        let retry = guard.trouble(i, trouble) == BackoffOutcome::Retry;
+        let backoffs = guard.diagnostics.backoffs;
+        let lambda_scale = guard.lambda_scale;
+        match rejected {
+            Some(record) => self.record(IterationRecord {
+                rolled_back: true,
+                backoffs,
+                lambda_scale,
+                ..record
+            }),
+            None => {
+                if let Some(record) = self.history.last_mut() {
+                    record.rolled_back = true;
+                    record.backoffs = backoffs;
+                }
+            }
+        }
+        if !retry && strict {
+            return Err(OptimizeError::RecoveryFailed {
+                iteration: i,
+                backoffs,
+            });
+        }
+        // With no checkpoint yet, ψ is still the untouched ψ₀.
+        if let Some(checkpoint) = &self.guard_checkpoint {
+            self.psi = checkpoint.clone();
+        }
+        self.prev_gradient_velocity = None;
+        self.prev_velocity = None;
+        Ok(if retry { Step::Retry } else { Step::Stop })
+    }
+}
+
+/// How one iteration of the loop ended.
+enum Step {
+    /// The iteration completed; go on to the next.
+    Next,
+    /// The guard rolled the iteration back; retry at the next index.
+    Retry,
+    /// End the loop: a stall, or the guard gave up.
+    Stop,
+    /// The Algorithm 1 stop condition `max|v| ≤ ε` held.
+    Converged,
 }
 
 /// Per-run bookkeeping shared by every stage of one controlled run.
@@ -203,98 +303,78 @@ struct RunMeta<'a> {
     config_hash: u64,
 }
 
-/// Per-stage context handed to [`LevelSetIlt::run`]: which stage this
-/// is (for checkpoint tagging), how many iterations earlier stages
-/// already consumed (for the global budget), and optionally the loop
-/// state to restore.
+/// Per-stage context handed to [`LevelSetIlt::run`]: the stage (for
+/// checkpoint tagging) and the iterations earlier stages consumed (for
+/// the global budget).
 struct StageCtx<'a> {
     meta: &'a RunMeta<'a>,
     stage: StageTag,
     /// Iterations completed by earlier stages of this run.
     iter_offset: usize,
-    /// Loop state to restore instead of initializing from scratch.
-    resume: Option<LoopSnapshot>,
     /// Completed-coarse context to embed in fine-stage checkpoints.
     carry: Option<CoarseCarry>,
+    /// Stage start: `elapsed_s` and `runtime_s` count from here.
+    start: Instant,
 }
 
 impl<'a> StageCtx<'a> {
-    /// The context of an unscheduled (or fallback-flat) run.
-    fn flat(meta: &'a RunMeta<'a>, resume: Option<LoopSnapshot>) -> Self {
+    /// The context of one stage, whose clock starts now.
+    fn new(
+        meta: &'a RunMeta<'a>,
+        stage: StageTag,
+        iter_offset: usize,
+        carry: Option<CoarseCarry>,
+    ) -> Self {
         Self {
             meta,
-            stage: StageTag::Flat,
-            iter_offset: 0,
-            resume,
-            carry: None,
+            stage,
+            iter_offset,
+            carry,
+            start: Instant::now(),
+        }
+    }
+
+    /// Writes `state` to the control's checkpoint file, if any,
+    /// atomically. A write failure is a warning, not an error: losing a
+    /// periodic checkpoint must not kill a healthy optimization.
+    fn save<T: Scalar>(&self, state: &LoopState<T>) {
+        let Some(spec) = &self.meta.control.checkpoint else {
+            return;
+        };
+        // Spans serialization and the atomic write, so the trace
+        // reports the full per-write cost.
+        let _span = lsopc_trace::span!("checkpoint.write");
+        let written = resume::write_checkpoint(
+            &spec.path,
+            self.meta.config_hash,
+            self.stage,
+            self.carry.as_ref(),
+            state,
+        );
+        match written {
+            Ok(()) => lsopc_trace::count("checkpoint.write", 1),
+            Err(e) => lsopc_trace::warn(
+                "resume",
+                &format!("checkpoint write to {} failed: {e}", spec.path.display()),
+            ),
         }
     }
 }
 
-/// Unwraps a loaded checkpoint for a flat (unscheduled or
-/// fallback-flat) run, which can only resume a `Flat`-stage file. The
-/// config hash normally guarantees this; a mismatch here means the
-/// file was tampered with.
-fn flat_snapshot(loaded: Option<Checkpoint>) -> Result<Option<LoopSnapshot>, OptimizeError> {
-    match loaded {
-        None => Ok(None),
-        Some(ck) if ck.stage == StageTag::Flat => Ok(Some(ck.snapshot)),
-        Some(_) => Err(CheckpointError::Malformed(
-            "checkpoint stage does not match an unscheduled run".into(),
-        )
-        .into()),
-    }
-}
-
-/// Captures the loop state into a checkpoint file, atomically. A write
-/// failure is a warning, not an error: losing a periodic checkpoint
-/// must not kill a healthy optimization.
-#[allow(clippy::too_many_arguments)]
-fn save_loop_checkpoint<T: Scalar>(
-    spec: &CheckpointSpec,
-    config_hash: u64,
-    stage: StageTag,
-    carry: Option<&CoarseCarry>,
-    next_iteration: usize,
-    psi: &Grid<T>,
-    prev_gradient_velocity: Option<&Grid<T>>,
-    prev_velocity: Option<&Grid<T>>,
-    best: Option<&(f64, Grid<T>, Grid<T>)>,
-    guard: Option<&HealthGuard>,
-    guard_checkpoint: Option<&Grid<T>>,
-    history: &[IterationRecord],
-    snapshots: &[(usize, Grid<T>)],
-) {
-    // Spans the whole capture (state widening + serialization + the
-    // atomic write), so the trace reports the full per-write cost.
-    let _span = lsopc_trace::span!("checkpoint.write");
-    let widen = |g: &Grid<T>| g.map(|&v| v.to_f64());
-    let snapshot = LoopSnapshot {
-        next_iteration,
-        psi: widen(psi),
-        prev_gradient_velocity: prev_gradient_velocity.map(widen),
-        prev_velocity: prev_velocity.map(widen),
-        // The best mask is always `mask_from_levelset` of the best ψ,
-        // so only the (cost, ψ) pair needs to be stored.
-        best: best.map(|(cost, _mask, psi)| (*cost, widen(psi))),
-        guard: guard.map(HealthGuard::snapshot),
-        guard_checkpoint: guard_checkpoint.map(widen),
-        history: history.to_vec(),
-        snapshots: snapshots.iter().map(|(i, m)| (*i, widen(m))).collect(),
-    };
-    let ck = Checkpoint {
-        config_hash,
-        stage,
-        snapshot,
-        carry: carry.cloned(),
-    };
-    match resume::write_checkpoint(&spec.path, &ck) {
-        Ok(()) => lsopc_trace::count("checkpoint.write", 1),
-        Err(e) => lsopc_trace::warn(
-            "resume",
-            &format!("checkpoint write to {} failed: {e}", spec.path.display()),
-        ),
-    }
+/// The downsample factor and target of `schedule`'s coarse stage, or
+/// `None` (a flat run) when the schedule is degenerate for an `n`-pixel
+/// grid or the pattern vanishes when downsampled.
+fn coarse_problem<T: Scalar>(
+    schedule: &ResolutionSchedule,
+    target: &Grid<T>,
+    n: usize,
+) -> Option<(usize, Grid<T>)> {
+    let factor = schedule.downsample_factor(n)?;
+    // Block-average then re-threshold: a feature must cover half a
+    // coarse cell to survive. An all-empty coarse target cannot be
+    // optimized.
+    let coarse = target.map(|&v| v.to_f64()).downsample(factor).binarize(0.5);
+    (coarse.sum() != 0.0).then(|| (factor, coarse.map(|&v| T::from_f64(v))))
 }
 
 impl LevelSetIlt {
@@ -339,8 +419,8 @@ impl LevelSetIlt {
     ///
     /// Resuming restores the loop state the checkpoint captured and
     /// replays the remaining iterations through the identical code
-    /// path, so at the f64 default a resumed run is bit-identical
-    /// (mask, ψ, history — `f64::to_bits`) to the uninterrupted one.
+    /// path, so a resumed run is bit-identical (mask, ψ, history —
+    /// `to_bits`) to the uninterrupted one.
     ///
     /// # Errors
     ///
@@ -354,62 +434,27 @@ impl LevelSetIlt {
         target: &Grid<T>,
         control: &RunControl,
     ) -> Result<IltResult<T>, OptimizeError> {
-        let target = self.validate_target(sim, target)?;
-        let config_hash = if control.persists() {
-            resume::config_hash(self, sim, &target, None)
-        } else {
-            0
-        };
-        let loaded = self.load_resume(control, config_hash)?;
-        let meta = RunMeta {
-            control,
-            config_hash,
-        };
-        match self.schedule {
-            Some(schedule) => self.optimize_scheduled(sim, &target, &schedule, &meta, loaded),
-            None => self.run(
-                sim,
-                &target,
-                None,
-                self.max_iterations,
-                StageCtx::flat(&meta, flat_snapshot(loaded)?),
-            ),
-        }
+        self.start(sim, target, None, control)
     }
 
     /// Runs Algorithm 1 from a caller-supplied initial level set instead
     /// of the target's signed distance — the warm-start entry point: a
     /// cached ψ from a previously solved (translation-equivalent) tile
     /// drops the early contour-forming iterations and goes straight to
-    /// refinement.
+    /// refinement. See [`LevelSetIlt::optimize_controlled`] for the
+    /// control semantics.
     ///
     /// `init` is used as ψ₀ verbatim (callers wanting a true signed
     /// distance should reinitialize first). Any configured
     /// [`ResolutionSchedule`] is ignored: a warm start replaces the
-    /// coarse stage.
+    /// coarse stage. The warm-start ψ₀ is folded into the checkpoint's
+    /// config hash, so a resume with a different initial level set is
+    /// rejected as [`OptimizeError::Checkpoint`].
     ///
     /// # Errors
     ///
     /// Returns [`OptimizeError`] if `init` or the target does not match
-    /// the simulator grid, or the target contains no pattern.
-    pub fn optimize_from<T: Scalar>(
-        &self,
-        sim: &LithoSimulator<T>,
-        target: &Grid<T>,
-        init: Grid<T>,
-    ) -> Result<IltResult<T>, OptimizeError> {
-        self.optimize_from_controlled(sim, target, init, &RunControl::default())
-    }
-
-    /// [`LevelSetIlt::optimize_from`] under a [`RunControl`] — see
-    /// [`LevelSetIlt::optimize_controlled`] for the control semantics.
-    /// The warm-start ψ₀ is folded into the checkpoint's config hash,
-    /// so a resume with a different initial level set is rejected as
-    /// [`OptimizeError::Checkpoint`].
-    ///
-    /// # Errors
-    ///
-    /// As [`LevelSetIlt::optimize_from`], plus
+    /// the simulator grid or the target contains no pattern, and
     /// [`OptimizeError::Checkpoint`] for unusable resume files.
     pub fn optimize_from_controlled<T: Scalar>(
         &self,
@@ -418,60 +463,26 @@ impl LevelSetIlt {
         init: Grid<T>,
         control: &RunControl,
     ) -> Result<IltResult<T>, OptimizeError> {
+        self.start(sim, target, Some(init), control)
+    }
+
+    /// The one start of every run: validates the warm-start ψ₀ and the
+    /// target (binarized here), fingerprints the configuration, loads the
+    /// resume checkpoint, and dispatches to the scheduled or flat loop.
+    fn start<T: Scalar>(
+        &self,
+        sim: &LithoSimulator<T>,
+        target: &Grid<T>,
+        init: Option<Grid<T>>,
+        control: &RunControl,
+    ) -> Result<IltResult<T>, OptimizeError> {
         let n = sim.grid_px();
-        if init.dims() != (n, n) {
+        if let Some(init) = init.as_ref().filter(|init| init.dims() != (n, n)) {
             return Err(OptimizeError::InitDimsMismatch {
                 init: init.dims(),
                 sim: n,
             });
         }
-        let target = self.validate_target(sim, target)?;
-        let config_hash = if control.persists() {
-            resume::config_hash(self, sim, &target, Some(&init))
-        } else {
-            0
-        };
-        let loaded = self.load_resume(control, config_hash)?;
-        let meta = RunMeta {
-            control,
-            config_hash,
-        };
-        self.run(
-            sim,
-            &target,
-            Some(init),
-            self.max_iterations,
-            StageCtx::flat(&meta, flat_snapshot(loaded)?),
-        )
-    }
-
-    /// Loads and validates the control's resume checkpoint, if any.
-    fn load_resume(
-        &self,
-        control: &RunControl,
-        config_hash: u64,
-    ) -> Result<Option<Checkpoint>, OptimizeError> {
-        let Some(path) = control.resume.as_ref() else {
-            return Ok(None);
-        };
-        let ck = {
-            let _span = lsopc_trace::span!("checkpoint.load");
-            resume::load_checkpoint(path)?
-        };
-        if ck.config_hash != config_hash {
-            return Err(CheckpointError::ConfigMismatch.into());
-        }
-        lsopc_trace::count("checkpoint.load", 1);
-        Ok(Some(ck))
-    }
-
-    /// Validates and binarizes the target (shared by every entry point).
-    fn validate_target<T: Scalar>(
-        &self,
-        sim: &LithoSimulator<T>,
-        target: &Grid<T>,
-    ) -> Result<Grid<T>, OptimizeError> {
-        let n = sim.grid_px();
         if target.dims() != (n, n) {
             return Err(OptimizeError::TargetDimsMismatch {
                 target: target.dims(),
@@ -482,14 +493,75 @@ impl LevelSetIlt {
         if target.sum() == T::ZERO {
             return Err(OptimizeError::EmptyTarget);
         }
-        Ok(target)
+        let config_hash = if control.persists() {
+            resume::config_hash(self, sim, &target, init.as_ref())
+        } else {
+            0
+        };
+        let loaded = self.load_resume(control, config_hash, n)?;
+        let meta = RunMeta {
+            control,
+            config_hash,
+        };
+        // A warm start replaces the coarse stage, so only a cold start
+        // follows the schedule.
+        if let (None, Some(schedule)) = (&init, &self.schedule) {
+            if let Some(coarse) = coarse_problem(schedule, &target, n) {
+                return self.optimize_scheduled(sim, &target, schedule, coarse, &meta, loaded);
+            }
+        }
+        let ctx = StageCtx::new(&meta, StageTag::Flat, 0, None);
+        // Line 1: ψ₀ from the initial mask M₀ = R*, unless a warm start or
+        // a checkpoint (of the flat stage, unless tampered) supplies it.
+        let state = match loaded {
+            None => LoopState::new(
+                init.unwrap_or_else(|| signed_distance(&target)),
+                &self.recovery,
+            ),
+            Some(ck) if ck.stage == StageTag::Flat => ck.state,
+            Some(_) => {
+                return Err(CheckpointError::Malformed(
+                    "checkpoint stage does not match an unscheduled run".into(),
+                )
+                .into())
+            }
+        };
+        self.run(sim, &target, self.max_iterations, ctx, state)
     }
 
-    /// The two-stage coarse-to-fine path (DESIGN.md §14): solve on the
-    /// schedule's reduced grid/kernel rank, transfer ψ up, refine at
-    /// full resolution. Falls back to a flat run when the schedule is
-    /// degenerate for this grid or the pattern vanishes when
-    /// downsampled.
+    /// Loads the control's resume checkpoint, if any: the decoder checks
+    /// config hash and recovery policy, this ψ against its stage's grid.
+    fn load_resume<T: Scalar>(
+        &self,
+        control: &RunControl,
+        config_hash: u64,
+        n: usize,
+    ) -> Result<Option<Checkpoint<T>>, OptimizeError> {
+        let Some(path) = control.resume.as_ref() else {
+            return Ok(None);
+        };
+        let ck = {
+            let _span = lsopc_trace::span!("checkpoint.load");
+            resume::load_checkpoint::<T>(path, config_hash, &self.recovery)?
+        };
+        let stage_px = match (ck.stage, self.schedule) {
+            (StageTag::Coarse, Some(schedule)) => schedule.coarse_px(),
+            _ => n,
+        };
+        let (w, h) = ck.state.psi.dims();
+        if (w, h) != (stage_px, stage_px) {
+            return Err(CheckpointError::Malformed(format!(
+                "checkpoint ψ is {w}×{h}, stage grid is {stage_px}×{stage_px}"
+            ))
+            .into());
+        }
+        lsopc_trace::count("checkpoint.load", 1);
+        Ok(Some(ck))
+    }
+
+    /// The two-stage coarse-to-fine path (DESIGN.md §14): solve the
+    /// `coarse` problem on the schedule's reduced grid/kernel rank,
+    /// transfer ψ up, refine at full resolution.
     ///
     /// Resume dispatches on the checkpoint's stage tag: a
     /// `Coarse`-stage file re-enters (and finishes) the coarse loop
@@ -502,59 +574,29 @@ impl LevelSetIlt {
         sim: &LithoSimulator<T>,
         target: &Grid<T>,
         schedule: &ResolutionSchedule,
+        (factor, coarse_target): (usize, Grid<T>),
         meta: &RunMeta<'_>,
-        loaded: Option<Checkpoint>,
+        loaded: Option<Checkpoint<T>>,
     ) -> Result<IltResult<T>, OptimizeError> {
         let start = Instant::now();
-        let Some(factor) = schedule.downsample_factor(sim.grid_px()) else {
-            return self.run(
-                sim,
-                target,
-                None,
-                self.max_iterations,
-                StageCtx::flat(meta, flat_snapshot(loaded)?),
-            );
-        };
-        // Block-average then re-threshold: a feature must cover half a
-        // coarse cell to survive. An all-empty coarse target cannot be
-        // optimized, so fall back to the flat loop.
-        let coarse_target = target.map(|&v| v.to_f64()).downsample(factor).binarize(0.5);
-        if coarse_target.sum() == 0.0 {
-            return self.run(
-                sim,
-                target,
-                None,
-                self.max_iterations,
-                StageCtx::flat(meta, flat_snapshot(loaded)?),
-            );
-        }
-        let coarse_target = coarse_target.map(|&v| T::from_f64(v));
-
         // Split a loaded checkpoint into the stage it re-enters. The
         // config hash has already pinned the schedule, so a Flat-stage
         // file reaching this point can only be a tampered file.
-        let (coarse_resume, fine_resume) = match loaded {
+        let (coarse_resume, fine_resume) = match loaded.map(|ck| (ck.stage, ck.state, ck.carry)) {
             None => (None, None),
-            Some(ck) => match ck.stage {
-                StageTag::Coarse => (Some(ck.snapshot), None),
-                StageTag::Fine => {
-                    let carry = ck.carry.ok_or_else(|| {
-                        CheckpointError::Malformed("fine-stage checkpoint lost its carry".into())
-                    })?;
-                    (None, Some((ck.snapshot, carry)))
-                }
-                StageTag::Flat => {
-                    return Err(CheckpointError::Malformed(
-                        "flat-stage checkpoint for a scheduled run".into(),
-                    )
-                    .into())
-                }
-            },
+            Some((StageTag::Coarse, state, _)) => (Some(state), None),
+            Some((StageTag::Fine, state, Some(carry))) => (None, Some((state, carry))),
+            Some(_) => {
+                return Err(CheckpointError::Malformed(
+                    "flat-stage checkpoint for a scheduled run".into(),
+                )
+                .into())
+            }
         };
 
         // Coarse stage — skipped entirely when resuming inside fine.
-        let (psi0, carry, fine_snapshot) = match fine_resume {
-            Some((snapshot, carry)) => (None, carry, Some(snapshot)),
+        let (fine_state, carry) = match fine_resume {
+            Some(resumed) => resumed,
             None => {
                 // The coarse simulator shares the optics (same field
                 // period, so identical physics in cycles-per-field) with
@@ -576,18 +618,16 @@ impl LevelSetIlt {
 
                 let coarse = {
                     let _span = lsopc_trace::span!("optimize.stage.coarse");
+                    let ctx = StageCtx::new(meta, StageTag::Coarse, 0, None);
+                    let state = coarse_resume.unwrap_or_else(|| {
+                        LoopState::new(signed_distance(&coarse_target), &self.recovery)
+                    });
                     self.run(
                         &coarse_sim,
                         &coarse_target,
-                        None,
                         schedule.coarse_iterations(),
-                        StageCtx {
-                            meta,
-                            stage: StageTag::Coarse,
-                            iter_offset: 0,
-                            resume: coarse_resume,
-                            carry: None,
-                        },
+                        ctx,
+                        state,
                     )?
                 };
                 // A stop during the coarse stage: report the best-so-far
@@ -595,18 +635,13 @@ impl LevelSetIlt {
                 // the checkpoint still tagged Coarse for resume.
                 if coarse.stopped.is_some() {
                     let levelset = upsample_levelset(&coarse.levelset, factor);
-                    let mask = mask_from_levelset(&levelset);
                     return Ok(IltResult {
-                        mask,
+                        mask: mask_from_levelset(&levelset),
                         levelset,
-                        history: coarse.history,
-                        iterations: coarse.iterations,
                         coarse_iterations: coarse.iterations,
-                        converged: false,
                         runtime_s: start.elapsed().as_secs_f64(),
                         snapshots: Vec::new(),
-                        diagnostics: coarse.diagnostics,
-                        stopped: coarse.stopped,
+                        ..coarse
                     });
                 }
                 // Carry the contour (not the far field) across:
@@ -618,25 +653,14 @@ impl LevelSetIlt {
                     history: coarse.history,
                     diagnostics: coarse.diagnostics,
                 };
-                (Some(psi0), carry, None)
+                (LoopState::new(psi0, &self.recovery), carry)
             }
         };
 
         let fine = {
             let _span = lsopc_trace::span!("optimize.stage.fine");
-            self.run(
-                sim,
-                target,
-                psi0,
-                schedule.fine_iterations(),
-                StageCtx {
-                    meta,
-                    stage: StageTag::Fine,
-                    iter_offset: carry.iterations,
-                    resume: fine_snapshot,
-                    carry: Some(carry.clone()),
-                },
-            )?
+            let ctx = StageCtx::new(meta, StageTag::Fine, carry.iterations, Some(carry.clone()));
+            self.run(sim, target, schedule.fine_iterations(), ctx, fine_state)?
         };
 
         // Merge the stage records into one timeline: fine iterations and
@@ -663,551 +687,373 @@ impl LevelSetIlt {
             .map(|(i, m)| (i + coarse_iterations, m))
             .collect();
         Ok(IltResult {
-            mask: fine.mask,
-            levelset: fine.levelset,
             history,
             iterations: coarse_iterations + fine.iterations,
             coarse_iterations,
-            converged: fine.converged,
             runtime_s: start.elapsed().as_secs_f64(),
             snapshots,
             diagnostics,
-            stopped: fine.stopped,
+            ..fine
         })
     }
 
-    /// The Algorithm 1 loop itself. `target` is already validated and
-    /// binarized; ψ₀ is `init` when given (warm start / fine stage) and
-    /// the target's signed distance otherwise. With `init = None`,
-    /// `max_iterations = self.max_iterations` and a default control
-    /// this is the historical `optimize` body, bit for bit.
+    /// The Algorithm 1 loop over one stage. `target` is already
+    /// validated and binarized; `state` is where the loop starts — ψ₀,
+    /// or the state a checkpoint captured — and the loop takes no
+    /// different branch either way, so a resumed run replays the
+    /// identical floating-point stream.
     ///
     /// The stage context supplies the run-lifecycle hooks: the control
     /// is polled at every iteration boundary (before any work of that
-    /// iteration), state is checkpointed every `checkpoint-every`
-    /// iterations and at a graceful stop, and `ctx.resume` replaces the
-    /// initialization with the captured loop state so the remaining
-    /// iterations replay the identical floating-point stream.
+    /// iteration), and the state is checkpointed every
+    /// `checkpoint-every` iterations and at a graceful stop.
     fn run<T: Scalar>(
         &self,
         sim: &LithoSimulator<T>,
         target: &Grid<T>,
-        init: Option<Grid<T>>,
         max_iterations: usize,
-        mut ctx: StageCtx<'_>,
+        ctx: StageCtx<'_>,
+        mut state: LoopState<T>,
     ) -> Result<IltResult<T>, OptimizeError> {
-        let n = sim.grid_px();
-        let start = Instant::now();
-        // Line 1: ψ₀ from the initial mask M₀ = R* — unless a warm
-        // start or a fine stage supplied one.
-        let mut psi = match init {
-            Some(psi0) => psi0,
-            None => signed_distance(target),
-        };
-        let mut history = Vec::with_capacity(max_iterations);
-        let mut snapshots = Vec::new();
-        let mut prev_gradient_velocity: Option<Grid<T>> = None;
-        let mut prev_velocity: Option<Grid<T>> = None;
-        let mut best: Option<(f64, Grid<T>, Grid<T>)> = None;
+        let control = ctx.meta.control;
         let mut converged = false;
-        let mut iterations = 0;
-        let mut stopped: Option<StopReason> = None;
-        // The health guard (None with RecoveryPolicy::Off — the loop then
-        // follows the historical code path exactly) and its checkpoint:
-        // the last pre-evolve ψ that passed every per-iteration check.
-        let mut guard = HealthGuard::from_policy(&self.recovery);
-        let mut guard_checkpoint: Option<Grid<T>> = None;
-        let mut start_iter = 0;
-
-        // Resume: overwrite the freshly initialized state with the
-        // checkpointed one. Everything is stored in f64; the narrowing
-        // map is the exact inverse of the widening one at T = f64.
-        if let Some(snap) = ctx.resume.take() {
-            if snap.psi.dims() != (n, n) {
-                return Err(CheckpointError::Malformed(format!(
-                    "checkpoint ψ is {}×{}, stage grid is {n}×{n}",
-                    snap.psi.dims().0,
-                    snap.psi.dims().1
-                ))
-                .into());
-            }
-            let narrow = |g: &Grid<f64>| g.map(|&v| T::from_f64(v));
-            start_iter = snap.next_iteration;
-            iterations = snap.next_iteration;
-            psi = narrow(&snap.psi);
-            prev_gradient_velocity = snap.prev_gradient_velocity.as_ref().map(narrow);
-            prev_velocity = snap.prev_velocity.as_ref().map(narrow);
-            // The loop only ever stores best = (cost, mask_from_levelset(ψ), ψ),
-            // so recomputing the mask from the stored ψ is exact.
-            best = snap.best.as_ref().map(|(cost, bpsi)| {
-                let bpsi = narrow(bpsi);
-                (*cost, mask_from_levelset(&bpsi), bpsi)
-            });
-            match (guard.as_mut(), snap.guard) {
-                (Some(g), Some(gs)) => g.restore(gs),
-                (None, None) => {}
-                _ => {
-                    return Err(CheckpointError::Malformed(
-                        "checkpoint guard state does not match the recovery policy".into(),
-                    )
-                    .into())
-                }
-            }
-            guard_checkpoint = snap.guard_checkpoint.as_ref().map(narrow);
-            history = snap.history;
-            snapshots = snap
-                .snapshots
-                .iter()
-                .map(|(i, m)| (*i, narrow(m)))
-                .collect();
-        }
-
-        'iterate: for i in start_iter..max_iterations {
+        let mut stopped = None;
+        while state.next_iteration < max_iterations {
             let _iter_span = lsopc_trace::span!("optimize.iter");
+            let i = state.next_iteration;
             // Cancellation point: poll the run control before this
             // iteration does any work (this also covers CG restarts and
             // the first iteration after a stage transfer). The stop is
             // graceful — the state at this boundary is checkpointed and
             // the best-so-far mask is still reported below.
-            if let Some(reason) = ctx.meta.control.stop_requested(ctx.iter_offset + i) {
+            if let Some(reason) = control.stop_requested(ctx.iter_offset + i) {
                 stopped = Some(reason);
                 lsopc_trace::count("run.cancel", 1);
                 lsopc_trace::count(reason.counter_name(), 1);
-                if let Some(spec) = ctx.meta.control.checkpoint.as_ref() {
-                    save_loop_checkpoint(
-                        spec,
-                        ctx.meta.config_hash,
-                        ctx.stage,
-                        ctx.carry.as_ref(),
-                        i,
-                        &psi,
-                        prev_gradient_velocity.as_ref(),
-                        prev_velocity.as_ref(),
-                        best.as_ref(),
-                        guard.as_ref(),
-                        guard_checkpoint.as_ref(),
-                        &history,
-                        &snapshots,
-                    );
-                }
-                break 'iterate;
-            }
-            iterations = i + 1;
-            // Line 7 (Eq. (6)): current binary mask from ψ.
-            let mask = mask_from_levelset(&psi);
-            if self.snapshot_interval > 0 && i % self.snapshot_interval == 0 {
-                snapshots.push((i, mask.clone()));
-            }
-            // Effective λ_t: halved per guard backoff. With the guard on
-            // but never triggered the scale is exactly 1.0, so the
-            // multiply reproduces `self.lambda_t` bit-for-bit.
-            let lambda_scale = guard.as_ref().map_or(1.0, |g| g.lambda_scale());
-            let effective_lambda_t = match guard.as_ref() {
-                Some(g) => self.lambda_t * g.lambda_scale(),
-                None => self.lambda_t,
-            };
-
-            // Lines 8–9: simulate, evaluate, back-propagate (Eq. (11)/(14)).
-            // With the guard on, a worker-pool panic re-raised by
-            // lsopc-parallel is contained here and handled as trouble
-            // instead of aborting the process.
-            let evaluated = match guard {
-                Some(_) => catch_unwind(AssertUnwindSafe(|| {
-                    cost_and_gradient(sim, &mask, target, self.w_pvb)
-                })),
-                None => Ok(cost_and_gradient(sim, &mask, target, self.w_pvb)),
-            };
-            let (report, gradient, mut verdict) = match evaluated {
-                Ok((report, gradient)) => (report, gradient, Health::Healthy),
-                Err(payload) => (
-                    CostReport {
-                        nominal: f64::NAN,
-                        pvb: f64::NAN,
-                        w_pvb: self.w_pvb,
-                    },
-                    Grid::new(n, n, T::from_f64(f64::NAN)),
-                    Health::Corrupt(GuardEventKind::WorkerPanic {
-                        message: panic_message(payload),
-                    }),
-                ),
-            };
-            if matches!(verdict, Health::Healthy) {
-                if let Some(g) = guard.as_mut() {
-                    verdict = g.inspect_evaluation(i, report.total(), &gradient);
-                }
-            }
-
-            // Trouble at the evaluation stage: record the rejected
-            // iteration, roll ψ back to the checkpoint and retry with a
-            // halved λ_t and a CG restart — or give up.
-            if let Health::Corrupt(kind) = &verdict {
-                if let Some(g) = guard.as_mut() {
-                    let outcome = g.trouble(i, kind.clone());
-                    history.push(IterationRecord {
-                        iteration: i,
-                        cost_nominal: report.nominal,
-                        cost_pvb: report.pvb,
-                        cost_total: report.total(),
-                        max_velocity: f64::NAN,
-                        time_step: f64::NAN,
-                        cg_beta: 0.0,
-                        elapsed_s: start.elapsed().as_secs_f64(),
-                        rolled_back: true,
-                        backoffs: g.diagnostics.backoffs,
-                        lambda_scale: g.lambda_scale(),
-                    });
-                    emit_iter(history.last());
-                    match outcome {
-                        BackoffOutcome::Retry => {
-                            // With no checkpoint yet, ψ is still the
-                            // untouched initial signed distance.
-                            if let Some(cp) = &guard_checkpoint {
-                                psi = cp.clone();
-                            }
-                            prev_gradient_velocity = None;
-                            prev_velocity = None;
-                            continue 'iterate;
-                        }
-                        BackoffOutcome::GiveUp => {
-                            if self.recovery.is_strict() {
-                                return Err(OptimizeError::RecoveryFailed {
-                                    iteration: i,
-                                    backoffs: g.diagnostics.backoffs,
-                                });
-                            }
-                            if let Some(cp) = &guard_checkpoint {
-                                psi = cp.clone();
-                            }
-                            break 'iterate;
-                        }
-                    }
-                }
-            }
-
-            // Best-tracking: only evaluations the guard accepted (or all
-            // of them with the guard off) can become the returned mask.
-            if best.as_ref().is_none_or(|(c, _, _)| report.total() < *c) {
-                best = Some((report.total(), mask.clone(), psi.clone()));
-            }
-
-            // Eq. (10) up to sign: with the Eq. (5)/(6) convention
-            // (ψ ≤ 0 inside, M = H(−ψ)) we have ∂L/∂ψ = −G·δ(ψ), so the
-            // descent update is ψ̇ = +G·|∇ψ| — the sign printed in
-            // Eq. (10) corresponds to the opposite inside/outside
-            // convention (see DESIGN.md §7).
-            let gradmag = if self.upwind {
-                godunov_gradient(&psi, &gradient)
-            } else {
-                gradient_magnitude(&psi)
-            };
-            // The gradient-velocity g_i = G·|∇ψ| drives both the descent
-            // direction and the PRP coefficient.
-            let gradient_velocity = gradient.zip_map(&gradmag, |&g, &m| g * m);
-            let mut velocity = gradient_velocity.clone();
-
-            // Eq. (15)–(16): combine with the previous velocity according
-            // to the configured evolution scheme.
-            let mut beta = 0.0;
-            match self.evolution {
-                Evolution::Plain => {}
-                Evolution::PrpConjugateGradient => {
-                    if let (Some(g_prev), Some(v_prev)) =
-                        (prev_gradient_velocity.as_ref(), prev_velocity.as_ref())
-                    {
-                        beta = prp_beta(&gradient_velocity, g_prev);
-                        if beta > 0.0 {
-                            let beta_t = T::from_f64(beta);
-                            for (v, &pv) in
-                                velocity.as_mut_slice().iter_mut().zip(v_prev.as_slice())
-                            {
-                                *v += beta_t * pv;
-                            }
-                        }
-                    }
-                }
-                Evolution::HeavyBall { beta: momentum } => {
-                    if let Some(v_prev) = prev_velocity.as_ref() {
-                        beta = momentum;
-                        let momentum_t = T::from_f64(momentum);
-                        for (v, &pv) in velocity.as_mut_slice().iter_mut().zip(v_prev.as_slice()) {
-                            *v += momentum_t * pv;
-                        }
-                    }
-                }
-            }
-
-            // Optional contour smoothing (extension beyond the paper).
-            if self.curvature_weight > 0.0 {
-                let kappa = curvature(&psi);
-                let central = gradient_magnitude(&psi);
-                let weight = T::from_f64(self.curvature_weight);
-                for ((v, &k), &m) in velocity
-                    .as_mut_slice()
-                    .iter_mut()
-                    .zip(kappa.as_slice())
-                    .zip(central.as_slice())
-                {
-                    *v += weight * k * m;
-                }
-            }
-
-            // Optional narrow-band restriction (extension beyond the
-            // paper): freeze the far field so only near-contour cells
-            // evolve.
-            if self.narrow_band > 0.0 {
-                NarrowBand::extract(&psi, self.narrow_band).mask_velocity(&mut velocity);
-            }
-
-            // A combined velocity with NaN/∞ cells (e.g. momentum carried
-            // from a corrupt history) must never evolve ψ.
-            if let Some(g) = guard.as_mut() {
-                if let Some(kind) = g.inspect_velocity(&velocity) {
-                    let outcome = g.trouble(i, kind);
-                    history.push(IterationRecord {
-                        iteration: i,
-                        cost_nominal: report.nominal,
-                        cost_pvb: report.pvb,
-                        cost_total: report.total(),
-                        max_velocity: f64::NAN,
-                        time_step: f64::NAN,
-                        cg_beta: beta,
-                        elapsed_s: start.elapsed().as_secs_f64(),
-                        rolled_back: true,
-                        backoffs: g.diagnostics.backoffs,
-                        lambda_scale: g.lambda_scale(),
-                    });
-                    emit_iter(history.last());
-                    match outcome {
-                        BackoffOutcome::Retry => {
-                            if let Some(cp) = &guard_checkpoint {
-                                psi = cp.clone();
-                            }
-                            prev_gradient_velocity = None;
-                            prev_velocity = None;
-                            continue 'iterate;
-                        }
-                        BackoffOutcome::GiveUp => {
-                            if self.recovery.is_strict() {
-                                return Err(OptimizeError::RecoveryFailed {
-                                    iteration: i,
-                                    backoffs: g.diagnostics.backoffs,
-                                });
-                            }
-                            if let Some(cp) = &guard_checkpoint {
-                                psi = cp.clone();
-                            }
-                            break 'iterate;
-                        }
-                    }
-                }
-            }
-
-            let vmax = max_abs(&velocity).to_f64();
-            let dt = cfl_time_step(&velocity, effective_lambda_t);
-            history.push(IterationRecord {
-                iteration: i,
-                cost_nominal: report.nominal,
-                cost_pvb: report.pvb,
-                cost_total: report.total(),
-                max_velocity: vmax,
-                time_step: dt,
-                cg_beta: beta,
-                elapsed_s: start.elapsed().as_secs_f64(),
-                rolled_back: false,
-                backoffs: guard.as_ref().map_or(0, |g| g.diagnostics.backoffs),
-                lambda_scale,
-            });
-            emit_iter(history.last());
-
-            // Stall: healthy values but no cost progress for the window.
-            // Backing off cannot unstall a frozen run, so stop early.
-            if let Health::Stalled(kind) = verdict {
-                if let Some(g) = guard.as_mut() {
-                    g.note_event(i, kind);
-                }
-                break 'iterate;
-            }
-
-            // Algorithm 1 stop condition: max|v| ≤ ε.
-            if vmax <= self.velocity_tolerance {
-                converged = true;
+                ctx.save(&state);
                 break;
             }
-
-            // Commit the guard checkpoint: this pre-evolve ψ passed
-            // every check and its cost is on record; a corrupted evolve
-            // rolls back to exactly here.
-            if guard.is_some() {
-                guard_checkpoint = Some(psi.clone());
-            }
-
-            // Lines 5–6: CFL step and evolution, optionally guarded by a
-            // backtracking line search on the total cost.
-            if self.line_search {
-                let _ls_span = lsopc_trace::span!("optimize.line_search");
-                let mut trial_dt = dt;
-                let mut accepted = false;
-                for _ in 0..3 {
-                    let mut trial_psi = psi.clone();
-                    evolve(&mut trial_psi, &velocity, trial_dt);
-                    let trial_mask = mask_from_levelset(&trial_psi);
-                    let trial_cost = match guard.as_mut() {
-                        Some(g) => {
-                            // A contained worker panic rejects this trial
-                            // step; the post-evolve scan still protects
-                            // the fallback step below.
-                            match catch_unwind(AssertUnwindSafe(|| {
-                                cost_only(sim, &trial_mask, target, self.w_pvb).total()
-                            })) {
-                                Ok(cost) => cost,
-                                Err(payload) => {
-                                    g.note_event(
-                                        i,
-                                        GuardEventKind::WorkerPanic {
-                                            message: panic_message(payload),
-                                        },
-                                    );
-                                    f64::INFINITY
-                                }
-                            }
-                        }
-                        None => cost_only(sim, &trial_mask, target, self.w_pvb).total(),
-                    };
-                    if trial_cost <= report.total() {
-                        psi = trial_psi;
-                        accepted = true;
-                        break;
-                    }
-                    trial_dt /= 2.0;
-                }
-                if !accepted {
-                    evolve(&mut psi, &velocity, trial_dt);
-                }
-            } else {
-                evolve(&mut psi, &velocity, dt);
-            }
-
-            // Scan ψ BEFORE reinitialization: reinit thresholds at zero
-            // and would launder NaN cells into a finite (wrong) signed
-            // distance.
-            if let Some(g) = guard.as_mut() {
-                if let Some(kind) = g.inspect_levelset(&psi) {
-                    let outcome = g.trouble(i, kind);
-                    if let Some(rec) = history.last_mut() {
-                        rec.rolled_back = true;
-                        rec.backoffs = g.diagnostics.backoffs;
-                    }
-                    match outcome {
-                        BackoffOutcome::Retry => {
-                            if let Some(cp) = &guard_checkpoint {
-                                psi = cp.clone();
-                            }
-                            prev_gradient_velocity = None;
-                            prev_velocity = None;
-                            continue 'iterate;
-                        }
-                        BackoffOutcome::GiveUp => {
-                            if self.recovery.is_strict() {
-                                return Err(OptimizeError::RecoveryFailed {
-                                    iteration: i,
-                                    backoffs: g.diagnostics.backoffs,
-                                });
-                            }
-                            if let Some(cp) = &guard_checkpoint {
-                                psi = cp.clone();
-                            }
-                            break 'iterate;
-                        }
-                    }
+            state.next_iteration = i + 1;
+            match self.iterate(sim, target, &mut state, i, ctx.start)? {
+                Step::Next => {}
+                Step::Retry => continue,
+                Step::Stop => break,
+                Step::Converged => {
+                    converged = true;
+                    break;
                 }
             }
-
-            // Keep ψ a signed distance function periodically.
-            if self.reinit_interval > 0 && (i + 1) % self.reinit_interval == 0 {
-                psi = reinitialize(&psi);
-            }
-
-            prev_gradient_velocity = Some(gradient_velocity);
-            prev_velocity = Some(velocity);
-
             // Periodic checkpoint, after every mutation of this
-            // iteration is in place. Keyed on the absolute iteration
-            // index so a resumed run checkpoints at the same boundaries
-            // as the original. Rollback retries skip this via their
-            // `continue` — the next completed iteration persists.
-            if let Some(spec) = ctx.meta.control.checkpoint.as_ref() {
-                if (i + 1) % spec.every == 0 {
-                    save_loop_checkpoint(
-                        spec,
-                        ctx.meta.config_hash,
-                        ctx.stage,
-                        ctx.carry.as_ref(),
-                        i + 1,
-                        &psi,
-                        prev_gradient_velocity.as_ref(),
-                        prev_velocity.as_ref(),
-                        best.as_ref(),
-                        guard.as_ref(),
-                        guard_checkpoint.as_ref(),
-                        &history,
-                        &snapshots,
-                    );
+            // iteration is in place. Keyed on the iteration index so a
+            // resumed run checkpoints at the same boundaries as the
+            // original. A rollback retry skips it — the next completed
+            // iteration persists.
+            if let Some(spec) = &control.checkpoint {
+                if (i + 1).is_multiple_of(spec.every) {
+                    ctx.save(&state);
+                }
+            }
+        }
+        Ok(self.finish(sim, target, state, converged, stopped, ctx.start))
+    }
+
+    /// Iteration `i` of Algorithm 1 on `state`: evaluate, form the
+    /// velocity, evolve ψ — with the guard's checks, each of which hands
+    /// trouble to [`LoopState::roll_back`].
+    fn iterate<T: Scalar>(
+        &self,
+        sim: &LithoSimulator<T>,
+        target: &Grid<T>,
+        state: &mut LoopState<T>,
+        i: usize,
+        start: Instant,
+    ) -> Result<Step, OptimizeError> {
+        let n = sim.grid_px();
+        let strict = self.recovery.is_strict();
+        // Line 7 (Eq. (6)): current binary mask from ψ.
+        let mask = mask_from_levelset(&state.psi);
+        if self.snapshot_interval > 0 && i.is_multiple_of(self.snapshot_interval) {
+            state.snapshots.push((i, mask.clone()));
+        }
+        // Effective λ_t: halved per guard backoff. With the guard off or
+        // never triggered the scale is exactly 1.0, and the multiply
+        // reproduces `self.lambda_t` bit-for-bit.
+        let lambda_scale = state.guard.as_ref().map_or(1.0, |g| g.lambda_scale);
+        let effective_lambda_t = self.lambda_t * lambda_scale;
+
+        // Lines 8–9: simulate, evaluate, back-propagate (Eq. (11)/(14)).
+        let evaluated = contain_panic(state.guard.is_some(), || {
+            cost_and_gradient(sim, &mask, target, self.w_pvb)
+        });
+        let (report, gradient, mut verdict) = match evaluated {
+            Ok((report, gradient)) => (report, gradient, Health::Healthy),
+            Err(panicked) => (
+                CostReport {
+                    nominal: f64::NAN,
+                    pvb: f64::NAN,
+                    w_pvb: self.w_pvb,
+                },
+                Grid::new(n, n, T::from_f64(f64::NAN)),
+                Health::Corrupt(panicked),
+            ),
+        };
+        if matches!(verdict, Health::Healthy) {
+            if let Some(g) = state.guard.as_mut() {
+                verdict = g.inspect_evaluation(i, report.total(), &gradient);
+            }
+        }
+        // The record of an iteration rejected before its step: the
+        // evaluation's costs, no velocity, no time step.
+        let rejected = |cg_beta| IterationRecord {
+            iteration: i,
+            cost_nominal: report.nominal,
+            cost_pvb: report.pvb,
+            cost_total: report.total(),
+            max_velocity: f64::NAN,
+            time_step: f64::NAN,
+            cg_beta,
+            elapsed_s: start.elapsed().as_secs_f64(),
+            ..IterationRecord::default()
+        };
+        // Trouble at the evaluation stage rolls back; a stall is recorded
+        // and ends the run once this iteration's record is written.
+        let stalled = match verdict {
+            Health::Healthy => None,
+            Health::Stalled(kind) => Some(kind),
+            Health::Corrupt(kind) => return state.roll_back(i, kind, Some(rejected(0.0)), strict),
+        };
+
+        // Best-tracking: only evaluations the guard accepted (or all
+        // of them with the guard off) can become the returned mask.
+        if state.best.as_ref().is_none_or(|(c, _)| report.total() < *c) {
+            state.best = Some((report.total(), state.psi.clone()));
+        }
+
+        // Eq. (10) up to sign: with the Eq. (5)/(6) convention
+        // (ψ ≤ 0 inside, M = H(−ψ)) we have ∂L/∂ψ = −G·δ(ψ), so the
+        // descent update is ψ̇ = +G·|∇ψ| — the sign printed in
+        // Eq. (10) corresponds to the opposite inside/outside
+        // convention (see DESIGN.md §7).
+        let gradmag = if self.upwind {
+            godunov_gradient(&state.psi, &gradient)
+        } else {
+            gradient_magnitude(&state.psi)
+        };
+        // The gradient-velocity g_i = G·|∇ψ| drives both the descent
+        // direction and the PRP coefficient.
+        let gradient_velocity = gradient.zip_map(&gradmag, |&g, &m| g * m);
+        let mut velocity = gradient_velocity.clone();
+
+        // Eq. (15)–(16): combine with the previous velocity according
+        // to the configured evolution scheme.
+        let mut beta = 0.0;
+        match self.evolution {
+            Evolution::Plain => {}
+            Evolution::PrpConjugateGradient => {
+                if let (Some(g_prev), Some(v_prev)) = (
+                    state.prev_gradient_velocity.as_ref(),
+                    state.prev_velocity.as_ref(),
+                ) {
+                    beta = prp_beta(&gradient_velocity, g_prev);
+                    if beta > 0.0 {
+                        let beta_t = T::from_f64(beta);
+                        for (v, &pv) in velocity.as_mut_slice().iter_mut().zip(v_prev.as_slice()) {
+                            *v += beta_t * pv;
+                        }
+                    }
+                }
+            }
+            Evolution::HeavyBall { beta: momentum } => {
+                if let Some(v_prev) = state.prev_velocity.as_ref() {
+                    beta = momentum;
+                    let momentum_t = T::from_f64(momentum);
+                    for (v, &pv) in velocity.as_mut_slice().iter_mut().zip(v_prev.as_slice()) {
+                        *v += momentum_t * pv;
+                    }
                 }
             }
         }
 
-        // Evaluate the final iterate too, then return the best mask seen.
+        // Optional contour smoothing (extension beyond the paper).
+        if self.curvature_weight > 0.0 {
+            let kappa = curvature(&state.psi);
+            let central = gradient_magnitude(&state.psi);
+            let weight = T::from_f64(self.curvature_weight);
+            for ((v, &k), &m) in velocity
+                .as_mut_slice()
+                .iter_mut()
+                .zip(kappa.as_slice())
+                .zip(central.as_slice())
+            {
+                *v += weight * k * m;
+            }
+        }
+
+        // Optional narrow-band restriction (extension beyond the
+        // paper): freeze the far field so only near-contour cells
+        // evolve.
+        if self.narrow_band > 0.0 {
+            NarrowBand::extract(&state.psi, self.narrow_band).mask_velocity(&mut velocity);
+        }
+
+        // A combined velocity with NaN/∞ cells (e.g. momentum carried
+        // from a corrupt history) must never evolve ψ.
+        if let Some(kind) = state
+            .guard
+            .as_ref()
+            .and_then(|g| g.inspect_velocity(&velocity))
+        {
+            return state.roll_back(i, kind, Some(rejected(beta)), strict);
+        }
+
+        let vmax = max_abs(&velocity).to_f64();
+        let dt = cfl_time_step(&velocity, effective_lambda_t);
+        state.record(IterationRecord {
+            iteration: i,
+            cost_nominal: report.nominal,
+            cost_pvb: report.pvb,
+            cost_total: report.total(),
+            max_velocity: vmax,
+            time_step: dt,
+            cg_beta: beta,
+            elapsed_s: start.elapsed().as_secs_f64(),
+            rolled_back: false,
+            backoffs: state.guard.as_ref().map_or(0, |g| g.diagnostics.backoffs),
+            lambda_scale,
+        });
+
+        // Stall: healthy values but no cost progress for the window.
+        // Backing off cannot unstall a frozen run, so stop early.
+        if let Some(kind) = stalled {
+            if let Some(g) = state.guard.as_mut() {
+                g.note_event(i, kind);
+            }
+            return Ok(Step::Stop);
+        }
+
+        // Algorithm 1 stop condition: max|v| ≤ ε.
+        if vmax <= self.velocity_tolerance {
+            return Ok(Step::Converged);
+        }
+
+        // Commit the guard checkpoint: this pre-evolve ψ passed
+        // every check and its cost is on record; a corrupted evolve
+        // rolls back to exactly here.
+        if state.guard.is_some() {
+            state.guard_checkpoint = Some(state.psi.clone());
+        }
+
+        // Lines 5–6: CFL step and evolution, optionally guarded by a
+        // backtracking line search on the total cost.
+        if self.line_search {
+            let _ls_span = lsopc_trace::span!("optimize.line_search");
+            let mut trial_dt = dt;
+            let mut accepted = false;
+            for _ in 0..3 {
+                let mut trial_psi = state.psi.clone();
+                evolve(&mut trial_psi, &velocity, trial_dt);
+                let trial_mask = mask_from_levelset(&trial_psi);
+                // A contained worker panic rejects this trial step; the
+                // post-evolve scan still protects the fallback step below.
+                let trial_cost = contain_panic(state.guard.is_some(), || {
+                    cost_only(sim, &trial_mask, target, self.w_pvb).total()
+                })
+                .unwrap_or_else(|panicked| {
+                    if let Some(g) = state.guard.as_mut() {
+                        g.note_event(i, panicked);
+                    }
+                    f64::INFINITY
+                });
+                if trial_cost <= report.total() {
+                    state.psi = trial_psi;
+                    accepted = true;
+                    break;
+                }
+                trial_dt /= 2.0;
+            }
+            if !accepted {
+                evolve(&mut state.psi, &velocity, trial_dt);
+            }
+        } else {
+            evolve(&mut state.psi, &velocity, dt);
+        }
+
+        // Scan ψ BEFORE reinitialization: reinit thresholds at zero
+        // and would launder NaN cells into a finite (wrong) signed
+        // distance. The iteration's record is already written.
+        if let Some(kind) = state
+            .guard
+            .as_ref()
+            .and_then(|g| g.inspect_levelset(&state.psi))
+        {
+            return state.roll_back(i, kind, None, strict);
+        }
+
+        // Keep ψ a signed distance function periodically.
+        if self.reinit_interval > 0 && (i + 1).is_multiple_of(self.reinit_interval) {
+            state.psi = reinitialize(&state.psi);
+        }
+
+        state.prev_gradient_velocity = Some(gradient_velocity);
+        state.prev_velocity = Some(velocity);
+        Ok(Step::Next)
+    }
+
+    /// Evaluates the final iterate and turns the loop state into the
+    /// stage's result, returning the best mask seen.
+    fn finish<T: Scalar>(
+        &self,
+        sim: &LithoSimulator<T>,
+        target: &Grid<T>,
+        state: LoopState<T>,
+        converged: bool,
+        stopped: Option<StopReason>,
+        start: Instant,
+    ) -> IltResult<T> {
+        let LoopState {
+            next_iteration: iterations,
+            psi,
+            best,
+            mut guard,
+            history,
+            mut snapshots,
+            ..
+        } = state;
         // With the guard on, a panic or non-finite cost here must not
         // pick the (corrupt) final iterate.
         let final_mask = mask_from_levelset(&psi);
-        let final_evaluated = match guard {
-            Some(_) => catch_unwind(AssertUnwindSafe(|| {
-                cost_and_gradient(sim, &final_mask, target, self.w_pvb)
-            })),
-            None => Ok(cost_and_gradient(sim, &final_mask, target, self.w_pvb)),
+        let final_evaluated = contain_panic(guard.is_some(), || {
+            cost_and_gradient(sim, &final_mask, target, self.w_pvb)
+        });
+        let (final_total, trouble) = match final_evaluated {
+            Ok((report, _)) => {
+                let total = report.total();
+                (
+                    total,
+                    (!total.is_finite()).then_some(GuardEventKind::NonFiniteCost),
+                )
+            }
+            Err(panicked) => (f64::NAN, Some(panicked)),
         };
-        let final_total = match final_evaluated {
-            Ok((final_report, _)) => {
-                if !final_report.total().is_finite() {
-                    if let Some(g) = guard.as_mut() {
-                        g.note_event(iterations, GuardEventKind::NonFiniteCost);
-                    }
-                }
-                final_report.total()
+        if let (Some(g), Some(kind)) = (guard.as_mut(), trouble) {
+            g.note_event(iterations, kind);
+        }
+        // Under the guard a corrupt final iterate always yields to the
+        // best healthy one. With no healthy iterate at all, ψ is still
+        // finite under the guard (every evolve was scanned or rolled
+        // back), so its mask is a safe last resort.
+        let distrust_final = guard.is_some() && !final_total.is_finite();
+        let (mask, levelset) = match best {
+            Some((cost, best_psi)) if distrust_final || cost < final_total => {
+                (mask_from_levelset(&best_psi), best_psi)
             }
-            Err(payload) => {
-                if let Some(g) = guard.as_mut() {
-                    g.note_event(
-                        iterations,
-                        GuardEventKind::WorkerPanic {
-                            message: panic_message(payload),
-                        },
-                    );
-                }
-                f64::NAN
-            }
-        };
-        let (mask, levelset) = if guard.is_some() && !final_total.is_finite() {
-            match best {
-                Some((_, best_mask, best_psi)) => (best_mask, best_psi),
-                // No healthy iterate at all: under the guard ψ is still
-                // finite (every evolve was scanned or rolled back), so
-                // its mask is a safe last resort.
-                None => (final_mask, psi),
-            }
-        } else {
-            match best {
-                Some((best_cost, best_mask, best_psi)) if best_cost < final_total => {
-                    (best_mask, best_psi)
-                }
-                _ => (final_mask, psi),
-            }
+            _ => (final_mask, psi),
         };
         if self.snapshot_interval > 0 {
             snapshots.push((iterations, mask.clone()));
         }
 
-        Ok(IltResult {
+        IltResult {
             mask,
             levelset,
             history,
@@ -1218,7 +1064,7 @@ impl LevelSetIlt {
             snapshots,
             diagnostics: guard.map_or_else(SolverDiagnostics::default, |g| g.diagnostics),
             stopped,
-        })
+        }
     }
 }
 
@@ -1749,7 +1595,7 @@ mod schedule_tests {
         let err = LevelSetIlt::builder()
             .max_iterations(3)
             .build()
-            .optimize_from(&sim, &target, Grid::new(32, 32, 1.0))
+            .optimize_from_controlled(&sim, &target, Grid::new(32, 32, 1.0), &RunControl::new())
             .expect_err("should fail");
         assert!(matches!(err, OptimizeError::InitDimsMismatch { .. }));
         assert!(err.to_string().contains("32x32"));
@@ -1768,7 +1614,7 @@ mod schedule_tests {
         let opt = LevelSetIlt::builder().max_iterations(8).build();
         let cold = opt.optimize(&sim, &target).expect("cold run");
         let warm = opt
-            .optimize_from(&sim, &target, cold.levelset.clone())
+            .optimize_from_controlled(&sim, &target, cold.levelset.clone(), &RunControl::new())
             .expect("warm run");
         // Restarting from the solved ψ must not undo the work.
         assert!(

@@ -13,14 +13,15 @@
 //!   first fine iteration re-checks before doing any work), and tile
 //!   fan-outs drain promptly via
 //!   [`ParallelContext::par_map_cancellable`](lsopc_parallel::ParallelContext::par_map_cancellable).
-//! * A versioned, checksummed checkpoint file format holding the exact
-//!   loop state (`ψ`, CG velocity pair, best-so-far iterate, guard
-//!   state, history, snapshots, schedule stage) in little-endian
-//!   `f64::to_bits` form, written via atomic temp-file + rename so a
-//!   crash mid-write can never destroy the previous good checkpoint.
-//!   Restoring the state and continuing the loop replays the identical
-//!   floating-point operations, so a resumed run is bit-identical to
-//!   the uninterrupted one at the f64 default (DESIGN.md §15).
+//! * A versioned, checksummed checkpoint file format holding the
+//!   optimizer's `LoopState` (`ψ`, CG velocity pair, best-so-far
+//!   iterate, guard state, history, snapshots) plus the schedule stage,
+//!   encoded in place in little-endian `f64::to_bits` form (every field
+//!   scalar widened to f64, exactly), written via atomic temp-file +
+//!   rename so a crash mid-write can never destroy the previous good
+//!   checkpoint. Restoring the state and continuing the loop replays
+//!   the identical floating-point operations, so a resumed run is
+//!   bit-identical to the uninterrupted one (DESIGN.md §15).
 //!
 //! Corrupt or mismatched files always surface as a categorized
 //! [`CheckpointError`] — decoding validates magic, version, length and
@@ -28,9 +29,13 @@
 //! over-allocates on hostile input.
 
 use crate::config::LevelSetIlt;
-use crate::guard::GuardSnapshot;
+use crate::guard::HealthGuard;
 use crate::history::IterationRecord;
-use crate::{CancelToken, GuardEvent, GuardEventKind, SolverDiagnostics, StopReason};
+use crate::optimizer::LoopState;
+use crate::{
+    CancelToken, GuardConfig, GuardEvent, GuardEventKind, RecoveryPolicy, SolverDiagnostics,
+    StopReason,
+};
 use lsopc_grid::{Grid, Scalar};
 use lsopc_litho::LithoSimulator;
 use std::fmt;
@@ -263,33 +268,6 @@ impl StageTag {
     }
 }
 
-/// The complete mutable state of the optimizer loop at an iteration
-/// boundary, captured in f64 (the master precision — exact for the f64
-/// default, a lossless widening otherwise).
-#[derive(Clone, Debug)]
-pub(crate) struct LoopSnapshot {
-    /// The iteration the resumed loop starts at (local to its stage).
-    pub(crate) next_iteration: usize,
-    /// The level-set function at the boundary.
-    pub(crate) psi: Grid<f64>,
-    /// PRP conjugate-gradient state: previous gradient velocity.
-    pub(crate) prev_gradient_velocity: Option<Grid<f64>>,
-    /// PRP conjugate-gradient state: previous search velocity.
-    pub(crate) prev_velocity: Option<Grid<f64>>,
-    /// Best-so-far iterate as `(cost, ψ)`; the mask is recomputed on
-    /// restore (the loop always derives it from this exact `ψ`).
-    pub(crate) best: Option<(f64, Grid<f64>)>,
-    /// Health-guard state machine, when recovery is enabled.
-    pub(crate) guard: Option<GuardSnapshot>,
-    /// The guard's rollback target (pre-evolve `ψ` of the last healthy
-    /// iteration).
-    pub(crate) guard_checkpoint: Option<Grid<f64>>,
-    /// Per-iteration history so far (includes rollback records).
-    pub(crate) history: Vec<IterationRecord>,
-    /// Mask snapshots taken so far, as `(iteration, mask)`.
-    pub(crate) snapshots: Vec<(usize, Grid<f64>)>,
-}
-
 /// Completed-coarse-stage context embedded in fine-stage checkpoints so
 /// a resume can reproduce the stage merge exactly without re-running
 /// the coarse stage.
@@ -303,16 +281,13 @@ pub(crate) struct CoarseCarry {
     pub(crate) diagnostics: SolverDiagnostics,
 }
 
-/// One decoded checkpoint file.
-#[derive(Clone, Debug)]
-pub(crate) struct Checkpoint {
-    /// Hash binding the file to its configuration, simulator geometry
-    /// and target pattern.
-    pub(crate) config_hash: u64,
+/// One decoded checkpoint file, already checked against the resuming
+/// run's config hash.
+pub(crate) struct Checkpoint<T: Scalar> {
     /// Stage that wrote the file.
     pub(crate) stage: StageTag,
-    /// The loop state.
-    pub(crate) snapshot: LoopSnapshot,
+    /// The loop state, narrowed to the run's precision.
+    pub(crate) state: LoopState<T>,
     /// Coarse-stage context; present exactly when `stage` is `Fine`.
     pub(crate) carry: Option<CoarseCarry>,
 }
@@ -489,7 +464,9 @@ impl Enc {
         self.u64(s.len() as u64);
         self.buf.extend_from_slice(s.as_bytes());
     }
-    fn grid(&mut self, g: &Grid<f64>) {
+    /// A grid as dims and cells, each cell widened to f64 in place (exact
+    /// for every [`Scalar`]): one layout at every precision.
+    fn grid<T: Scalar>(&mut self, g: &Grid<T>) {
         let (w, h) = g.dims();
         // One reservation per grid: a 1024² grid appends 8 MB, and
         // growth-doubling re-copies would dominate the encode.
@@ -497,10 +474,10 @@ impl Enc {
         self.u64(w as u64);
         self.u64(h as u64);
         for &v in g.as_slice() {
-            self.f64(v);
+            self.f64(v.to_f64());
         }
     }
-    fn opt_grid(&mut self, g: Option<&Grid<f64>>) {
+    fn opt_grid<T: Scalar>(&mut self, g: Option<&Grid<T>>) {
         match g {
             None => self.u8(0),
             Some(g) => {
@@ -606,7 +583,9 @@ impl<'a> Dec<'a> {
             .map_err(|_| CheckpointError::Malformed("invalid UTF-8 string".into()))
     }
 
-    fn grid(&mut self) -> DecResult<Grid<f64>> {
+    /// A grid written by [`Enc::grid`], each cell narrowed to `T` as it
+    /// is read (the exact inverse of the widening).
+    fn grid<T: Scalar>(&mut self) -> DecResult<Grid<T>> {
         let w = self.len(0)?;
         let h = self.len(0)?;
         let cells = (w as u64).checked_mul(h as u64).filter(|&c| {
@@ -619,12 +598,12 @@ impl<'a> Dec<'a> {
         };
         let mut data = Vec::with_capacity(cells as usize);
         for _ in 0..cells {
-            data.push(self.f64()?);
+            data.push(T::from_f64(self.f64()?));
         }
         Ok(Grid::from_vec(w, h, data))
     }
 
-    fn opt_grid(&mut self) -> DecResult<Option<Grid<f64>>> {
+    fn opt_grid<T: Scalar>(&mut self) -> DecResult<Option<Grid<T>>> {
         if self.bool()? {
             Ok(Some(self.grid()?))
         } else {
@@ -775,7 +754,9 @@ fn decode_diagnostics(d: &mut Dec) -> DecResult<SolverDiagnostics> {
     })
 }
 
-fn encode_guard(e: &mut Enc, g: &GuardSnapshot) {
+/// Encodes the guard's mutable state in place (everything but its
+/// config, which the recovery policy supplies on decode).
+fn encode_guard(e: &mut Enc, g: &HealthGuard) {
     encode_diagnostics(e, &g.diagnostics);
     e.f64(g.lambda_scale);
     e.u64(g.rising_streak as u64);
@@ -785,8 +766,9 @@ fn encode_guard(e: &mut Enc, g: &GuardSnapshot) {
     e.bool(g.pending_recovery);
 }
 
-fn decode_guard(d: &mut Dec) -> DecResult<GuardSnapshot> {
-    Ok(GuardSnapshot {
+fn decode_guard(d: &mut Dec, config: GuardConfig) -> DecResult<HealthGuard> {
+    Ok(HealthGuard {
+        config,
         diagnostics: decode_diagnostics(d)?,
         lambda_scale: d.f64()?,
         rising_streak: d.usize()?,
@@ -797,7 +779,8 @@ fn decode_guard(d: &mut Dec) -> DecResult<GuardSnapshot> {
     })
 }
 
-fn encode_snapshot(e: &mut Enc, s: &LoopSnapshot) {
+/// Encodes the loop state in place, every field scalar widened to f64.
+fn encode_state<T: Scalar>(e: &mut Enc, s: &LoopState<T>) {
     e.u64(s.next_iteration as u64);
     e.grid(&s.psi);
     e.opt_grid(s.prev_gradient_velocity.as_ref());
@@ -826,40 +809,42 @@ fn encode_snapshot(e: &mut Enc, s: &LoopSnapshot) {
     }
 }
 
-fn decode_snapshot(d: &mut Dec) -> DecResult<LoopSnapshot> {
-    let next_iteration = d.usize()?;
-    let psi = d.grid()?;
-    let prev_gradient_velocity = d.opt_grid()?;
-    let prev_velocity = d.opt_grid()?;
-    let best = if d.bool()? {
-        Some((d.f64()?, d.grid()?))
-    } else {
-        None
-    };
-    let guard = if d.bool()? {
-        Some(decode_guard(d)?)
-    } else {
-        None
-    };
-    let guard_checkpoint = d.opt_grid()?;
-    let history = decode_history(d)?;
-    // A snapshot entry is at least a u64 iteration + grid dims.
-    let n = d.len(24)?;
-    let mut snapshots = Vec::with_capacity(n);
-    for _ in 0..n {
-        let iteration = d.usize()?;
-        snapshots.push((iteration, d.grid()?));
-    }
-    Ok(LoopSnapshot {
-        next_iteration,
-        psi,
-        prev_gradient_velocity,
-        prev_velocity,
-        best,
-        guard,
-        guard_checkpoint,
-        history,
-        snapshots,
+/// Decodes the loop state of a run under `recovery`, narrowing every
+/// field scalar to `T`. The file carries guard state exactly when the
+/// policy enables the guard.
+fn decode_state<T: Scalar>(d: &mut Dec, recovery: &RecoveryPolicy) -> DecResult<LoopState<T>> {
+    // Fields decode in file order: struct literals evaluate in order.
+    Ok(LoopState {
+        next_iteration: d.usize()?,
+        psi: d.grid()?,
+        prev_gradient_velocity: d.opt_grid()?,
+        prev_velocity: d.opt_grid()?,
+        best: if d.bool()? {
+            Some((d.f64()?, d.grid()?))
+        } else {
+            None
+        },
+        guard: match (d.bool()?, HealthGuard::from_policy(recovery)) {
+            (true, Some(fresh)) => Some(decode_guard(d, fresh.config)?),
+            (false, None) => None,
+            _ => {
+                return Err(CheckpointError::Malformed(
+                    "checkpoint guard state does not match the recovery policy".into(),
+                ))
+            }
+        },
+        guard_checkpoint: d.opt_grid()?,
+        history: decode_history(d)?,
+        snapshots: {
+            // A snapshot entry is at least a u64 iteration + grid dims.
+            let n = d.len(24)?;
+            let mut snapshots = Vec::with_capacity(n);
+            for _ in 0..n {
+                let iteration = d.usize()?;
+                snapshots.push((iteration, d.grid()?));
+            }
+            snapshots
+        },
     })
 }
 
@@ -931,13 +916,20 @@ fn read_framed(path: &Path, magic: &[u8; 8]) -> Result<Vec<u8>, CheckpointError>
     Ok(payload.to_vec())
 }
 
-/// Serializes and atomically writes an optimizer checkpoint.
-pub(crate) fn write_checkpoint(path: &Path, ck: &Checkpoint) -> io::Result<()> {
+/// Serializes the loop `state` of `stage` in place and atomically
+/// writes it as an optimizer checkpoint.
+pub(crate) fn write_checkpoint<T: Scalar>(
+    path: &Path,
+    config_hash: u64,
+    stage: StageTag,
+    carry: Option<&CoarseCarry>,
+    state: &LoopState<T>,
+) -> io::Result<()> {
     let mut e = Enc::new();
-    e.u64(ck.config_hash);
-    e.u8(ck.stage.code());
-    encode_snapshot(&mut e, &ck.snapshot);
-    match &ck.carry {
+    e.u64(config_hash);
+    e.u8(stage.code());
+    encode_state(&mut e, state);
+    match carry {
         None => e.u8(0),
         Some(carry) => {
             e.u8(1);
@@ -954,13 +946,20 @@ pub(crate) fn write_checkpoint(path: &Path, ck: &Checkpoint) -> io::Result<()> {
     Ok(())
 }
 
-/// Reads, validates and decodes an optimizer checkpoint.
-pub(crate) fn load_checkpoint(path: &Path) -> Result<Checkpoint, CheckpointError> {
+/// Reads, validates and decodes the optimizer checkpoint of a run with
+/// `config_hash` under `recovery`, narrowing its fields to `T`.
+pub(crate) fn load_checkpoint<T: Scalar>(
+    path: &Path,
+    config_hash: u64,
+    recovery: &RecoveryPolicy,
+) -> Result<Checkpoint<T>, CheckpointError> {
     let payload = read_framed(path, MAGIC)?;
     let mut d = Dec::new(&payload);
-    let config_hash = d.u64()?;
+    if d.u64()? != config_hash {
+        return Err(CheckpointError::ConfigMismatch);
+    }
     let stage = StageTag::from_code(d.u8()?)?;
-    let snapshot = decode_snapshot(&mut d)?;
+    let state = decode_state(&mut d, recovery)?;
     let carry = if d.bool()? {
         Some(CoarseCarry {
             iterations: d.usize()?,
@@ -977,9 +976,8 @@ pub(crate) fn load_checkpoint(path: &Path) -> Result<Checkpoint, CheckpointError
         ));
     }
     Ok(Checkpoint {
-        config_hash,
         stage,
-        snapshot,
+        state,
         carry,
     })
 }
@@ -1020,17 +1018,19 @@ mod tests {
         Grid::from_fn(w, h, |x, y| seed + (x * 31 + y * 7) as f64 * 0.125)
     }
 
-    fn sample_checkpoint() -> Checkpoint {
+    const SAMPLE_HASH: u64 = 0xfeed_beef_dead_cafe;
+
+    fn sample_checkpoint() -> Checkpoint<f64> {
         Checkpoint {
-            config_hash: 0xfeed_beef_dead_cafe,
             stage: StageTag::Fine,
-            snapshot: LoopSnapshot {
+            state: LoopState {
                 next_iteration: 7,
                 psi: grid(0.5, 8, 8),
                 prev_gradient_velocity: Some(grid(-1.25, 8, 8)),
                 prev_velocity: None,
                 best: Some((123.456, grid(0.75, 8, 8))),
-                guard: Some(GuardSnapshot {
+                guard: Some(HealthGuard {
+                    config: GuardConfig::default(),
                     diagnostics: SolverDiagnostics {
                         events: vec![
                             GuardEvent {
@@ -1068,6 +1068,18 @@ mod tests {
         }
     }
 
+    fn write(path: &Path, ck: &Checkpoint<f64>) -> io::Result<()> {
+        write_checkpoint(path, SAMPLE_HASH, ck.stage, ck.carry.as_ref(), &ck.state)
+    }
+
+    fn guard_on() -> RecoveryPolicy {
+        RecoveryPolicy::On(GuardConfig::default())
+    }
+
+    fn load(path: &Path) -> Result<Checkpoint<f64>, CheckpointError> {
+        load_checkpoint(path, SAMPLE_HASH, &guard_on())
+    }
+
     fn assert_grids_eq(a: &Grid<f64>, b: &Grid<f64>) {
         assert_eq!(a.dims(), b.dims());
         for (x, y) in a.as_slice().iter().zip(b.as_slice()) {
@@ -1081,21 +1093,25 @@ mod tests {
         std::fs::create_dir_all(&dir).expect("temp dir");
         let path = dir.join("state.ckpt");
         let ck = sample_checkpoint();
-        write_checkpoint(&path, &ck).expect("write");
-        let back = load_checkpoint(&path).expect("load");
-        assert_eq!(back.config_hash, ck.config_hash);
-        assert_eq!(back.stage, ck.stage);
-        assert_eq!(back.snapshot.next_iteration, 7);
-        assert_grids_eq(&back.snapshot.psi, &ck.snapshot.psi);
-        assert_grids_eq(
-            back.snapshot.prev_gradient_velocity.as_ref().expect("pgv"),
-            ck.snapshot.prev_gradient_velocity.as_ref().expect("pgv"),
+        write(&path, &ck).expect("write");
+        let back = load(&path).expect("load");
+        // The stored config hash is checked as the file is decoded.
+        assert_eq!(
+            load_checkpoint::<f64>(&path, SAMPLE_HASH ^ 1, &guard_on()).err(),
+            Some(CheckpointError::ConfigMismatch)
         );
-        assert!(back.snapshot.prev_velocity.is_none());
-        let (cost, bpsi) = back.snapshot.best.as_ref().expect("best");
+        assert_eq!(back.stage, ck.stage);
+        assert_eq!(back.state.next_iteration, 7);
+        assert_grids_eq(&back.state.psi, &ck.state.psi);
+        assert_grids_eq(
+            back.state.prev_gradient_velocity.as_ref().expect("pgv"),
+            ck.state.prev_gradient_velocity.as_ref().expect("pgv"),
+        );
+        assert!(back.state.prev_velocity.is_none());
+        let (cost, bpsi) = back.state.best.as_ref().expect("best");
         assert_eq!(cost.to_bits(), 123.456f64.to_bits());
-        assert_grids_eq(bpsi, &ck.snapshot.best.as_ref().expect("best").1);
-        let guard = back.snapshot.guard.as_ref().expect("guard");
+        assert_grids_eq(bpsi, &ck.state.best.as_ref().expect("best").1);
+        let guard = back.state.guard.as_ref().expect("guard");
         assert_eq!(guard.diagnostics.events.len(), 2);
         assert_eq!(
             guard.diagnostics.events[1].kind,
@@ -1104,8 +1120,13 @@ mod tests {
             }
         );
         assert!(guard.pending_recovery);
-        assert_eq!(back.snapshot.history, ck.snapshot.history);
+        assert_eq!(back.state.history, ck.state.history);
         assert_eq!(back.carry.as_ref().expect("carry").iterations, 4);
+        // Guard state is present exactly when the policy enables a guard.
+        assert!(matches!(
+            load_checkpoint::<f64>(&path, SAMPLE_HASH, &RecoveryPolicy::Off),
+            Err(CheckpointError::Malformed(_))
+        ));
         std::fs::remove_dir_all(&dir).ok();
     }
 
@@ -1114,41 +1135,49 @@ mod tests {
         let dir = std::env::temp_dir().join(format!("lsopc_ck_fuzz_{}", std::process::id()));
         std::fs::create_dir_all(&dir).expect("temp dir");
         let path = dir.join("state.ckpt");
-        write_checkpoint(&path, &sample_checkpoint()).expect("write");
+        write(&path, &sample_checkpoint()).expect("write");
         let good = std::fs::read(&path).expect("read back");
 
         // Truncations at every prefix length (sampled) decode as errors.
         for cut in (0..good.len()).step_by(97).chain([good.len() - 1]) {
             std::fs::write(&path, &good[..cut]).expect("truncate");
-            assert!(
-                load_checkpoint(&path).is_err(),
-                "truncation at {cut} must fail"
-            );
+            assert!(load(&path).is_err(), "truncation at {cut} must fail");
         }
         // Flipping any byte breaks the frame, the checksum or a field.
         for pos in (0..good.len()).step_by(53) {
             let mut bad = good.clone();
             bad[pos] ^= 0xff;
             std::fs::write(&path, &bad).expect("corrupt");
-            assert!(
-                load_checkpoint(&path).is_err(),
-                "byte flip at {pos} must fail"
-            );
+            assert!(load(&path).is_err(), "byte flip at {pos} must fail");
         }
         // Oversized length fields must not allocate absurd buffers.
         let mut bad = good.clone();
         let grid_w_at = 28 + 8 + 1 + 8; // payload + hash + stage + next_iteration
         bad[grid_w_at..grid_w_at + 8].copy_from_slice(&u64::MAX.to_le_bytes());
         std::fs::write(&path, &bad).expect("corrupt dims");
-        assert!(load_checkpoint(&path).is_err(), "absurd dims must fail");
+        assert!(load(&path).is_err(), "absurd dims must fail");
 
         assert!(
-            matches!(
-                load_checkpoint(&dir.join("missing.ckpt")),
-                Err(CheckpointError::Io(_))
-            ),
+            matches!(load(&dir.join("missing.ckpt")), Err(CheckpointError::Io(_))),
             "missing file is an I/O error"
         );
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    /// The v1 byte layout, pinned by the FNV-1a of the sample's payload.
+    /// A change here strands every checkpoint already written and must
+    /// bump `VERSION`.
+    #[test]
+    fn checkpoint_layout_is_pinned() {
+        let dir = std::env::temp_dir().join(format!("lsopc_ck_pin_{}", std::process::id()));
+        std::fs::create_dir_all(&dir).expect("temp dir");
+        let path = dir.join("state.ckpt");
+        write(&path, &sample_checkpoint()).expect("write");
+        let bytes = std::fs::read(&path).expect("read back");
+        assert_eq!(VERSION, 1);
+        assert_eq!(&bytes[..8], MAGIC);
+        assert_eq!(bytes.len(), 3124);
+        assert_eq!(fnv1a(FNV_OFFSET, &bytes[28..]), 0x038a_b9df_f93e_c5a2);
         std::fs::remove_dir_all(&dir).ok();
     }
 
@@ -1175,7 +1204,7 @@ mod tests {
 
         // An optimizer checkpoint is not a tile checkpoint.
         let ck_path = dir.join("state.ckpt");
-        write_checkpoint(&ck_path, &sample_checkpoint()).expect("write");
+        write(&ck_path, &sample_checkpoint()).expect("write");
         assert!(matches!(
             load_tile_checkpoint(&ck_path),
             Err(CheckpointError::BadMagic)

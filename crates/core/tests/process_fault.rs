@@ -1,19 +1,19 @@
 //! Process-level fault drills: cancellation fired from *inside* the
-//! evaluation pipeline, corrupted/truncated checkpoint files, and
-//! damaged on-disk warm-start entries. Every case must degrade
-//! gracefully — a typed error or a warned cache miss — never a panic,
-//! never silent corruption.
+//! evaluation pipeline, a kill after a guard rollback, corrupted/truncated
+//! checkpoint files, and damaged on-disk warm-start entries. Every case
+//! must degrade gracefully — a typed error or a warned cache miss —
+//! never a panic, never silent corruption.
 //!
 //! Runs only with the `fault-injection` feature
 //! (`cargo test -p lsopc-core --features fault-injection`).
 #![cfg(feature = "fault-injection")]
 
 use lsopc_core::{
-    fingerprint, CancelToken, CheckpointSpec, IltResult, LevelSetIlt, OptimizeError, RunControl,
-    StopReason, WarmStartCache,
+    fingerprint, CancelToken, CheckpointSpec, GuardConfig, IltResult, LevelSetIlt, OptimizeError,
+    RecoveryPolicy, RunControl, StopReason, WarmStartCache,
 };
 use lsopc_grid::Grid;
-use lsopc_litho::{LithoSimulator, ScriptedCancel};
+use lsopc_litho::{FaultMode, LithoSimulator, ScriptedCancel, ScriptedFault};
 use lsopc_optics::OpticsConfig;
 use std::path::PathBuf;
 use std::sync::Arc;
@@ -53,7 +53,14 @@ fn assert_bit_identical(a: &IltResult, b: &IltResult, what: &str) {
             "{what}: iter {} cost",
             ra.iteration
         );
+        assert_eq!(
+            (ra.lambda_scale.to_bits(), ra.rolled_back, ra.backoffs),
+            (rb.lambda_scale.to_bits(), rb.rolled_back, rb.backoffs),
+            "{what}: iter {} guard fields",
+            ra.iteration
+        );
     }
+    assert_eq!(a.diagnostics, b.diagnostics, "{what}: guard diagnostics");
     for (i, (va, vb)) in a.mask.as_slice().iter().zip(b.mask.as_slice()).enumerate() {
         assert_eq!(va.to_bits(), vb.to_bits(), "{what}: mask pixel {i}");
     }
@@ -110,6 +117,45 @@ fn mid_evaluation_cancel_checkpoints_and_resumes_bit_identically() {
             .expect("resume runs");
         assert_bit_identical(&baseline, &resumed, &format!("cancel k={k}"));
         std::fs::remove_file(ck).ok();
+    }
+}
+
+/// A run killed after the guard rolled back a faulted iteration resumes
+/// onto the faulted trajectory: the checkpoint carries the halved λ_t,
+/// the rolled-back record, the backoff count and the guard's events, so
+/// a clean resume lands bit for bit on the uninterrupted faulted run.
+#[test]
+fn kill_after_guard_rollback_resumes_bit_identically() {
+    let target = wire_target();
+    let ilt = LevelSetIlt::builder()
+        .max_iterations(ITERS)
+        .recovery(RecoveryPolicy::On(GuardConfig::default()))
+        .build();
+    let faulty = |mode| clean_sim().with_fault_injector(Arc::new(ScriptedFault::once(2, mode)));
+    for mode in [FaultMode::NanGradient, FaultMode::SpikeCost(1e6)] {
+        let baseline = ilt
+            .optimize(&faulty(mode), &target)
+            .expect("faulted run recovers");
+        assert!(
+            baseline.history.iter().any(|r| r.rolled_back),
+            "{mode:?}: the fault must roll back"
+        );
+        for k in [4, 6] {
+            let ck = tmp_path(&format!("rollback_{k}.lsckpt"));
+            std::fs::remove_file(&ck).ok();
+            let control = RunControl::new()
+                .with_iteration_budget(k)
+                .with_checkpoint(CheckpointSpec::new(&ck, 1));
+            let killed = ilt
+                .optimize_controlled(&faulty(mode), &target, &control)
+                .expect("killed run is graceful");
+            assert_eq!(killed.stopped, Some(StopReason::Budget), "{mode:?} k={k}");
+            let resumed = ilt
+                .optimize_controlled(&clean_sim(), &target, &RunControl::new().with_resume(&ck))
+                .expect("resume runs");
+            assert_bit_identical(&baseline, &resumed, &format!("{mode:?} k={k}"));
+            std::fs::remove_file(ck).ok();
+        }
     }
 }
 

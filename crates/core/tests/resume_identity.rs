@@ -1,25 +1,27 @@
 //! Resume determinism: a run killed at iteration `k` (via an iteration
 //! budget, standing in for a crash or Ctrl-C at the same boundary) and
 //! resumed from its checkpoint must reproduce the uninterrupted run
-//! bit-for-bit at f64 — the same mask, the same ψ, the same history
-//! records (excluding wall-clock `elapsed_s`).
+//! bit-for-bit — the same mask, the same ψ, the same history records
+//! (excluding wall-clock `elapsed_s`) and the same mask snapshots.
 //!
 //! Covered paths: the plain loop, the health-guard loop (state machine
-//! and rollback target are checkpointed), the line-search loop, and the
-//! coarse-to-fine schedule resumed in *both* stages. `scripts/check.sh`
-//! runs this suite at `LSOPC_THREADS=1` and `=4` so the guarantee holds
-//! across pool sizes.
+//! and rollback target are checkpointed), the line-search loop, the
+//! snapshotting loop, and the coarse-to-fine schedule resumed in *both*
+//! stages, at f64 — plus the plain and guarded loops at f32, where the
+//! checkpoint widens every field to f64 and the resume narrows it back.
+//! `scripts/check.sh` runs this suite at `LSOPC_THREADS=1` and `=4` so
+//! the guarantee holds across pool sizes.
 
 use lsopc_core::{
-    CheckpointSpec, IltResult, LevelSetIlt, RecoveryPolicy, ResolutionSchedule, RunControl,
-    StopReason,
+    CheckpointSpec, GuardConfig, IltResult, LevelSetIlt, RecoveryPolicy, ResolutionSchedule,
+    RunControl, StopReason,
 };
-use lsopc_grid::Grid;
+use lsopc_grid::{Grid, Scalar};
 use lsopc_litho::LithoSimulator;
 use lsopc_optics::OpticsConfig;
 use std::path::PathBuf;
 
-fn sim(grid_px: usize) -> LithoSimulator {
+fn sim<T: Scalar>(grid_px: usize) -> LithoSimulator<T> {
     // 4 nm pixels at 64 px (the golden-test geometry); 8 nm at 256 px so
     // the 128 px coarse stage still holds the optical band.
     let pixel_nm = if grid_px == 64 { 4.0 } else { 8.0 };
@@ -31,15 +33,27 @@ fn sim(grid_px: usize) -> LithoSimulator {
     .expect("valid configuration")
 }
 
-fn wire_target(grid_px: usize) -> Grid<f64> {
+fn wire_target<T: Scalar>(grid_px: usize) -> Grid<T> {
     let s = grid_px / 64;
     Grid::from_fn(grid_px, grid_px, |x, y| {
         if (26 * s..38 * s).contains(&x) && (12 * s..52 * s).contains(&y) {
-            1.0
+            T::ONE
         } else {
-            0.0
+            T::ZERO
         }
     })
+}
+
+/// Asserts two grids hold the same cells bit for bit.
+fn assert_grid_bits<T: Scalar>(a: &Grid<T>, b: &Grid<T>, what: &str) {
+    assert_eq!(a.dims(), b.dims(), "{what}: dims");
+    for (i, (va, vb)) in a.as_slice().iter().zip(b.as_slice()).enumerate() {
+        assert_eq!(
+            va.to_f64().to_bits(),
+            vb.to_f64().to_bits(),
+            "{what}: pixel {i}"
+        );
+    }
 }
 
 fn tmp_ck(name: &str) -> PathBuf {
@@ -47,7 +61,7 @@ fn tmp_ck(name: &str) -> PathBuf {
 }
 
 /// Asserts two results are bit-identical up to wall-clock fields.
-fn assert_bit_identical(a: &IltResult, b: &IltResult, what: &str) {
+fn assert_bit_identical<T: Scalar>(a: &IltResult<T>, b: &IltResult<T>, what: &str) {
     assert_eq!(a.iterations, b.iterations, "{what}: iteration count");
     assert_eq!(
         a.coarse_iterations, b.coarse_iterations,
@@ -76,25 +90,24 @@ fn assert_bit_identical(a: &IltResult, b: &IltResult, what: &str) {
         assert_eq!(ra.rolled_back, rb.rolled_back, "{what}: rollback flag");
         assert_eq!(ra.backoffs, rb.backoffs, "{what}: backoff count");
     }
-    for (i, (va, vb)) in a.mask.as_slice().iter().zip(b.mask.as_slice()).enumerate() {
-        assert_eq!(va.to_bits(), vb.to_bits(), "{what}: mask pixel {i}");
-    }
-    for (i, (va, vb)) in a
-        .levelset
-        .as_slice()
-        .iter()
-        .zip(b.levelset.as_slice())
-        .enumerate()
-    {
-        assert_eq!(va.to_bits(), vb.to_bits(), "{what}: ψ pixel {i}");
+    assert_grid_bits(&a.mask, &b.mask, &format!("{what}: mask"));
+    assert_grid_bits(&a.levelset, &b.levelset, &format!("{what}: ψ"));
+    assert_eq!(
+        a.snapshots.len(),
+        b.snapshots.len(),
+        "{what}: snapshot count"
+    );
+    for ((ia, ma), (ib, mb)) in a.snapshots.iter().zip(&b.snapshots) {
+        assert_eq!(ia, ib, "{what}: snapshot iteration");
+        assert_grid_bits(ma, mb, &format!("{what}: snapshot {ia}"));
     }
 }
 
 /// Runs `ilt` uninterrupted, then kill-at-`k`/resume, and asserts the
 /// two trajectories match bitwise.
-fn check_kill_resume(ilt: &LevelSetIlt, grid_px: usize, k: usize, name: &str) {
-    let sim = sim(grid_px);
-    let target = wire_target(grid_px);
+fn check_kill_resume<T: Scalar>(ilt: &LevelSetIlt, grid_px: usize, k: usize, name: &str) {
+    let sim = sim::<T>(grid_px);
+    let target = wire_target::<T>(grid_px);
     let baseline = ilt.optimize(&sim, &target).expect("baseline run");
 
     let ck = tmp_ck(&format!("{name}_k{k}"));
@@ -133,17 +146,56 @@ fn plain_loop_resumes_bit_identically() {
         .recovery(RecoveryPolicy::Off)
         .build();
     for k in [1, 5, 9] {
-        check_kill_resume(&ilt, 64, k, "plain");
+        check_kill_resume::<f64>(&ilt, 64, k, "plain");
     }
+}
+
+fn guarded() -> LevelSetIlt {
+    LevelSetIlt::builder()
+        .max_iterations(10)
+        .recovery(RecoveryPolicy::On(GuardConfig::default()))
+        .build()
 }
 
 #[test]
 fn guarded_loop_resumes_bit_identically() {
-    // Default recovery: the guard's state machine and rollback ψ ride
-    // in the checkpoint, so a resume replays identical guard decisions.
-    let ilt = LevelSetIlt::builder().max_iterations(10).build();
+    // The guard's state machine and rollback ψ ride in the checkpoint,
+    // so a resume replays identical guard decisions.
     for k in [2, 6] {
-        check_kill_resume(&ilt, 64, k, "guarded");
+        check_kill_resume::<f64>(&guarded(), 64, k, "guarded");
+    }
+}
+
+#[test]
+fn f32_plain_loop_resumes_bit_identically() {
+    // The checkpoint stores f64; f32 → f64 → f32 is exact, so an f32
+    // run resumes bit-identically too.
+    let ilt = LevelSetIlt::builder()
+        .max_iterations(12)
+        .recovery(RecoveryPolicy::Off)
+        .build();
+    for k in [1, 5] {
+        check_kill_resume::<f32>(&ilt, 64, k, "f32_plain");
+    }
+}
+
+#[test]
+fn f32_guarded_loop_resumes_bit_identically() {
+    for k in [2, 6] {
+        check_kill_resume::<f32>(&guarded(), 64, k, "f32_guarded");
+    }
+}
+
+#[test]
+fn snapshotting_loop_resumes_bit_identically() {
+    // Snapshots taken before the kill ride in the checkpoint; the
+    // resumed run appends the rest, ending with the final mask.
+    let ilt = LevelSetIlt::builder()
+        .max_iterations(8)
+        .snapshot_interval(2)
+        .build();
+    for k in [3, 5] {
+        check_kill_resume::<f64>(&ilt, 64, k, "snapshots");
     }
 }
 
@@ -154,7 +206,7 @@ fn line_search_loop_resumes_bit_identically() {
         .lambda_t(4.0)
         .line_search(true)
         .build();
-    check_kill_resume(&ilt, 64, 3, "line_search");
+    check_kill_resume::<f64>(&ilt, 64, 3, "line_search");
 }
 
 #[test]
@@ -166,7 +218,7 @@ fn scheduled_run_resumes_in_coarse_stage() {
         .max_iterations(5)
         .schedule(Some(ResolutionSchedule::new(128, 4, 3, 2)))
         .build();
-    check_kill_resume(&ilt, 256, 2, "scheduled_coarse");
+    check_kill_resume::<f64>(&ilt, 256, 2, "scheduled_coarse");
 }
 
 #[test]
@@ -178,5 +230,5 @@ fn scheduled_run_resumes_in_fine_stage() {
         .max_iterations(5)
         .schedule(Some(ResolutionSchedule::new(128, 4, 3, 2)))
         .build();
-    check_kill_resume(&ilt, 256, 4, "scheduled_fine");
+    check_kill_resume::<f64>(&ilt, 256, 4, "scheduled_fine");
 }

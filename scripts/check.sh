@@ -56,15 +56,20 @@ cargo bench -p lsopc-bench --bench warmstart -- --test
 
 echo "==> kill/resume suite (checkpoint bit-identity at both pool sizes)"
 # A run killed at iteration k and resumed from its checkpoint must
-# reproduce the uninterrupted trajectory bit-for-bit at f64, on the
-# plain, guarded, line-search and scheduled (coarse & fine) paths.
+# reproduce the uninterrupted trajectory bit-for-bit, snapshots included:
+# at f64 on the plain, guarded, line-search, snapshotting and scheduled
+# (coarse & fine) paths, and at f32 on the plain and guarded paths (the
+# checkpoint widens to f64 and the resume narrows back). A kill after a
+# guard rollback is pinned in the process-fault suite below.
 LSOPC_THREADS=1 cargo test -q -p lsopc-core --test resume_identity
 LSOPC_THREADS=4 cargo test -q -p lsopc-core --test resume_identity
 
-echo "==> process-fault suite (mid-pipeline cancel + corrupt checkpoints)"
-# Cancellation fired from inside an evaluation must checkpoint and
-# resume bitwise; truncated/byte-flipped checkpoints and damaged
-# warm-start entries must be typed errors or warned misses, not panics.
+echo "==> process-fault suite (mid-pipeline cancel, rollback resume, corrupt checkpoints)"
+# Cancellation fired from inside an evaluation, and a kill after a
+# guard rollback, must checkpoint and resume bitwise at both pool
+# sizes; truncated/byte-flipped checkpoints and damaged warm-start
+# entries must be typed errors or warned misses, not panics.
+LSOPC_THREADS=1 cargo test -q -p lsopc-core --features fault-injection --test process_fault
 LSOPC_THREADS=4 cargo test -q -p lsopc-core --features fault-injection --test process_fault
 
 echo "==> resume bench smoke (checkpoint overhead pipeline runs)"
