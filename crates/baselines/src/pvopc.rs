@@ -9,7 +9,7 @@ use serde::{Deserialize, Serialize};
 /// Fast process-variation-aware pixel OPC.
 ///
 /// Representative of "Fast lithographic mask optimization considering
-/// process variation" [16]: the full PV-aware cost with an accelerated
+/// process variation" \[16\]: the full PV-aware cost with an accelerated
 /// first-order update (heavy-ball momentum) and a deliberately small
 /// iteration budget, which is how it achieves the shortest runtimes of
 /// the published baselines in Table II.

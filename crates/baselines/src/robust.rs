@@ -8,8 +8,8 @@ use serde::{Deserialize, Serialize};
 
 /// Robust process-variation-aware OPC.
 ///
-/// The paper notes that [15] "only run[s] the simulators in two process
-/// conditions for each iteration and estimate[s] the results in [the]
+/// The paper notes that \[15\] "only run\[s\] the simulators in two process
+/// conditions for each iteration and estimate\[s\] the results in \[the\]
 /// third process condition" — that is how it undercuts the level-set CPU
 /// runtime in Table II. This baseline reproduces the strategy: each
 /// iteration simulates the two extreme corners only, and stands in for

@@ -188,7 +188,7 @@ impl RunControl {
 
 /// Why a checkpoint file could not be used.
 ///
-/// Every failure mode of [`--resume`] is categorized here; none panics.
+/// Every failure mode of `--resume` is categorized here; none panics.
 /// Surfaced through [`OptimizeError::Checkpoint`](crate::OptimizeError::Checkpoint).
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub enum CheckpointError {

@@ -18,6 +18,16 @@
 //! half-length inverse FFT per row) with the same `1/(W·H)` overall
 //! normalization as [`crate::Fft2d::inverse`].
 //!
+//! Band-limited fields need even less. [`RfftPlan::forward_band_with`]
+//! still runs every row's half-length FFT, but untangles and
+//! column-transforms only the leading `band` stored columns;
+//! [`RfftPlan::inverse_band_with`] column-transforms only those columns
+//! of a spectrum that is zero beyond them. Both are bit-identical to the
+//! full transforms on what they compute: every untangled sample and every
+//! column FFT is independent of the others, and a zero column's inverse
+//! FFT is exactly `+0.0`. The full transforms are the `band = w/2 + 1`
+//! case of the same code.
+//!
 //! Like every transform in this crate, both passes fan out over the
 //! shared [`ParallelContext`] pool with disjoint writes and identical
 //! per-row arithmetic, so results are bit-identical at any thread count.
@@ -178,9 +188,12 @@ impl<T: Scalar> HalfSpectrum<T> {
 
 /// A reusable real-input 2-D FFT for grids of a fixed power-of-two size.
 ///
-/// See the [module docs](self) for the algorithm. The forward transform
-/// is unnormalized (matching [`crate::Fft2d::forward`]); the inverse
-/// carries the full `1/(W·H)` normalization so that
+/// Each real row is packed into a half-length complex vector, transformed
+/// and untangled into its `w/2 + 1` unique samples; the column pass then
+/// transforms only those stored columns, or just a leading band of them
+/// ([`Self::forward_band_with`], [`Self::inverse_band_with`]). The
+/// forward transform is unnormalized (matching [`crate::Fft2d::forward`]);
+/// the inverse carries the full `1/(W·H)` normalization so that
 /// `inverse(forward(x)) == x`.
 ///
 /// # Example
@@ -258,6 +271,26 @@ impl<T: Scalar> RfftPlan<T> {
     /// [`Self::forward`] on an explicit [`ParallelContext`]. Bit-identical
     /// to the default path at every thread count.
     pub fn forward_with(&self, ctx: &ParallelContext, g: &Grid<T>) -> HalfSpectrum<T> {
+        self.forward_band_with(ctx, g, self.width / 2 + 1)
+    }
+
+    /// The forward transform on the leading `band` stored columns only.
+    ///
+    /// Every row still runs its half-length FFT, but only the samples
+    /// `kx < band` are untangled and column-transformed. On those columns
+    /// the result equals [`Self::forward_with`] bit for bit; every other
+    /// stored sample is exactly `0.0`. A `band` above the half width
+    /// `w/2 + 1` is clamped to it (the full transform).
+    ///
+    /// # Panics
+    ///
+    /// Panics if the grid dimensions differ from the planned size.
+    pub fn forward_band_with(
+        &self,
+        ctx: &ParallelContext,
+        g: &Grid<T>,
+        band: usize,
+    ) -> HalfSpectrum<T> {
         assert_eq!(
             g.dims(),
             (self.width, self.height),
@@ -267,8 +300,9 @@ impl<T: Scalar> RfftPlan<T> {
         );
         let _span = lsopc_trace::span!("fft2d.rfft.forward");
         let mut spec = HalfSpectrum::new(self.width, self.height);
-        self.real_row_pass(ctx, g, &mut spec);
-        self.half_column_pass(ctx, &mut spec, false);
+        let band = band.min(spec.half_width());
+        self.real_row_pass(ctx, g, &mut spec, band);
+        self.column_pass(ctx, &mut spec, band, false);
         spec
     }
 
@@ -284,6 +318,29 @@ impl<T: Scalar> RfftPlan<T> {
     /// [`Self::inverse`] on an explicit [`ParallelContext`]. Bit-identical
     /// to the default path at every thread count.
     pub fn inverse_with(&self, ctx: &ParallelContext, spec: &HalfSpectrum<T>) -> Grid<T> {
+        self.inverse_band_with(ctx, spec.clone(), self.width / 2 + 1)
+    }
+
+    /// The inverse transform of a spectrum that is zero on every stored
+    /// column `kx ≥ band`, column-transforming only the leading `band`
+    /// columns before the full row inverse.
+    ///
+    /// On such input the result equals [`Self::inverse_with`] bit for bit:
+    /// the inverse FFT of an all-zero column is exactly `+0.0`, so the
+    /// skipped columns already hold what the full column pass would write.
+    /// The spectrum is taken by value and transformed in place. A `band`
+    /// above the half width `w/2 + 1` is clamped to it (the full
+    /// transform).
+    ///
+    /// # Panics
+    ///
+    /// Panics if the spectrum dimensions differ from the planned size.
+    pub fn inverse_band_with(
+        &self,
+        ctx: &ParallelContext,
+        mut spec: HalfSpectrum<T>,
+        band: usize,
+    ) -> Grid<T> {
         assert_eq!(
             spec.dims(),
             (self.width, self.height),
@@ -292,35 +349,43 @@ impl<T: Scalar> RfftPlan<T> {
             self.height
         );
         let _span = lsopc_trace::span!("fft2d.rfft.inverse");
-        let mut tmp = spec.clone();
-        self.half_column_pass(ctx, &mut tmp, true);
+        let band = band.min(spec.half_width());
+        self.column_pass(ctx, &mut spec, band, true);
         let mut out = Grid::new(self.width, self.height, T::ZERO);
-        self.real_row_inverse_pass(ctx, &tmp, &mut out);
+        self.real_row_inverse_pass(ctx, &spec, &mut out);
         out
     }
 
     /// Forward row pass: every real row packed, half-length transformed
-    /// and untangled into its `w/2 + 1` unique samples. Rows are disjoint
+    /// and untangled into its leading `band` samples. Rows are disjoint
     /// output slices, so scheduling never affects the result.
-    fn real_row_pass(&self, ctx: &ParallelContext, g: &Grid<T>, spec: &mut HalfSpectrum<T>) {
+    fn real_row_pass(
+        &self,
+        ctx: &ParallelContext,
+        g: &Grid<T>,
+        spec: &mut HalfSpectrum<T>,
+        band: usize,
+    ) {
         let _span = lsopc_trace::span!("fft2d.rfft.row_pass");
         let (w, hw) = (self.width, spec.half_width());
         let rpc = rows_per_chunk(self.height, ctx.threads());
         let src = g.as_slice();
-        ctx.par_chunks_mut(spec.as_mut_slice(), hw * rpc, |ci, band| {
+        ctx.par_chunks_mut(spec.as_mut_slice(), hw * rpc, |ci, rows| {
             let mut scratch = vec![Complex::<T>::ZERO; w / 2];
-            for (dy, out_row) in band.chunks_exact_mut(hw).enumerate() {
+            for (dy, out_row) in rows.chunks_exact_mut(hw).enumerate() {
                 let y = ci * rpc + dy;
-                self.untangle_row(&src[y * w..(y + 1) * w], out_row, &mut scratch);
+                self.untangle_row(&src[y * w..(y + 1) * w], &mut out_row[..band], &mut scratch);
             }
         });
     }
 
     /// One row: pack `z[j] = x[2j] + i·x[2j+1]`, transform at `w/2`
-    /// points, untangle even/odd sub-spectra into `X[0..=w/2]`.
+    /// points, untangle even/odd sub-spectra into `X[0..out.len()]`.
     fn untangle_row(&self, row: &[T], out: &mut [Complex<T>], scratch: &mut [Complex<T>]) {
         if self.width == 1 {
-            out[0] = Complex::from_real(row[0]);
+            if let Some(dc) = out.first_mut() {
+                *dc = Complex::from_real(row[0]);
+            }
             return;
         }
         let m = self.width / 2;
@@ -398,14 +463,21 @@ impl<T: Scalar> RfftPlan<T> {
         }
     }
 
-    /// Column pass over the `w/2 + 1` stored columns: gather each into a
-    /// contiguous buffer, transform all in parallel, scatter back — the
-    /// same scheme as the dense plan's band column pass.
-    fn half_column_pass(&self, ctx: &ParallelContext, spec: &mut HalfSpectrum<T>, inverse: bool) {
+    /// Column pass over the leading `band` stored columns: gather each
+    /// into a contiguous buffer, transform all in parallel, scatter back —
+    /// the same scheme as the dense plan's band column pass. Columns at
+    /// and beyond `band` are left as they are.
+    fn column_pass(
+        &self,
+        ctx: &ParallelContext,
+        spec: &mut HalfSpectrum<T>,
+        band: usize,
+        inverse: bool,
+    ) {
         let _span = lsopc_trace::span!("fft2d.rfft.col_pass");
         let hw = spec.half_width();
         let h = self.height;
-        let mut buf = vec![Complex::<T>::ZERO; hw * h];
+        let mut buf = vec![Complex::<T>::ZERO; band * h];
         {
             let src = spec.as_slice();
             ctx.par_chunks_mut(&mut buf, h, |x, col| {

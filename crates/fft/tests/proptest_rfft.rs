@@ -4,10 +4,11 @@
 //! here compares the half-spectrum path against `Fft2d` on the same
 //! input. The sweep tests cover every power-of-two size in 4..=512
 //! deterministically (one pseudo-random grid per size); the proptests
-//! then fuzz values on small sizes where the dense oracle is cheap.
+//! then fuzz values on small sizes where the dense oracle is cheap. The
+//! band-limited transforms are pinned bitwise against the full ones.
 
 use lsopc_fft::{HalfSpectrum, RfftPlan};
-use lsopc_grid::{Complex, Grid};
+use lsopc_grid::{Complex, Grid, Scalar};
 use lsopc_parallel::ParallelContext;
 use proptest::prelude::*;
 
@@ -98,6 +99,66 @@ fn thread_counts_are_bit_identical() {
         let ia = plan.inverse_with(&serial, &a);
         let ib = plan.inverse_with(&threaded, &b);
         assert_eq!(ia.as_slice(), ib.as_slice(), "{w}x{h} inverse");
+    }
+}
+
+/// Bit pattern of a complex sample, widened to f64 (exact for f32, and
+/// it keeps the sign of zero).
+fn bits<T: Scalar>(c: Complex<T>) -> (u64, u64) {
+    (c.re.to_f64().to_bits(), c.im.to_f64().to_bits())
+}
+
+/// The band transforms of `g` against the full ones on `ctx`, for every
+/// band of the sweep: the band forward matches `forward` bit for bit on
+/// `kx < band` and is `+0.0` beyond, and the band inverse of the
+/// spectrum zeroed beyond the band matches `inverse` of that spectrum
+/// bit for bit. The largest band exceeds the half width, where both
+/// must be the full transform.
+fn assert_band_transforms_exact<T: Scalar>(g: &Grid<T>, ctx: &ParallelContext, tag: &str) {
+    let (w, h) = g.dims();
+    let plan = RfftPlan::<T>::new(w, h);
+    let half = w / 2 + 1;
+    let full = plan.forward_with(ctx, g);
+    for band in [1, 2, half / 2, half, half + 3] {
+        let banded = plan.forward_band_with(ctx, g, band);
+        let mut zeroed = full.clone();
+        for ky in 0..h {
+            for kx in 0..half {
+                let got = banded.at(kx, ky);
+                if kx < band {
+                    let want = full.at(kx, ky);
+                    assert_eq!(bits(got), bits(want), "{tag} band {band}: ({kx},{ky})");
+                } else {
+                    assert_eq!(bits(got), (0, 0), "{tag} band {band}: ({kx},{ky}) not 0");
+                    zeroed.set(kx, ky, Complex::ZERO);
+                }
+            }
+        }
+        let want = plan.inverse_with(ctx, &zeroed);
+        let got = plan.inverse_band_with(ctx, zeroed, band);
+        for (i, (a, b)) in got.as_slice().iter().zip(want.as_slice()).enumerate() {
+            assert_eq!(
+                a.to_f64().to_bits(),
+                b.to_f64().to_bits(),
+                "{tag} band {band}: inverse pixel {i}"
+            );
+        }
+    }
+}
+
+#[test]
+fn band_transforms_are_bit_identical_to_full_transforms() {
+    let mut sizes: Vec<(usize, usize)> = (2..=9).map(|p| (1 << p, 1 << p)).collect();
+    sizes.extend([(64, 8), (8, 64), (4, 512), (512, 4)]);
+    let contexts = [ParallelContext::new(1), ParallelContext::new(4)];
+    for (i, &(w, h)) in sizes.iter().enumerate() {
+        let g = test_grid(w, h, 100 + i as u64);
+        let g32 = g.map(|&v| v as f32);
+        for ctx in &contexts {
+            let tag = format!("{w}x{h} on {} lanes", ctx.threads());
+            assert_band_transforms_exact(&g, ctx, &format!("f64 {tag}"));
+            assert_band_transforms_exact(&g32, ctx, &format!("f32 {tag}"));
+        }
     }
 }
 

@@ -56,7 +56,7 @@ pub use gds::{parse_gds, write_gds, ParseGdsError};
 pub use glp::{parse_glp, write_glp, ParseGlpError};
 pub use layout::{Layout, Shape};
 pub use point::{FPoint, Point};
-pub use polygon::Polygon;
+pub use polygon::{Polygon, PolygonError};
 pub use probes::{probe_sites, Axis, ProbeSite};
 pub use raster::rasterize;
 pub use rect::Rect;

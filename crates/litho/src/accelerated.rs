@@ -21,16 +21,25 @@
 //! * assembles the gradient's band-limited spectrum from small windowed
 //!   convolutions, again finishing with a single full-size inverse FFT.
 //!
-//! Per pass this needs 2–3 full-size FFTs instead of `2K`, a ~20x
-//! reduction at K = 24 that mirrors the paper's measured 71 % runtime
-//! reduction in structure (Table II). Every full-size transform has real
-//! input or real output, so all of them run through the half-spectrum
-//! [`RfftPlan`](lsopc_fft::RfftPlan) (`DESIGN.md` §13). Results match
-//! [`FftBackend`] to rounding, which the test-suite pins.
+//! A corner pass therefore runs five full-size transforms where
+//! [`FftBackend`] runs `3K + 3`: two in the aerial image (the mask
+//! forward and the finishing inverse) and three in the gradient (the
+//! mask and sensitivity forwards and the finishing inverse). This
+//! mirrors the paper's measured 71 % runtime reduction in structure
+//! (Table II). Every one of them has real input or real output, so all
+//! run through the half-spectrum [`RfftPlan`], and each is a full row
+//! pass plus a column pass over only the stored columns its window
+//! reaches ([`RfftPlan::forward_band_with`],
+//! [`RfftPlan::inverse_band_with`]; `DESIGN.md` §13): 30 or 59 of 513
+//! at 1024². Results match [`FftBackend`] to rounding, which the
+//! test-suite pins.
 //!
 //! [`FftBackend`]: crate::FftBackend
+//! [`RfftPlan`]: lsopc_fft::RfftPlan
+//! [`RfftPlan::forward_band_with`]: lsopc_fft::RfftPlan::forward_band_with
+//! [`RfftPlan::inverse_band_with`]: lsopc_fft::RfftPlan::inverse_band_with
 
-use crate::backend::{fold_kernel_grids, mask_spectrum, SimBackend};
+use crate::backend::{fold_kernel_grids, mask_spectrum, window_band, SimBackend};
 use crate::caches::SimCaches;
 use lsopc_fft::{wrap_index, HalfSpectrum};
 use lsopc_grid::{Complex, Grid, Scalar};
@@ -174,8 +183,8 @@ impl<T: Scalar> SimBackend<T> for AcceleratedBackend {
         let nc = Self::coarse_size(s, w.min(h));
         let fft_coarse = self.caches.plan_t::<T>(nc, nc);
 
-        // One full-size forward FFT, then only the band matters.
-        let mhat = mask_spectrum(&self.caches, mask);
+        // One full-size forward FFT, on the band's columns only.
+        let mhat = mask_spectrum(&self.caches, &self.ctx, mask, window_band(s));
         let m_window = centered_window_half(&mhat, s);
 
         // Per-kernel coarse fields; e at full-grid sample points equals the
@@ -207,16 +216,17 @@ impl<T: Scalar> SimBackend<T> for AcceleratedBackend {
         // Exact spectral upsampling: I is band-limited to 2S−1 < nc.
         let mut ihat_c = coarse_intensity.map(|&v| Complex::from_real(v));
         fft_coarse.forward(&mut ihat_c);
-        let window = centered_window(&ihat_c, nc.min(2 * s - 1));
+        let size = nc.min(2 * s - 1);
+        let mut window = centered_window(&ihat_c, size);
+        // A power of two, so scaling the window is exact.
         let up = T::from_f64((w * h) as f64 / (nc * nc) as f64);
-        // Real-output finishing inverse straight from the half layout.
-        let mut half = embed_window_half(&window, w, h);
-        for v in half.as_mut_slice() {
-            *v = v.scale(up);
-        }
+        window.apply(|v| *v = v.scale(up));
+        // Real-output finishing inverse straight from the half layout,
+        // over the window's columns only.
+        let half = embed_window_half(&window, w, h);
         self.caches
             .rplan_t::<T>(w, h)
-            .inverse_with(&self.ctx, &half)
+            .inverse_band_with(&self.ctx, half, window_band(size))
     }
 
     fn gradient(&self, kernels: &KernelSet<T>, mask: &Grid<T>, z: &Grid<T>) -> Grid<T> {
@@ -230,12 +240,13 @@ impl<T: Scalar> SimBackend<T> for AcceleratedBackend {
             2 * s - 1
         );
 
-        // Two full-size forward FFTs: the mask and the sensitivity field.
-        let mhat = mask_spectrum(&self.caches, mask);
+        // Two full-size forward FFTs, each on the columns its window
+        // reads: the mask and the sensitivity field.
+        let mhat = mask_spectrum(&self.caches, &self.ctx, mask, window_band(s));
         let m_window = centered_window_half(&mhat, s);
-        let zhat = mask_spectrum(&self.caches, z);
         // Ẑ on the doubled band (κ − ν reaches offsets up to 2(S/2)·2).
         let big = 2 * s - 1;
+        let zhat = mask_spectrum(&self.caches, &self.ctx, z, window_band(big));
         let z_big = centered_window_half(&zhat, big);
         let cb = (big / 2) as i64;
         let c = (s / 2) as i64;
@@ -272,18 +283,18 @@ impl<T: Scalar> SimBackend<T> for AcceleratedBackend {
                 }
             }
         };
-        let acc_window = fold_kernel_grids(&self.ctx, kernels.len(), &empty, accumulate);
+        let mut acc_window = fold_kernel_grids(&self.ctx, kernels.len(), &empty, accumulate);
 
-        // One full-size inverse FFT finishes the pass. The gradient is
-        // 2·Re(IFFT(acc)); the Hermitian projection inside
-        // `embed_window_half` computes exactly that real part.
+        // One full-size inverse FFT, over the window's columns, finishes
+        // the pass. The gradient is 2·Re(IFFT(acc)); the Hermitian
+        // projection inside `embed_window_half` computes exactly that real
+        // part, and doubling the window instead of the output is exact.
         let two = T::from_f64(2.0);
+        acc_window.apply(|v| *v = v.scale(two));
         let half = embed_window_half(&acc_window, w, h);
-        let real = self
-            .caches
+        self.caches
             .rplan_t::<T>(w, h)
-            .inverse_with(&self.ctx, &half);
-        real.map(|&v| two * v)
+            .inverse_band_with(&self.ctx, half, window_band(s))
     }
 
     fn set_caches(&mut self, caches: &SimCaches) {

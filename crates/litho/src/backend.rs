@@ -56,12 +56,25 @@ pub(crate) fn add_weighted_intensity<T: Scalar>(
     }
 }
 
-/// The Hermitian half spectrum of a real mask, through the real-input
-/// fast path ([`lsopc_fft::RfftPlan`], the plan from the backend's
-/// injected plan cache).
-pub(crate) fn mask_spectrum<T: Scalar>(caches: &SimCaches, mask: &Grid<T>) -> HalfSpectrum<T> {
+/// Stored half-spectrum columns that a centred `size`-wide spectrum
+/// window reaches. Its offsets `−size/2 ..= size/2` fold onto columns
+/// `0..=size/2` by conjugate symmetry, on any grid at least `size` wide.
+pub(crate) fn window_band(size: usize) -> usize {
+    size / 2 + 1
+}
+
+/// The Hermitian half spectrum of a real mask on its leading `band`
+/// stored columns (exactly zero beyond them), through the real-input
+/// fast path ([`lsopc_fft::RfftPlan::forward_band_with`], the plan from
+/// the backend's injected plan cache).
+pub(crate) fn mask_spectrum<T: Scalar>(
+    caches: &SimCaches,
+    ctx: &ParallelContext,
+    mask: &Grid<T>,
+    band: usize,
+) -> HalfSpectrum<T> {
     let (w, h) = mask.dims();
-    caches.rplan_t::<T>(w, h).forward(mask)
+    caches.rplan_t::<T>(w, h).forward_band_with(ctx, mask, band)
 }
 
 /// `fields[i] ← h_{k_i} ⊗ M` for one chunk of kernels: per-kernel window
@@ -239,7 +252,8 @@ fn convolve_direct<T: Scalar>(kernel: &Grid<Complex<T>>, mask: &Grid<T>) -> Grid
 
 /// Per-kernel FFT convolution — the paper's CPU implementation.
 ///
-/// Each pass performs one real-input FFT of the mask plus, per kernel,
+/// Each pass performs one real-input FFT of the mask (on the kernel
+/// band's columns only) plus, per kernel,
 /// one inverse FFT (aerial) or one inverse and one forward FFT
 /// (gradient). All plans come from the process-wide plan cache
 /// ([`lsopc_fft::plan`], [`lsopc_fft::rplan`]) and the embedded kernel
@@ -252,7 +266,7 @@ fn convolve_direct<T: Scalar>(kernel: &Grid<Complex<T>>, mask: &Grid<T>) -> Grid
 /// on these inputs, just cheaper.
 ///
 /// The per-kernel accumulation fans out over the shared
-/// [`ParallelContext`] pool (see [`fold_kernel_grids`]); results are
+/// [`ParallelContext`] pool, in a fixed chunk order; results are
 /// bit-identical at every thread count.
 #[derive(Debug, Default, Clone)]
 pub struct FftBackend {
@@ -294,8 +308,8 @@ impl<T: Scalar> SimBackend<T> for FftBackend {
         let (w, h) = mask.dims();
         let fft = self.caches.plan_t::<T>(w, h);
         let spectra = self.caches.embedded(kernels, w, h);
-        let mhat = mask_spectrum(&self.caches, mask);
         let ctx = self.ctx();
+        let mhat = mask_spectrum(&self.caches, ctx, mask, window_band(kernels.support()));
         let empty = Grid::new(w, h, T::ZERO);
         fold_kernel_grids(ctx, kernels.len(), &empty, |range, intensity| {
             // The chunk's fields come from one batched band inverse;
@@ -314,8 +328,8 @@ impl<T: Scalar> SimBackend<T> for FftBackend {
         let (w, h) = mask.dims();
         let fft = self.caches.plan_t::<T>(w, h);
         let spectra = self.caches.embedded(kernels, w, h);
-        let mhat = mask_spectrum(&self.caches, mask);
         let ctx = self.ctx();
+        let mhat = mask_spectrum(&self.caches, ctx, mask, window_band(kernels.support()));
         let empty: Grid<Complex<T>> = Grid::new(w, h, Complex::<T>::ZERO);
         let mut acc = fold_kernel_grids(ctx, kernels.len(), &empty, |range, acc| {
             // e_k = h_k ⊗ M for the whole chunk, one batched inverse.

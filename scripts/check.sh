@@ -12,6 +12,19 @@ cargo fmt --all --check
 echo "==> cargo clippy --workspace (deny warnings)"
 cargo clippy --workspace --all-targets -- -D warnings
 
+echo "==> rustdoc (deny warnings: broken or private intra-doc links)"
+# Every lsopc crate plus the root package. Not vendor/ (stand-ins for
+# external crates), and not lsopc-cli, whose `lsopc` binary would write
+# its docs to the root library's output path.
+doc_pkgs=(-p lsopc)
+for manifest in crates/*/Cargo.toml; do
+  name=$(sed -n 's/^name = "\(.*\)"$/\1/p' "$manifest" | head -n 1)
+  if [ "$name" != lsopc-cli ]; then
+    doc_pkgs+=(-p "$name")
+  fi
+done
+RUSTDOCFLAGS='-D warnings' cargo doc --no-deps -q "${doc_pkgs[@]}"
+
 echo "==> cargo build --release"
 cargo build --release
 # The root build covers only the root package; the analyzer gate below
@@ -35,11 +48,17 @@ LSOPC_THREADS=4 cargo test -q --test precision_tolerance
 
 echo "==> transform suite (real-input FFT vs dense oracle + golden hashes)"
 # The half-spectrum transform every backend runs must match the dense
-# complex oracle and stay bit-identical across thread counts; the f64
-# pipeline must keep its pinned golden hashes.
+# complex oracle and stay bit-identical across thread counts, and its
+# band-limited forward/inverse (the accelerated backend's full-size
+# transforms) must match the full transforms bit for bit. The f64
+# pipeline (golden_f64, FftBackend) and the engine's production path
+# (golden_engine, AcceleratedBackend at f64 and f32, flat and tiled)
+# must keep their pinned golden hashes at both pool sizes.
 LSOPC_THREADS=1 cargo test -q -p lsopc-fft --test proptest_rfft
 LSOPC_THREADS=4 cargo test -q -p lsopc-fft --test proptest_rfft
 LSOPC_THREADS=4 cargo test -q -p lsopc-core --test golden_f64
+LSOPC_THREADS=1 cargo test -q --test golden_engine
+LSOPC_THREADS=4 cargo test -q --test golden_engine
 
 echo "==> warm-start suite (fingerprint invariance + thread determinism)"
 # The coarse-to-fine schedule and the warm-start cache must keep the

@@ -7,6 +7,8 @@ use lsopc::prelude::*;
 use lsopc_grid::Scalar;
 use lsopc_litho::{AcceleratedBackend, FftBackend, ReferenceBackend, SimBackend};
 use lsopc_optics::KernelSet;
+use rand::rngs::StdRng;
+use rand::{Rng, SeedableRng};
 
 fn target() -> Grid<f64> {
     Grid::from_fn(128, 128, |x, y| {
@@ -163,5 +165,82 @@ fn single_passes_agree_with_the_direct_convolution_oracle() {
             dg < F32_GRADIENT_TOL,
             "{name} f32 gradient deviates by {dg:e}"
         );
+    }
+}
+
+/// ⟨a, b⟩ over two equally sized grids, summed in f64.
+fn dot<T: Scalar>(a: &Grid<T>, b: &Grid<T>) -> f64 {
+    a.as_slice()
+        .iter()
+        .zip(b.as_slice())
+        .map(|(x, y)| x.to_f64() * y.to_f64())
+        .sum()
+}
+
+/// Relative gap between the two sides of the adjoint identity
+/// `⟨I(m+d) − I(m−d), y⟩/2 = ⟨d, gradient(m, y)⟩` on `backend` at
+/// precision `T`. The Hopkins map is quadratic in the mask, so the
+/// symmetric difference is its exact linearization and only round-off
+/// separates the two sides.
+fn adjoint_gap<T: Scalar>(
+    backend: &dyn SimBackend<T>,
+    kernels: &KernelSet,
+    m: &Grid<f64>,
+    d: &Grid<f64>,
+    y: &Grid<f64>,
+) -> f64 {
+    let kernels = kernels.cast::<T>();
+    let cast = |g: &Grid<f64>| g.map(|&v| T::from_f64(v));
+    let (m, d, y) = (cast(m), cast(d), cast(y));
+    let shifted = |sign: T| {
+        Grid::from_fn(m.width(), m.height(), |px, py| {
+            m[(px, py)] + sign * d[(px, py)]
+        })
+    };
+    let plus = backend.aerial_image(&kernels, &shifted(T::ONE));
+    let minus = backend.aerial_image(&kernels, &shifted(-T::ONE));
+    let lhs = (dot(&plus, &y) - dot(&minus, &y)) / 2.0;
+    let rhs = dot(&d, &backend.gradient(&kernels, &m, &y));
+    (lhs - rhs).abs() / rhs.abs()
+}
+
+#[test]
+fn gradient_is_the_adjoint_of_the_aerial_linearization() {
+    // 128² at 4 nm/px: the kernel support S = 17, so every band the
+    // real transforms run on (S/2 + 1, S and the aerial window's
+    // columns) is a strict subset of the 65 stored columns.
+    let n = 128;
+    let kernels = OpticsConfig::iccad2013()
+        .with_field_nm(512.0)
+        .with_kernel_count(8)
+        .kernels(0.0);
+    let s = kernels.support();
+    assert!(
+        s < n / 2 + 1,
+        "premise: the widest band (S = {s}) must leave columns out"
+    );
+    // m and d on a 1/256 lattice, so m ± d is exact at f32 too.
+    let mut rng = StdRng::seed_from_u64(15);
+    let mut lattice =
+        |lo: i32, hi: i32| Grid::from_fn(n, n, |_, _| f64::from(rng.gen_range(lo..=hi)) / 256.0);
+    let m = lattice(0, 256);
+    let d = lattice(-128, 128);
+    let y = lattice(-256, 256);
+
+    let backends64: [(&str, Box<dyn SimBackend<f64>>); 2] = [
+        ("fft", Box::new(FftBackend::new())),
+        ("accelerated", Box::new(AcceleratedBackend::new(1))),
+    ];
+    for (name, backend) in &backends64 {
+        let gap = adjoint_gap(backend.as_ref(), &kernels, &m, &d, &y);
+        assert!(gap < 1e-12, "{name} f64 adjoint gap {gap:e}");
+    }
+    let backends32: [(&str, Box<dyn SimBackend<f32>>); 2] = [
+        ("fft", Box::new(FftBackend::new())),
+        ("accelerated", Box::new(AcceleratedBackend::new(1))),
+    ];
+    for (name, backend) in &backends32 {
+        let gap = adjoint_gap(backend.as_ref(), &kernels, &m, &d, &y);
+        assert!(gap < 1e-4, "{name} f32 adjoint gap {gap:e}");
     }
 }
