@@ -15,9 +15,7 @@
 //!   extreme corners per iteration and *estimates* the nominal response as
 //!   their average, trading accuracy for runtime;
 //! * [`PvOpc`] — Su et al. (TCAD'16)-style: the PV-aware cost with
-//!   heavy-ball momentum for faster convergence;
-//! * [`RuleOpc`] — simulation-free rule-based edge biasing, the pre-ILT
-//!   industry baseline (extension beyond the paper's comparison set).
+//!   heavy-ball momentum for faster convergence.
 //!
 //! All baselines implement the [`MaskOptimizer`] trait, as does the
 //! level-set method through an adapter in the benchmark harness, so the
@@ -54,10 +52,8 @@ mod engine;
 mod pixel_ilt;
 mod pvopc;
 mod robust;
-mod rule_opc;
 
 pub use engine::{BaselineError, BaselineResult, MaskOptimizer};
 pub use pixel_ilt::{PixelIlt, PixelIltMode};
 pub use pvopc::PvOpc;
 pub use robust::RobustOpc;
-pub use rule_opc::RuleOpc;

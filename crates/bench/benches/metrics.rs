@@ -4,7 +4,6 @@
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use lsopc_benchsuite::Iccad2013Suite;
 use lsopc_geometry::{mask_to_polygons, rasterize};
-use lsopc_levelset::fast_marching_redistance;
 use lsopc_levelset::signed_distance;
 use lsopc_metrics::{EpeChecker, MaskComplexity, PvBand, ShapeViolations};
 
@@ -37,9 +36,6 @@ fn bench_metrics(c: &mut Criterion) {
         });
         group.bench_function(BenchmarkId::new("vectorize", grid), |b| {
             b.iter(|| mask_to_polygons(&target, px));
-        });
-        group.bench_function(BenchmarkId::new("fmm_redistance", grid), |b| {
-            b.iter(|| fast_marching_redistance(&psi));
         });
         group.finish();
     }

@@ -31,7 +31,7 @@ use lsopc_core::{CheckpointSpec, IltResult, LevelSetIlt, RunControl, StopReason}
 use lsopc_grid::Grid;
 use lsopc_litho::LithoSimulator;
 use lsopc_optics::OpticsConfig;
-use lsopc_trace::MemorySink;
+use lsopc_trace::{MetricsRegistry, MetricsReport};
 use std::path::PathBuf;
 use std::sync::Arc;
 use std::time::Instant;
@@ -80,7 +80,7 @@ fn ck_path(name: &str) -> PathBuf {
     std::env::temp_dir().join(format!("lsopc_bench_resume_{}_{name}", std::process::id()))
 }
 
-/// One timed run under `control`, traced through an in-memory sink so
+/// One timed run under `control`, traced through a metrics registry so
 /// the checkpoint spans can be read back. Every run (baseline included)
 /// carries the same tracing, so walls stay comparable.
 fn run(
@@ -88,9 +88,9 @@ fn run(
     opt: &LevelSetIlt,
     tgt: &Grid<f64>,
     control: &RunControl,
-) -> (f64, IltResult, lsopc_trace::ProfileReport) {
+) -> (f64, IltResult, MetricsReport) {
     let sim = sim(cfg);
-    let sink = Arc::new(MemorySink::new());
+    let sink = Arc::new(MetricsRegistry::new());
     lsopc_trace::install(sink.clone());
     let t = Instant::now();
     let result = opt.optimize_controlled(&sim, tgt, control);
@@ -101,7 +101,7 @@ fn run(
 
 /// Sums `(calls, total seconds)` over every span path ending in `leaf`
 /// (checkpoint spans nest under the optimizer's iteration spans).
-fn span_cost(report: &lsopc_trace::ProfileReport, leaf: &str) -> (u64, f64) {
+fn span_cost(report: &MetricsReport, leaf: &str) -> (u64, f64) {
     report
         .spans
         .iter()

@@ -17,7 +17,9 @@ use lsopc_geometry::{
 };
 use lsopc_grid::Grid;
 use lsopc_metrics::{render_report, MaskComplexity, MrcReport};
-use lsopc_trace::{FanoutSink, JsonlSink, MemorySink, TraceSink};
+use lsopc_trace::{FanoutSink, JsonlSink, MetricsRegistry, TraceSink};
+use std::fs::File;
+use std::io::BufWriter;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -97,16 +99,18 @@ precision (DESIGN.md §15). A corrupt, truncated or
 configuration-mismatched checkpoint is a categorized error (exit 9),
 never a crash.
 --trace streams every span/counter/iteration/warning event to the given
-file, one JSON object per line (event schema v1, see DESIGN.md §12);
---metrics writes the aggregated per-span profile and counter totals as
-one JSON document when the run finishes. `profile` optimizes a built-in
-synthetic pattern and prints the aggregate table (calls, self and total
-time per span, sorted by self time) directly; with --json it prints the
-same machine-readable document --metrics would write instead of the
-table. `analyze` reads a --trace JSONL file back and prints the span
-tree with calls, self/total time and latency percentiles per path,
-cache hit ratios, counter totals, a convergence summary and anomaly
-flags (tail latency, cache-hit collapse, guard events, early stops).
+file, one JSON object per line (event schema v1, see DESIGN.md §12); a
+failed write is an I/O error (exit 3) naming the file. --metrics writes
+the run's metrics report as one JSON document when the run finishes:
+per-span calls, total and self time and p50/p90/p99 latency, counter
+totals, gauges, cache hit ratios, the convergence summary, the stop
+reason and warnings (DESIGN.md §17). `profile` optimizes a built-in
+synthetic pattern and prints the same report as text, the span tree
+sorted by path under one header line; with --json it prints the
+document --metrics would write instead. `analyze` replays a --trace
+JSONL file into the same report — for an untiled run it equals the
+--metrics document — and adds anomaly flags (tail latency, cache-hit
+collapse, guard events, early stops).
 
 EXIT CODES:
   0 success    2 usage    3 I/O    4 layout parse
@@ -156,35 +160,31 @@ impl From<String> for CliError {
 /// command's sinks without disturbing any other trace consumer in the
 /// process.
 struct CommandTrace {
-    sink: Option<Arc<dyn TraceSink>>,
-    memory: Option<Arc<MemorySink>>,
+    /// `--trace`: the path and its event stream.
+    jsonl: Option<(String, Arc<JsonlSink<BufWriter<File>>>)>,
+    /// The aggregate `--metrics` writes (and `profile` prints).
+    registry: Option<Arc<MetricsRegistry>>,
     metrics_path: Option<String>,
 }
 
 impl CommandTrace {
     /// Builds the sinks the flags ask for (none when neither `--trace`
-    /// nor `--metrics` is present).
-    fn start(flags: &Flags) -> Result<Self, CliError> {
-        let trace_path = flags.get("trace").filter(|v| !v.is_empty());
-        let metrics_path = flags.get("metrics").filter(|v| !v.is_empty());
-        let mut sinks: Vec<Arc<dyn TraceSink>> = Vec::new();
-        if let Some(path) = trace_path {
-            let sink = JsonlSink::create(std::path::Path::new(path))
-                .map_err(|e| CliError::io(format!("cannot create {path}: {e}")))?;
-            sinks.push(Arc::new(sink));
-        }
-        let memory = metrics_path.map(|_| Arc::new(MemorySink::new()));
-        if let Some(mem) = &memory {
-            sinks.push(mem.clone());
-        }
-        let sink: Option<Arc<dyn TraceSink>> = if sinks.is_empty() {
-            None
-        } else {
-            Some(Arc::new(FanoutSink::new(sinks)))
+    /// nor `--metrics` is present). `registry` is the aggregate the
+    /// caller wants fed even without `--metrics`.
+    fn start(flags: &Flags, registry: Option<Arc<MetricsRegistry>>) -> Result<Self, CliError> {
+        let jsonl = match flags.get("trace").filter(|v| !v.is_empty()) {
+            Some(path) => {
+                let sink = JsonlSink::create(std::path::Path::new(path))
+                    .map_err(|e| CliError::io(format!("cannot create {path}: {e}")))?;
+                Some((path.to_string(), Arc::new(sink)))
+            }
+            None => None,
         };
+        let metrics_path = flags.get("metrics").filter(|v| !v.is_empty());
+        let registry = registry.or_else(|| metrics_path.map(|_| Arc::new(MetricsRegistry::new())));
         Ok(Self {
-            sink,
-            memory,
+            jsonl,
+            registry,
             metrics_path: metrics_path.map(str::to_string),
         })
     }
@@ -192,21 +192,34 @@ impl CommandTrace {
     /// Runs the command body with the sinks scoped in, then flushes the
     /// event stream and writes the `--metrics` document. The command's
     /// own error wins over a teardown failure.
-    fn run(self, f: impl FnOnce() -> CliResult) -> CliResult {
-        let outcome = match &self.sink {
-            Some(sink) => lsopc_trace::with_scoped_sink(sink.clone(), f),
-            None => f(),
+    fn run<R>(self, f: impl FnOnce() -> Result<R, CliError>) -> Result<R, CliError> {
+        let mut sinks: Vec<Arc<dyn TraceSink>> = Vec::new();
+        if let Some((_, jsonl)) = &self.jsonl {
+            sinks.push(jsonl.clone());
+        }
+        if let Some(registry) = &self.registry {
+            sinks.push(registry.clone());
+        }
+        let outcome = if sinks.is_empty() {
+            f()
+        } else {
+            lsopc_trace::with_scoped_sink(Arc::new(FanoutSink::new(sinks)), f)
         };
         let teardown = self.finish();
         outcome.and_then(|o| teardown.map(|()| o))
     }
 
+    /// Flushes `--trace` and reports its first write error, then writes
+    /// the `--metrics` document.
     fn finish(self) -> Result<(), CliError> {
-        if let Some(sink) = &self.sink {
-            sink.flush();
+        if let Some((path, jsonl)) = &self.jsonl {
+            jsonl.flush();
+            if let Some(e) = jsonl.take_error() {
+                return Err(CliError::io(format!("cannot write {path}: {e}")));
+            }
         }
-        if let (Some(mem), Some(path)) = (&self.memory, &self.metrics_path) {
-            std::fs::write(path, mem.report().to_json())
+        if let (Some(registry), Some(path)) = (&self.registry, &self.metrics_path) {
+            std::fs::write(path, registry.report().to_json())
                 .map_err(|e| CliError::io(format!("cannot write {path}: {e}")))?;
         }
         Ok(())
@@ -231,8 +244,7 @@ pub fn optimize(args: &[String]) -> CliResult {
             TRACE_FLAGS,
         ],
     )?;
-    let session = CommandTrace::start(&flags)?;
-    session.run(|| optimize_run(&flags))
+    CommandTrace::start(&flags, None)?.run(|| optimize_run(&flags))
 }
 
 fn optimize_run(flags: &Flags) -> CliResult {
@@ -450,8 +462,7 @@ pub fn suite(args: &[String]) -> CliResult {
             TRACE_FLAGS,
         ],
     )?;
-    let session = CommandTrace::start(&flags)?;
-    session.run(|| suite_run(&flags))
+    CommandTrace::start(&flags, None)?.run(|| suite_run(&flags))
 }
 
 fn suite_run(flags: &Flags) -> CliResult {
@@ -580,8 +591,9 @@ fn synthetic_layout(pattern: &str) -> Result<Layout, CliError> {
     parse_glp(glp).map_err(|e| CliError::parse(format!("synthetic pattern {pattern}: {e}")))
 }
 
-/// `lsopc profile`: optimize a built-in synthetic pattern under the
-/// in-memory aggregator and print the per-span self/total-time table.
+/// `lsopc profile`: optimize a built-in synthetic pattern under a
+/// metrics registry and print its report — the span tree with calls,
+/// self/total time and percentiles, caches, counters and convergence.
 pub fn profile(args: &[String]) -> CliResult {
     let flags = Flags::parse(args)?.accepting(
         "profile",
@@ -604,31 +616,22 @@ pub fn profile(args: &[String]) -> CliResult {
     let (grid, pixel_nm) = (resolved.grid, lsopc_engine::pixel_nm(resolved.grid));
     let target = rasterize(&design, grid, grid, pixel_nm);
 
-    // `profile` always aggregates in memory; --trace/--metrics add the
-    // event stream and the JSON document on top. The sinks are scoped
-    // to this job, not installed process-globally.
-    let memory = Arc::new(MemorySink::new());
-    let mut sinks: Vec<Arc<dyn TraceSink>> = vec![memory.clone()];
-    if let Some(path) = flags.get("trace").filter(|v| !v.is_empty()) {
-        let sink = JsonlSink::create(std::path::Path::new(path))
-            .map_err(|e| CliError::io(format!("cannot create {path}: {e}")))?;
-        sinks.push(Arc::new(sink));
-    }
-    let sink: Arc<dyn TraceSink> = Arc::new(FanoutSink::new(sinks));
+    // The registry behind the printed report is the one --metrics
+    // writes, and it sees exactly the events --trace streams.
+    let registry = Arc::new(MetricsRegistry::new());
     let job = resolved.job(target, RunControl::default());
-    let outcome = lsopc_trace::with_scoped_sink(sink.clone(), || engine.submit(&job));
-    sink.flush();
-    let outcome = outcome.map_err(CliError::from_engine)?;
+    let outcome = CommandTrace::start(&flags, Some(registry.clone()))?
+        .run(|| engine.submit(&job).map_err(CliError::from_engine))?;
     let iterations = match &outcome.detail {
         JobDetail::Flat(result) => result.iterations,
         JobDetail::Tiled { stats, .. } => stats.full_iterations() + stats.coarse_iterations,
     };
 
-    let report = memory.report();
+    let report = registry.report();
     if flags.get("json").is_some() {
         // Machine-readable mode: the same document --metrics writes,
         // on stdout, with no human header around it.
-        println!("{}", report.to_json());
+        print!("{}", report.to_json());
     } else {
         println!(
             "profile: pattern `{pattern}`, {grid} px, K = {}, {iterations} iterations, {} threads, {:.2}s",
@@ -638,17 +641,12 @@ pub fn profile(args: &[String]) -> CliResult {
         );
         print!("{}", report.render_text());
     }
-    if let Some(path) = flags.get("metrics").filter(|v| !v.is_empty()) {
-        std::fs::write(path, report.to_json())
-            .map_err(|e| CliError::io(format!("cannot write {path}: {e}")))?;
-    }
     Ok(Outcome::Completed)
 }
 
-/// `lsopc analyze`: read a schema-v1 `--trace` JSONL stream back and
-/// print the offline report — span tree with self/total time and
-/// latency percentiles, cache hit ratios, counters, convergence and
-/// anomaly flags.
+/// `lsopc analyze`: replay a schema-v1 `--trace` JSONL stream into a
+/// metrics registry and print its report — the one `profile` prints
+/// live — plus the parse tally and anomaly flags.
 pub fn analyze(args: &[String]) -> CliResult {
     // One positional path, no flags (Flags::parse rejects positionals,
     // so the path is taken before any flag machinery).

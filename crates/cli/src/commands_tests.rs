@@ -293,7 +293,7 @@ mod cases {
     }
 
     #[test]
-    fn profile_writes_trace_and_metrics() {
+    fn profile_metrics_document_equals_the_replayed_trace() {
         let trace_path = tmpfile("profile.jsonl");
         let metrics_path = tmpfile("profile.json");
         profile(&to_args(&[
@@ -313,13 +313,56 @@ mod cases {
         .expect("profile runs");
 
         let jsonl = std::fs::read_to_string(&trace_path).expect("trace file");
-        assert!(jsonl.lines().count() > 10, "events were streamed");
         assert!(jsonl.contains("\"kind\": \"span\""));
         assert!(jsonl.contains("\"kind\": \"iter\""));
         let json = std::fs::read_to_string(&metrics_path).expect("metrics file");
         assert!(json.contains("fft2d."), "profile saw FFT spans");
+        // Live and offline are one model: replaying the stream gives
+        // the document --metrics wrote, byte for byte.
+        let replayed = lsopc_trace::analyze::analyze(&jsonl).expect("trace analyzes");
+        assert_eq!(replayed.skipped, 0);
+        assert_eq!(replayed.metrics.to_json(), json);
         std::fs::remove_file(trace_path).ok();
         std::fs::remove_file(metrics_path).ok();
+    }
+
+    #[test]
+    fn failed_trace_write_is_an_io_error_naming_the_path() {
+        use crate::error::Category;
+        // /dev/full accepts the open and fails every write with ENOSPC.
+        if !std::path::Path::new("/dev/full").exists() {
+            return;
+        }
+        let design_path = tmpfile("full_design.glp");
+        let mask_path = tmpfile("full_mask.glp");
+        std::fs::write(
+            &design_path,
+            "BEGIN\nCELL full_test\nRECT 832 480 384 1088 ;\nEND\n",
+        )
+        .expect("write design");
+        let small = ["--grid", "128", "--kernels", "4", "--iters", "2"];
+        let mut optimize_args = vec![
+            "--glp",
+            design_path.to_str().expect("utf8"),
+            "--out",
+            mask_path.to_str().expect("utf8"),
+            "--trace",
+            "/dev/full",
+        ];
+        optimize_args.extend_from_slice(&small);
+        let mut profile_args = vec!["--trace", "/dev/full"];
+        profile_args.extend_from_slice(&small);
+        for (name, result) in [
+            ("optimize", optimize(&to_args(&optimize_args))),
+            ("profile", profile(&to_args(&profile_args))),
+        ] {
+            let err = result.expect_err("a trace that cannot be written fails the run");
+            assert_eq!(err.category(), Category::Io, "{name}: {err}");
+            assert_eq!(err.exit_code(), 3, "{name}");
+            assert!(err.to_string().contains("/dev/full"), "{name}: {err}");
+        }
+        std::fs::remove_file(design_path).ok();
+        std::fs::remove_file(mask_path).ok();
     }
 
     #[test]

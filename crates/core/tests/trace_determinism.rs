@@ -41,7 +41,7 @@ fn bits(g: &Grid<f64>) -> Vec<u64> {
 fn tracing_leaves_optimizer_output_bit_identical() {
     let baseline = run();
 
-    let sink = Arc::new(lsopc_trace::MemorySink::new());
+    let sink = Arc::new(lsopc_trace::MetricsRegistry::new());
     lsopc_trace::install(sink.clone());
     let traced = run();
     lsopc_trace::uninstall();
@@ -55,7 +55,10 @@ fn tracing_leaves_optimizer_output_bit_identical() {
             .any(|s| s.path.contains("optimize.iter")),
         "sink saw optimizer spans"
     );
-    assert_eq!(report.iterations.len(), traced.iterations);
+    assert_eq!(
+        report.convergence.map(|c| c.iterations),
+        Some(traced.iterations)
+    );
 
     assert_eq!(baseline.iterations, traced.iterations);
     assert_eq!(bits(&baseline.mask), bits(&traced.mask));

@@ -5,7 +5,7 @@
 //! cannot resolve a sub-1% effect over machine noise, so the bound is
 //! established analytically: measure the per-probe cost of the disabled
 //! fast path in a tight loop, count how many probes one evaluation
-//! actually fires (via a memory sink), and require
+//! actually fires (via a metrics registry), and require
 //! `probes × per_probe < 1% × evaluation_time`.
 
 use lsopc_grid::Grid;
@@ -66,7 +66,7 @@ fn disabled_tracing_overhead_is_under_one_percent() {
     let per_probe_ns = span_ns.max(count_ns);
 
     // How many probes one evaluation fires: aggregate one traced call.
-    let sink = Arc::new(lsopc_trace::MemorySink::new());
+    let sink = Arc::new(lsopc_trace::MetricsRegistry::new());
     lsopc_trace::install(sink.clone());
     let _ = cost_and_gradient(&sim, &mask, &target, 1.0);
     lsopc_trace::uninstall();
@@ -146,7 +146,7 @@ fn registry_enabled_overhead_stays_modest() {
     );
     let per_probe_ns = span_ns.max(count_ns);
 
-    let sink = Arc::new(lsopc_trace::MemorySink::new());
+    let sink = Arc::new(lsopc_trace::MetricsRegistry::new());
     lsopc_trace::install(sink.clone());
     let _ = cost_and_gradient(&sim, &mask, &target, 1.0);
     lsopc_trace::uninstall();

@@ -46,7 +46,7 @@
 
 #![warn(missing_docs)]
 
-use std::collections::{BTreeMap, HashMap};
+use std::collections::HashMap;
 use std::path::PathBuf;
 use std::sync::{Arc, Mutex};
 use std::time::Instant;
@@ -60,7 +60,7 @@ use lsopc_grid::Grid;
 use lsopc_litho::{AcceleratedBackend, BuildSimulatorError, LithoSimulator, SimCaches};
 use lsopc_metrics::MaskEvaluation;
 use lsopc_optics::OpticsConfig;
-use lsopc_trace::{MetricsRegistry, TraceSink};
+use lsopc_trace::{MetricsRegistry, MetricsReport, TraceSink};
 
 // Re-export the types a host needs to build and control jobs without
 // depending on the simulation crates directly.
@@ -278,132 +278,19 @@ pub enum JobDetail {
     },
 }
 
-/// Aggregated timing for one span path over one job.
-#[derive(Clone, Debug)]
-pub struct SpanSummary {
-    /// Full `/`-joined hierarchical span path.
-    pub path: String,
-    /// Times the span closed during the job.
-    pub calls: u64,
-    /// Total wall-clock nanoseconds across all calls.
-    pub total_ns: u64,
-    /// Total minus summed direct-children totals, clamped at 0.
-    pub self_ns: u64,
-    /// Median call duration (log-linear histogram bound, ≤ 6.25% high).
-    pub p50_ns: u64,
-    /// 99th-percentile call duration.
-    pub p99_ns: u64,
-}
-
-/// Hit/miss totals for one cache family during one job.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct CacheStats {
-    /// Cache hits.
-    pub hits: u64,
-    /// Cache misses.
-    pub misses: u64,
-}
-
-impl CacheStats {
-    /// Hit fraction in `[0, 1]`; 0 with no traffic.
-    pub fn ratio(&self) -> f64 {
-        let total = self.hits + self.misses;
-        if total == 0 {
-            0.0
-        } else {
-            self.hits as f64 / total as f64
-        }
-    }
-}
-
-/// Telemetry summary of one job, derived from a per-job
-/// [`MetricsRegistry`] scoped over the run — embedders get stage
-/// timings, cache behaviour and guard activity without parsing JSONL.
+/// Telemetry summary of one job: the [`MetricsReport`] of a per-job
+/// [`MetricsRegistry`] scoped over the run — span timings with
+/// percentiles, counters, gauges, cache hit ratios, the convergence
+/// summary and warnings — so embedders need not parse JSONL. It is the
+/// same report `lsopc analyze` derives from the job's `--trace` stream.
 #[derive(Clone, Debug)]
 pub struct JobMetrics {
     /// Wall-clock seconds spent inside [`Engine::submit`].
     pub wall_s: f64,
-    /// Per-stage span totals and percentiles, sorted by path.
-    pub spans: Vec<SpanSummary>,
-    /// Every counter the job incremented, by name.
-    pub counters: BTreeMap<String, u64>,
-    /// Hit/miss totals per cache family (`plan`, `spectra`,
-    /// `warmstart`, …).
-    pub caches: BTreeMap<String, CacheStats>,
-    /// Health-guard rollbacks during the job.
-    pub guard_rollbacks: u64,
-    /// Health-guard successful recoveries.
-    pub guard_recoveries: u64,
-    /// True when the guard exhausted its recovery budget.
-    pub guard_gave_up: bool,
     /// Why the run stopped early, if it did.
     pub stop: Option<StopReason>,
-    /// Checkpoint bytes written during the job.
-    pub checkpoint_bytes: u64,
-}
-
-impl JobMetrics {
-    /// Derives the summary from a job-scoped registry.
-    fn from_registry(registry: &MetricsRegistry, wall_s: f64, stop: Option<StopReason>) -> Self {
-        let counters = registry.counters();
-        // Per-path span stats; self time = total − Σ direct children,
-        // clamped at 0 (the MemorySink rule).
-        let paths = registry.span_paths();
-        let mut totals: BTreeMap<String, u64> = BTreeMap::new();
-        for path in &paths {
-            if let Some(hist) = registry.span_histogram(path) {
-                totals.insert(path.clone(), hist.sum());
-            }
-        }
-        let mut child_sums: BTreeMap<&str, u64> = BTreeMap::new();
-        for (path, total) in &totals {
-            if let Some(idx) = path.rfind('/') {
-                let parent = &path[..idx];
-                if totals.contains_key(parent) {
-                    *child_sums.entry(parent).or_insert(0) += total;
-                }
-            }
-        }
-        let spans = paths
-            .iter()
-            .filter_map(|path| {
-                let hist = registry.span_histogram(path)?;
-                let total_ns = hist.sum();
-                let children = child_sums.get(path.as_str()).copied().unwrap_or(0);
-                Some(SpanSummary {
-                    path: path.clone(),
-                    calls: hist.count(),
-                    total_ns,
-                    self_ns: total_ns.saturating_sub(children),
-                    p50_ns: hist.quantile(0.50),
-                    p99_ns: hist.quantile(0.99),
-                })
-            })
-            .collect();
-        // Cache families: counters shaped `cache.<family>.hit|miss`.
-        let mut caches: BTreeMap<String, CacheStats> = BTreeMap::new();
-        for (name, total) in &counters {
-            if let Some(rest) = name.strip_prefix("cache.") {
-                if let Some(family) = rest.strip_suffix(".hit") {
-                    caches.entry(family.to_string()).or_default().hits += total;
-                } else if let Some(family) = rest.strip_suffix(".miss") {
-                    caches.entry(family.to_string()).or_default().misses += total;
-                }
-            }
-        }
-        let counter = |name: &str| counters.get(name).copied().unwrap_or(0);
-        Self {
-            wall_s,
-            spans,
-            guard_rollbacks: counter("guard.rollback"),
-            guard_recoveries: counter("guard.recovered"),
-            guard_gave_up: counter("guard.gave_up") > 0,
-            checkpoint_bytes: counter("checkpoint.bytes"),
-            caches,
-            counters,
-            stop,
-        }
-    }
+    /// Everything the job's registry aggregated.
+    pub report: MetricsReport,
 }
 
 /// The outcome of one [`Engine::submit`] call.
@@ -602,11 +489,11 @@ impl Engine {
         let started = Instant::now();
         let mut outcome =
             lsopc_trace::with_layered_scoped_sink(registry.clone(), || self.submit_inner(spec))?;
-        outcome.metrics = Some(JobMetrics::from_registry(
-            &registry,
-            started.elapsed().as_secs_f64(),
-            outcome.stopped,
-        ));
+        outcome.metrics = Some(JobMetrics {
+            wall_s: started.elapsed().as_secs_f64(),
+            stop: outcome.stopped,
+            report: registry.report(),
+        });
         Ok(outcome)
     }
 
@@ -886,23 +773,25 @@ mod tests {
         let outcome = engine.submit(&spec).expect("job runs");
         let metrics = outcome.metrics.as_ref().expect("metrics collected");
         assert!(metrics.wall_s > 0.0);
+        let report = &metrics.report;
         assert!(
-            metrics.spans.iter().any(|s| s.path.contains("optimize")),
+            report.spans.iter().any(|s| s.path.contains("optimize")),
             "span paths: {:?}",
-            metrics.spans.iter().map(|s| &s.path).collect::<Vec<_>>()
+            report.spans.iter().map(|s| &s.path).collect::<Vec<_>>()
         );
-        for span in &metrics.spans {
+        for span in &report.spans {
             assert!(span.calls > 0);
-            assert!(span.p99_ns >= span.p50_ns, "p99 < p50 on {}", span.path);
+            assert!(span.p99_ns >= span.p90_ns && span.p90_ns >= span.p50_ns);
             assert!(span.self_ns <= span.total_ns);
         }
-        assert!(metrics.stop.is_none());
-        assert!(!metrics.guard_gave_up);
+        assert!(metrics.stop.is_none() && report.stop_reason.is_none());
+        assert_eq!(report.counters.get("guard.gave_up"), None);
+        assert_eq!(report.convergence.map(|c| c.iterations), Some(2));
         // A second identical job must hit the FFT-plan cache and say so
         // in its summary.
         let outcome2 = engine.submit(&spec).expect("job reruns");
         let metrics2 = outcome2.metrics.as_ref().unwrap();
-        let plan = metrics2.caches.get("plan").expect("plan family");
+        let plan = metrics2.report.caches.get("plan").expect("plan family");
         assert!(plan.hits > 0, "expected warm plan cache: {plan:?}");
         assert!(plan.ratio() > 0.0);
     }
@@ -916,49 +805,6 @@ mod tests {
         spec.collect_metrics = false;
         let outcome = engine.submit(&spec).expect("job runs");
         assert!(outcome.metrics.is_none());
-    }
-
-    #[test]
-    fn metrics_cache_ratios_match_scoped_counter_totals() {
-        let engine = Engine::builder().caches(SimCaches::private()).build();
-        let mut spec = JobSpec::new(small_target());
-        spec.kernels = 4;
-        spec.iterations = 2;
-        let sink = Arc::new(lsopc_trace::MemorySink::new());
-        let session = engine.session().with_sink(sink.clone());
-        let outcome = session.submit(&spec).expect("job runs");
-        let metrics = outcome.metrics.as_ref().unwrap();
-        let report = sink.report();
-        for (family, stats) in &metrics.caches {
-            let hits = report
-                .counters
-                .get(&format!("cache.{family}.hit"))
-                .copied()
-                .unwrap_or(0);
-            let misses = report
-                .counters
-                .get(&format!("cache.{family}.miss"))
-                .copied()
-                .unwrap_or(0);
-            assert_eq!(
-                (stats.hits, stats.misses),
-                (hits, misses),
-                "family {family}"
-            );
-        }
-        // And the per-job counters must agree with the session stream.
-        // (`iter.*` / `warnings` are synthesized by the registry from
-        // structured events, so the raw stream has no such counters.)
-        for (name, total) in &metrics.counters {
-            if name.starts_with("iter.") || name == "warnings" {
-                continue;
-            }
-            assert_eq!(
-                report.counters.get(name),
-                Some(total),
-                "counter {name} diverged between job metrics and session sink"
-            );
-        }
     }
 
     #[test]

@@ -5,7 +5,7 @@
 
 use lsopc_engine::{Caches, Engine, JobSpec};
 use lsopc_grid::Grid;
-use lsopc_trace::MemorySink;
+use lsopc_trace::MetricsRegistry;
 use std::sync::Arc;
 
 /// A 128px vertical wire; 128px is the smallest power of two whose
@@ -27,10 +27,6 @@ fn small_spec() -> JobSpec {
     spec
 }
 
-fn counter(sink: &MemorySink, name: &str) -> u64 {
-    sink.report().counters.get(name).copied().unwrap_or(0)
-}
-
 /// Two sequential submissions of the same optics: the first job pays
 /// the FFT-plan and kernel-set construction misses, the second runs
 /// entirely out of the engine's shared plan cache and cached simulator —
@@ -45,43 +41,43 @@ fn second_submission_runs_out_of_the_shared_caches() {
     let engine = Engine::builder().caches(Caches::private()).build();
     let spec = small_spec();
 
-    let first_sink = Arc::new(MemorySink::new());
+    let first_sink = Arc::new(MetricsRegistry::new());
     let first = engine
         .session()
         .with_sink(first_sink.clone())
         .submit(&spec)
         .expect("first job runs");
     assert!(
-        counter(&first_sink, "cache.plan.miss") > 0,
+        first_sink.counter("cache.plan.miss") > 0,
         "first job builds FFT plans"
     );
     assert!(
-        counter(&first_sink, "cache.rplan.miss") > 0,
+        first_sink.counter("cache.rplan.miss") > 0,
         "first job builds the real-input FFT plan"
     );
     assert!(
-        counter(&first_sink, "cache.kernels.miss") > 0,
+        first_sink.counter("cache.kernels.miss") > 0,
         "first job generates the corner kernel sets"
     );
 
-    let second_sink = Arc::new(MemorySink::new());
+    let second_sink = Arc::new(MetricsRegistry::new());
     let second = engine
         .session()
         .with_sink(second_sink.clone())
         .submit(&spec)
         .expect("second job runs");
     assert_eq!(
-        counter(&second_sink, "cache.plan.miss") + counter(&second_sink, "cache.rplan.miss"),
+        second_sink.counter("cache.plan.miss") + second_sink.counter("cache.rplan.miss"),
         0,
         "second job builds no FFT plans"
     );
     assert_eq!(
-        counter(&second_sink, "cache.kernels.miss"),
+        second_sink.counter("cache.kernels.miss"),
         0,
         "second job generates no kernel sets"
     );
-    assert!(counter(&second_sink, "cache.plan.hit") > 0);
-    assert!(counter(&second_sink, "cache.kernels.hit") > 0);
+    assert!(second_sink.counter("cache.plan.hit") > 0);
+    assert!(second_sink.counter("cache.kernels.hit") > 0);
 
     let (a, b) = (first.mask().as_slice(), second.mask().as_slice());
     assert_eq!(a.len(), b.len());
@@ -102,7 +98,7 @@ fn concurrent_sessions_are_bit_identical_with_separate_streams() {
     let run = |marker: &'static str| {
         let engine = engine.clone();
         move || {
-            let sink = Arc::new(MemorySink::new());
+            let sink = Arc::new(MetricsRegistry::new());
             let session = engine.session().with_sink(sink.clone());
             let outcome = session.scoped(|| {
                 lsopc_trace::count(marker, 1);
@@ -127,16 +123,16 @@ fn concurrent_sessions_are_bit_identical_with_separate_streams() {
 
     // Each scoped stream carries its own marker and its own job's
     // events, not the sibling's.
-    assert_eq!(counter(&sink_a, "test.marker.a"), 1);
-    assert_eq!(counter(&sink_a, "test.marker.b"), 0);
-    assert_eq!(counter(&sink_b, "test.marker.b"), 1);
-    assert_eq!(counter(&sink_b, "test.marker.a"), 0);
+    assert_eq!(sink_a.counter("test.marker.a"), 1);
+    assert_eq!(sink_a.counter("test.marker.b"), 0);
+    assert_eq!(sink_b.counter("test.marker.b"), 1);
+    assert_eq!(sink_b.counter("test.marker.a"), 0);
     assert!(
-        counter(&sink_a, "cache.plan.hit") > 0,
+        sink_a.counter("cache.plan.hit") > 0,
         "session a saw its job's cache traffic"
     );
     assert!(
-        counter(&sink_b, "cache.plan.hit") > 0,
+        sink_b.counter("cache.plan.hit") > 0,
         "session b saw its job's cache traffic"
     );
 }
@@ -147,16 +143,16 @@ fn concurrent_sessions_are_bit_identical_with_separate_streams() {
 #[test]
 fn session_sinks_do_not_leak_across_scopes() {
     let engine = Engine::builder().caches(Caches::private()).build();
-    let sink = Arc::new(MemorySink::new());
+    let sink = Arc::new(MetricsRegistry::new());
     let session = engine.session().with_sink(sink.clone());
 
     session.submit(&small_spec()).expect("scoped job runs");
-    let seen = counter(&sink, "cache.plan.miss") + counter(&sink, "cache.plan.hit");
+    let seen = sink.counter("cache.plan.miss") + sink.counter("cache.plan.hit");
     assert!(seen > 0, "scoped job was observed");
 
     // The same engine run *outside* the session must not reach its sink.
     engine.submit(&small_spec()).expect("unscoped job runs");
-    let after = counter(&sink, "cache.plan.miss") + counter(&sink, "cache.plan.hit");
+    let after = sink.counter("cache.plan.miss") + sink.counter("cache.plan.hit");
     assert_eq!(seen, after, "unscoped job leaked into the session sink");
 }
 
@@ -168,14 +164,14 @@ fn private_caches_isolate_engines() {
     first.submit(&small_spec()).expect("first engine runs");
 
     let second = Engine::builder().caches(Caches::private()).build();
-    let sink = Arc::new(MemorySink::new());
+    let sink = Arc::new(MetricsRegistry::new());
     second
         .session()
         .with_sink(sink.clone())
         .submit(&small_spec())
         .expect("second engine runs");
     assert!(
-        counter(&sink, "cache.plan.miss") > 0,
+        sink.counter("cache.plan.miss") > 0,
         "a fresh engine pays its own cache misses"
     );
 }

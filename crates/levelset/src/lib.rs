@@ -17,8 +17,6 @@
 //!   the zero contour;
 //! * [`curvature`] — mean curvature `div(∇ψ/|∇ψ|)` for optional contour
 //!   smoothing (an extension beyond the paper);
-//! * [`fast_marching_redistance`] — Fast Marching Method redistancing that
-//!   preserves the sub-pixel contour (extension);
 //! * [`NarrowBand`] — classic narrow-band restriction of the evolution
 //!   (extension).
 //!
@@ -43,7 +41,6 @@
 
 mod curvature;
 mod evolve;
-mod fmm;
 mod gradient;
 mod narrowband;
 mod resample;
@@ -51,7 +48,6 @@ mod sdf;
 
 pub use curvature::curvature;
 pub use evolve::{cfl_time_step, evolve, reinitialize};
-pub use fmm::fast_marching_redistance;
 pub use gradient::{godunov_gradient, gradient_magnitude};
 pub use narrowband::NarrowBand;
 pub use resample::upsample_levelset;

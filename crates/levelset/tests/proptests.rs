@@ -2,8 +2,7 @@
 
 use lsopc_grid::Grid;
 use lsopc_levelset::{
-    cfl_time_step, evolve, fast_marching_redistance, godunov_gradient, mask_from_levelset,
-    reinitialize, signed_distance,
+    cfl_time_step, evolve, godunov_gradient, mask_from_levelset, reinitialize, signed_distance,
 };
 use proptest::prelude::*;
 
@@ -92,30 +91,5 @@ proptest! {
         let dt = cfl_time_step(&v, lambda);
         let peak = lsopc_grid::max_abs(&v) * dt;
         prop_assert!((peak - lambda).abs() < 1e-9);
-    }
-
-    /// FMM redistancing preserves the sign structure of any input.
-    #[test]
-    fn fmm_preserves_signs(mask in random_mask()) {
-        prop_assume!(mask.sum() > 0.0 && mask.sum() < 256.0);
-        let psi = signed_distance(&mask);
-        let fmm = fast_marching_redistance(&psi);
-        for (p, f) in psi.as_slice().iter().zip(fmm.as_slice()) {
-            prop_assert_eq!(*p <= 0.0, *f <= 0.0);
-        }
-    }
-
-    /// FMM distances stay within a pixel of the exact EDT near the
-    /// interface (first-order accuracy there).
-    #[test]
-    fn fmm_is_accurate_near_interface(mask in random_mask()) {
-        prop_assume!(mask.sum() > 0.0 && mask.sum() < 256.0);
-        let psi = signed_distance(&mask);
-        let fmm = fast_marching_redistance(&psi);
-        for (p, f) in psi.as_slice().iter().zip(fmm.as_slice()) {
-            if p.abs() <= 1.5 {
-                prop_assert!((p - f).abs() < 1.0, "edt {p} vs fmm {f}");
-            }
-        }
     }
 }

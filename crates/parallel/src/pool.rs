@@ -457,7 +457,7 @@ mod tests {
     #[test]
     fn fanned_out_jobs_emit_occupancy_gauges() {
         let pool = ThreadPool::new(4);
-        let sink = Arc::new(lsopc_trace::MemorySink::new());
+        let sink = Arc::new(lsopc_trace::MetricsRegistry::new());
         lsopc_trace::with_scoped_sink(sink.clone(), || {
             pool.execute(64, usize::MAX, &|_| {
                 std::thread::sleep(std::time::Duration::from_micros(50));
@@ -478,19 +478,18 @@ mod tests {
             imbalance >= 1.0 - 1e-9 && imbalance <= participants + 1e-9,
             "imbalance: {imbalance}"
         );
-        assert_eq!(report.counters.get("pool.jobs"), Some(&1));
+        assert_eq!(sink.counter("pool.jobs"), 1);
     }
 
     #[test]
     fn inline_jobs_emit_no_job_gauges() {
         let pool = ThreadPool::new(1);
-        let sink = Arc::new(lsopc_trace::MemorySink::new());
+        let sink = Arc::new(lsopc_trace::MetricsRegistry::new());
         lsopc_trace::with_scoped_sink(sink.clone(), || {
             pool.execute(8, usize::MAX, &|_| {});
         });
-        let report = sink.report();
-        assert_eq!(report.counters.get("pool.jobs_inline"), Some(&1));
-        assert!(!report.gauges.contains_key("pool.job.participants"));
+        assert_eq!(sink.counter("pool.jobs_inline"), 1);
+        assert_eq!(sink.gauge("pool.job.participants"), None);
     }
 
     #[test]

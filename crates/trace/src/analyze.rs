@@ -1,76 +1,19 @@
 //! Offline analyzer for schema-v1 JSONL traces.
 //!
-//! Ingests the event stream a [`JsonlSink`](crate::JsonlSink) wrote
-//! (`lsopc … --trace run.jsonl`) and aggregates it into the report the
-//! `lsopc analyze` subcommand prints: a span tree with self/total time
-//! and latency percentiles (via [`Histogram`]), counter totals, cache
-//! hit ratios, a convergence-curve summary, and flagged anomalies.
+//! Replays the event stream a [`JsonlSink`](crate::JsonlSink) wrote
+//! (`lsopc … --trace run.jsonl`) into a fresh [`MetricsRegistry`], line
+//! by line, as the [`Event`] each line was written from. The report is
+//! therefore the registry's own [`MetricsReport`] — the same one a live
+//! run renders — plus the parse tally and rule-based anomaly flags the
+//! `lsopc analyze` subcommand prints.
 //!
 //! Parsing is tolerant by design: the stream may be truncated mid-run
 //! (that is precisely when post-mortem analysis matters), so malformed
 //! or foreign lines are counted and skipped, never fatal. Only a stream
 //! with *zero* recognizable events is an error.
 
-use crate::histogram::Histogram;
-use std::collections::BTreeMap;
+use crate::{Event, IterRecord, MetricsRegistry, MetricsReport, TraceSink};
 use std::fmt::Write as _;
-
-/// Aggregated timing and percentiles for one span path.
-#[derive(Clone, Debug)]
-pub struct SpanAnalysis {
-    /// Full `/`-joined hierarchical path.
-    pub path: String,
-    /// Number of times the span closed.
-    pub calls: u64,
-    /// Total wall-clock nanoseconds across all calls.
-    pub total_ns: u64,
-    /// Total minus summed direct-children totals, clamped at 0.
-    pub self_ns: u64,
-    /// Median call duration (histogram upper bound, ≤ 6.25% high).
-    pub p50_ns: u64,
-    /// 90th-percentile call duration.
-    pub p90_ns: u64,
-    /// 99th-percentile call duration.
-    pub p99_ns: u64,
-}
-
-/// Hit/miss totals for one cache family (`cache.<family>.hit/miss`).
-#[derive(Clone, Debug)]
-pub struct CacheRatio {
-    /// Family name, e.g. `spectra`, `plan`, `warmstart`.
-    pub family: String,
-    /// Hits observed.
-    pub hits: u64,
-    /// Misses observed.
-    pub misses: u64,
-}
-
-impl CacheRatio {
-    /// Hit fraction in `[0, 1]`; 0 when the family saw no traffic.
-    pub fn ratio(&self) -> f64 {
-        let total = self.hits + self.misses;
-        if total == 0 {
-            0.0
-        } else {
-            self.hits as f64 / total as f64
-        }
-    }
-}
-
-/// Convergence-curve summary built from the `iter` events.
-#[derive(Clone, Debug)]
-pub struct Convergence {
-    /// Number of iteration records in the stream.
-    pub iterations: usize,
-    /// Cost of the first recorded iteration.
-    pub first_cost: f64,
-    /// Cost of the last recorded iteration.
-    pub last_cost: f64,
-    /// Largest single-iteration cost drop.
-    pub best_delta: f64,
-    /// Iterations the health guard rolled back.
-    pub rollbacks: u64,
-}
 
 /// Everything `lsopc analyze` derives from one trace file.
 #[derive(Clone, Debug, Default)]
@@ -79,20 +22,8 @@ pub struct TraceReport {
     pub events: usize,
     /// Unparseable or foreign lines skipped.
     pub skipped: usize,
-    /// Span analyses sorted by path (parents precede children).
-    pub spans: Vec<SpanAnalysis>,
-    /// Counter totals.
-    pub counters: BTreeMap<String, u64>,
-    /// Gauge last-values.
-    pub gauges: BTreeMap<String, f64>,
-    /// Cache families with any traffic.
-    pub cache_ratios: Vec<CacheRatio>,
-    /// Convergence summary, when the trace holds iteration events.
-    pub convergence: Option<Convergence>,
-    /// Warnings captured in the stream, `(origin, message)`.
-    pub warnings: Vec<(String, String)>,
-    /// Early-stop reason derived from `run.stop.*` counters, if any.
-    pub stop_reason: Option<String>,
+    /// The replayed registry's report.
+    pub metrics: MetricsReport,
     /// Human-readable anomaly flags (empty = nothing suspicious).
     pub anomalies: Vec<String>,
 }
@@ -112,144 +43,88 @@ pub const CACHE_MIN_RATIO: f64 = 0.5;
 /// and malformed lines (counted in [`TraceReport::skipped`]); errors
 /// only when no recognizable event survives.
 pub fn analyze(text: &str) -> Result<TraceReport, String> {
-    let mut spans: BTreeMap<String, (u64, u64, Histogram)> = BTreeMap::new();
-    let mut report = TraceReport::default();
-    let mut iters: Vec<(f64, bool)> = Vec::new();
-    for line in text.lines() {
-        let line = line.trim();
-        if line.is_empty() {
-            continue;
-        }
-        let parsed = (|| -> Option<()> {
-            match str_field(line, "kind")?.as_str() {
-                "span" => {
-                    let path = str_field(line, "path")?;
-                    let dur_ns = u64_field(line, "dur_ns")?;
-                    let entry = spans
-                        .entry(path)
-                        .or_insert_with(|| (0, 0, Histogram::new()));
-                    entry.0 += 1;
-                    entry.1 += dur_ns;
-                    entry.2.record(dur_ns);
-                }
-                "count" => {
-                    let name = str_field(line, "name")?;
-                    let delta = u64_field(line, "delta")?;
-                    *report.counters.entry(name).or_insert(0) += delta;
-                }
-                "gauge" => {
-                    let name = str_field(line, "name")?;
-                    let value = f64_field(line, "value")?;
-                    report.gauges.insert(name, value);
-                }
-                "warn" => {
-                    report
-                        .warnings
-                        .push((str_field(line, "origin")?, str_field(line, "message")?));
-                }
-                "iter" => {
-                    let cost = f64_field(line, "cost_total")?;
-                    let rolled = bool_field(line, "rolled_back").unwrap_or(false);
-                    iters.push((cost, rolled));
-                }
-                _ => return None,
-            }
-            Some(())
-        })();
-        match parsed {
-            Some(()) => report.events += 1,
-            None => report.skipped += 1,
+    let registry = MetricsRegistry::new();
+    let (mut events, mut skipped) = (0, 0);
+    for line in text.lines().map(str::trim).filter(|l| !l.is_empty()) {
+        match replay(line, &registry) {
+            Some(()) => events += 1,
+            None => skipped += 1,
         }
     }
-    if report.events == 0 {
+    if events == 0 {
         return Err(format!(
-            "no schema-v1 trace events found ({} unrecognized lines)",
-            report.skipped
+            "no schema-v1 trace events found ({skipped} unrecognized lines)"
         ));
     }
-
-    // Self time: total − Σ direct children, clamped at 0 (children on
-    // pool workers can overlap the parent) — same rule as MemorySink.
-    let totals: BTreeMap<&str, u64> = spans.iter().map(|(p, v)| (p.as_str(), v.1)).collect();
-    let mut child_sums: BTreeMap<String, u64> = BTreeMap::new();
-    for (path, (_, total, _)) in &spans {
-        if let Some(idx) = path.rfind('/') {
-            let parent = &path[..idx];
-            if totals.contains_key(parent) {
-                *child_sums.entry(parent.to_string()).or_insert(0) += total;
-            }
-        }
-    }
-    report.spans = spans
-        .into_iter()
-        .map(|(path, (calls, total_ns, hist))| {
-            let children = child_sums.get(&path).copied().unwrap_or(0);
-            SpanAnalysis {
-                self_ns: total_ns.saturating_sub(children),
-                p50_ns: hist.quantile(0.50),
-                p90_ns: hist.quantile(0.90),
-                p99_ns: hist.quantile(0.99),
-                path,
-                calls,
-                total_ns,
-            }
-        })
-        .collect();
-
-    // Cache families: counters shaped `cache.<family>.hit|miss`.
-    let mut families: BTreeMap<String, (u64, u64)> = BTreeMap::new();
-    for (name, total) in &report.counters {
-        if let Some(rest) = name.strip_prefix("cache.") {
-            if let Some(family) = rest.strip_suffix(".hit") {
-                families.entry(family.to_string()).or_insert((0, 0)).0 += total;
-            } else if let Some(family) = rest.strip_suffix(".miss") {
-                families.entry(family.to_string()).or_insert((0, 0)).1 += total;
-            }
-        }
-    }
-    report.cache_ratios = families
-        .into_iter()
-        .map(|(family, (hits, misses))| CacheRatio {
-            family,
-            hits,
-            misses,
-        })
-        .collect();
-
-    if !iters.is_empty() {
-        let rollbacks = iters.iter().filter(|(_, r)| *r).count() as u64;
-        let best_delta = iters
-            .windows(2)
-            .map(|w| w[0].0 - w[1].0)
-            .fold(0.0f64, f64::max);
-        report.convergence = Some(Convergence {
-            iterations: iters.len(),
-            first_cost: iters[0].0,
-            last_cost: iters[iters.len() - 1].0,
-            best_delta,
-            rollbacks,
-        });
-    }
-
-    report.stop_reason = report
-        .counters
-        .iter()
-        .find(|(name, &total)| name.starts_with("run.stop.") && total > 0)
-        .map(|(name, _)| name["run.stop.".len()..].to_string());
-
-    report.anomalies = find_anomalies(&report);
-    Ok(report)
+    let metrics = registry.report();
+    let anomalies = find_anomalies(&metrics);
+    Ok(TraceReport {
+        events,
+        skipped,
+        metrics,
+        anomalies,
+    })
 }
 
-fn find_anomalies(report: &TraceReport) -> Vec<String> {
+/// Delivers one JSONL line to `sink` as the [`Event`] it was written
+/// from; `None` when the line is not a complete schema-v1 event.
+fn replay(line: &str, sink: &dyn TraceSink) -> Option<()> {
+    match str_field(line, "kind")?.as_str() {
+        "span" => {
+            let (name, path) = (str_field(line, "name")?, str_field(line, "path")?);
+            let dur_ns = u64_field(line, "dur_ns")?;
+            sink.event(&Event::Span {
+                name: &name,
+                path: &path,
+                dur_ns,
+            });
+        }
+        "count" => {
+            let name = str_field(line, "name")?;
+            let delta = u64_field(line, "delta")?;
+            sink.event(&Event::Count { name: &name, delta });
+        }
+        "gauge" => {
+            let name = str_field(line, "name")?;
+            let value = f64_field(line, "value")?;
+            sink.event(&Event::Gauge { name: &name, value });
+        }
+        "warn" => {
+            let (origin, message) = (str_field(line, "origin")?, str_field(line, "message")?);
+            sink.event(&Event::Warn {
+                origin: &origin,
+                message: &message,
+            });
+        }
+        "iter" => {
+            let record = IterRecord {
+                iteration: usize::try_from(u64_field(line, "iteration")?).ok()?,
+                cost_total: f64_field(line, "cost_total")?,
+                cost_nominal: f64_field(line, "cost_nominal")?,
+                cost_pvb: f64_field(line, "cost_pvb")?,
+                lambda_scale: f64_field(line, "lambda_scale")?,
+                beta: f64_field(line, "beta")?,
+                time_step: f64_field(line, "time_step")?,
+                max_velocity: f64_field(line, "max_velocity")?,
+                rolled_back: bool_field(line, "rolled_back")?,
+            };
+            sink.event(&Event::Iter(&record));
+        }
+        _ => return None,
+    }
+    Some(())
+}
+
+fn find_anomalies(report: &MetricsReport) -> Vec<String> {
     let mut out = Vec::new();
-    let rollbacks = report.counters.get("guard.rollback").copied().unwrap_or(0);
+    let counter = |name: &str| report.counters.get(name).copied().unwrap_or(0);
+    let rollbacks = counter("guard.rollback");
     if rollbacks > 0 {
         out.push(format!(
             "guard rolled back {rollbacks} iteration(s) — descent was unhealthy at least once"
         ));
     }
-    if report.counters.get("guard.gave_up").copied().unwrap_or(0) > 0 {
+    if counter("guard.gave_up") > 0 {
         out.push("health guard gave up (strict-recovery budget exhausted)".to_string());
     }
     for span in &report.spans {
@@ -264,12 +139,11 @@ fn find_anomalies(report: &TraceReport) -> Vec<String> {
             ));
         }
     }
-    for cache in &report.cache_ratios {
+    for (family, cache) in &report.caches {
         let traffic = cache.hits + cache.misses;
         if traffic >= CACHE_MIN_TRAFFIC && cache.ratio() < CACHE_MIN_RATIO {
             out.push(format!(
-                "cache `{}` hit ratio collapsed: {:.0}% over {traffic} accesses",
-                cache.family,
+                "cache `{family}` hit ratio collapsed: {:.0}% over {traffic} accesses",
                 cache.ratio() * 100.0
             ));
         }
@@ -282,88 +156,11 @@ fn find_anomalies(report: &TraceReport) -> Vec<String> {
 
 impl TraceReport {
     /// Renders the analysis as the plain-text report `lsopc analyze`
-    /// prints: span tree with percentiles, counters, cache ratios,
-    /// convergence summary, and anomaly flags.
+    /// prints: the parse tally, the [`MetricsReport`] text, and the
+    /// anomaly flags.
     pub fn render_text(&self) -> String {
-        let mut out = String::new();
-        let _ = writeln!(
-            out,
-            "events: {} parsed, {} skipped",
-            self.events, self.skipped
-        );
-        if !self.spans.is_empty() {
-            let width = self
-                .spans
-                .iter()
-                .map(|s| s.path.len() + 2 * depth(&s.path))
-                .chain(["span".len()])
-                .max()
-                .unwrap_or(4);
-            let _ = writeln!(
-                out,
-                "\n{:<width$}  {:>7}  {:>11}  {:>11}  {:>10}  {:>10}  {:>10}",
-                "span", "calls", "self (ms)", "total (ms)", "p50 (ms)", "p90 (ms)", "p99 (ms)"
-            );
-            for span in &self.spans {
-                let indent = "  ".repeat(depth(&span.path));
-                let label = format!("{indent}{}", span.path);
-                let _ = writeln!(
-                    out,
-                    "{label:<width$}  {:>7}  {:>11.3}  {:>11.3}  {:>10.3}  {:>10.3}  {:>10.3}",
-                    span.calls,
-                    span.self_ns as f64 / 1e6,
-                    span.total_ns as f64 / 1e6,
-                    span.p50_ns as f64 / 1e6,
-                    span.p90_ns as f64 / 1e6,
-                    span.p99_ns as f64 / 1e6,
-                );
-            }
-        }
-        if !self.cache_ratios.is_empty() {
-            let _ = writeln!(out, "\ncaches:");
-            for cache in &self.cache_ratios {
-                let _ = writeln!(
-                    out,
-                    "  {:<16} {:>8} hits  {:>8} misses  {:>6.1}% hit",
-                    cache.family,
-                    cache.hits,
-                    cache.misses,
-                    cache.ratio() * 100.0
-                );
-            }
-        }
-        if !self.counters.is_empty() {
-            let _ = writeln!(out, "\ncounters:");
-            for (name, total) in &self.counters {
-                let _ = writeln!(out, "  {name:<40} {total:>12}");
-            }
-        }
-        if let Some(c) = &self.convergence {
-            let _ = writeln!(out, "\nconvergence:");
-            let _ = writeln!(out, "  iterations      {:>12}", c.iterations);
-            let _ = writeln!(out, "  first cost      {:>12.4}", c.first_cost);
-            let _ = writeln!(out, "  last cost       {:>12.4}", c.last_cost);
-            let _ = writeln!(
-                out,
-                "  total drop      {:>12.4}",
-                c.first_cost - c.last_cost
-            );
-            let _ = writeln!(out, "  best drop/iter  {:>12.4}", c.best_delta);
-            let _ = writeln!(out, "  rollbacks       {:>12}", c.rollbacks);
-        }
-        let _ = writeln!(
-            out,
-            "\nstop reason: {}",
-            self.stop_reason
-                .as_deref()
-                .unwrap_or("none (ran to completion)")
-        );
-        if !self.warnings.is_empty() {
-            let _ = writeln!(out, "\nwarnings:");
-            for (origin, message) in &self.warnings {
-                let _ = writeln!(out, "  [{origin}] {message}");
-            }
-        }
+        let mut out = format!("events: {} parsed, {} skipped\n", self.events, self.skipped);
+        out.push_str(&self.metrics.render_text());
         if self.anomalies.is_empty() {
             let _ = writeln!(out, "\nanomalies: none");
         } else {
@@ -374,10 +171,6 @@ impl TraceReport {
         }
         out
     }
-}
-
-fn depth(path: &str) -> usize {
-    path.matches('/').count()
 }
 
 /// Extracts the string value of `"key"` from one JSON line, decoding
@@ -463,33 +256,32 @@ mod tests {
         let report = analyze(&golden_trace()).unwrap();
         assert_eq!(report.events, 12);
         assert_eq!(report.skipped, 0);
-        let forward = report
+        let metrics = &report.metrics;
+        let forward = metrics
             .spans
             .iter()
             .find(|s| s.path == "optimize/litho/forward")
             .unwrap();
         assert_eq!(forward.calls, 3);
         assert_eq!(forward.total_ns, 3003);
-        let litho = report
+        let litho = metrics
             .spans
             .iter()
             .find(|s| s.path == "optimize/litho")
             .unwrap();
         assert_eq!(litho.self_ns, 5000 - 3003);
-        assert_eq!(report.counters.get("cache.spectra.hit"), Some(&30));
-        let spectra = report
-            .cache_ratios
-            .iter()
-            .find(|c| c.family == "spectra")
-            .unwrap();
+        assert_eq!(metrics.counters.get("cache.spectra.hit"), Some(&30));
+        let spectra = metrics.caches["spectra"];
         assert_eq!((spectra.hits, spectra.misses), (30, 2));
-        let conv = report.convergence.as_ref().unwrap();
+        let conv = metrics.convergence.unwrap();
         assert_eq!(conv.iterations, 2);
         assert_eq!(conv.first_cost, 10.0);
         assert_eq!(conv.last_cost, 7.5);
+        assert_eq!(conv.best_delta, 2.5);
         assert_eq!(conv.rollbacks, 1);
-        assert_eq!(report.warnings.len(), 1);
-        assert_eq!(report.warnings[0].1, "cost rose \"sharply\"");
+        assert_eq!(metrics.gauges.get("pool.threads"), Some(&4.0));
+        assert_eq!(metrics.warnings.len(), 1);
+        assert_eq!(metrics.warnings[0].1, "cost rose \"sharply\"");
         assert!(report
             .anomalies
             .iter()
@@ -498,6 +290,60 @@ mod tests {
         assert!(text.contains("optimize/litho/forward"));
         assert!(text.contains("spectra"));
         assert!(text.contains("anomalies:"));
+    }
+
+    #[test]
+    fn replayed_stream_reports_exactly_what_the_live_registry_saw() {
+        let buf = crate::jsonl::tests::SharedBuf::default();
+        let live = std::sync::Arc::new(MetricsRegistry::new());
+        let fanout = crate::FanoutSink::new(vec![
+            std::sync::Arc::new(crate::JsonlSink::new(buf.clone())),
+            live.clone(),
+        ]);
+        // Awkward floats: their shortest decimal form must parse back
+        // to the same bits.
+        let costs = [0.1 + 0.2, 1e-300, 7.0 / 3.0, -0.0];
+        for (i, &cost) in costs.iter().enumerate() {
+            fanout.event(&Event::Span {
+                name: "iter",
+                path: "optimize/iter",
+                dur_ns: 1_000 + 37 * i as u64,
+            });
+            fanout.event(&Event::Iter(&IterRecord {
+                iteration: i,
+                cost_total: cost,
+                cost_nominal: cost / 3.0,
+                cost_pvb: 2.0 * cost / 3.0,
+                lambda_scale: 1.0,
+                beta: 0.25,
+                time_step: 0.1,
+                max_velocity: 3.5,
+                rolled_back: i == 2,
+            }));
+            fanout.event(&Event::Gauge {
+                name: "pool.job.occupancy",
+                value: cost,
+            });
+        }
+        fanout.event(&Event::Span {
+            name: "optimize",
+            path: "optimize",
+            dur_ns: 9_000,
+        });
+        fanout.event(&Event::Count {
+            name: "cache.plan.hit",
+            delta: 5,
+        });
+        fanout.event(&Event::Warn {
+            origin: "guard",
+            message: "tab\there \"quoted\"",
+        });
+        fanout.flush();
+        let text = String::from_utf8(buf.0.lock().unwrap().clone()).unwrap();
+        let replayed = analyze(&text).unwrap();
+        assert_eq!(replayed.skipped, 0);
+        assert_eq!(replayed.metrics, live.report());
+        assert_eq!(replayed.metrics.to_json(), live.report().to_json());
     }
 
     #[test]
@@ -523,7 +369,7 @@ mod tests {
             "{\"v\": 1, \"ts_ns\": 960, \"kind\": \"count\", \"name\": \"run.stop.deadline\", \"delta\": 1}\n",
         );
         let report = analyze(&trace).unwrap();
-        assert_eq!(report.stop_reason.as_deref(), Some("deadline"));
+        assert_eq!(report.metrics.stop_reason.as_deref(), Some("deadline"));
         assert!(report
             .anomalies
             .iter()

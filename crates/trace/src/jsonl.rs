@@ -4,6 +4,10 @@
 //! monotonically non-decreasing, so a stream written by many threads is
 //! still globally ordered by `ts_ns` — consumers can replay it without
 //! sorting. Every line carries the schema version as `"v"`.
+//!
+//! A failed write is never silent: the sink keeps the first I/O error
+//! and stops writing, and [`JsonlSink::take_error`] hands it to the
+//! owner at teardown (the CLI turns it into an I/O exit code).
 
 use crate::{Event, TraceSink};
 use std::io::Write;
@@ -13,6 +17,18 @@ use std::time::Instant;
 struct State<W: Write> {
     writer: W,
     last_ts: u64,
+    /// The first write or flush error; once set, nothing more is written.
+    error: Option<std::io::Error>,
+}
+
+impl<W: Write> State<W> {
+    /// Runs one I/O step unless an earlier one failed, keeping the first
+    /// error.
+    fn io(&mut self, step: impl FnOnce(&mut W) -> std::io::Result<()>) {
+        if self.error.is_none() {
+            self.error = step(&mut self.writer).err();
+        }
+    }
 }
 
 /// Streams every event as one JSON line to `W` (typically a buffered
@@ -27,8 +43,23 @@ impl<W: Write + Send> JsonlSink<W> {
     pub fn new(writer: W) -> Self {
         Self {
             origin: Instant::now(),
-            state: Mutex::new(State { writer, last_ts: 0 }),
+            state: Mutex::new(State {
+                writer,
+                last_ts: 0,
+                error: None,
+            }),
         }
+    }
+
+    /// The first write or flush error the sink hit, if any, leaving
+    /// none behind. Events after that error were dropped, so a caller
+    /// that gets `Some` knows the stream is incomplete.
+    pub fn take_error(&self) -> Option<std::io::Error> {
+        self.state
+            .lock()
+            .unwrap_or_else(|e| e.into_inner())
+            .error
+            .take()
     }
 }
 
@@ -49,19 +80,21 @@ impl<W: Write + Send> TraceSink for JsonlSink<W> {
         let ts = now.max(state.last_ts);
         state.last_ts = ts;
         let line = render_line(ts, event);
-        let _ = state.writer.write_all(line.as_bytes());
+        state.io(|w| w.write_all(line.as_bytes()));
     }
 
     fn flush(&self) {
         let mut state = self.state.lock().unwrap_or_else(|e| e.into_inner());
-        let _ = state.writer.flush();
+        state.io(W::flush);
     }
 }
 
 impl<W: Write + Send> Drop for JsonlSink<W> {
     fn drop(&mut self) {
+        // Nobody is left to report a failure to; the owner reads
+        // `take_error` after its own flush, before the drop.
         let state = self.state.get_mut().unwrap_or_else(|e| e.into_inner());
-        let _ = state.writer.flush();
+        state.io(W::flush);
     }
 }
 
@@ -144,13 +177,13 @@ pub(crate) fn json_f64(value: f64) -> String {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use std::sync::{Arc, Mutex as StdMutex};
 
     /// A `Write` target the test can inspect.
     #[derive(Clone, Default)]
-    struct SharedBuf(Arc<StdMutex<Vec<u8>>>);
+    pub(crate) struct SharedBuf(pub(crate) Arc<StdMutex<Vec<u8>>>);
 
     impl Write for SharedBuf {
         fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
@@ -228,6 +261,77 @@ mod tests {
             .collect::<String>()
             .parse()
             .unwrap()
+    }
+
+    /// A writer whose device is full after `room` bytes.
+    struct Full {
+        room: usize,
+        written: Vec<u8>,
+    }
+
+    impl Write for Full {
+        fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
+            if self.room == 0 {
+                return Err(std::io::Error::new(
+                    std::io::ErrorKind::StorageFull,
+                    "device full",
+                ));
+            }
+            let n = buf.len().min(self.room);
+            self.room -= n;
+            self.written.extend_from_slice(&buf[..n]);
+            Ok(n)
+        }
+        fn flush(&mut self) -> std::io::Result<()> {
+            Ok(())
+        }
+    }
+
+    #[test]
+    fn first_write_error_is_kept_and_later_events_are_dropped() {
+        let sink = JsonlSink::new(Full {
+            room: 100,
+            written: Vec::new(),
+        });
+        assert!(sink.take_error().is_none(), "no error before any write");
+        for _ in 0..3 {
+            sink.event(&Event::Count {
+                name: "c",
+                delta: 1,
+            });
+        }
+        sink.flush();
+        let err = sink.take_error().expect("the full device was reported");
+        assert_eq!(err.kind(), std::io::ErrorKind::StorageFull);
+        assert!(sink.take_error().is_none(), "the error is handed out once");
+        // One complete line, part of the second, and nothing after the
+        // error: the third event was never written.
+        let written = &sink.state.lock().unwrap().writer.written;
+        assert_eq!(written.len(), 100);
+        assert_eq!(written.iter().filter(|&&b| b == b'\n').count(), 1);
+    }
+
+    #[test]
+    fn flush_error_is_kept() {
+        struct FailingFlush;
+        impl Write for FailingFlush {
+            fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
+                Ok(buf.len())
+            }
+            fn flush(&mut self) -> std::io::Result<()> {
+                Err(std::io::Error::other("flush refused"))
+            }
+        }
+        let sink = JsonlSink::new(FailingFlush);
+        sink.event(&Event::Count {
+            name: "c",
+            delta: 1,
+        });
+        sink.flush();
+        assert_eq!(
+            sink.take_error().map(|e| e.to_string()),
+            Some("flush refused".to_string())
+        );
     }
 
     #[test]

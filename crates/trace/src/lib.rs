@@ -40,13 +40,13 @@
 pub mod analyze;
 mod histogram;
 mod jsonl;
-mod memory;
 mod registry;
+mod report;
 
 pub use histogram::{Histogram, NUM_BUCKETS, RELATIVE_ERROR_BOUND};
 pub use jsonl::JsonlSink;
-pub use memory::{MemorySink, ProfileReport, SpanStat};
 pub use registry::MetricsRegistry;
+pub use report::{CacheRatio, Convergence, MetricsReport, SpanRow};
 
 use std::cell::RefCell;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
@@ -63,13 +63,17 @@ pub const SCHEMA_VERSION: u32 = 1;
 /// Events carry no timestamp; a sink that needs one (e.g. the JSONL
 /// stream) assigns it at write time under its own lock, which also makes
 /// the written timestamps monotonically non-decreasing across threads.
+///
+/// Every string borrows for `'a`: producers pass `'static` names, and
+/// [`analyze`] replays a JSONL line as the same event with strings
+/// borrowed from the parsed line.
 #[derive(Clone, Debug, PartialEq)]
 pub enum Event<'a> {
     /// A span closed: `path` is the full `/`-joined hierarchy including
     /// the span's own name; `dur_ns` is its wall-clock duration.
     Span {
         /// Leaf name as written at the instrumentation point.
-        name: &'static str,
+        name: &'a str,
         /// Full hierarchical path, `/`-joined, including `name`.
         path: &'a str,
         /// Wall-clock duration in nanoseconds.
@@ -77,22 +81,22 @@ pub enum Event<'a> {
     },
     /// A monotonic counter increment.
     Count {
-        /// Counter name, e.g. `cache.spectra.hit`.
-        name: &'static str,
+        /// Counter name, e.g. `cache.plan.hit`.
+        name: &'a str,
         /// Increment (usually 1).
         delta: u64,
     },
     /// A last-value-wins gauge sample.
     Gauge {
-        /// Gauge name, e.g. `pool.threads`.
-        name: &'static str,
+        /// Gauge name, e.g. `pool.job.occupancy`.
+        name: &'a str,
         /// Sampled value.
         value: f64,
     },
     /// A structured warning.
     Warn {
         /// Subsystem that raised it, e.g. `parallel`.
-        origin: &'static str,
+        origin: &'a str,
         /// Human-readable message.
         message: &'a str,
     },
@@ -138,7 +142,7 @@ pub trait TraceSink: Send + Sync {
 }
 
 /// Broadcasts every event to each inner sink in order. Lets `--trace`
-/// (JSONL stream) and `--metrics` (in-memory aggregate) run in the same
+/// (JSONL stream) and `--metrics` (registry aggregate) run in the same
 /// process off a single instrumentation pass.
 pub struct FanoutSink {
     sinks: Vec<Arc<dyn TraceSink>>,
@@ -514,9 +518,9 @@ mod tests {
     /// Serializes tests that touch the process-global sink.
     static GLOBAL: Mutex<()> = Mutex::new(());
 
-    fn with_memory_sink(f: impl FnOnce()) -> Arc<MemorySink> {
+    fn with_registry(f: impl FnOnce()) -> Arc<MetricsRegistry> {
         let _guard = GLOBAL.lock().unwrap_or_else(|e| e.into_inner());
-        let sink = Arc::new(MemorySink::new());
+        let sink = Arc::new(MetricsRegistry::new());
         install(sink.clone());
         f();
         uninstall();
@@ -535,7 +539,7 @@ mod tests {
 
     #[test]
     fn nested_spans_produce_hierarchical_paths() {
-        let sink = with_memory_sink(|| {
+        let sink = with_registry(|| {
             let _outer = span!("outer");
             {
                 let _inner = span!("inner");
@@ -549,7 +553,7 @@ mod tests {
 
     #[test]
     fn repeated_spans_aggregate_counts() {
-        let sink = with_memory_sink(|| {
+        let sink = with_registry(|| {
             for _ in 0..5 {
                 let _span = span!("work");
             }
@@ -561,7 +565,7 @@ mod tests {
 
     #[test]
     fn base_path_roots_worker_spans() {
-        let sink = with_memory_sink(|| {
+        let sink = with_registry(|| {
             {
                 let _outer = span!("submit");
             }
@@ -589,7 +593,7 @@ mod tests {
     #[test]
     fn base_path_restored_after_scope() {
         let _guard = GLOBAL.lock().unwrap_or_else(|e| e.into_inner());
-        install(Arc::new(MemorySink::new()));
+        install(Arc::new(MetricsRegistry::new()));
         with_base_path(Some(Arc::from("root")), || {
             with_base_path(Some(Arc::from("deeper")), || {
                 let _span = span!("x");
@@ -604,7 +608,7 @@ mod tests {
 
     #[test]
     fn counters_and_gauges_aggregate() {
-        let sink = with_memory_sink(|| {
+        let sink = with_registry(|| {
             count("cache.hit", 1);
             count("cache.hit", 2);
             gauge("threads", 4.0);
@@ -617,20 +621,18 @@ mod tests {
 
     #[test]
     fn warn_routes_to_sink_when_installed() {
-        let sink = with_memory_sink(|| {
+        let sink = with_registry(|| {
             warn("parallel", "requested 0 threads");
         });
-        let warns = sink.warnings();
-        assert_eq!(warns.len(), 1);
         assert_eq!(
-            warns[0],
-            ("parallel".to_string(), "requested 0 threads".to_string())
+            sink.report().warnings,
+            [("parallel".to_string(), "requested 0 threads".to_string())]
         );
     }
 
     #[test]
-    fn iter_records_collect_in_order() {
-        let sink = with_memory_sink(|| {
+    fn iter_records_fold_into_convergence() {
+        let sink = with_registry(|| {
             for i in 0..3 {
                 iter(&IterRecord {
                     iteration: i,
@@ -645,30 +647,30 @@ mod tests {
                 });
             }
         });
-        let iters = sink.iterations();
-        assert_eq!(iters.len(), 3);
-        assert_eq!(iters[2].iteration, 2);
-        assert_eq!(iters[0].cost_total, 10.0);
+        let convergence = sink.report().convergence.expect("iterations seen");
+        assert_eq!(convergence.iterations, 3);
+        assert_eq!(convergence.first_cost, 10.0);
+        assert_eq!(convergence.last_cost, 8.0);
     }
 
     #[test]
     fn fanout_reaches_all_sinks() {
-        let a = Arc::new(MemorySink::new());
-        let b = Arc::new(MemorySink::new());
+        let a = Arc::new(MetricsRegistry::new());
+        let b = Arc::new(MetricsRegistry::new());
         let fanout = FanoutSink::new(vec![a.clone(), b.clone()]);
         fanout.event(&Event::Count {
             name: "n",
             delta: 2,
         });
-        assert_eq!(a.report().counters.get("n"), Some(&2));
-        assert_eq!(b.report().counters.get("n"), Some(&2));
+        assert_eq!(a.counter("n"), 2);
+        assert_eq!(b.counter("n"), 2);
     }
 
     #[test]
     fn scoped_sink_captures_without_global_install() {
         let _guard = GLOBAL.lock().unwrap_or_else(|e| e.into_inner());
         uninstall();
-        let sink = Arc::new(MemorySink::new());
+        let sink = Arc::new(MetricsRegistry::new());
         with_scoped_sink(sink.clone(), || {
             assert!(enabled());
             let _span = span!("scoped");
@@ -683,25 +685,25 @@ mod tests {
 
     #[test]
     fn scoped_and_global_sinks_both_receive() {
-        let scoped = Arc::new(MemorySink::new());
-        let global = with_memory_sink(|| {
+        let scoped = Arc::new(MetricsRegistry::new());
+        let global = with_registry(|| {
             with_scoped_sink(scoped.clone(), || {
                 count("both", 1);
             });
             count("global.only", 1);
         });
-        assert_eq!(scoped.report().counters.get("both"), Some(&1));
-        assert_eq!(scoped.report().counters.get("global.only"), None);
-        assert_eq!(global.report().counters.get("both"), Some(&1));
-        assert_eq!(global.report().counters.get("global.only"), Some(&1));
+        assert_eq!(scoped.counter("both"), 1);
+        assert_eq!(scoped.counter("global.only"), 0);
+        assert_eq!(global.counter("both"), 1);
+        assert_eq!(global.counter("global.only"), 1);
     }
 
     #[test]
     fn scoped_sinks_isolate_concurrent_threads() {
         let _guard = GLOBAL.lock().unwrap_or_else(|e| e.into_inner());
         uninstall();
-        let a = Arc::new(MemorySink::new());
-        let b = Arc::new(MemorySink::new());
+        let a = Arc::new(MetricsRegistry::new());
+        let b = Arc::new(MetricsRegistry::new());
         std::thread::scope(|scope| {
             let (a, b) = (a.clone(), b.clone());
             scope.spawn(move || {
@@ -715,17 +717,17 @@ mod tests {
                 })
             });
         });
-        assert_eq!(a.report().counters.get("stream.a"), Some(&1));
-        assert_eq!(a.report().counters.get("stream.b"), None);
-        assert_eq!(b.report().counters.get("stream.b"), Some(&1));
-        assert_eq!(b.report().counters.get("stream.a"), None);
+        assert_eq!(a.counter("stream.a"), 1);
+        assert_eq!(a.counter("stream.b"), 0);
+        assert_eq!(b.counter("stream.b"), 1);
+        assert_eq!(b.counter("stream.a"), 0);
     }
 
     #[test]
     fn task_scope_carries_sink_and_path_to_workers() {
         let _guard = GLOBAL.lock().unwrap_or_else(|e| e.into_inner());
         uninstall();
-        let sink = Arc::new(MemorySink::new());
+        let sink = Arc::new(MetricsRegistry::new());
         with_scoped_sink(sink.clone(), || {
             let _outer = span!("submit");
             let scope = task_scope();
@@ -747,18 +749,18 @@ mod tests {
     fn layered_scope_reaches_both_sinks() {
         let _guard = GLOBAL.lock().unwrap_or_else(|e| e.into_inner());
         uninstall();
-        let outer = Arc::new(MemorySink::new());
-        let inner = Arc::new(MemorySink::new());
+        let outer = Arc::new(MetricsRegistry::new());
+        let inner = Arc::new(MetricsRegistry::new());
         with_scoped_sink(outer.clone(), || {
             with_layered_scoped_sink(inner.clone(), || count("layered", 1));
             count("outer.only", 1);
         });
         // The layered frame must not shadow the enclosing scope…
-        assert_eq!(outer.report().counters.get("layered"), Some(&1));
-        assert_eq!(inner.report().counters.get("layered"), Some(&1));
+        assert_eq!(outer.counter("layered"), 1);
+        assert_eq!(inner.counter("layered"), 1);
         // …and must end with the frame.
-        assert_eq!(inner.report().counters.get("outer.only"), None);
-        assert_eq!(outer.report().counters.get("outer.only"), Some(&1));
+        assert_eq!(inner.counter("outer.only"), 0);
+        assert_eq!(outer.counter("outer.only"), 1);
         assert!(!enabled());
     }
 
@@ -766,9 +768,9 @@ mod tests {
     fn layered_scope_without_enclosing_scope_is_plain() {
         let _guard = GLOBAL.lock().unwrap_or_else(|e| e.into_inner());
         uninstall();
-        let sink = Arc::new(MemorySink::new());
+        let sink = Arc::new(MetricsRegistry::new());
         with_layered_scoped_sink(sink.clone(), || count("solo", 1));
-        assert_eq!(sink.report().counters.get("solo"), Some(&1));
+        assert_eq!(sink.counter("solo"), 1);
         assert!(!enabled());
     }
 
@@ -776,15 +778,15 @@ mod tests {
     fn scoped_sink_restored_after_nested_scope() {
         let _guard = GLOBAL.lock().unwrap_or_else(|e| e.into_inner());
         uninstall();
-        let outer = Arc::new(MemorySink::new());
-        let inner = Arc::new(MemorySink::new());
+        let outer = Arc::new(MetricsRegistry::new());
+        let inner = Arc::new(MetricsRegistry::new());
         with_scoped_sink(outer.clone(), || {
             with_scoped_sink(inner.clone(), || count("nested", 1));
             count("outer.after", 1);
         });
-        assert_eq!(inner.report().counters.get("nested"), Some(&1));
-        assert_eq!(outer.report().counters.get("nested"), None);
-        assert_eq!(outer.report().counters.get("outer.after"), Some(&1));
+        assert_eq!(inner.counter("nested"), 1);
+        assert_eq!(outer.counter("nested"), 0);
+        assert_eq!(outer.counter("outer.after"), 1);
         assert!(!enabled());
     }
 }

@@ -1,33 +1,36 @@
-//! Registry sink: aggregates the event stream into per-path latency
-//! histograms, counter totals, and gauge last-values — the scrapeable
-//! metrics substrate for `lsopc serve` and the source of per-job
-//! [`JobMetrics`](crate) summaries in `lsopc-engine`.
+//! Registry sink: the one aggregator of the event stream. Spans fold
+//! into per-path latency histograms, counters into totals, gauges into
+//! last-values, iteration records into a convergence summary, and
+//! warnings into a list. [`MetricsRegistry::report`] derives the one
+//! [`MetricsReport`] every telemetry consumer renders: per-job
+//! `JobMetrics` in `lsopc-engine`, `--metrics`, `lsopc profile` and
+//! `lsopc analyze` (which replays a JSONL trace into a fresh registry).
 
 use crate::histogram::Histogram;
+use crate::report::{CacheRatio, Convergence, MetricsReport, SpanRow};
 use crate::{Event, TraceSink};
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, RwLock};
+use std::sync::{Arc, Mutex, RwLock};
 
 /// Aggregates spans into one [`Histogram`] per span path, counters into
-/// atomic totals, and gauges into last-value slots. Composes with
-/// `MemorySink`/`JsonlSink` via [`FanoutSink`](crate::FanoutSink) or a
-/// scoped-sink layer, and renders as Prometheus text exposition.
-///
-/// Iteration events fold into the same vocabulary: gauges
-/// `iter.cost_total`, `iter.cost_nominal`, `iter.cost_pvb`,
-/// `iter.lambda_scale` (last value wins) and counters `iter.count` /
-/// `iter.rollbacks`. Warnings count under `warnings`.
+/// atomic totals, gauges into last-value slots, iteration records into
+/// a [`Convergence`] summary and warnings into a list. Composes with
+/// [`JsonlSink`](crate::JsonlSink) via [`FanoutSink`](crate::FanoutSink)
+/// or a scoped-sink layer, and renders as Prometheus text exposition.
 ///
 /// Locking: the maps take a read lock per event on the steady state
 /// (write lock only the first time a path/name appears); the values are
 /// `Arc<Histogram>` / `Arc<AtomicU64>`, so recording itself is
-/// lock-free. Gauges take the write lock (rare events).
+/// lock-free. Gauges take the write lock, iteration records and
+/// warnings a mutex (rare events).
 #[derive(Default)]
 pub struct MetricsRegistry {
     spans: RwLock<BTreeMap<String, Arc<Histogram>>>,
     counters: RwLock<BTreeMap<String, Arc<AtomicU64>>>,
     gauges: RwLock<BTreeMap<String, f64>>,
+    convergence: Mutex<Option<Convergence>>,
+    warnings: Mutex<Vec<(String, String)>>,
 }
 
 impl MetricsRegistry {
@@ -122,28 +125,66 @@ impl MetricsRegistry {
             .clone()
     }
 
-    /// Folds every series of `other` into `self` (histogram merge for
-    /// spans, add for counters, last-write-wins for gauges). Lets a
-    /// per-job registry roll up into a process-lifetime one.
-    pub fn absorb(&self, other: &MetricsRegistry) {
-        for (path, hist) in other.spans.read().unwrap_or_else(|e| e.into_inner()).iter() {
-            self.span_hist(path).merge(hist);
-        }
-        for (name, cell) in other
-            .counters
-            .read()
-            .unwrap_or_else(|e| e.into_inner())
-            .iter()
-        {
-            let n = cell.load(Ordering::Relaxed);
-            if n > 0 {
-                self.counter_cell(name).fetch_add(n, Ordering::Relaxed);
+    /// Everything aggregated so far as one [`MetricsReport`].
+    ///
+    /// This is the single home of the two derived rules: a span's self
+    /// time is its total minus the totals of its direct children,
+    /// clamped at 0 (children running concurrently on pool workers can
+    /// overlap their parent), and counters shaped
+    /// `cache.<family>.{hit,miss}` split into per-family hit/miss pairs.
+    pub fn report(&self) -> MetricsReport {
+        let spans = self.spans.read().unwrap_or_else(|e| e.into_inner());
+        let mut children: BTreeMap<&str, u64> = BTreeMap::new();
+        for (path, hist) in spans.iter() {
+            if let Some((parent, _)) = path.rsplit_once('/') {
+                if spans.contains_key(parent) {
+                    *children.entry(parent).or_insert(0) += hist.sum();
+                }
             }
         }
-        let theirs = other.gauges.read().unwrap_or_else(|e| e.into_inner());
-        let mut mine = self.gauges.write().unwrap_or_else(|e| e.into_inner());
-        for (name, value) in theirs.iter() {
-            mine.insert(name.clone(), *value);
+        let span_rows = spans
+            .iter()
+            .map(|(path, hist)| SpanRow {
+                path: path.clone(),
+                calls: hist.count(),
+                total_ns: hist.sum(),
+                self_ns: hist
+                    .sum()
+                    .saturating_sub(children.get(path.as_str()).copied().unwrap_or(0)),
+                p50_ns: hist.quantile(0.50),
+                p90_ns: hist.quantile(0.90),
+                p99_ns: hist.quantile(0.99),
+            })
+            .collect();
+        drop(spans);
+        let counters = self.counters();
+        let mut caches: BTreeMap<String, CacheRatio> = BTreeMap::new();
+        for (name, &total) in &counters {
+            let Some(rest) = name.strip_prefix("cache.") else {
+                continue;
+            };
+            if let Some(family) = rest.strip_suffix(".hit") {
+                caches.entry(family.to_string()).or_default().hits += total;
+            } else if let Some(family) = rest.strip_suffix(".miss") {
+                caches.entry(family.to_string()).or_default().misses += total;
+            }
+        }
+        let stop_reason = counters
+            .iter()
+            .find(|(name, &total)| name.starts_with("run.stop.") && total > 0)
+            .map(|(name, _)| name["run.stop.".len()..].to_string());
+        MetricsReport {
+            spans: span_rows,
+            gauges: self.gauges(),
+            caches,
+            convergence: *self.convergence.lock().unwrap_or_else(|e| e.into_inner()),
+            stop_reason,
+            warnings: self
+                .warnings
+                .lock()
+                .unwrap_or_else(|e| e.into_inner())
+                .clone(),
+            counters,
         }
     }
 
@@ -254,22 +295,17 @@ impl TraceSink for MetricsRegistry {
                     .unwrap_or_else(|e| e.into_inner())
                     .insert((*name).to_string(), *value);
             }
-            Event::Warn { .. } => {
-                self.counter_cell("warnings")
-                    .fetch_add(1, Ordering::Relaxed);
+            Event::Warn { origin, message } => {
+                self.warnings
+                    .lock()
+                    .unwrap_or_else(|e| e.into_inner())
+                    .push(((*origin).to_string(), (*message).to_string()));
             }
             Event::Iter(rec) => {
-                self.counter_cell("iter.count")
-                    .fetch_add(1, Ordering::Relaxed);
-                if rec.rolled_back {
-                    self.counter_cell("iter.rollbacks")
-                        .fetch_add(1, Ordering::Relaxed);
-                }
-                let mut gauges = self.gauges.write().unwrap_or_else(|e| e.into_inner());
-                gauges.insert("iter.cost_total".to_string(), rec.cost_total);
-                gauges.insert("iter.cost_nominal".to_string(), rec.cost_nominal);
-                gauges.insert("iter.cost_pvb".to_string(), rec.cost_pvb);
-                gauges.insert("iter.lambda_scale".to_string(), rec.lambda_scale);
+                Convergence::push(
+                    &mut self.convergence.lock().unwrap_or_else(|e| e.into_inner()),
+                    rec,
+                );
             }
         }
     }
@@ -303,7 +339,7 @@ mod tests {
     }
 
     #[test]
-    fn counters_gauges_and_iters_fold_in() {
+    fn counters_gauges_warnings_and_iters_fold_in() {
         let reg = MetricsRegistry::new();
         reg.event(&Event::Count {
             name: "cache.hit",
@@ -329,26 +365,66 @@ mod tests {
             rolled_back: true,
         }));
         assert_eq!(reg.counter("cache.hit"), 3);
-        assert_eq!(reg.counter("warnings"), 1);
-        assert_eq!(reg.counter("iter.count"), 1);
-        assert_eq!(reg.counter("iter.rollbacks"), 1);
         assert_eq!(reg.gauge("pool.threads"), Some(4.0));
-        assert_eq!(reg.gauge("iter.cost_total"), Some(9.0));
+        let report = reg.report();
+        assert_eq!(report.warnings, [("t".to_string(), "m".to_string())]);
+        let convergence = report.convergence.unwrap();
+        assert_eq!((convergence.iterations, convergence.rollbacks), (1, 1));
+        assert_eq!(convergence.last_cost, 9.0);
     }
 
     #[test]
-    fn absorb_rolls_one_registry_into_another() {
-        let a = MetricsRegistry::new();
-        let b = MetricsRegistry::new();
-        a.event(&span("x", 10));
-        b.event(&span("x", 20));
-        b.event(&Event::Count {
-            name: "n",
-            delta: 2,
-        });
-        a.absorb(&b);
-        assert_eq!(a.span_histogram("x").unwrap().count(), 2);
-        assert_eq!(a.counter("n"), 2);
+    fn self_time_subtracts_direct_children_only() {
+        let reg = MetricsRegistry::new();
+        reg.event(&span("a", 100));
+        reg.event(&span("a/b", 30));
+        reg.event(&span("a/b/c", 10));
+        let report = reg.report();
+        let paths: Vec<&str> = report.spans.iter().map(|s| s.path.as_str()).collect();
+        assert_eq!(paths, ["a", "a/b", "a/b/c"], "sorted by path");
+        let self_ns: Vec<u64> = report.spans.iter().map(|s| s.self_ns).collect();
+        assert_eq!(self_ns, [70, 20, 10], "grandchildren are not subtracted");
+    }
+
+    #[test]
+    fn overlapping_children_clamp_self_time_at_zero() {
+        // Parallel children can sum past the parent's wall clock.
+        let reg = MetricsRegistry::new();
+        reg.event(&span("p", 100));
+        reg.event(&span("p/w", 80));
+        reg.event(&span("p/w", 80));
+        assert_eq!(reg.report().spans[0].self_ns, 0);
+    }
+
+    #[test]
+    fn orphan_child_keeps_full_self_time() {
+        // A child whose parent never closed is subtracted from nothing.
+        let reg = MetricsRegistry::new();
+        reg.event(&span("lost/child", 40));
+        assert_eq!(reg.report().spans[0].self_ns, 40);
+    }
+
+    #[test]
+    fn cache_families_and_stop_reason_derive_from_counters() {
+        let reg = MetricsRegistry::new();
+        for (name, delta) in [
+            ("cache.plan.hit", 3),
+            ("cache.plan.miss", 1),
+            ("cache.kernels.miss", 2),
+            ("cache.plan", 9),
+            ("run.stop.signal", 0),
+            ("run.stop.budget", 1),
+        ] {
+            reg.event(&Event::Count { name, delta });
+        }
+        let report = reg.report();
+        assert_eq!(
+            report.caches.get("plan"),
+            Some(&CacheRatio { hits: 3, misses: 1 })
+        );
+        assert_eq!(report.caches["kernels"].ratio(), 0.0);
+        assert_eq!(report.caches.len(), 2, "{:?}", report.caches);
+        assert_eq!(report.stop_reason.as_deref(), Some("budget"));
     }
 
     #[test]

@@ -58,7 +58,7 @@ fn killed_run_flushes_buffered_events_with_last_line_intact() {
     let report = lsopc_trace::analyze::analyze(&text).expect("crashed trace analyzes");
     assert_eq!(report.events, EVENTS as usize);
     assert_eq!(report.skipped, 0);
-    assert_eq!(report.counters.get("teardown.event"), Some(&EVENTS));
+    assert_eq!(report.metrics.counters.get("teardown.event"), Some(&EVENTS));
 }
 
 #[test]
@@ -66,7 +66,7 @@ fn scoped_tracing_state_recovers_after_a_killed_run() {
     let _serial = SERIAL.lock().unwrap_or_else(|e| e.into_inner());
     assert!(!lsopc_trace::enabled(), "clean slate");
     let outcome = std::panic::catch_unwind(|| {
-        let sink = Arc::new(lsopc_trace::MemorySink::new());
+        let sink = Arc::new(lsopc_trace::MetricsRegistry::new());
         lsopc_trace::with_scoped_sink(sink, || {
             lsopc_trace::count("doomed", 1);
             panic!("simulated mid-run failure");

@@ -33,6 +33,12 @@
 //! See `DESIGN.md` for the system inventory and `EXPERIMENTS.md` for the
 //! paper-vs-measured record of every table and figure.
 
+/// The README's Rust examples, compiled (not run) by `cargo test --doc`
+/// so an API the README shows cannot disappear unnoticed.
+#[cfg(doctest)]
+#[doc = include_str!("../README.md")]
+pub struct ReadmeDoctests;
+
 pub use lsopc_baselines as baselines;
 pub use lsopc_benchsuite as benchsuite;
 pub use lsopc_core as core;
