@@ -537,6 +537,62 @@ mod cases {
     }
 
     #[test]
+    fn resume_at_another_precision_is_a_checkpoint_error() {
+        use crate::error::Category;
+        let design_path = tmpfile("ck_prec_design.glp");
+        let mask_path = tmpfile("ck_prec_mask.glp");
+        let ck_path = tmpfile("ck_prec_state.lsckpt");
+        std::fs::write(
+            &design_path,
+            "BEGIN\nCELL ck_prec\nRECT 832 480 384 1088 ;\nEND\n",
+        )
+        .expect("write design");
+        let run = |extra: &[&str]| {
+            let mut args = vec![
+                "--glp",
+                design_path.to_str().expect("utf8"),
+                "--out",
+                mask_path.to_str().expect("utf8"),
+                "--grid",
+                "128",
+                "--kernels",
+                "4",
+                "--iters",
+                "4",
+            ];
+            args.extend_from_slice(extra);
+            optimize(&to_args(&args))
+        };
+        let outcome = run(&[
+            "--precision",
+            "f64",
+            "--iter-budget",
+            "2",
+            "--checkpoint",
+            ck_path.to_str().expect("utf8"),
+        ])
+        .expect("budget stop is graceful");
+        assert_eq!(outcome, Outcome::Completed);
+        // The f64 checkpoint must not resume into an f32 run.
+        let err = run(&[
+            "--precision",
+            "f32",
+            "--resume",
+            ck_path.to_str().expect("utf8"),
+        ])
+        .expect_err("precision mismatch");
+        assert_eq!(err.category(), Category::Checkpoint);
+        assert_eq!(err.exit_code(), 9);
+        assert!(
+            err.to_string().contains("configuration"),
+            "message names the mismatch: {err}"
+        );
+        std::fs::remove_file(design_path).ok();
+        std::fs::remove_file(mask_path).ok();
+        std::fs::remove_file(ck_path).ok();
+    }
+
+    #[test]
     fn missing_resume_file_is_a_checkpoint_error() {
         use crate::error::Category;
         let design_path = tmpfile("resume_missing.glp");

@@ -362,8 +362,8 @@ impl Hasher {
 
 /// Hashes everything that must match between the writing and the
 /// resuming run for the replayed arithmetic to be identical: optimizer
-/// parameters, simulator geometry, kernel rank, the target pattern and
-/// (for warm starts) the initial level set.
+/// parameters, simulator geometry, kernel rank, the loop precision `T`,
+/// the target pattern and (for warm starts) the initial level set.
 pub(crate) fn config_hash<T: Scalar>(
     opt: &LevelSetIlt,
     sim: &LithoSimulator<T>,
@@ -416,6 +416,8 @@ pub(crate) fn config_hash<T: Scalar>(
     h.f64(sim.pixel_nm());
     h.u64(sim.optics().kernel_count() as u64);
     h.f64(sim.optics().field_nm());
+    // The sealed `Scalar` is f32 or f64, so its width names the precision.
+    h.u64(std::mem::size_of::<T>() as u64);
     hash_grid_content(&mut h, target);
     match init {
         None => h.u64(0),

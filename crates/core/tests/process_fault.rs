@@ -261,6 +261,30 @@ fn checkpoint_from_other_configuration_is_refused() {
     std::fs::remove_file(ck).ok();
 }
 
+/// The loop precision is part of the configuration: an f64 checkpoint
+/// offered to an f32 run of the same optimizer, geometry and target is
+/// refused, not silently finished at the other precision.
+#[test]
+fn checkpoint_from_other_precision_is_refused() {
+    let (ck, _) = valid_checkpoint("precision.lsckpt");
+    let sim = LithoSimulator::<f32>::from_optics(
+        &OpticsConfig::iccad2013().with_kernel_count(4),
+        64,
+        4.0,
+    )
+    .expect("valid configuration");
+    let target = wire_target().map(|&v| v as f32);
+    let err = optimizer()
+        .optimize_controlled(&sim, &target, &RunControl::new().with_resume(&ck))
+        .expect_err("mismatched precision");
+    assert!(matches!(err, OptimizeError::Checkpoint { .. }), "{err:?}");
+    assert!(
+        err.to_string().contains("configuration"),
+        "message names the mismatch: {err}"
+    );
+    std::fs::remove_file(ck).ok();
+}
+
 /// A truncated on-disk warm-start entry (a crash mid-write before the
 /// atomic rename existed, or disk damage) is a warned miss: a fresh
 /// cache over the same directory simply re-solves, it never panics and

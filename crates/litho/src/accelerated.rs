@@ -8,18 +8,29 @@
 //! substitution note).
 //!
 //! The algorithmic core exploits the band limit of the optical system.
-//! Every kernel spectrum lives on an `S x S` window, so each coherent field
-//! `e_k = h_k ⊗ M` is a band-limited function that is *exactly* represented
-//! by its samples on a coarse `n_c x n_c` grid with `n_c ≥ 2S` — and the
-//! aerial image `Σ μ_k |e_k|²`, band-limited to `2S − 1`, is too. The
-//! backend therefore:
+//! Every kernel spectrum lives on an `S x S` window, and one kernel's
+//! non-zero samples span at most `D + 1` of them per axis
+//! ([`KernelSet::kernel_span`]): an Abbe kernel is the pupil shifted by
+//! its source point, so at 2048 nm `D = 28` inside `S = 59`. Each
+//! coherent field `e_k = h_k ⊗ M` is therefore *exactly* represented by
+//! its samples on a coarse `n x n` grid with `n > D` (its band lands on
+//! distinct bins), and its intensity `|e_k|²`, whose spectrum is the
+//! autocorrelation of the kernel's support and so lies in `[−D, D]`
+//! wherever the kernel sits, by those with `n ≥ 2D + 1`. The backend
+//! sizes `n` as the smallest power of two `≥ 2D + 1` (at least 16,
+//! clamped to the full grid) and:
 //!
-//! * computes all per-kernel fields and the aerial image on the tiny
-//!   coarse grid (K small IFFTs instead of K full-size ones), then
-//!   upsamples the result spectrally with **one** full-size inverse FFT —
-//!   this is exact, not an approximation;
-//! * assembles the gradient's band-limited spectrum from small windowed
-//!   convolutions, again finishing with a single full-size inverse FFT.
+//! * computes all per-kernel fields and the aerial image on the coarse
+//!   grid (K small IFFTs instead of K full-size ones), then upsamples the
+//!   `2D + 1`-wide intensity window spectrally with **one** full-size
+//!   inverse FFT — this is exact, not an approximation;
+//! * assembles the gradient's band-limited spectrum from each kernel's
+//!   window product `Σ_ν ê_k(ν)·Ẑ(κ − ν)`, which reads the sensitivity
+//!   spectrum `Ẑ` only on `[−D, D]`, again finishing with a single
+//!   full-size inverse FFT. The product is a direct fold over the
+//!   kernel's non-zero samples or an FFT product on the coarse grid,
+//!   whichever a cost rule on the per-kernel non-zero count and `n`
+//!   picks for the kernel set (`DESIGN.md` §13).
 //!
 //! A corner pass therefore runs five full-size transforms where
 //! [`FftBackend`] runs `3K + 3`: two in the aerial image (the mask
@@ -30,9 +41,10 @@
 //! run through the half-spectrum [`RfftPlan`], and each is a full row
 //! pass plus a column pass over only the stored columns its window
 //! reaches ([`RfftPlan::forward_band_with`],
-//! [`RfftPlan::inverse_band_with`]; `DESIGN.md` §13): 30 or 59 of 513
-//! at 1024². Results match [`FftBackend`] to rounding, which the
-//! test-suite pins.
+//! [`RfftPlan::inverse_band_with`]; `DESIGN.md` §13): at 1024² and
+//! 2048 nm, 30 (the mask and gradient windows, `S/2 + 1`) or 29 (the
+//! intensity and sensitivity windows, `D + 1`) of 513. Results match
+//! [`FftBackend`] to rounding, which the test-suite pins.
 //!
 //! [`FftBackend`]: crate::FftBackend
 //! [`RfftPlan`]: lsopc_fft::RfftPlan
@@ -41,7 +53,7 @@
 
 use crate::backend::{fold_kernel_grids, mask_spectrum, window_band, SimBackend};
 use crate::caches::SimCaches;
-use lsopc_fft::{wrap_index, HalfSpectrum};
+use lsopc_fft::{wrap_index, Fft2d, HalfSpectrum};
 use lsopc_grid::{Complex, Grid, Scalar};
 use lsopc_optics::KernelSet;
 use lsopc_parallel::ParallelContext;
@@ -109,20 +121,6 @@ impl AcceleratedBackend {
     pub fn threads(&self) -> usize {
         self.threads
     }
-
-    /// Coarse grid size for a kernel support `S`: the smallest power of
-    /// two holding the doubled band, clamped to the full grid size.
-    ///
-    /// The clamp handles the degenerate small-grid case: when the full
-    /// grid cannot hold the doubled band (`full < 2S − 1`), the "coarse"
-    /// grid is the full grid and the band computation degenerates to the
-    /// exact full-size one — the same aliasing [`FftBackend`] produces —
-    /// instead of panicking while embedding an oversized window.
-    ///
-    /// [`FftBackend`]: crate::FftBackend
-    fn coarse_size(support: usize, full: usize) -> usize {
-        (2 * support).next_power_of_two().max(16).min(full)
-    }
 }
 
 impl Default for AcceleratedBackend {
@@ -167,6 +165,62 @@ fn embed_window_half<T: Scalar>(window: &Grid<Complex<T>>, w: usize, h: usize) -
     half
 }
 
+/// Coarse grid side for a kernel set of span `D` on a grid `full`
+/// samples wide: the smallest power of two holding `2D + 1`, at least 16,
+/// clamped to the full grid.
+///
+/// The clamp handles the degenerate small-grid case: when the full grid
+/// cannot hold `2D + 1` samples, the "coarse" grid is the full grid and
+/// the band computation degenerates to the exact full-size one — the
+/// same aliasing [`FftBackend`] produces. One kernel's `D + 1` samples
+/// still land on distinct bins there, since the grid holds the `S`-wide
+/// window.
+///
+/// [`FftBackend`]: crate::FftBackend
+fn coarse_side(span: usize, full: usize) -> usize {
+    (2 * span + 1).next_power_of_two().max(16).min(full)
+}
+
+/// One kernel's field `e_k = IFFT(ĥ_k·M̂)` on the `n x n` coarse grid,
+/// from its centred spectrum `window` and the mask spectrum's window.
+///
+/// Each non-zero sample goes to its wrapped bin. One kernel's samples
+/// span at most `D + 1 ≤ n` per axis, so no two share a bin, and the
+/// result is `n²/(w·h)` times the exact field at every `(w/n)`-th
+/// sample of the `w x h` grid.
+fn coarse_field<T: Scalar>(
+    fft: &Fft2d<T>,
+    window: &Grid<Complex<T>>,
+    m_window: &Grid<Complex<T>>,
+    n: usize,
+) -> Grid<Complex<T>> {
+    let c = (window.width() / 2) as i64;
+    let mut ehat = Grid::new(n, n, Complex::<T>::ZERO);
+    for (i, j, &sv) in window.iter_coords() {
+        if sv != Complex::<T>::ZERO {
+            ehat[(wrap_index(i as i64 - c, n), wrap_index(j as i64 - c, n))] =
+                sv * m_window[(i, j)];
+        }
+    }
+    fft.inverse(&mut ehat);
+    ehat
+}
+
+/// Whether the gradient forms each kernel's window product
+/// `X̂(κ) = Σ_ν ê_k(ν)·Ẑ(κ − ν)` as an FFT product on the `n x n` coarse
+/// grid rather than by the direct fold.
+///
+/// The direct fold costs `nnz²` complex multiply-adds per kernel, with
+/// `nnz` = [`KernelSet::max_nonzeros`]; the FFT product costs two `n²`
+/// transforms and a pointwise product, modelled as `3·n²·log₂(n²)`. The
+/// factor 3 puts the switch at the measured crossover for `n = 64`
+/// (`DESIGN.md` §13). At 2048 nm (`nnz` = 651, `n` = 64) the rule takes
+/// the FFT product; at 512 nm (`nnz` = 41, `n` = 16) the direct fold.
+fn fft_window_product(nonzeros: usize, n: usize) -> bool {
+    let log2_n2 = 2 * n.trailing_zeros() as usize;
+    nonzeros * nonzeros > 3 * n * n * log2_n2
+}
+
 impl<T: Scalar> SimBackend<T> for AcceleratedBackend {
     fn name(&self) -> &'static str {
         "accelerated"
@@ -180,46 +234,37 @@ impl<T: Scalar> SimBackend<T> for AcceleratedBackend {
             w >= s && h >= s,
             "grid {w}x{h} too small for kernel support {s}"
         );
-        let nc = Self::coarse_size(s, w.min(h));
-        let fft_coarse = self.caches.plan_t::<T>(nc, nc);
+        let d = kernels.kernel_span();
+        let n = coarse_side(d, w.min(h));
+        let fft_coarse = self.caches.plan_t::<T>(n, n);
 
         // One full-size forward FFT, on the band's columns only.
         let mhat = mask_spectrum(&self.caches, &self.ctx, mask, window_band(s));
         let m_window = centered_window_half(&mhat, s);
 
         // Per-kernel coarse fields; e at full-grid sample points equals the
-        // coarse IFFT scaled by nc²/(w·h).
-        let scale = T::from_f64((nc * nc) as f64 / (w * h) as f64);
-        let c = (s / 2) as i64;
-        let empty = Grid::new(nc, nc, T::ZERO);
+        // coarse IFFT scaled by n²/(w·h).
+        let scale = T::from_f64((n * n) as f64 / (w * h) as f64);
+        let empty = Grid::new(n, n, T::ZERO);
         let accumulate = |range: std::ops::Range<usize>, partial: &mut Grid<T>| {
             for k in range {
-                let window = kernels.spectrum(k);
-                let mut ehat = Grid::new(nc, nc, Complex::<T>::ZERO);
-                for (i, j, &sv) in window.iter_coords() {
-                    if sv == Complex::<T>::ZERO {
-                        continue;
-                    }
-                    let fx = wrap_index(i as i64 - c, nc);
-                    let fy = wrap_index(j as i64 - c, nc);
-                    ehat[(fx, fy)] = sv * m_window[(i, j)];
-                }
-                fft_coarse.inverse(&mut ehat);
+                let e = coarse_field(&fft_coarse, kernels.spectrum(k), &m_window, n);
                 let wk = kernels.weight(k) * scale * scale;
-                for (dst, e) in partial.as_mut_slice().iter_mut().zip(ehat.as_slice()) {
+                for (dst, e) in partial.as_mut_slice().iter_mut().zip(e.as_slice()) {
                     *dst += wk * e.norm_sqr();
                 }
             }
         };
         let coarse_intensity = fold_kernel_grids(&self.ctx, kernels.len(), &empty, accumulate);
 
-        // Exact spectral upsampling: I is band-limited to 2S−1 < nc.
+        // Exact spectral upsampling: each |e_k|² is band-limited to
+        // [−D, D], and n ≥ 2D + 1 unless n is the full grid.
         let mut ihat_c = coarse_intensity.map(|&v| Complex::from_real(v));
         fft_coarse.forward(&mut ihat_c);
-        let size = nc.min(2 * s - 1);
+        let size = n.min(2 * d + 1);
         let mut window = centered_window(&ihat_c, size);
         // A power of two, so scaling the window is exact.
-        let up = T::from_f64((w * h) as f64 / (nc * nc) as f64);
+        let up = T::from_f64((w * h) as f64 / (n * n) as f64);
         window.apply(|v| *v = v.scale(up));
         // Real-output finishing inverse straight from the half layout,
         // over the window's columns only.
@@ -239,18 +284,40 @@ impl<T: Scalar> SimBackend<T> for AcceleratedBackend {
             "grid {w}x{h} too small for doubled band {}",
             2 * s - 1
         );
+        let d = kernels.kernel_span();
+        // The grid holds 2S − 1 ≥ 2D + 1 samples, so n ≥ 2D + 1 here.
+        let n = coarse_side(d, w.min(h));
 
         // Two full-size forward FFTs, each on the columns its window
         // reads: the mask and the sensitivity field.
         let mhat = mask_spectrum(&self.caches, &self.ctx, mask, window_band(s));
         let m_window = centered_window_half(&mhat, s);
-        // Ẑ on the doubled band (κ − ν reaches offsets up to 2(S/2)·2).
-        let big = 2 * s - 1;
-        let zhat = mask_spectrum(&self.caches, &self.ctx, z, window_band(big));
-        let z_big = centered_window_half(&zhat, big);
-        let cb = (big / 2) as i64;
+        // Ẑ on [−D, D]²: κ − ν for two samples of one kernel stays there.
+        let zw = 2 * d + 1;
+        let zhat = mask_spectrum(&self.caches, &self.ctx, z, window_band(zw));
+        let z_window = centered_window_half(&zhat, zw);
+        let cd = d as i64;
         let c = (s / 2) as i64;
         let inv_wh = T::from_f64(1.0 / (w * h) as f64);
+
+        // The FFT product's coarse plan and sensitivity: Ẑ on [−D, D]²
+        // sampled on the coarse grid and scaled by n², so the forward
+        // transform of e_k·z_c is Σ_ν ê_k(ν)·Ẑ(κ − ν) on n-periodic bins.
+        // That product spans [x0 − D, x1 + D] for a kernel on [x0, x1], so
+        // it folds onto the kernel's own bins only if n ≤ 2D: it is
+        // alias-free.
+        let fft_product = fft_window_product(kernels.max_nonzeros(), n).then(|| {
+            let fft_coarse = self.caches.plan_t::<T>(n, n);
+            let mut zc = Grid::new(n, n, Complex::<T>::ZERO);
+            for (i, j, &v) in z_window.iter_coords() {
+                zc[(wrap_index(i as i64 - cd, n), wrap_index(j as i64 - cd, n))] = v;
+            }
+            fft_coarse.inverse(&mut zc);
+            // A power of two, so the scaling is exact.
+            let n2 = T::from_f64((n * n) as f64);
+            zc.apply(|v| *v = v.scale(n2));
+            (fft_coarse, zc)
+        });
 
         // Per kernel: X̂(κ) = (1/WH)·Σ_ν ê_k(ν)·Ẑ(κ−ν) on the S-window,
         // then acc(κ) += μ_k·conj(Ŝ_k(κ))·X̂(κ).
@@ -258,28 +325,45 @@ impl<T: Scalar> SimBackend<T> for AcceleratedBackend {
         let accumulate = |range: std::ops::Range<usize>, acc: &mut Grid<Complex<T>>| {
             for k in range {
                 let window = kernels.spectrum(k);
-                // Sparse list of the kernel's non-zero band samples.
-                let mut ehat: Vec<(i64, i64, Complex<T>)> = Vec::new();
-                for (i, j, &sv) in window.iter_coords() {
-                    if sv == Complex::<T>::ZERO {
-                        continue;
-                    }
-                    ehat.push((i as i64 - c, j as i64 - c, sv * m_window[(i, j)]));
-                }
                 let wk = kernels.weight(k);
-                for (i, j, &sk) in window.iter_coords() {
-                    if sk == Complex::<T>::ZERO {
-                        continue;
+                let bins = || {
+                    window
+                        .iter_coords()
+                        .filter(|&(_, _, &sv)| sv != Complex::<T>::ZERO)
+                };
+                match &fft_product {
+                    // FFT product: e_k·z_c on the coarse grid, read back at
+                    // the kernel's own bins.
+                    Some((fft_coarse, zc)) => {
+                        let mut field = coarse_field(fft_coarse, window, &m_window, n);
+                        for (e, &zv) in field.as_mut_slice().iter_mut().zip(zc.as_slice()) {
+                            *e *= zv;
+                        }
+                        fft_coarse.forward(&mut field);
+                        for (i, j, &sk) in bins() {
+                            let x =
+                                field[(wrap_index(i as i64 - c, n), wrap_index(j as i64 - c, n))];
+                            acc[(i, j)] += sk.conj() * x.scale(wk * inv_wh);
+                        }
                     }
-                    let kx = i as i64 - c;
-                    let ky = j as i64 - c;
-                    let mut x = Complex::<T>::ZERO;
-                    for &(nx, ny, ev) in &ehat {
-                        let zx = (kx - nx + cb) as usize;
-                        let zy = (ky - ny + cb) as usize;
-                        x += ev * z_big[(zx, zy)];
+                    // Direct fold over the sparse list of the kernel's
+                    // non-zero band samples.
+                    None => {
+                        let ehat: Vec<(i64, i64, Complex<T>)> = bins()
+                            .map(|(i, j, &sv)| (i as i64 - c, j as i64 - c, sv * m_window[(i, j)]))
+                            .collect();
+                        for (i, j, &sk) in bins() {
+                            let kx = i as i64 - c;
+                            let ky = j as i64 - c;
+                            let mut x = Complex::<T>::ZERO;
+                            for &(nx, ny, ev) in &ehat {
+                                let zx = (kx - nx + cd) as usize;
+                                let zy = (ky - ny + cd) as usize;
+                                x += ev * z_window[(zx, zy)];
+                            }
+                            acc[(i, j)] += sk.conj() * x.scale(wk * inv_wh);
+                        }
                     }
-                    acc[(i, j)] += sk.conj() * x.scale(wk * inv_wh);
                 }
             }
         };
@@ -388,22 +472,55 @@ mod tests {
 
     #[test]
     fn small_grid_aerial_matches_fft_backend() {
-        // 16×16 grid with the full 24-kernel set: the doubled band
-        // (2S − 1) exceeds the grid, so `coarse_size` clamps to the full
-        // grid and the backend degenerates to the exact full-size path
+        // 16×16 grids that hold the kernel window S but not the doubled
+        // band 2S − 1. The coarse side (the smallest power of two
+        // ≥ 2D + 1, at least 16, clamped to the grid) is then the full
+        // grid, and the backend degenerates to the exact full-size path
         // (including the same aliasing as FftBackend) instead of
-        // panicking while embedding an oversized window.
-        let ks = kernels(256.0, 24);
-        let s = ks.support();
+        // panicking while embedding an oversized window. The Abbe set
+        // reaches the full grid through the floor of 16; each TCC kernel
+        // spans the union band, so at 320 nm 2D + 1 > 16 and the clamp
+        // engages.
+        let tcc = OpticsConfig::iccad2013()
+            .with_field_nm(320.0)
+            .with_kernel_count(8)
+            .kernels_tcc(0.0);
         assert!(
-            s <= 16 && 2 * s - 1 > 16,
-            "premise: the clamp must engage (S = {s})"
+            2 * tcc.kernel_span() + 1 > 16,
+            "premise: the clamp must engage (D = {})",
+            tcc.kernel_span()
         );
         let mask = test_mask(16);
-        let fast = AcceleratedBackend::new(2).aerial_image(&ks, &mask);
-        let slow = FftBackend::new().aerial_image(&ks, &mask);
-        let d = max_diff(&fast, &slow);
-        assert!(d < 1e-11, "aerial image diff {d}");
+        for ks in [kernels(256.0, 24), tcc] {
+            let s = ks.support();
+            assert!(
+                s <= 16 && 2 * s - 1 > 16,
+                "premise: the grid holds S but not 2S − 1 (S = {s})"
+            );
+            assert_eq!(coarse_side(ks.kernel_span(), 16), 16);
+            let fast = AcceleratedBackend::new(2).aerial_image(&ks, &mask);
+            let slow = FftBackend::new().aerial_image(&ks, &mask);
+            let d = max_diff(&fast, &slow);
+            assert!(d < 1e-11, "aerial image diff {d} (S = {s})");
+        }
+    }
+
+    #[test]
+    fn coarse_grid_and_window_product_follow_one_kernels_span() {
+        // 2048 nm: D = 28, so n = 64 (not 128 for 2S − 1 = 117) at any
+        // grid that holds it, and 651 samples per kernel take the FFT
+        // product. 512 nm: D = 7, so n = 16, and 41 samples fold
+        // directly.
+        let wide = kernels(2048.0, 24);
+        assert_eq!((wide.kernel_span(), wide.max_nonzeros()), (28, 651));
+        for full in [128, 512, 1024] {
+            assert_eq!(coarse_side(wide.kernel_span(), full), 64);
+        }
+        assert!(fft_window_product(wide.max_nonzeros(), 64));
+        let tile = kernels(512.0, 24);
+        assert_eq!((tile.kernel_span(), tile.max_nonzeros()), (7, 41));
+        assert_eq!(coarse_side(tile.kernel_span(), 256), 16);
+        assert!(!fft_window_product(tile.max_nonzeros(), 16));
     }
 
     #[test]

@@ -28,6 +28,8 @@ static NEXT_KERNEL_SET_ID: AtomicU64 = AtomicU64::new(1);
 pub struct KernelSet<T: Scalar = f64> {
     id: u64,
     support: usize,
+    span: usize,
+    max_nonzeros: usize,
     period_nm: f64,
     defocus_nm: f64,
     spectra: Vec<Grid<Complex<T>>>,
@@ -67,9 +69,15 @@ impl<T: Scalar> KernelSet<T> {
             weights.iter().all(|&w| w >= T::ZERO),
             "kernel weights must be non-negative"
         );
+        let (span, max_nonzeros) = spectra
+            .iter()
+            .map(nonzero_extent)
+            .fold((0, 0), |(span, count), (s, c)| (span.max(s), count.max(c)));
         Self {
             id: NEXT_KERNEL_SET_ID.fetch_add(1, Ordering::Relaxed),
             support,
+            span,
+            max_nonzeros,
             period_nm,
             defocus_nm,
             spectra,
@@ -112,6 +120,24 @@ impl<T: Scalar> KernelSet<T> {
     /// Largest frequency offset from DC in samples (`S/2`).
     pub fn half_band(&self) -> i64 {
         (self.support / 2) as i64
+    }
+
+    /// Spectral span `D` of one kernel: the largest extent `max − min`,
+    /// along either axis, of a single kernel's non-zero window samples,
+    /// so one kernel's band fits in `D + 1` samples per axis.
+    ///
+    /// An Abbe kernel is the pupil shifted by its source point, so `D`
+    /// is the pupil's diameter, not the union band: at the ICCAD 2013
+    /// optics on a 2048 nm field `D = 28` inside `S = 59`. The intensity
+    /// `|h_k ⊗ M|²` of any one kernel is band-limited to offsets
+    /// `[−D, D]`, wherever the kernel sits in the window.
+    pub fn kernel_span(&self) -> usize {
+        self.span
+    }
+
+    /// Largest number of non-zero window samples of any one kernel.
+    pub fn max_nonzeros(&self) -> usize {
+        self.max_nonzeros
     }
 
     /// The field period `L` in nm (kernels assume `L`-periodic masks).
@@ -245,13 +271,19 @@ impl<T: Scalar> KernelSet<T> {
     /// spectra (rounded), and every cache derived from kernel spectra
     /// keys on the scalar type in addition to the id, so an `f32` cast
     /// never collides with its `f64` source. Casting to the same
-    /// precision is the identity on every value.
+    /// precision is the identity on every value. The [`kernel_span`] and
+    /// [`max_nonzeros`] are copied: rounding never turns a zero sample
+    /// non-zero, so the source's values bound the cast set's.
     ///
     /// [`id`]: KernelSet::id
+    /// [`kernel_span`]: KernelSet::kernel_span
+    /// [`max_nonzeros`]: KernelSet::max_nonzeros
     pub fn cast<U: Scalar>(&self) -> KernelSet<U> {
         KernelSet {
             id: self.id,
             support: self.support,
+            span: self.span,
+            max_nonzeros: self.max_nonzeros,
             period_nm: self.period_nm,
             defocus_nm: self.defocus_nm,
             spectra: self.spectra.iter().map(|s| s.map(|v| v.cast())).collect(),
@@ -262,6 +294,23 @@ impl<T: Scalar> KernelSet<T> {
                 .collect(),
         }
     }
+}
+
+/// Span (largest `max − min` along either axis) and count of a window's
+/// non-zero samples; `(0, 0)` for an all-zero window.
+fn nonzero_extent<T: Scalar>(window: &Grid<Complex<T>>) -> (usize, usize) {
+    let mut count = 0;
+    let (mut x0, mut x1, mut y0, mut y1) = (usize::MAX, 0, usize::MAX, 0);
+    for (i, j, &v) in window.iter_coords() {
+        if v != Complex::<T>::ZERO {
+            count += 1;
+            (x0, x1, y0, y1) = (x0.min(i), x1.max(i), y0.min(j), y1.max(j));
+        }
+    }
+    if count == 0 {
+        return (0, 0);
+    }
+    ((x1 - x0).max(y1 - y0), count)
 }
 
 #[cfg(test)]
@@ -353,6 +402,55 @@ mod tests {
         // Round-tripping f64 → f32 → f64 rounds to f32 precision.
         let back = low.cast::<f64>();
         assert_eq!(back.weight(0), 2.0);
+    }
+
+    #[test]
+    fn kernel_span_is_one_pupil_not_the_union_band() {
+        // An Abbe kernel is the pupil shifted by its source point, so one
+        // kernel spans the pupil's diameter, at any focus.
+        for (field, defocus, support, span) in [
+            (2048.0, 0.0, 59, 28),
+            (2048.0, 25.0, 59, 28),
+            (512.0, 0.0, 17, 7),
+        ] {
+            let set = crate::OpticsConfig::iccad2013()
+                .with_field_nm(field)
+                .with_kernel_count(24)
+                .kernels(defocus);
+            assert_eq!(set.support(), support, "S at {field} nm");
+            assert_eq!(set.kernel_span(), span, "D at {field} nm, {defocus} nm");
+            let widest = (0..set.len())
+                .map(|k| {
+                    set.spectrum(k)
+                        .as_slice()
+                        .iter()
+                        .filter(|v| **v != C64::ZERO)
+                        .count()
+                })
+                .max();
+            assert_eq!(Some(set.max_nonzeros()), widest);
+        }
+    }
+
+    #[test]
+    fn span_and_nonzeros_follow_the_spectra() {
+        // A 3-sample kernel spanning offsets −1..=1 in x next to a
+        // DC-only kernel.
+        let mut wide = Grid::new(5, 5, C64::ZERO);
+        for i in 1..=3 {
+            wide[(i, 2)] = C64::ONE;
+        }
+        let mut dc = Grid::new(5, 5, C64::ZERO);
+        dc[(2, 2)] = C64::ONE;
+        let set = KernelSet::new(vec![wide, dc], vec![0.25, 0.75], 64.0, 0.0);
+        assert_eq!((set.kernel_span(), set.max_nonzeros()), (2, 3));
+        // `cast` copies both numbers with the spectra.
+        let low = set.cast::<f32>();
+        assert_eq!((low.kernel_span(), low.max_nonzeros()), (2, 3));
+        // `truncated` builds a new set, so it recomputes them: the
+        // heavier DC kernel alone spans nothing.
+        let heaviest = set.truncated(1);
+        assert_eq!((heaviest.kernel_span(), heaviest.max_nonzeros()), (0, 1));
     }
 
     #[test]

@@ -10,8 +10,10 @@ use lsopc::prelude::*;
 use lsopc_grid::Scalar;
 use lsopc_litho::{AcceleratedBackend, FftBackend, ReferenceBackend, SimBackend};
 use lsopc_optics::KernelSet;
+use lsopc_trace::MetricsRegistry;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
+use std::sync::Arc;
 
 fn target() -> Grid<f64> {
     Grid::from_fn(128, 128, |x, y| {
@@ -357,5 +359,269 @@ fn clear_field_prints_the_kernel_dc_energy() {
     for (name, backend) in &all_backends::<f32>() {
         let dev = max_dev(&backend.aerial_image(&kernels32, &clear32), &uniform);
         assert!(dev < 1e-5, "{name} f32 clear field deviates by {dev:e}");
+    }
+}
+
+/// Whether the accelerated gradient forms its window products as FFT
+/// products on the coarse grid for `kernels` on an `n`² grid: that side
+/// runs coarse forward transforms (`fft2d.forward`), the direct fold
+/// none.
+fn takes_fft_product(kernels: &KernelSet, n: usize) -> bool {
+    let registry = Arc::new(MetricsRegistry::new());
+    let zero = Grid::new(n, n, 0.0);
+    lsopc_trace::with_scoped_sink(registry.clone(), || {
+        AcceleratedBackend::new(1).gradient(kernels, &zero, &zero)
+    });
+    registry
+        .span_paths()
+        .iter()
+        .any(|path| path.rsplit('/').next() == Some("fft2d.forward"))
+}
+
+/// Kernel sets on which one kernel's span `D` is large enough for the
+/// accelerated gradient's FFT window product, on the 128² grid of
+/// [`target`]: the production Abbe set on its 2048 nm field (16 nm/px,
+/// S = 59 so 2S − 1 = 117 fits; D = 28, coarse grid 64²) at both foci,
+/// and a TCC/SOCS set, whose kernels each span the union band (1024 nm,
+/// K = 8: S = 31, D = 26).
+fn fft_product_sets() -> [(&'static str, KernelSet); 3] {
+    let abbe = OpticsConfig::iccad2013().with_kernel_count(24);
+    let tcc = OpticsConfig::iccad2013()
+        .with_field_nm(1024.0)
+        .with_kernel_count(8);
+    [
+        ("abbe 2048 nm in focus", abbe.kernels(0.0)),
+        ("abbe 2048 nm at 25 nm", abbe.kernels(25.0)),
+        ("tcc 1024 nm", tcc.kernels_tcc(0.0)),
+    ]
+}
+
+/// A smooth sensitivity field on an `n`² grid.
+fn smooth_z(n: usize) -> Grid<f64> {
+    Grid::from_fn(n, n, |x, y| {
+        0.05 * ((x as f64 * 0.21).sin() + (y as f64 * 0.13).cos())
+    })
+}
+
+#[test]
+fn window_product_side_follows_the_cost_rule() {
+    for (name, kernels) in fft_product_sets() {
+        assert!(takes_fft_product(&kernels, 128), "{name}: FFT product");
+    }
+    // The 512 nm set of the adjoint test and the 256 nm set of the 32²
+    // fixture: a few dozen samples per kernel, so the direct fold.
+    let k512 = OpticsConfig::iccad2013()
+        .with_field_nm(512.0)
+        .with_kernel_count(8)
+        .kernels(0.0);
+    assert!(!takes_fft_product(&k512, 128), "512 nm: direct fold");
+    let (k256, _, _) = fixture32();
+    assert!(!takes_fft_product(&k256, 32), "256 nm: direct fold");
+}
+
+/// The FFT-product side against the per-kernel `FftBackend`: the f64
+/// passes agree to 1e-10, and the f32 passes of both backends stay
+/// within the f32 bounds of the f64 `FftBackend`, which itself matches
+/// the direct-convolution oracle (above) at f64. Measured worst cases:
+/// 1.1e-15 (aerial) and 1.7e-16 (gradient) at f64; at f32 5.1e-7 and
+/// 4.3e-8, both on the accelerated backend (the `FftBackend`: 3.7e-7
+/// and 4.1e-8).
+#[test]
+fn fft_product_passes_agree_with_the_fft_backend() {
+    let (mask, z) = (target(), smooth_z(128));
+    for (name, kernels) in fft_product_sets() {
+        assert!(takes_fft_product(&kernels, 128), "premise: {name}");
+        let (oracle_aerial, oracle_gradient) = pass::<f64>(&FftBackend::new(), &kernels, &mask, &z);
+        let (aerial, gradient) = pass::<f64>(&AcceleratedBackend::new(1), &kernels, &mask, &z);
+        let (da, dg) = (
+            max_dev(&aerial, &oracle_aerial),
+            max_dev(&gradient, &oracle_gradient),
+        );
+        assert!(da < 1e-10, "{name}: f64 aerial deviates by {da:e}");
+        assert!(dg < 1e-10, "{name}: f64 gradient deviates by {dg:e}");
+        let fast32: [(&str, Box<dyn SimBackend<f32>>); 2] = [
+            ("fft", Box::new(FftBackend::new())),
+            ("accelerated", Box::new(AcceleratedBackend::new(1))),
+        ];
+        for (backend_name, backend) in &fast32 {
+            let (aerial, gradient) = pass(backend.as_ref(), &kernels, &mask, &z);
+            let (da, dg) = (
+                max_dev(&aerial, &oracle_aerial),
+                max_dev(&gradient, &oracle_gradient),
+            );
+            assert!(
+                da < F32_AERIAL_TOL,
+                "{name}: {backend_name} f32 aerial deviates by {da:e}"
+            );
+            assert!(
+                dg < F32_GRADIENT_TOL,
+                "{name}: {backend_name} f32 gradient deviates by {dg:e}"
+            );
+        }
+    }
+}
+
+/// The adjoint identity and cyclic-shift equivariance on the
+/// FFT-product side, with the bounds of the 32² tests above. Measured
+/// worst cases: adjoint gaps 2.0e-14 (f64) and 1.9e-6 (f32); shifted
+/// aerial and gradient 1.3e-15 and 1.7e-16 at f64, 6.0e-7 and 6.0e-8 at
+/// f32, against aerial values of O(1) and gradients peaking near 0.17.
+#[test]
+fn fft_product_side_keeps_the_adjoint_identity_and_shift_equivariance() {
+    let (m, d, y) = adjoint_inputs(128);
+    let (mask, z) = (target(), smooth_z(128));
+    let accelerated = AcceleratedBackend::new(1);
+    for (name, kernels) in fft_product_sets() {
+        assert!(takes_fft_product(&kernels, 128), "premise: {name}");
+        let gap64 = adjoint_gap::<f64>(&accelerated, &kernels, &m, &d, &y);
+        let gap32 = adjoint_gap::<f32>(&accelerated, &kernels, &m, &d, &y);
+        let (da64, dg64) = shift_gap::<f64>(&accelerated, &kernels, &mask, &z);
+        let (da32, dg32) = shift_gap::<f32>(&accelerated, &kernels, &mask, &z);
+        assert!(gap64 < 1e-12, "{name}: f64 adjoint gap {gap64:e}");
+        assert!(gap32 < 1e-4, "{name}: f32 adjoint gap {gap32:e}");
+        assert!(
+            da64 < 1e-14,
+            "{name}: f64 shifted aerial deviates by {da64:e}"
+        );
+        assert!(
+            dg64 < 1e-15,
+            "{name}: f64 shifted gradient deviates by {dg64:e}"
+        );
+        assert!(
+            da32 < 1e-6,
+            "{name}: f32 shifted aerial deviates by {da32:e}"
+        );
+        assert!(
+            dg32 < 1e-7,
+            "{name}: f32 shifted gradient deviates by {dg32:e}"
+        );
+    }
+}
+
+/// A symmetry of the square lattice that fixes the origin, applied to a
+/// periodic `n`² grid.
+#[derive(Clone, Copy, Debug)]
+enum Symmetry {
+    Rotate90,
+    Transpose,
+    MirrorX,
+    MirrorY,
+}
+
+impl Symmetry {
+    /// `out(x, y) = g(σ(x, y))`.
+    fn apply<V: Copy>(self, g: &Grid<V>) -> Grid<V> {
+        let n = g.width();
+        let flip = |v: usize| (n - v) % n;
+        Grid::from_fn(n, n, |x, y| match self {
+            Symmetry::Rotate90 => g[(y, flip(x))],
+            Symmetry::Transpose => g[(y, x)],
+            Symmetry::MirrorX => g[(flip(x), y)],
+            Symmetry::MirrorY => g[(x, flip(y))],
+        })
+    }
+}
+
+/// Largest deviation from equivariance under `sym` on `backend`, as
+/// (aerial, gradient): the pass on mapped inputs against the mapped pass.
+fn symmetry_gap<T: Scalar>(
+    backend: &dyn SimBackend<T>,
+    kernels: &KernelSet,
+    mask: &Grid<f64>,
+    z: &Grid<f64>,
+    sym: Symmetry,
+) -> (f64, f64) {
+    let (aerial, gradient) = pass(backend, kernels, mask, z);
+    let (mapped_aerial, mapped_gradient) = pass(backend, kernels, &sym.apply(mask), &sym.apply(z));
+    (
+        max_dev(&mapped_aerial, &sym.apply(&aerial)),
+        max_dev(&mapped_gradient, &sym.apply(&gradient)),
+    )
+}
+
+/// The 32² fixture's mask and sensitivity with the 256 nm kernel set of
+/// `count` source points at `defocus_nm`.
+fn symmetry_fixture(count: usize, defocus_nm: f64) -> (KernelSet, Grid<f64>, Grid<f64>) {
+    let (_, mask, z) = fixture32();
+    let kernels = OpticsConfig::iccad2013()
+        .with_field_nm(256.0)
+        .with_kernel_count(count)
+        .kernels(defocus_nm);
+    (kernels, mask, z)
+}
+
+/// Largest deviations over all three backends at f64 and f32, as
+/// (f64 aerial, f64 gradient, f32 aerial, f32 gradient).
+fn worst_symmetry_gaps(count: usize, defocus_nm: f64, sym: Symmetry) -> [f64; 4] {
+    let (kernels, mask, z) = symmetry_fixture(count, defocus_nm);
+    let mut worst = [0.0_f64; 4];
+    for (_, backend) in &all_backends::<f64>() {
+        let (da, dg) = symmetry_gap(backend.as_ref(), &kernels, &mask, &z, sym);
+        worst[0] = worst[0].max(da);
+        worst[1] = worst[1].max(dg);
+    }
+    for (_, backend) in &all_backends::<f32>() {
+        let (da, dg) = symmetry_gap(backend.as_ref(), &kernels, &mask, &z, sym);
+        worst[2] = worst[2].max(da);
+        worst[3] = worst[3].max(dg);
+    }
+    worst
+}
+
+/// With K = 8 the sampler places two rings of four source points, one
+/// on the axes and one on the diagonals, so the source, and with it the
+/// imaging model, is symmetric under all eight symmetries of the square
+/// (the pupil is radial). Every backend must commute with them, in focus
+/// and defocused; the four maps below generate the group. Measured
+/// worst cases over the three backends: 2.8e-16 (aerial) and 3.6e-17
+/// (gradient) at f64, 2.1e-7 and 1.7e-8 at f32. The bounds are those of
+/// the shift test.
+#[test]
+fn aerial_image_and_gradient_commute_with_the_square_symmetries() {
+    for defocus in [0.0, 25.0] {
+        for sym in [
+            Symmetry::Rotate90,
+            Symmetry::Transpose,
+            Symmetry::MirrorX,
+            Symmetry::MirrorY,
+        ] {
+            let [da64, dg64, da32, dg32] = worst_symmetry_gaps(8, defocus, sym);
+            assert!(da64 < 1e-14, "{sym:?} at {defocus} nm: f64 aerial {da64:e}");
+            assert!(
+                dg64 < 1e-15,
+                "{sym:?} at {defocus} nm: f64 gradient {dg64:e}"
+            );
+            assert!(da32 < 1e-6, "{sym:?} at {defocus} nm: f32 aerial {da32:e}");
+            assert!(
+                dg32 < 1e-7,
+                "{sym:?} at {defocus} nm: f32 gradient {dg32:e}"
+            );
+        }
+    }
+}
+
+/// Every ring the sampler places is symmetric under θ → −θ, so the
+/// y-mirror holds at any source point count. At K = 24 the rings hold
+/// 7, 8 and 9 points, which breaks the rotations, the transpose and the
+/// x-mirror (ROADMAP item 4), so only the y-mirror is asserted here.
+/// Measured worst cases: 2.2e-16 and 1.4e-17 at f64, 1.2e-7 and 7.5e-9
+/// at f32.
+#[test]
+fn y_mirror_holds_for_the_production_source() {
+    for defocus in [0.0, 25.0] {
+        let [da64, dg64, da32, dg32] = worst_symmetry_gaps(24, defocus, Symmetry::MirrorY);
+        assert!(
+            da64 < 1e-14,
+            "y-mirror at {defocus} nm: f64 aerial {da64:e}"
+        );
+        assert!(
+            dg64 < 1e-15,
+            "y-mirror at {defocus} nm: f64 gradient {dg64:e}"
+        );
+        assert!(da32 < 1e-6, "y-mirror at {defocus} nm: f32 aerial {da32:e}");
+        assert!(
+            dg32 < 1e-7,
+            "y-mirror at {defocus} nm: f32 gradient {dg32:e}"
+        );
     }
 }
