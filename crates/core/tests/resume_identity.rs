@@ -9,6 +9,9 @@
 //! snapshotting loop, and the coarse-to-fine schedule resumed in *both*
 //! stages, at f64 — plus the plain and guarded loops at f32, where the
 //! checkpoint widens every field to f64 and the resume narrows it back.
+//! An uninterrupted run that writes periodic checkpoints must equal the
+//! run with no control, bit for bit, and write exactly the checkpoints
+//! its interval asks for.
 //! `scripts/check.sh` runs this suite at `LSOPC_THREADS=1` and `=4` so
 //! the guarantee holds across pool sizes.
 
@@ -19,7 +22,9 @@ use lsopc_core::{
 use lsopc_grid::{Grid, Scalar};
 use lsopc_litho::LithoSimulator;
 use lsopc_optics::OpticsConfig;
+use lsopc_trace::MetricsRegistry;
 use std::path::PathBuf;
+use std::sync::Arc;
 
 fn sim<T: Scalar>(grid_px: usize) -> LithoSimulator<T> {
     // 4 nm pixels at 64 px (the golden-test geometry); 8 nm at 256 px so
@@ -147,6 +152,38 @@ fn plain_loop_resumes_bit_identically() {
         .build();
     for k in [1, 5, 9] {
         check_kill_resume::<f64>(&ilt, 64, k, "plain");
+    }
+}
+
+/// Periodic checkpoints only observe: a 12-iteration run writing one
+/// every `every` iterations is bit-identical to the run with no
+/// control and writes 12 / `every` of them. A completed run writes no
+/// final checkpoint.
+#[test]
+fn periodic_checkpoints_only_observe() {
+    let ilt = LevelSetIlt::builder().max_iterations(12).build();
+    let sim = sim::<f64>(64);
+    let target = wire_target::<f64>(64);
+    let baseline = ilt.optimize(&sim, &target).expect("baseline run");
+    assert_eq!(baseline.iterations, 12, "premise: the run uses its budget");
+    for (every, writes) in [(1, 12), (10, 1)] {
+        let ck = tmp_ck(&format!("periodic_every{every}"));
+        std::fs::remove_file(&ck).ok();
+        let control = RunControl::new().with_checkpoint(CheckpointSpec::new(&ck, every));
+        let registry = Arc::new(MetricsRegistry::new());
+        let result = lsopc_trace::with_scoped_sink(registry.clone(), || {
+            ilt.optimize_controlled(&sim, &target, &control)
+        })
+        .expect("checkpointed run");
+        assert!(result.stopped.is_none(), "every={every}: run completes");
+        assert_bit_identical(&baseline, &result, &format!("every={every}"));
+        assert_eq!(
+            registry.counter("checkpoint.write"),
+            writes,
+            "every={every}: checkpoint writes"
+        );
+        assert!(ck.exists(), "every={every}: checkpoint on disk");
+        std::fs::remove_file(ck).ok();
     }
 }
 

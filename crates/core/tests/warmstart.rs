@@ -1,13 +1,82 @@
 //! Property tests for warm-start fingerprint normalization: translated
 //! copies of a pattern share one cache key, and the cached ψ aligns
-//! bit-for-bit (DESIGN.md §14).
+//! bit-for-bit (DESIGN.md §14). Plus the cache's engagement on a tiled
+//! run over a periodic layout.
 
-use lsopc_core::{fingerprint, WarmStartCache};
+use lsopc_core::{fingerprint, LevelSetIlt, TiledIlt, TiledStats, WarmStartCache};
 use lsopc_fft::cyclic_shift;
 use lsopc_grid::Grid;
+use lsopc_optics::OpticsConfig;
 use proptest::prelude::*;
 
 const TILE: usize = 64;
+
+/// 4 × 4 copies of one motif, a 3 × 3 cluster of 9 px contacts on an
+/// 18 px pitch, at a 64 px period on 256² (8 nm/px over the 2048 nm
+/// field). With 64 px cores and no halo every tile sees the same motif
+/// at the same place.
+fn periodic_target() -> Grid<f64> {
+    Grid::from_fn(256, 256, |x, y| {
+        let on = |v: usize| {
+            let v = v % TILE;
+            (10..56).contains(&v) && (v - 10) % 18 < 9
+        };
+        if on(x) && on(y) {
+            1.0
+        } else {
+            0.0
+        }
+    })
+}
+
+/// One tiled run (K = 4, 3 iterations, 1 warm iteration, halo 0) over
+/// [`periodic_target`], optionally on `cache`.
+fn tiled_run(cache: Option<&WarmStartCache>) -> TiledStats {
+    let opt = LevelSetIlt::builder().max_iterations(3).build();
+    let mut ilt = TiledIlt::new(opt, TILE, 0)
+        .expect("valid tiling")
+        .with_warm_iterations(1);
+    if let Some(cache) = cache {
+        ilt = ilt.with_warm_start(cache.clone());
+    }
+    let optics = OpticsConfig::iccad2013().with_kernel_count(4);
+    let (_, stats) = ilt
+        .optimize_with_stats(&optics, &periodic_target(), 8.0)
+        .expect("tiled run");
+    stats
+}
+
+/// The cache collapses the 16 translation-equal tiles onto one cold
+/// solve, a second run on the same cache solves none cold, and warm
+/// tiles cut the full-resolution iterations at least in half.
+#[test]
+fn repeated_tiles_warm_start_from_one_cold_solve() {
+    let uncached = tiled_run(None);
+    assert_eq!(
+        (uncached.tiles, uncached.cold),
+        (16, 16),
+        "every tile solves cold without a cache"
+    );
+    let cache = WarmStartCache::in_memory();
+    let first = tiled_run(Some(&cache));
+    assert_eq!(
+        (first.cold, first.warm),
+        (1, 15),
+        "repeated tiles collapse onto one cold representative"
+    );
+    let second = tiled_run(Some(&cache));
+    assert_eq!(
+        (second.cold, second.warm),
+        (0, 16),
+        "a populated cache warm-starts every tile"
+    );
+    assert!(
+        uncached.full_iterations() >= 2 * second.full_iterations(),
+        "warm starts must cut full-resolution iterations at least 2x: {} vs {}",
+        uncached.full_iterations(),
+        second.full_iterations()
+    );
+}
 
 /// Builds a TILE×TILE tile with a `bw`×`bh` bit box placed at `(ox, oy)`.
 fn place(pattern: &[bool], bw: usize, bh: usize, ox: usize, oy: usize) -> Grid<f64> {

@@ -183,7 +183,8 @@ pub struct JobSpec {
     /// Collection scopes a per-job [`MetricsRegistry`] over the run,
     /// which turns the instrumentation points on for its duration; set
     /// false to keep the sub-1% disabled-path cost instead of the
-    /// summary (`benches/telemetry.rs` reports the measured delta).
+    /// summary (the benchmark, `examples/lsopc_bench`, reports the
+    /// measured delta as `trace.job_metrics_overhead_pct`).
     pub collect_metrics: bool,
 }
 

@@ -21,7 +21,8 @@
 //!   `Arc<Fft2d>` plans so hot paths never rebuild twiddle tables;
 //! * [`naive_dft`]/[`naive_dft2d`] — O(n²) reference transforms used by the
 //!   test-suite to pin correctness;
-//! * convolution helpers and `fftshift` utilities.
+//! * [`upsample_spectral`] and the index helpers [`wrap_index`] and
+//!   [`cyclic_shift`].
 //!
 //! All transforms are generic over [`lsopc_grid::Scalar`] (`f32`/`f64`).
 //!
@@ -49,7 +50,6 @@
 #![warn(missing_docs)]
 
 mod cache;
-mod conv;
 mod fft2d;
 mod plan;
 mod reference;
@@ -58,10 +58,9 @@ mod rfft;
 mod shift;
 
 pub use cache::{plan, plan_t, rplan, rplan_t, PlanCache};
-pub use conv::{convolve_cyclic, spectrum_accumulate, spectrum_multiply};
 pub use fft2d::Fft2d;
 pub use plan::FftPlan;
 pub use reference::{naive_dft, naive_dft2d};
 pub use resample::upsample_spectral;
 pub use rfft::{HalfSpectrum, RfftPlan};
-pub use shift::{cyclic_shift, fftshift, ifftshift, wrap_index};
+pub use shift::{cyclic_shift, wrap_index};

@@ -1,8 +1,9 @@
-//! `fftshift`-style index utilities for centred spectra.
+//! Index utilities on the periodic grid.
 //!
 //! The optics crate stores kernel spectra on small centred windows (DC in
-//! the middle); the FFT works with DC at index 0. These helpers convert
-//! between the two layouts.
+//! the middle); the FFT works with DC at index 0. [`wrap_index`] maps a
+//! centred offset onto the DFT bin layout, and [`cyclic_shift`]
+//! translates a field with wraparound.
 
 use lsopc_grid::Grid;
 
@@ -19,30 +20,6 @@ use lsopc_grid::Grid;
 pub fn wrap_index(k: i64, n: usize) -> usize {
     let n = n as i64;
     (((k % n) + n) % n) as usize
-}
-
-/// Moves DC from index 0 to the centre of the grid (`fftshift`).
-///
-/// For even dimensions this is its own inverse; for general dimensions use
-/// [`ifftshift`] to undo it.
-pub fn fftshift<T: Copy>(g: &Grid<T>) -> Grid<T> {
-    let (w, h) = g.dims();
-    Grid::from_fn(w, h, |x, y| {
-        let sx = (x + w.div_ceil(2)) % w;
-        let sy = (y + h.div_ceil(2)) % h;
-        g[(sx, sy)]
-    })
-}
-
-/// Moves DC from the centre back to index 0 (inverse of [`fftshift`]).
-pub fn ifftshift<T: Copy>(g: &Grid<T>) -> Grid<T> {
-    let (w, h) = g.dims();
-    Grid::from_fn(w, h, |x, y| {
-        let sx = (x + w - w.div_ceil(2) + w) % w;
-        let sy = (y + h - h.div_ceil(2) + h) % h;
-        // Equivalent to indexing with x - floor((w+1)/2) wrapped.
-        g[(sx % w, sy % h)]
-    })
 }
 
 /// Translates a periodic field by whole pixels with wraparound: output
@@ -90,31 +67,6 @@ mod tests {
         assert_eq!(wrap_index(-1, 4), 3);
         assert_eq!(wrap_index(-4, 4), 0);
         assert_eq!(wrap_index(5, 4), 1);
-    }
-
-    #[test]
-    fn fftshift_moves_dc_to_center_even() {
-        let mut g = Grid::new(4, 4, 0);
-        g[(0, 0)] = 7;
-        let s = fftshift(&g);
-        assert_eq!(s[(2, 2)], 7);
-    }
-
-    #[test]
-    fn fftshift_moves_dc_to_center_odd() {
-        let mut g = Grid::new(5, 5, 0);
-        g[(0, 0)] = 7;
-        let s = fftshift(&g);
-        assert_eq!(s[(2, 2)], 7);
-    }
-
-    #[test]
-    fn shift_roundtrip_even_and_odd() {
-        for &(w, h) in &[(4usize, 4usize), (5, 5), (4, 6), (3, 8)] {
-            let g = Grid::from_fn(w, h, |x, y| (y * w + x) as i32);
-            let round = ifftshift(&fftshift(&g));
-            assert_eq!(round, g, "roundtrip failed for {w}x{h}");
-        }
     }
 
     #[test]

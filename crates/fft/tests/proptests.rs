@@ -1,6 +1,6 @@
 //! Property-based invariants of the FFT substrate.
 
-use lsopc_fft::{convolve_cyclic, naive_dft, Fft2d, FftPlan};
+use lsopc_fft::{naive_dft, Fft2d, FftPlan};
 use lsopc_grid::{Grid, C64};
 use proptest::prelude::*;
 
@@ -59,34 +59,6 @@ proptest! {
         for (a, b) in fx.iter().zip(&fs) {
             prop_assert!((a.norm() - b.norm()).abs() < 1e-8);
         }
-    }
-
-    #[test]
-    fn convolution_commutes(
-        a in prop::collection::vec(-2.0f64..2.0, 64),
-        b in prop::collection::vec(-2.0f64..2.0, 64),
-    ) {
-        let ga = Grid::from_fn(8, 8, |x, y| C64::from_real(a[y * 8 + x]));
-        let gb = Grid::from_fn(8, 8, |x, y| C64::from_real(b[y * 8 + x]));
-        let ab = convolve_cyclic(&ga, &gb);
-        let ba = convolve_cyclic(&gb, &ga);
-        for (p, q) in ab.as_slice().iter().zip(ba.as_slice()) {
-            prop_assert!((*p - *q).norm() < 1e-8);
-        }
-    }
-
-    #[test]
-    fn convolution_total_mass_multiplies(
-        a in prop::collection::vec(0.0f64..2.0, 64),
-        b in prop::collection::vec(0.0f64..2.0, 64),
-    ) {
-        // Σ (a ⊗ b) = (Σ a)·(Σ b) for cyclic convolution.
-        let ga = Grid::from_fn(8, 8, |x, y| C64::from_real(a[y * 8 + x]));
-        let gb = Grid::from_fn(8, 8, |x, y| C64::from_real(b[y * 8 + x]));
-        let conv = convolve_cyclic(&ga, &gb);
-        let mass: f64 = conv.as_slice().iter().map(|v| v.re).sum();
-        let expected: f64 = a.iter().sum::<f64>() * b.iter().sum::<f64>();
-        prop_assert!((mass - expected).abs() < 1e-6 * (1.0 + expected.abs()));
     }
 
     #[test]

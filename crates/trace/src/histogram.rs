@@ -175,27 +175,6 @@ impl Histogram {
         self.max.load(Ordering::Relaxed)
     }
 
-    /// Adds every sample of `other` into `self`. Associative and
-    /// commutative (integer adds), so merge order never changes totals.
-    pub fn merge(&self, other: &Histogram) {
-        for (mine, theirs) in self.buckets.iter().zip(other.buckets.iter()) {
-            let n = theirs.load(Ordering::Relaxed);
-            if n > 0 {
-                mine.fetch_add(n, Ordering::Relaxed);
-            }
-        }
-        let n = other.count.load(Ordering::Relaxed);
-        if n > 0 {
-            self.count.fetch_add(n, Ordering::Relaxed);
-            self.sum
-                .fetch_add(other.sum.load(Ordering::Relaxed), Ordering::Relaxed);
-            self.min
-                .fetch_min(other.min.load(Ordering::Relaxed), Ordering::Relaxed);
-            self.max
-                .fetch_max(other.max.load(Ordering::Relaxed), Ordering::Relaxed);
-        }
-    }
-
     /// Non-empty buckets as `(inclusive upper bound, count)`, ascending.
     /// The exposition and analyzer layers build cumulative (`le`)
     /// series from this.
@@ -255,7 +234,7 @@ mod tests {
             assert!(q >= v, "quantile below sample: {q} < {v}");
             let bound = (v as f64 * (1.0 + RELATIVE_ERROR_BOUND)).ceil() as u64;
             assert!(q <= bound, "quantile {q} above error bound {bound} for {v}");
-            h.merge(&single);
+            h.record(v);
         }
         assert_eq!(h.count(), 6);
     }
@@ -268,18 +247,5 @@ mod tests {
         assert_eq!(h.min(), None);
         assert_eq!(h.max(), None);
         assert!(h.nonzero_buckets().is_empty());
-    }
-
-    #[test]
-    fn merge_accumulates_extremes() {
-        let a = Histogram::new();
-        let b = Histogram::new();
-        a.record(5);
-        b.record(500);
-        a.merge(&b);
-        assert_eq!(a.count(), 2);
-        assert_eq!(a.sum(), 505);
-        assert_eq!(a.min(), Some(5));
-        assert_eq!(a.max(), Some(500));
     }
 }

@@ -1,13 +1,13 @@
 //! Histogram accuracy and stability guarantees, checked against an
 //! exact oracle.
 //!
-//! Three contracts from the module docs are exercised here: every
+//! Two contracts from the module docs are exercised here: every
 //! quantile stays within [`RELATIVE_ERROR_BOUND`] of the true
 //! rank-selected sample (on random *and* adversarial distributions),
-//! merging is associative, and recorded totals are bit-stable under any
-//! thread count (the workspace test suite runs at `LSOPC_THREADS=1`
-//! and `4`; this test additionally compares 1-thread and 4-thread
-//! recordings of the same multiset directly).
+//! and recorded totals are bit-stable under any thread count (the
+//! workspace test suite runs at `LSOPC_THREADS=1` and `4`; this test
+//! additionally compares 1-thread and 4-thread recordings of the same
+//! multiset directly).
 
 use lsopc_trace::{Histogram, RELATIVE_ERROR_BOUND};
 
@@ -105,46 +105,6 @@ fn quantiles_match_oracle_on_bimodal_distribution() {
         hist.quantile(0.75) >= 10_000_000,
         "p75 reached the high mode"
     );
-}
-
-#[test]
-fn merge_is_associative_and_commutative() {
-    let mut rng = Lcg(42);
-    let parts: Vec<Vec<u64>> = (0..3)
-        .map(|_| (0..300).map(|_| rng.next() % 1_000_000).collect())
-        .collect();
-    let fill = |idx: usize| {
-        let h = Histogram::new();
-        for &v in &parts[idx] {
-            h.record(v);
-        }
-        h
-    };
-
-    // (a ⊕ b) ⊕ c
-    let left = fill(0);
-    left.merge(&fill(1));
-    left.merge(&fill(2));
-    // a ⊕ (b ⊕ c)
-    let bc = fill(1);
-    bc.merge(&fill(2));
-    let right = fill(0);
-    right.merge(&bc);
-    // c ⊕ b ⊕ a
-    let rev = fill(2);
-    rev.merge(&fill(1));
-    rev.merge(&fill(0));
-
-    for other in [&right, &rev] {
-        assert_eq!(left.count(), other.count());
-        assert_eq!(left.sum(), other.sum());
-        assert_eq!(left.min(), other.min());
-        assert_eq!(left.max(), other.max());
-        assert_eq!(left.nonzero_buckets(), other.nonzero_buckets());
-        for q in QS {
-            assert_eq!(left.quantile(q), other.quantile(q), "q={q}");
-        }
-    }
 }
 
 #[test]
