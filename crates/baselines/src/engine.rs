@@ -2,7 +2,6 @@
 
 use lsopc_grid::{max_abs, Grid};
 use lsopc_litho::{corner_cost_and_gradient, LithoSimulator, ProcessCondition};
-use serde::{Deserialize, Serialize};
 use std::error::Error;
 use std::fmt;
 
@@ -36,10 +35,9 @@ impl fmt::Display for BaselineError {
 impl Error for BaselineError {}
 
 /// Outcome of a baseline optimization run.
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct BaselineResult {
     /// The optimized binary mask.
-    #[serde(skip, default = "empty_grid")]
     pub mask: Grid<f64>,
     /// Iterations run.
     pub iterations: usize,
@@ -47,14 +45,6 @@ pub struct BaselineResult {
     pub runtime_s: f64,
     /// Total-cost trace, one entry per iteration.
     pub cost_history: Vec<f64>,
-}
-
-// Referenced only from the `#[serde(default = "empty_grid")]` attribute
-// above; the vendored serde_derive stub does not expand attribute
-// arguments, so rustc sees no call site.
-#[allow(dead_code)]
-fn empty_grid() -> Grid<f64> {
-    Grid::new(1, 1, 0.0)
 }
 
 /// A mask optimizer: target in, mask out.

@@ -4,11 +4,10 @@ use crate::engine::{PixelEngine, ScheduledCorner};
 use crate::{BaselineError, BaselineResult, MaskOptimizer};
 use lsopc_grid::Grid;
 use lsopc_litho::LithoSimulator;
-use serde::{Deserialize, Serialize};
 
 /// Corner-sampling strategy of [`PixelIlt`], mirroring MOSAIC's fast /
 /// exact trade-off (Gao et al., DAC'14).
-#[derive(Copy, Clone, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Copy, Clone, Debug, PartialEq, Eq)]
 pub enum PixelIltMode {
     /// Nominal-only gradient most iterations; the process-window corners
     /// are simulated every fourth iteration. Cheap but less accurate.
@@ -34,7 +33,7 @@ pub enum PixelIltMode {
 /// # Ok(())
 /// # }
 /// ```
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct PixelIlt {
     mode: PixelIltMode,
     iterations: usize,
@@ -68,28 +67,6 @@ impl PixelIlt {
     pub fn with_iterations(mut self, iterations: usize) -> Self {
         assert!(iterations > 0, "iteration count must be positive");
         self.iterations = iterations;
-        self
-    }
-
-    /// Sets the descent step (peak latent change per iteration).
-    ///
-    /// # Panics
-    ///
-    /// Panics unless positive.
-    pub fn with_step(mut self, step: f64) -> Self {
-        assert!(step > 0.0, "step must be positive");
-        self.step = step;
-        self
-    }
-
-    /// Sets the process-variation weight.
-    ///
-    /// # Panics
-    ///
-    /// Panics if negative.
-    pub fn with_pvb_weight(mut self, w: f64) -> Self {
-        assert!(w >= 0.0, "w_pvb must be non-negative");
-        self.w_pvb = w;
         self
     }
 

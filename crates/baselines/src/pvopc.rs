@@ -4,7 +4,6 @@ use crate::engine::{PixelEngine, ScheduledCorner};
 use crate::{BaselineError, BaselineResult, MaskOptimizer};
 use lsopc_grid::Grid;
 use lsopc_litho::LithoSimulator;
-use serde::{Deserialize, Serialize};
 
 /// Fast process-variation-aware pixel OPC.
 ///
@@ -13,7 +12,7 @@ use serde::{Deserialize, Serialize};
 /// first-order update (heavy-ball momentum) and a deliberately small
 /// iteration budget, which is how it achieves the shortest runtimes of
 /// the published baselines in Table II.
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct PvOpc {
     iterations: usize,
     step: f64,
@@ -54,17 +53,6 @@ impl PvOpc {
     pub fn with_momentum(mut self, momentum: f64) -> Self {
         assert!((0.0..1.0).contains(&momentum), "momentum must be in [0, 1)");
         self.momentum = momentum;
-        self
-    }
-
-    /// Sets the process-variation weight.
-    ///
-    /// # Panics
-    ///
-    /// Panics if negative.
-    pub fn with_pvb_weight(mut self, w: f64) -> Self {
-        assert!(w >= 0.0, "w_pvb must be non-negative");
-        self.w_pvb = w;
         self
     }
 }

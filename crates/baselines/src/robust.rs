@@ -4,7 +4,6 @@ use crate::engine::{PixelEngine, ScheduledCorner};
 use crate::{BaselineError, BaselineResult, MaskOptimizer};
 use lsopc_grid::Grid;
 use lsopc_litho::LithoSimulator;
-use serde::{Deserialize, Serialize};
 
 /// Robust process-variation-aware OPC.
 ///
@@ -15,7 +14,7 @@ use serde::{Deserialize, Serialize};
 /// iteration simulates the two extreme corners only, and stands in for
 /// the nominal response with the corner average (the two corners bracket
 /// the nominal print, so their mean gradient is a serviceable estimate).
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct RobustOpc {
     iterations: usize,
     step: f64,

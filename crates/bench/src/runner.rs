@@ -8,10 +8,9 @@ use lsopc_grid::Grid;
 use lsopc_litho::LithoSimulator;
 use lsopc_metrics::{evaluate_mask, ContestScore};
 use lsopc_optics::OpticsConfig;
-use serde::{Deserialize, Serialize};
 
 /// A method entry of the comparison tables.
-#[derive(Copy, Clone, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Copy, Clone, Debug, PartialEq, Eq)]
 pub enum Method {
     /// MOSAIC_fast-style pixel ILT.
     MosaicFast,
@@ -72,7 +71,7 @@ impl Method {
 }
 
 /// Scale and budget of a suite run.
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct ExperimentConfig {
     /// Simulation grid (pixels per side); the pixel size is
     /// `2048 / grid_px` nm.
@@ -121,9 +120,9 @@ impl ExperimentConfig {
         let sim = LithoSimulator::from_optics(&optics, self.grid_px, self.pixel_nm())
             .expect("valid experiment configuration");
         match method {
-            // The level-set "GPU" column and all pixel baselines run on
-            // the accelerated backend (the paper's baselines are equally
-            // FFT-based); the "CPU" column uses the per-kernel FFT path.
+            // Only the level-set "GPU" column runs on the accelerated
+            // backend; the "CPU" column and every pixel baseline use the
+            // per-kernel FFT path.
             Method::LevelSetCpu => sim,
             Method::LevelSetGpu => sim.with_accelerated_backend(self.threads),
             _ => sim,
@@ -143,7 +142,7 @@ impl ExperimentConfig {
 }
 
 /// Everything measured for one `(method, case)` pair.
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug)]
 pub struct CaseOutcome {
     /// Method that produced the mask.
     pub method: Method,

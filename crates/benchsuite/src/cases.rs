@@ -1,7 +1,5 @@
 //! Benchmark case descriptors.
 
-use serde::{Deserialize, Serialize};
-
 /// The contest field size: 2048 x 2048 nm at 1 nm²/px.
 pub const FIELD_NM: i64 = 2048;
 
@@ -11,7 +9,7 @@ pub const PAPER_PATTERN_AREAS: [i64; 10] = [
 ];
 
 /// Descriptor of one synthetic benchmark case.
-#[derive(Clone, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq, Eq)]
 pub struct CaseSpec {
     /// Zero-based index (0 = B1).
     pub index: usize,

@@ -1,10 +1,9 @@
 //! Optimizer configuration and builder.
 
 use crate::{RecoveryPolicy, ResolutionSchedule};
-use serde::{Deserialize, Serialize};
 
 /// How successive evolution velocities are combined (paper Eq. (15)).
-#[derive(Copy, Clone, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Copy, Clone, Debug, PartialEq)]
 pub enum Evolution {
     /// Pure steepest descent: `v_i = −g_i`.
     Plain,
@@ -33,7 +32,7 @@ pub enum Evolution {
 ///     .build();
 /// assert_eq!(opt.max_iterations(), 40);
 /// ```
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct LevelSetIlt {
     pub(crate) max_iterations: usize,
     pub(crate) velocity_tolerance: f64,
@@ -47,7 +46,6 @@ pub struct LevelSetIlt {
     pub(crate) narrow_band: f64,
     pub(crate) line_search: bool,
     pub(crate) recovery: RecoveryPolicy,
-    #[serde(default)]
     pub(crate) schedule: Option<ResolutionSchedule>,
 }
 

@@ -20,12 +20,11 @@
 //! DESIGN.md §10 for the state machine and the determinism argument).
 
 use lsopc_grid::{Grid, Scalar};
-use serde::{Deserialize, Serialize};
 use std::fmt;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 
 /// Detection thresholds and backoff limits for the health guard.
-#[derive(Copy, Clone, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Copy, Clone, Debug, PartialEq)]
 pub struct GuardConfig {
     /// Backoffs allowed before the guard gives up (each halves `λ_t`).
     pub max_backoffs: usize,
@@ -98,7 +97,7 @@ impl GuardConfig {
 }
 
 /// Whether and how the optimizer recovers from solver trouble.
-#[derive(Copy, Clone, Debug, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Copy, Clone, Debug, Default, PartialEq)]
 pub enum RecoveryPolicy {
     /// No guard at all: the historical code path, faults propagate.
     #[default]
@@ -149,7 +148,7 @@ impl std::str::FromStr for RecoveryPolicy {
 }
 
 /// What the guard saw at one iteration.
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq)]
 pub enum GuardEventKind {
     /// The total cost was NaN or ±∞.
     NonFiniteCost,
@@ -228,7 +227,7 @@ impl fmt::Display for GuardEventKind {
 }
 
 /// One guard observation, stamped with the iteration it happened at.
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct GuardEvent {
     /// Iteration index (the final post-loop evaluation uses
     /// `iterations`, one past the last in-loop index).
@@ -240,7 +239,7 @@ pub struct GuardEvent {
 /// Everything the health guard observed during a run, attached to
 /// [`IltResult`](crate::IltResult). Empty (no events, no backoffs) for a
 /// healthy run.
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct SolverDiagnostics {
     /// Chronological guard observations.
     pub events: Vec<GuardEvent>,

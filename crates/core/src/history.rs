@@ -1,9 +1,7 @@
 //! Per-iteration optimization records.
 
-use serde::{Deserialize, Serialize};
-
 /// What happened in one optimizer iteration (one line of Algorithm 1).
-#[derive(Copy, Clone, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Copy, Clone, Debug, PartialEq)]
 pub struct IterationRecord {
     /// Iteration index, starting at 0.
     pub iteration: usize,

@@ -601,8 +601,8 @@ impl LevelSetIlt {
                 // The coarse simulator shares the optics (same field
                 // period, so identical physics in cycles-per-field) with
                 // a truncated kernel rank; its plans and spectra go
-                // through the same process-wide caches as any other grid
-                // size.
+                // through the fine simulator's caches, so a job built on
+                // private caches stays isolated from the process globals.
                 let coarse_kernels = schedule.coarse_kernels().min(sim.optics().kernel_count());
                 let coarse_optics = sim.optics().clone().with_kernel_count(coarse_kernels);
                 let coarse_pixel_nm = sim.field_nm() / schedule.coarse_px() as f64;
@@ -614,7 +614,8 @@ impl LevelSetIlt {
                 .map_err(|e| OptimizeError::CoarseStage {
                     message: e.to_string(),
                 })?
-                .with_accelerated_backend(1);
+                .with_accelerated_backend(1)
+                .with_caches(sim.caches().clone());
 
                 let coarse = {
                     let _span = lsopc_trace::span!("optimize.stage.coarse");
@@ -1465,7 +1466,10 @@ mod line_search_tests {
 mod schedule_tests {
     use super::*;
     use crate::ResolutionSchedule;
+    use lsopc_fft::PlanCache;
+    use lsopc_litho::{SimCaches, SpectrumCache};
     use lsopc_optics::OpticsConfig;
+    use std::sync::Arc;
 
     fn optics() -> OpticsConfig {
         OpticsConfig::iccad2013().with_kernel_count(4)
@@ -1525,6 +1529,33 @@ mod schedule_tests {
         );
         assert!(result.mask.as_slice().iter().all(|&v| v == 0.0 || v == 1.0));
         assert!(result.mask.sum() > 0.0);
+    }
+
+    #[test]
+    fn coarse_stage_uses_the_simulators_caches() {
+        // Each run gets a fresh injected plan cache; the coarse stage
+        // must plan its grid there, not in the process-global cache.
+        let target = wire_target_256();
+        let plans_after = |schedule: Option<ResolutionSchedule>| {
+            let plans = Arc::new(PlanCache::new());
+            let caches =
+                SimCaches::with_handles(Arc::clone(&plans), Arc::new(SpectrumCache::new()));
+            LevelSetIlt::builder()
+                .max_iterations(6)
+                .schedule(schedule)
+                .build()
+                .optimize(&sim_256().with_caches(caches), &target)
+                .expect("run");
+            plans.len()
+        };
+        let schedule =
+            ResolutionSchedule::auto(256, &optics(), 6).expect("256 px grid is schedulable");
+        let flat = plans_after(None);
+        let scheduled = plans_after(Some(schedule));
+        assert!(
+            scheduled > flat,
+            "scheduled run left {scheduled} plans, flat run {flat}"
+        );
     }
 
     #[test]

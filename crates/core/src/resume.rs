@@ -151,11 +151,6 @@ impl RunControl {
         self
     }
 
-    /// The cancel token, if one is attached.
-    pub fn cancel_token(&self) -> Option<&CancelToken> {
-        self.cancel.as_ref()
-    }
-
     /// Polls every stop source, in deterministic-first order: an
     /// exhausted iteration budget wins over a cancellation, which wins
     /// over an expired deadline. `iterations_done` is the number of

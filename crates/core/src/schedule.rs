@@ -11,7 +11,6 @@
 //! stage state machine and the accuracy contract.
 
 use lsopc_optics::OpticsConfig;
-use serde::{Deserialize, Serialize};
 
 /// Parameters of a two-stage coarse-to-fine run.
 ///
@@ -31,7 +30,7 @@ use serde::{Deserialize, Serialize};
 ///     .build();
 /// assert_eq!(opt.schedule().expect("set").coarse_px(), 256);
 /// ```
-#[derive(Copy, Clone, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Copy, Clone, Debug, PartialEq, Eq)]
 pub struct ResolutionSchedule {
     coarse_px: usize,
     coarse_kernels: usize,

@@ -18,10 +18,9 @@
 use lsopc_geometry::label_components;
 use lsopc_grid::Grid;
 use lsopc_levelset::signed_distance;
-use serde::{Deserialize, Serialize};
 
 /// SRAF seeding rule (distances in pixels of the working grid).
-#[derive(Copy, Clone, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Copy, Clone, Debug, PartialEq)]
 pub struct SrafRule {
     /// Gap between the target edge and the assist bar, px.
     pub distance_px: f64,

@@ -24,10 +24,9 @@
 
 use std::any::{Any, TypeId};
 use std::collections::HashMap;
-use std::sync::Arc;
+use std::sync::{Arc, PoisonError, RwLock};
 
 use lsopc_grid::Scalar;
-use parking_lot::RwLock;
 
 use crate::{Fft2d, RfftPlan};
 
@@ -41,7 +40,9 @@ type PlanMap = HashMap<(TypeId, usize, usize), Arc<dyn Any + Send + Sync>>;
 ///
 /// Reads take a shared lock, so concurrent simulation threads hitting
 /// already-built plans never serialize; only the first construction of a
-/// given size takes the write lock.
+/// given size takes the write lock. A construction that panics (a size
+/// that is not a power of two) poisons the lock but inserts nothing, so
+/// every lookup recovers the map from the `PoisonError`.
 #[derive(Debug, Default)]
 pub struct PlanCache {
     plans: RwLock<PlanMap>,
@@ -86,12 +87,17 @@ impl PlanCache {
     /// contract as [`Fft2d::new`]).
     pub fn plan_t<T: Scalar>(&self, width: usize, height: usize) -> Arc<Fft2d<T>> {
         let key = (TypeId::of::<T>(), width, height);
-        if let Some(plan) = self.plans.read().get(&key) {
+        if let Some(plan) = self
+            .plans
+            .read()
+            .unwrap_or_else(PoisonError::into_inner)
+            .get(&key)
+        {
             lsopc_trace::count("cache.plan.hit", 1);
             return downcast_plan(plan);
         }
         lsopc_trace::count("cache.plan.miss", 1);
-        let mut plans = self.plans.write();
+        let mut plans = self.plans.write().unwrap_or_else(PoisonError::into_inner);
         // Re-check under the write lock: another thread may have built
         // the plan between our read and write acquisitions, and every
         // caller must observe the same Arc.
@@ -123,12 +129,17 @@ impl PlanCache {
     /// contract as [`RfftPlan::new`]).
     pub fn rplan_t<T: Scalar>(&self, width: usize, height: usize) -> Arc<RfftPlan<T>> {
         let key = (TypeId::of::<T>(), width, height);
-        if let Some(plan) = self.rplans.read().get(&key) {
+        if let Some(plan) = self
+            .rplans
+            .read()
+            .unwrap_or_else(PoisonError::into_inner)
+            .get(&key)
+        {
             lsopc_trace::count("cache.rplan.hit", 1);
             return downcast_rplan(plan);
         }
         lsopc_trace::count("cache.rplan.miss", 1);
-        let mut rplans = self.rplans.write();
+        let mut rplans = self.rplans.write().unwrap_or_else(PoisonError::into_inner);
         let erased = rplans
             .entry(key)
             .or_insert_with(|| Arc::new(RfftPlan::<T>::new(width, height)));
@@ -138,19 +149,27 @@ impl PlanCache {
     /// Number of distinct `(scalar type, size)` plans currently cached
     /// (dense and real-input combined).
     pub fn len(&self) -> usize {
-        self.plans.read().len() + self.rplans.read().len()
+        let plans = self.plans.read().unwrap_or_else(PoisonError::into_inner);
+        let rplans = self.rplans.read().unwrap_or_else(PoisonError::into_inner);
+        plans.len() + rplans.len()
     }
 
     /// Whether the cache holds no plans.
     pub fn is_empty(&self) -> bool {
-        self.plans.read().is_empty() && self.rplans.read().is_empty()
+        self.len() == 0
     }
 
     /// Drops all cached plans. Outstanding `Arc`s stay valid; subsequent
     /// lookups rebuild.
     pub fn clear(&self) {
-        self.plans.write().clear();
-        self.rplans.write().clear();
+        self.plans
+            .write()
+            .unwrap_or_else(PoisonError::into_inner)
+            .clear();
+        self.rplans
+            .write()
+            .unwrap_or_else(PoisonError::into_inner)
+            .clear();
     }
 }
 
@@ -284,6 +303,19 @@ mod tests {
         let g = Grid::new(16, 8, 1.0_f64);
         let spec = r1.forward(&g);
         assert_eq!(spec.dims(), (16, 8));
+    }
+
+    #[test]
+    fn a_panicking_build_leaves_the_cache_usable() {
+        use std::panic::{catch_unwind, AssertUnwindSafe};
+        let cache = PlanCache::new();
+        // 12 is not a power of two: both builds panic under the write
+        // lock and poison it, and later lookups must recover.
+        assert!(catch_unwind(AssertUnwindSafe(|| cache.plan(12, 8))).is_err());
+        assert!(catch_unwind(AssertUnwindSafe(|| cache.rplan(12, 8))).is_err());
+        assert_eq!(cache.plan(8, 8).width(), 8);
+        assert_eq!(cache.rplan(8, 8).width(), 8);
+        assert_eq!(cache.len(), 2);
     }
 
     #[test]

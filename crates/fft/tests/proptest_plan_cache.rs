@@ -16,16 +16,15 @@ proptest! {
     ) {
         let cache = PlanCache::new();
         let (w, h) = (1usize << wexp, 1usize << hexp);
-        let plans: Vec<_> = crossbeam::thread::scope(|scope| {
+        let plans: Vec<_> = std::thread::scope(|scope| {
             let handles: Vec<_> = (0..threads)
-                .map(|_| scope.spawn(|_| cache.plan(w, h)))
+                .map(|_| scope.spawn(|| cache.plan(w, h)))
                 .collect();
             handles
                 .into_iter()
                 .map(|handle| handle.join().expect("worker panicked"))
                 .collect()
-        })
-        .expect("crossbeam scope failed");
+        });
         for plan in &plans {
             prop_assert!(Arc::ptr_eq(&plans[0], plan));
         }
@@ -44,12 +43,12 @@ proptest! {
     ) {
         let cache = PlanCache::new();
         let sizes: Vec<usize> = exps.iter().map(|&e| 1usize << e).collect();
-        let rounds: Vec<Vec<_>> = crossbeam::thread::scope(|scope| {
+        let rounds: Vec<Vec<_>> = std::thread::scope(|scope| {
             let handles: Vec<_> = (0..threads)
                 .map(|_| {
                     let sizes = &sizes;
                     let cache = &cache;
-                    scope.spawn(move |_| {
+                    scope.spawn(move || {
                         sizes.iter().map(|&n| cache.plan(n, n)).collect::<Vec<_>>()
                     })
                 })
@@ -58,8 +57,7 @@ proptest! {
                 .into_iter()
                 .map(|handle| handle.join().expect("worker panicked"))
                 .collect()
-        })
-        .expect("crossbeam scope failed");
+        });
         for round in &rounds {
             for (plan, first) in round.iter().zip(&rounds[0]) {
                 prop_assert!(Arc::ptr_eq(plan, first));

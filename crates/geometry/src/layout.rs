@@ -1,10 +1,9 @@
 //! Layouts: collections of shapes forming one benchmark tile.
 
 use crate::{Polygon, Rect};
-use serde::{Deserialize, Serialize};
 
 /// Either a rectangle or a general rectilinear polygon.
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq)]
 pub enum Shape {
     /// An axis-aligned rectangle.
     Rect(Rect),
@@ -71,7 +70,7 @@ impl From<Polygon> for Shape {
 /// assert_eq!(layout.total_area(), 100 * 40 * 2);
 /// assert_eq!(layout.len(), 2);
 /// ```
-#[derive(Clone, Debug, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, Default, PartialEq)]
 pub struct Layout {
     shapes: Vec<Shape>,
     /// Optional cell name carried from / written to `.glp`.

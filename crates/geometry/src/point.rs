@@ -1,6 +1,5 @@
 //! Integer and floating-point 2-D points.
 
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// An integer point in nanometre layout coordinates.
@@ -12,9 +11,7 @@ use std::fmt;
 /// let p = Point::new(10, -4) + Point::new(2, 4);
 /// assert_eq!(p, Point::new(12, 0));
 /// ```
-#[derive(
-    Copy, Clone, Debug, Default, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize,
-)]
+#[derive(Copy, Clone, Debug, Default, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct Point {
     /// Horizontal coordinate (nm).
     pub x: i64,
@@ -58,7 +55,7 @@ impl fmt::Display for Point {
 }
 
 /// A floating-point 2-D point (contour vertices, probe positions).
-#[derive(Copy, Clone, Debug, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Copy, Clone, Debug, Default, PartialEq)]
 pub struct FPoint {
     /// Horizontal coordinate.
     pub x: f64,

@@ -1,7 +1,6 @@
 //! Rectilinear (axis-parallel) simple polygons.
 
 use crate::{Point, Rect};
-use serde::{Deserialize, Serialize};
 
 /// A simple rectilinear polygon given by its vertices in order.
 ///
@@ -24,7 +23,7 @@ use serde::{Deserialize, Serialize};
 /// # Ok(())
 /// # }
 /// ```
-#[derive(Clone, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq, Eq)]
 pub struct Polygon {
     vertices: Vec<Point>,
 }

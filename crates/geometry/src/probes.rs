@@ -7,10 +7,9 @@
 //! contour displacement.
 
 use crate::{FPoint, Layout};
-use serde::{Deserialize, Serialize};
 
 /// Orientation of the target edge a probe sits on.
-#[derive(Copy, Clone, Debug, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Copy, Clone, Debug, PartialEq, Eq, Hash)]
 pub enum Axis {
     /// Edge runs horizontally; the normal is vertical.
     Horizontal,
@@ -19,7 +18,7 @@ pub enum Axis {
 }
 
 /// One EPE measurement site on a target edge.
-#[derive(Copy, Clone, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Copy, Clone, Debug, PartialEq)]
 pub struct ProbeSite {
     /// Position on the target edge, in nanometres.
     pub pos: FPoint,

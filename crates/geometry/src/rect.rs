@@ -1,7 +1,6 @@
 //! Axis-aligned rectangles.
 
 use crate::Point;
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// An axis-aligned rectangle `[x0, x1) x [y0, y1)` in nanometres.
@@ -19,7 +18,7 @@ use std::fmt;
 /// assert!(r.contains(9, 3));
 /// assert!(!r.contains(10, 3)); // exclusive upper edge
 /// ```
-#[derive(Copy, Clone, Debug, Default, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Copy, Clone, Debug, Default, PartialEq, Eq, Hash)]
 pub struct Rect {
     /// Left edge (inclusive).
     pub x0: i64,

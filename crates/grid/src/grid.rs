@@ -137,12 +137,6 @@ impl<T> Grid<T> {
         &mut self.data
     }
 
-    /// Consumes the grid, returning the underlying vector.
-    #[inline]
-    pub fn into_vec(self) -> Vec<T> {
-        self.data
-    }
-
     /// One row as a slice.
     ///
     /// # Panics
@@ -437,52 +431,5 @@ mod tests {
         let s = format!("{g:?}");
         assert!(s.contains("Grid 2x2"));
         assert!(s.contains('1'));
-    }
-}
-
-impl<T: serde::Serialize> serde::Serialize for Grid<T> {
-    fn serialize<S: serde::Serializer>(&self, serializer: S) -> Result<S::Ok, S::Error> {
-        use serde::ser::SerializeStruct;
-        let mut st = serializer.serialize_struct("Grid", 3)?;
-        st.serialize_field("width", &self.width)?;
-        st.serialize_field("height", &self.height)?;
-        st.serialize_field("data", &self.data)?;
-        st.end()
-    }
-}
-
-impl<'de, T: serde::Deserialize<'de> + Clone> serde::Deserialize<'de> for Grid<T> {
-    fn deserialize<D: serde::Deserializer<'de>>(deserializer: D) -> Result<Self, D::Error> {
-        #[derive(serde::Deserialize)]
-        struct Raw<T> {
-            width: usize,
-            height: usize,
-            data: Vec<T>,
-        }
-        let raw = Raw::<T>::deserialize(deserializer)?;
-        if raw.width == 0 || raw.height == 0 || raw.data.len() != raw.width * raw.height {
-            return Err(serde::de::Error::custom(format!(
-                "invalid grid: {}x{} with {} cells",
-                raw.width,
-                raw.height,
-                raw.data.len()
-            )));
-        }
-        Ok(Grid::from_vec(raw.width, raw.height, raw.data))
-    }
-}
-
-#[cfg(test)]
-mod serde_tests {
-    use super::*;
-
-    /// serde_json is not a workspace dependency, so the round-trip is
-    /// exercised by downstream crates; here we pin that the impls exist
-    /// for the element types the workspace serializes.
-    #[test]
-    fn grid_is_serde_serializable() {
-        fn assert_impls<T: serde::Serialize + for<'de> serde::Deserialize<'de>>() {}
-        assert_impls::<Grid<f64>>();
-        assert_impls::<Grid<u32>>();
     }
 }

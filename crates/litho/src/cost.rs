@@ -3,10 +3,9 @@
 
 use crate::{LithoSimulator, ProcessCondition};
 use lsopc_grid::{Grid, Scalar};
-use serde::{Deserialize, Serialize};
 
 /// Cost terms of one evaluation: `L = L_nom + w_pvb·L_pvb` (Eq. (13)).
-#[derive(Copy, Clone, Debug, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Copy, Clone, Debug, Default, PartialEq)]
 pub struct CostReport {
     /// Nominal-condition fidelity term `‖R − R*‖²` (Eq. (7)).
     pub nominal: f64,

@@ -1,7 +1,6 @@
 //! Photoresist models.
 
 use lsopc_grid::{Grid, Scalar};
-use serde::{Deserialize, Serialize};
 
 /// The constant-threshold resist model with its sigmoid relaxation.
 ///
@@ -25,7 +24,7 @@ use serde::{Deserialize, Serialize};
 /// // The sigmoid is 0.5 exactly at threshold.
 /// assert!((resist.develop_soft(0.225, 1.0) - 0.5).abs() < 1e-12);
 /// ```
-#[derive(Copy, Clone, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Copy, Clone, Debug, PartialEq)]
 pub struct ResistModel {
     threshold: f64,
     steepness: f64,
@@ -59,17 +58,6 @@ impl ResistModel {
     /// Sigmoid steepness `s`.
     pub fn steepness(&self) -> f64 {
         self.steepness
-    }
-
-    /// Returns a copy with a different steepness.
-    ///
-    /// # Panics
-    ///
-    /// Panics if not positive.
-    pub fn with_steepness(mut self, steepness: f64) -> Self {
-        assert!(steepness > 0.0, "steepness must be positive");
-        self.steepness = steepness;
-        self
     }
 
     /// Hard-threshold development of one intensity sample (Eq. (2)),

@@ -4,11 +4,10 @@ use crate::{AcceleratedBackend, FftBackend, ResistModel, SimBackend, SimCaches};
 use lsopc_grid::{Grid, Scalar};
 use lsopc_optics::{KernelSet, OpticsConfig, ProcessCondition, ProcessCorners};
 use lsopc_parallel::ParallelContext;
-use parking_lot::RwLock;
 use std::collections::HashMap;
 use std::error::Error;
 use std::fmt;
-use std::sync::Arc;
+use std::sync::{Arc, PoisonError, RwLock};
 
 /// Error building a [`LithoSimulator`].
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -200,15 +199,6 @@ impl<T: Scalar> LithoSimulator<T> {
         }
     }
 
-    /// Number of `cost_and_gradient` evaluations seen by the installed
-    /// injector so far (0 when none is installed).
-    #[cfg(feature = "fault-injection")]
-    pub fn fault_calls(&self) -> usize {
-        self.fault
-            .as_ref()
-            .map_or(0, |h| h.calls.load(std::sync::atomic::Ordering::Relaxed))
-    }
-
     /// Replaces the compute backend. The simulator's cache handles (see
     /// [`Self::with_caches`]) are injected into the new backend, so the
     /// calls compose in either order.
@@ -239,12 +229,6 @@ impl<T: Scalar> LithoSimulator<T> {
     /// Replaces the resist model.
     pub fn with_resist(mut self, resist: ResistModel) -> Self {
         self.resist = resist;
-        self
-    }
-
-    /// Replaces the process corners.
-    pub fn with_corners(mut self, corners: ProcessCorners) -> Self {
-        self.corners = corners;
         self
     }
 
@@ -293,11 +277,22 @@ impl<T: Scalar> LithoSimulator<T> {
         self.backend.as_ref()
     }
 
+    /// The cache handles this simulator and its backend use (see
+    /// [`Self::with_caches`]).
+    pub fn caches(&self) -> &SimCaches {
+        &self.caches
+    }
+
     /// The kernel set for a defocus value (cached; keyed at 1/1000 nm
     /// resolution).
     pub fn kernels_for(&self, defocus_nm: f64) -> Arc<KernelSet<T>> {
         let key = (defocus_nm * 1000.0).round() as i64;
-        if let Some(k) = self.kernel_cache.read().get(&key) {
+        if let Some(k) = self
+            .kernel_cache
+            .read()
+            .unwrap_or_else(PoisonError::into_inner)
+            .get(&key)
+        {
             lsopc_trace::count("cache.kernels.hit", 1);
             return Arc::clone(k);
         }
@@ -305,6 +300,7 @@ impl<T: Scalar> LithoSimulator<T> {
         let generated = Arc::new(self.optics.kernels_t::<T>(defocus_nm));
         self.kernel_cache
             .write()
+            .unwrap_or_else(PoisonError::into_inner)
             .entry(key)
             .or_insert(generated)
             .clone()

@@ -32,12 +32,11 @@
 
 use std::any::{Any, TypeId};
 use std::collections::{BTreeSet, HashMap};
-use std::sync::Arc;
+use std::sync::{Arc, PoisonError, RwLock};
 
 use lsopc_fft::{wrap_index, HalfSpectrum};
 use lsopc_grid::{Complex, Grid, Scalar};
 use lsopc_optics::KernelSet;
-use parking_lot::RwLock;
 
 /// One kernel's band window in full DFT layout, stored sparsely.
 #[derive(Debug)]
@@ -231,6 +230,10 @@ const SPECTRUM_CACHE_CAPACITY: usize = 64;
 /// (the `lsopc-engine` crate) build their own with [`Self::new`] and
 /// inject it via `SimCaches`.
 ///
+/// A build that panics (a grid too small for the band) poisons the lock
+/// but leaves the map valid, so lookups recover it from the
+/// `PoisonError`.
+///
 /// [`KernelSet::id`]: lsopc_optics::KernelSet::id
 #[derive(Debug, Default)]
 pub struct SpectrumCache {
@@ -264,12 +267,17 @@ impl SpectrumCache {
         height: usize,
     ) -> Arc<EmbeddedSpectra<T>> {
         let key = (kernels.id(), width, height, TypeId::of::<T>());
-        if let Some(spectra) = self.map.read().get(&key) {
+        if let Some(spectra) = self
+            .map
+            .read()
+            .unwrap_or_else(PoisonError::into_inner)
+            .get(&key)
+        {
             lsopc_trace::count("cache.spectra.hit", 1);
             return downcast_spectra(spectra);
         }
         lsopc_trace::count("cache.spectra.miss", 1);
-        let mut map = self.map.write();
+        let mut map = self.map.write().unwrap_or_else(PoisonError::into_inner);
         if !map.contains_key(&key) && map.len() >= SPECTRUM_CACHE_CAPACITY {
             map.clear();
         }
@@ -282,7 +290,10 @@ impl SpectrumCache {
     /// Number of cached `(kernel set, grid size, precision)` combinations.
     #[cfg(test)]
     pub(crate) fn len(&self) -> usize {
-        self.map.read().len()
+        self.map
+            .read()
+            .unwrap_or_else(PoisonError::into_inner)
+            .len()
     }
 }
 

@@ -14,10 +14,9 @@
 
 use lsopc_geometry::label_components;
 use lsopc_grid::Grid;
-use serde::{Deserialize, Serialize};
 
 /// Geometric complexity measures of a binary mask.
-#[derive(Copy, Clone, Debug, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Copy, Clone, Debug, Default, PartialEq)]
 pub struct MaskComplexity {
     /// Number of connected mask fragments.
     pub fragments: usize,
@@ -89,7 +88,7 @@ impl MaskComplexity {
 }
 
 /// Mask rule check results.
-#[derive(Copy, Clone, Debug, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Copy, Clone, Debug, Default, PartialEq, Eq)]
 pub struct MrcReport {
     /// Mask pixels sitting in a run (horizontal or vertical) narrower than
     /// the minimum width.

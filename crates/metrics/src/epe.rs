@@ -2,10 +2,9 @@
 
 use lsopc_geometry::{probe_sites, Layout, ProbeSite};
 use lsopc_grid::Grid;
-use serde::{Deserialize, Serialize};
 
 /// One EPE measurement at a probe site.
-#[derive(Copy, Clone, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Copy, Clone, Debug, PartialEq)]
 pub struct EpeMeasurement {
     /// The probe site on the target edge.
     pub site: ProbeSite,
@@ -18,7 +17,7 @@ pub struct EpeMeasurement {
 }
 
 /// Summary of an EPE check.
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct EpeReport {
     /// Number of violating probes (the paper's #EPE).
     pub violations: usize,
@@ -39,7 +38,7 @@ pub struct EpeReport {
 /// let checker = EpeChecker::iccad2013();
 /// assert_eq!(checker.threshold_nm(), 15.0);
 /// ```
-#[derive(Copy, Clone, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Copy, Clone, Debug, PartialEq)]
 pub struct EpeChecker {
     spacing_nm: f64,
     threshold_nm: f64,

@@ -1,7 +1,5 @@
 //! The contest score function (paper Eq. (18)).
 
-use serde::{Deserialize, Serialize};
-
 /// The ICCAD 2013 score:
 /// `Score = RT + 4·PVBand + 5000·#EPE + 10000·ShapeViol`
 /// with the runtime in seconds and the PV band in nm².
@@ -19,7 +17,7 @@ use serde::{Deserialize, Serialize};
 /// };
 /// assert_eq!(score.value(), 100.0 + 4.0 * 50_000.0 + 5000.0 * 2.0);
 /// ```
-#[derive(Copy, Clone, Debug, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Copy, Clone, Debug, Default, PartialEq)]
 pub struct ContestScore {
     /// End-to-end optimization runtime in seconds.
     pub runtime_s: f64,

@@ -12,10 +12,9 @@
 
 use lsopc_geometry::label_components;
 use lsopc_grid::Grid;
-use serde::{Deserialize, Serialize};
 
 /// Printed-vs-target shape violations.
-#[derive(Copy, Clone, Debug, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Copy, Clone, Debug, Default, PartialEq, Eq)]
 pub struct ShapeViolations {
     /// Printed components overlapping no target feature.
     pub extra: usize,

@@ -1,13 +1,11 @@
 //! Process conditions (focus / dose corners).
 
-use serde::{Deserialize, Serialize};
-
 /// One lithography process condition: a defocus and a dose multiplier.
 ///
 /// The paper's evaluation (Section IV) uses a defocus range of ±25 nm and a
 /// dose range of ±2 %: the *outer* printed contour is generated at nominal
 /// focus and +2 % dose, the *inner* contour at defocus and −2 % dose.
-#[derive(Copy, Clone, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Copy, Clone, Debug, PartialEq)]
 pub struct ProcessCondition {
     /// Defocus in nanometres (0 = nominal focal plane).
     pub defocus_nm: f64,
@@ -35,7 +33,7 @@ impl Default for ProcessCondition {
 }
 
 /// The three conditions used by the process-window-aware cost function.
-#[derive(Copy, Clone, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Copy, Clone, Debug, PartialEq)]
 pub struct ProcessCorners {
     /// Nominal condition.
     pub nominal: ProcessCondition,

@@ -2,7 +2,6 @@
 
 use crate::tcc::{abbe_kernels, tcc_kernels};
 use crate::{KernelSet, SourceModel, ZernikeSet};
-use serde::{Deserialize, Serialize};
 
 /// Configuration of the lithography optical system.
 ///
@@ -21,7 +20,7 @@ use serde::{Deserialize, Serialize};
 /// let kernels = cfg.with_field_nm(256.0).kernels(0.0);
 /// assert_eq!(kernels.len(), 24);
 /// ```
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct OpticsConfig {
     wavelength_nm: f64,
     na: f64,
@@ -30,7 +29,6 @@ pub struct OpticsConfig {
     kernel_count: usize,
     tcc_source_points: usize,
     tcc_iterations: usize,
-    #[serde(default)]
     aberrations: ZernikeSet,
 }
 
@@ -72,12 +70,6 @@ impl OpticsConfig {
     pub fn with_na(mut self, na: f64) -> Self {
         assert!(na > 0.0, "NA must be positive");
         self.na = na;
-        self
-    }
-
-    /// Sets the illumination shape.
-    pub fn with_source(mut self, source: SourceModel) -> Self {
-        self.source = source;
         self
     }
 
@@ -259,16 +251,8 @@ mod tests {
     }
 
     #[test]
-    fn serde_roundtrip() {
+    fn debug_output_shows_the_kernel_count() {
         let cfg = OpticsConfig::iccad2013().with_kernel_count(10);
-        let json = serde_json_like(&cfg);
-        assert!(json.contains("10"));
-    }
-
-    // serde_json is not a dependency; check Serialize works via the Debug
-    // fallback of a manual visitor instead. The derive is exercised by
-    // downstream crates; here we only make sure the type stays serde-able.
-    fn serde_json_like(cfg: &OpticsConfig) -> String {
-        format!("{cfg:?}")
+        assert!(format!("{cfg:?}").contains("10"));
     }
 }

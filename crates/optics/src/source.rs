@@ -1,10 +1,8 @@
 //! Illumination source shapes and their point discretization.
 
-use serde::{Deserialize, Serialize};
-
 /// One discretized source point in normalized pupil coordinates
 /// (|σ| = 1 at the pupil edge) together with its intensity weight.
-#[derive(Copy, Clone, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Copy, Clone, Debug, PartialEq)]
 pub struct SourcePoint {
     /// Normalized x pupil coordinate.
     pub sx: f64,
@@ -29,7 +27,7 @@ pub struct SourcePoint {
 /// let total: f64 = pts.iter().map(|p| p.weight).sum();
 /// assert!((total - 1.0).abs() < 1e-12);
 /// ```
-#[derive(Copy, Clone, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Copy, Clone, Debug, PartialEq)]
 pub enum SourceModel {
     /// A uniform disc of radius `sigma`.
     Circular {

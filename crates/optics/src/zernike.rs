@@ -9,8 +9,6 @@
 //! Polynomials are evaluated in normalized pupil coordinates
 //! `ρ ∈ [0, 1]`, `θ`; coefficients are in waves (multiples of `2π` phase).
 
-use serde::{Deserialize, Serialize};
-
 /// Low-order fringe Zernike aberration coefficients, in waves.
 ///
 /// # Example
@@ -27,7 +25,7 @@ use serde::{Deserialize, Serialize};
 /// let center = aberrations.phase_waves(0.0, 0.0);
 /// assert!(edge > center);
 /// ```
-#[derive(Copy, Clone, Debug, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Copy, Clone, Debug, Default, PartialEq)]
 pub struct ZernikeSet {
     /// Z4 defocus: `2ρ² − 1`.
     pub defocus: f64,

@@ -26,12 +26,11 @@
 //! on the calling thread — whenever the flag is set. Outer parallelism
 //! wins; inner levels degrade to the exact same serial arithmetic.
 
-use parking_lot::{Condvar, Mutex};
 use std::any::Any;
 use std::cell::Cell;
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Condvar, Mutex, PoisonError};
 use std::thread::JoinHandle;
 
 /// Per-job observability counters, allocated only when tracing is
@@ -125,7 +124,7 @@ impl Job {
             // erased closure is alive for the whole call.
             let task = unsafe { &*self.task.0 };
             if let Err(payload) = catch_unwind(AssertUnwindSafe(|| task(i))) {
-                let mut slot = self.panic.lock();
+                let mut slot = self.panic.lock().unwrap_or_else(PoisonError::into_inner);
                 if slot.is_none() {
                     *slot = Some(payload);
                 }
@@ -133,7 +132,7 @@ impl Job {
             if self.remaining.fetch_sub(1, Ordering::AcqRel) == 1 {
                 // Last chunk: wake the submitting caller. Taking the state
                 // lock orders the notify after the caller's re-check.
-                let _guard = shared.state.lock();
+                let _guard = shared.state.lock().unwrap_or_else(PoisonError::into_inner);
                 shared.job_done.notify_all();
             }
         }
@@ -145,6 +144,8 @@ impl Job {
 
 /// State shared between the pool handle and its workers.
 struct Shared {
+    /// Changed only by plain field writes, which cannot leave it half
+    /// updated, so a poisoned lock is recovered, not propagated.
     state: Mutex<PoolState>,
     /// Workers park here between jobs.
     work_ready: Condvar,
@@ -283,7 +284,11 @@ impl ThreadPool {
         };
 
         {
-            let mut state = self.shared.state.lock();
+            let mut state = self
+                .shared
+                .state
+                .lock()
+                .unwrap_or_else(PoisonError::into_inner);
             state.generation += 1;
             state.job = Some(job.clone());
             self.shared.work_ready.notify_all();
@@ -294,9 +299,17 @@ impl ThreadPool {
 
         // Park until the last straggler chunk finishes.
         {
-            let mut state = self.shared.state.lock();
+            let mut state = self
+                .shared
+                .state
+                .lock()
+                .unwrap_or_else(PoisonError::into_inner);
             while job.remaining.load(Ordering::Acquire) > 0 {
-                self.shared.job_done.wait(&mut state);
+                state = self
+                    .shared
+                    .job_done
+                    .wait(state)
+                    .unwrap_or_else(PoisonError::into_inner);
             }
             state.job = None;
         }
@@ -320,7 +333,11 @@ impl ThreadPool {
             }
         }
 
-        let payload = job.panic.lock().take();
+        let payload = job
+            .panic
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner)
+            .take();
         if let Some(payload) = payload {
             resume_unwind(payload);
         }
@@ -330,7 +347,11 @@ impl ThreadPool {
 impl Drop for ThreadPool {
     fn drop(&mut self) {
         {
-            let mut state = self.shared.state.lock();
+            let mut state = self
+                .shared
+                .state
+                .lock()
+                .unwrap_or_else(PoisonError::into_inner);
             state.shutdown = true;
             self.shared.work_ready.notify_all();
         }
@@ -345,7 +366,7 @@ fn worker_loop(shared: &Shared) {
     let mut seen_generation = 0u64;
     loop {
         let job = {
-            let mut state = shared.state.lock();
+            let mut state = shared.state.lock().unwrap_or_else(PoisonError::into_inner);
             loop {
                 if state.shutdown {
                     return;
@@ -356,7 +377,10 @@ fn worker_loop(shared: &Shared) {
                         break job;
                     }
                 }
-                shared.work_ready.wait(&mut state);
+                state = shared
+                    .work_ready
+                    .wait(state)
+                    .unwrap_or_else(PoisonError::into_inner);
             }
         };
         // Claim a seat; jobs cap their fan-out so a backend asked for N

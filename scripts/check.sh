@@ -9,6 +9,24 @@ cd "$(dirname "$0")/.."
 echo "==> cargo fmt --check"
 cargo fmt --all --check
 
+echo "==> dependency allow-list (lsopc crates plus vendored rand and proptest)"
+# Every package in the resolved graph must be an lsopc crate or one of
+# the two vendored stand-ins the code uses; a new dependency needs a
+# real user and an entry in DESIGN.md §6 first. Package objects are the
+# only metadata entries whose "name" is followed by "version".
+pkgs=$(cargo metadata --offline --format-version 1 |
+  grep -o '{"name":"[^"]*","version":' | sed 's/^{"name":"\([^"]*\)".*/\1/')
+if ! grep -qx lsopc <<< "$pkgs"; then
+  echo "error: cargo metadata listed no lsopc package; fix the gate's parsing" >&2
+  exit 1
+fi
+bad=$(grep -vxE 'lsopc|lsopc-.+|rand|proptest' <<< "$pkgs" || true)
+if [ -n "$bad" ]; then
+  echo "error: packages outside the dependency allow-list (see DESIGN.md §6):" >&2
+  echo "$bad" >&2
+  exit 1
+fi
+
 echo "==> cargo clippy --workspace (deny warnings)"
 cargo clippy --workspace --all-targets -- -D warnings
 
