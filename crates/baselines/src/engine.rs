@@ -1,7 +1,7 @@
 //! The shared pixel-ILT machinery and the [`MaskOptimizer`] trait.
 
 use lsopc_grid::{max_abs, Grid};
-use lsopc_litho::{corner_cost_and_gradient, LithoSimulator, ProcessCondition};
+use lsopc_litho::{evaluate_corners, LithoSimulator, WeightedCorner};
 use std::error::Error;
 use std::fmt;
 
@@ -68,13 +68,6 @@ pub trait MaskOptimizer {
     ) -> Result<BaselineResult, BaselineError>;
 }
 
-/// One corner of a per-iteration simulation schedule.
-#[derive(Copy, Clone, Debug)]
-pub(crate) struct ScheduledCorner {
-    pub condition: ProcessCondition,
-    pub weight: f64,
-}
-
 /// Configuration of the shared pixel-ILT descent loop.
 #[derive(Clone, Debug)]
 pub(crate) struct PixelEngine {
@@ -93,12 +86,15 @@ impl PixelEngine {
     ///
     /// `schedule(iteration)` returns the corners to simulate (with cost
     /// weights) in that iteration, letting callers reproduce the different
-    /// corner-sampling strategies of the published baselines.
+    /// corner-sampling strategies of the published baselines. Each
+    /// iteration evaluates its corners with [`evaluate_corners`], so the
+    /// baselines simulate each focus once per iteration, as the level-set
+    /// method does.
     pub fn run(
         &self,
         sim: &LithoSimulator,
         target: &Grid<f64>,
-        schedule: impl Fn(usize) -> Vec<ScheduledCorner>,
+        schedule: impl Fn(usize) -> Vec<WeightedCorner>,
     ) -> Result<BaselineResult, BaselineError> {
         let n = sim.grid_px();
         if target.dims() != (n, n) {
@@ -122,16 +118,13 @@ impl PixelEngine {
 
         for i in 0..self.iterations {
             let mask = self.mask_of(&theta);
-            let mut cost = 0.0;
-            let mut grad_mask: Grid<f64> = Grid::new(n, n, 0.0);
-            for corner in schedule(i) {
-                let (c, g) =
-                    corner_cost_and_gradient(sim, &mask, &target, corner.condition, corner.weight);
-                cost += c;
-                for (dst, &v) in grad_mask.as_mut_slice().iter_mut().zip(g.as_slice()) {
-                    *dst += v;
-                }
-            }
+            let corners = schedule(i);
+            let (residuals, grad_mask) = evaluate_corners(sim, &mask, &target, &corners, true);
+            let grad_mask = grad_mask.expect("a gradient was asked for");
+            let cost = corners
+                .iter()
+                .zip(&residuals)
+                .fold(0.0, |cost, (corner, r)| cost + corner.weight * r);
             cost_history.push(cost);
             let binary = mask.binarize(0.5);
             if best.as_ref().is_none_or(|(bc, _)| cost < *bc) {
@@ -172,17 +165,17 @@ impl PixelEngine {
 }
 
 /// Runs `f` under a scoped metrics registry and returns its result with
-/// the number of process-corner simulations it ran (closed
-/// `litho.corner_cost` spans). A count, unlike a wall time, does not
-/// depend on what else shares the machine.
+/// the number of focus passes it ran (closed `litho.focus` spans of
+/// [`evaluate_corners`]). A count, unlike a wall time, does not depend
+/// on what else shares the machine.
 #[cfg(test)]
-pub(crate) fn count_corner_sims<R>(f: impl FnOnce() -> R) -> (R, u64) {
+pub(crate) fn count_focus_passes<R>(f: impl FnOnce() -> R) -> (R, u64) {
     let registry = std::sync::Arc::new(lsopc_trace::MetricsRegistry::new());
     let out = lsopc_trace::with_scoped_sink(registry.clone(), f);
     let sims = registry
         .span_paths()
         .iter()
-        .filter(|path| path.rsplit('/').next() == Some("litho.corner_cost"))
+        .filter(|path| path.rsplit('/').next() == Some("litho.focus"))
         .filter_map(|path| registry.span_histogram(path))
         .map(|hist| hist.count())
         .sum();
@@ -209,9 +202,9 @@ mod tests {
         })
     }
 
-    fn nominal_schedule(_: usize) -> Vec<ScheduledCorner> {
-        vec![ScheduledCorner {
-            condition: ProcessCondition::NOMINAL,
+    fn nominal_schedule(_: usize) -> Vec<WeightedCorner> {
+        vec![WeightedCorner {
+            condition: lsopc_litho::ProcessCondition::NOMINAL,
             weight: 1.0,
         }]
     }

@@ -1,9 +1,9 @@
 //! MOSAIC-style pixel-based ILT (fast and exact modes).
 
-use crate::engine::{PixelEngine, ScheduledCorner};
+use crate::engine::PixelEngine;
 use crate::{BaselineError, BaselineResult, MaskOptimizer};
 use lsopc_grid::Grid;
-use lsopc_litho::LithoSimulator;
+use lsopc_litho::{LithoSimulator, WeightedCorner};
 
 /// Corner-sampling strategy of [`PixelIlt`], mirroring MOSAIC's fast /
 /// exact trade-off (Gao et al., DAC'14).
@@ -25,7 +25,7 @@ pub enum PixelIltMode {
 /// # fn main() -> Result<(), Box<dyn std::error::Error>> {
 /// use lsopc_baselines::{MaskOptimizer, PixelIlt, PixelIltMode};
 /// # use lsopc_grid::Grid;
-/// # use lsopc_litho::LithoSimulator;
+/// # use lsopc_litho::{LithoSimulator, WeightedCorner};
 /// # use lsopc_optics::OpticsConfig;
 /// # let sim = LithoSimulator::from_optics(&OpticsConfig::iccad2013(), 512, 4.0)?;
 /// # let target = Grid::new(512, 512, 1.0);
@@ -99,7 +99,7 @@ impl MaskOptimizer for PixelIlt {
             momentum: 0.0,
         };
         engine.run(sim, target, move |i| {
-            let mut schedule = vec![ScheduledCorner {
+            let mut schedule = vec![WeightedCorner {
                 condition: corners.nominal,
                 weight: 1.0,
             }];
@@ -108,11 +108,11 @@ impl MaskOptimizer for PixelIlt {
                 PixelIltMode::Fast => i % 4 == 3,
             };
             if sample_corners && w_pvb > 0.0 {
-                schedule.push(ScheduledCorner {
+                schedule.push(WeightedCorner {
                     condition: corners.inner,
                     weight: w_pvb,
                 });
-                schedule.push(ScheduledCorner {
+                schedule.push(WeightedCorner {
                     condition: corners.outer,
                     weight: w_pvb,
                 });
@@ -172,13 +172,13 @@ mod tests {
     fn fast_mode_is_faster_than_exact() {
         let (sim, target) = setup();
         let iterations = 8;
-        let (fast, fast_sims) = crate::engine::count_corner_sims(|| {
+        let (fast, fast_passes) = crate::engine::count_focus_passes(|| {
             PixelIlt::new(PixelIltMode::Fast)
                 .with_iterations(iterations)
                 .optimize(&sim, &target)
                 .expect("runs")
         });
-        let (exact, exact_sims) = crate::engine::count_corner_sims(|| {
+        let (exact, exact_passes) = crate::engine::count_focus_passes(|| {
             PixelIlt::new(PixelIltMode::Exact)
                 .with_iterations(iterations)
                 .optimize(&sim, &target)
@@ -186,9 +186,11 @@ mod tests {
         });
         // Same iteration count: fast samples the two off-nominal corners
         // only every fourth iteration, exact samples all three every time.
+        // The outer corner shares the nominal focus, so three corners
+        // take two focus passes.
         assert_eq!(fast.iterations, iterations);
         assert_eq!(exact.iterations, iterations);
-        assert_eq!(fast_sims, (iterations + 2 * (iterations / 4)) as u64);
-        assert_eq!(exact_sims, 3 * iterations as u64);
+        assert_eq!(fast_passes, (iterations + iterations / 4) as u64);
+        assert_eq!(exact_passes, 2 * iterations as u64);
     }
 }

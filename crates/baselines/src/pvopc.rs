@@ -1,9 +1,9 @@
 //! PVOPC baseline (Su et al., TCAD 2016 style).
 
-use crate::engine::{PixelEngine, ScheduledCorner};
+use crate::engine::PixelEngine;
 use crate::{BaselineError, BaselineResult, MaskOptimizer};
 use lsopc_grid::Grid;
-use lsopc_litho::LithoSimulator;
+use lsopc_litho::{LithoSimulator, WeightedCorner};
 
 /// Fast process-variation-aware pixel OPC.
 ///
@@ -82,16 +82,16 @@ impl MaskOptimizer for PvOpc {
             momentum: self.momentum,
         };
         engine.run(sim, target, move |_| {
-            let mut schedule = vec![ScheduledCorner {
+            let mut schedule = vec![WeightedCorner {
                 condition: corners.nominal,
                 weight: 1.0,
             }];
             if w_pvb > 0.0 {
-                schedule.push(ScheduledCorner {
+                schedule.push(WeightedCorner {
                     condition: corners.inner,
                     weight: w_pvb,
                 });
-                schedule.push(ScheduledCorner {
+                schedule.push(WeightedCorner {
                     condition: corners.outer,
                     weight: w_pvb,
                 });

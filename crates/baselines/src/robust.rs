@@ -1,9 +1,9 @@
 //! Robust OPC baseline (Kuang, Chow, Young — DATE 2015 style).
 
-use crate::engine::{PixelEngine, ScheduledCorner};
+use crate::engine::PixelEngine;
 use crate::{BaselineError, BaselineResult, MaskOptimizer};
 use lsopc_grid::Grid;
-use lsopc_litho::LithoSimulator;
+use lsopc_litho::{LithoSimulator, WeightedCorner};
 
 /// Robust process-variation-aware OPC.
 ///
@@ -14,6 +14,10 @@ use lsopc_litho::LithoSimulator;
 /// iteration simulates the two extreme corners only, and stands in for
 /// the nominal response with the corner average (the two corners bracket
 /// the nominal print, so their mean gradient is a serviceable estimate).
+///
+/// Here that saves no simulation: every method simulates each focus once
+/// per iteration, and the nominal corner shares the outer corner's focus,
+/// so the three-corner baselines also take two focus passes.
 #[derive(Clone, Debug, PartialEq)]
 pub struct RobustOpc {
     iterations: usize,
@@ -70,11 +74,11 @@ impl MaskOptimizer for RobustOpc {
         // weight standing in for the estimated nominal response.
         engine.run(sim, target, move |_| {
             vec![
-                ScheduledCorner {
+                WeightedCorner {
                     condition: corners.inner,
                     weight: 1.5,
                 },
-                ScheduledCorner {
+                WeightedCorner {
                     condition: corners.outer,
                     weight: 1.5,
                 },
@@ -113,17 +117,19 @@ mod tests {
     }
 
     #[test]
-    fn runs_fewer_sims_than_exact_three_corner() {
-        // Two corners per iteration against the exact baseline's three.
+    fn runs_as_many_focus_passes_as_exact_three_corner() {
+        // Robust OPC simulates the inner and outer corners, which sit at
+        // two foci; the exact baseline's third corner, nominal, shares the
+        // outer corner's focus, so both take two focus passes.
         let (sim, target) = setup();
         let iterations = 8;
-        let (robust, robust_sims) = crate::engine::count_corner_sims(|| {
+        let (robust, robust_passes) = crate::engine::count_focus_passes(|| {
             RobustOpc::new()
                 .with_iterations(iterations)
                 .optimize(&sim, &target)
                 .expect("runs")
         });
-        let (exact, exact_sims) = crate::engine::count_corner_sims(|| {
+        let (exact, exact_passes) = crate::engine::count_focus_passes(|| {
             crate::PixelIlt::new(crate::PixelIltMode::Exact)
                 .with_iterations(iterations)
                 .optimize(&sim, &target)
@@ -131,8 +137,8 @@ mod tests {
         });
         assert_eq!(robust.iterations, iterations);
         assert_eq!(exact.iterations, iterations);
-        assert_eq!(robust_sims, 2 * iterations as u64);
-        assert_eq!(exact_sims, 3 * iterations as u64);
+        assert_eq!(robust_passes, 2 * iterations as u64);
+        assert_eq!(exact_passes, robust_passes);
     }
 
     #[test]

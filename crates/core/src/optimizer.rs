@@ -1024,10 +1024,10 @@ impl LevelSetIlt {
         // pick the (corrupt) final iterate.
         let final_mask = mask_from_levelset(&psi);
         let final_evaluated = contain_panic(guard.is_some(), || {
-            cost_and_gradient(sim, &final_mask, target, self.w_pvb)
+            cost_only(sim, &final_mask, target, self.w_pvb)
         });
         let (final_total, trouble) = match final_evaluated {
-            Ok((report, _)) => {
+            Ok(report) => {
                 let total = report.total();
                 (
                     total,

@@ -1,12 +1,13 @@
-//! Fault injection on the cost-and-gradient path (robustness testing).
+//! Fault injection on the cost evaluation path (robustness testing).
 //!
 //! Compiled only with the `fault-injection` cargo feature; production
 //! builds carry no hook and no branch. A [`FaultInjector`] installed via
 //! [`LithoSimulator::with_fault_injector`](crate::LithoSimulator::with_fault_injector)
 //! is invoked at the end of every [`cost_and_gradient`](crate::cost_and_gradient)
-//! call with a monotonically increasing call index, and may corrupt the
-//! cost report and/or the gradient in place — or panic from inside a
-//! worker-pool job to emulate a poisoned `lsopc-parallel` chunk.
+//! and [`cost_only`](crate::cost_only) call with a monotonically
+//! increasing call index, and may corrupt the cost report and/or the
+//! gradient in place — or panic from inside a worker-pool job to emulate
+//! a poisoned `lsopc-parallel` chunk.
 //!
 //! The solver health guard in `lsopc-core` is tested against exactly this
 //! hook: its property tests inject every [`FaultMode`] at every iteration
@@ -39,14 +40,17 @@ pub enum FaultMode {
 }
 
 impl FaultMode {
-    /// Applies this mode to a report/gradient pair.
-    pub fn apply(self, report: &mut CostReport, gradient: &mut Grid<f64>) {
+    /// Applies this mode to a report and, when the evaluation computed
+    /// one, its gradient. The gradient modes do nothing on `None`.
+    pub fn apply(self, report: &mut CostReport, gradient: Option<&mut Grid<f64>>) {
         match self {
             Self::NanGradient => poison_gradient(gradient, f64::NAN),
             Self::InfGradient => poison_gradient(gradient, f64::INFINITY),
             Self::SpikeGradient(factor) => {
-                for g in gradient.as_mut_slice() {
-                    *g *= factor;
+                if let Some(gradient) = gradient {
+                    for g in gradient.as_mut_slice() {
+                        *g *= factor;
+                    }
                 }
             }
             Self::NanCost => report.nominal = f64::NAN,
@@ -68,19 +72,25 @@ impl FaultMode {
     }
 }
 
-fn poison_gradient(gradient: &mut Grid<f64>, value: f64) {
-    let mid = gradient.len() / 2;
-    gradient.as_mut_slice()[mid] = value;
+fn poison_gradient(gradient: Option<&mut Grid<f64>>, value: f64) {
+    if let Some(gradient) = gradient {
+        let mid = gradient.len() / 2;
+        gradient.as_mut_slice()[mid] = value;
+    }
 }
 
-/// A hook invoked after every `cost_and_gradient` evaluation.
+/// A hook invoked after every `cost_and_gradient` and `cost_only`
+/// evaluation.
 ///
-/// `call` counts evaluations on the owning simulator from 0, so "the
-/// fault at iteration k" is expressed as `call == k` for optimizers that
-/// evaluate once per iteration.
+/// `call` counts evaluations on the owning simulator from 0, with or
+/// without a gradient, so "the fault at iteration k" is expressed as
+/// `call == k` for optimizers that evaluate once per iteration and run
+/// no line search; the final iterate's evaluation comes after the last
+/// iteration's.
 pub trait FaultInjector: Send + Sync + Debug {
-    /// Possibly corrupts `report`/`gradient` for evaluation number `call`.
-    fn inject(&self, call: usize, report: &mut CostReport, gradient: &mut Grid<f64>);
+    /// Possibly corrupts `report`/`gradient` for evaluation number `call`;
+    /// `gradient` is `None` for a cost-only evaluation.
+    fn inject(&self, call: usize, report: &mut CostReport, gradient: Option<&mut Grid<f64>>);
 }
 
 /// The standard scripted injector: fire a [`FaultMode`] once at a chosen
@@ -110,7 +120,7 @@ impl ScriptedFault {
 }
 
 impl FaultInjector for ScriptedFault {
-    fn inject(&self, call: usize, report: &mut CostReport, gradient: &mut Grid<f64>) {
+    fn inject(&self, call: usize, report: &mut CostReport, gradient: Option<&mut Grid<f64>>) {
         match self.at_call {
             Some(at) if call != at => {}
             _ => self.mode.apply(report, gradient),
@@ -143,7 +153,7 @@ impl ScriptedCancel {
 }
 
 impl FaultInjector for ScriptedCancel {
-    fn inject(&self, call: usize, _report: &mut CostReport, _gradient: &mut Grid<f64>) {
+    fn inject(&self, call: usize, _report: &mut CostReport, _gradient: Option<&mut Grid<f64>>) {
         if call == self.at_call {
             self.token.cancel(self.reason);
         }
@@ -169,9 +179,9 @@ mod tests {
     fn once_fires_only_at_its_call() {
         let fault = ScriptedFault::once(3, FaultMode::NanCost);
         let (mut report, mut gradient) = clean();
-        fault.inject(2, &mut report, &mut gradient);
+        fault.inject(2, &mut report, Some(&mut gradient));
         assert!(report.total().is_finite());
-        fault.inject(3, &mut report, &mut gradient);
+        fault.inject(3, &mut report, Some(&mut gradient));
         assert!(report.total().is_nan());
     }
 
@@ -180,7 +190,7 @@ mod tests {
         let fault = ScriptedFault::persistent(FaultMode::InfGradient);
         for call in 0..4 {
             let (mut report, mut gradient) = clean();
-            fault.inject(call, &mut report, &mut gradient);
+            fault.inject(call, &mut report, Some(&mut gradient));
             assert!(gradient.as_slice().iter().any(|v| !v.is_finite()));
         }
     }
@@ -188,8 +198,8 @@ mod tests {
     #[test]
     fn spike_modes_stay_finite() {
         let (mut report, mut gradient) = clean();
-        FaultMode::SpikeGradient(1e30).apply(&mut report, &mut gradient);
-        FaultMode::SpikeCost(1e30).apply(&mut report, &mut gradient);
+        FaultMode::SpikeGradient(1e30).apply(&mut report, Some(&mut gradient));
+        FaultMode::SpikeCost(1e30).apply(&mut report, Some(&mut gradient));
         assert!(gradient.as_slice().iter().all(|v| v.is_finite()));
         assert!(report.total().is_finite());
         assert!(report.total() > 1e29);
@@ -200,9 +210,9 @@ mod tests {
         let token = CancelToken::new();
         let fault = ScriptedCancel::new(2, token.clone(), StopReason::External);
         let (mut report, mut gradient) = clean();
-        fault.inject(1, &mut report, &mut gradient);
+        fault.inject(1, &mut report, Some(&mut gradient));
         assert!(token.cancelled().is_none());
-        fault.inject(2, &mut report, &mut gradient);
+        fault.inject(2, &mut report, Some(&mut gradient));
         assert_eq!(token.cancelled(), Some(StopReason::External));
         // Report and gradient are untouched — this is a process fault.
         assert!(report.total().is_finite());
@@ -213,7 +223,7 @@ mod tests {
     fn panic_mode_reraises_on_caller_and_pool_survives() {
         let (mut report, mut gradient) = clean();
         let caught = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            FaultMode::Panic.apply(&mut report, &mut gradient);
+            FaultMode::Panic.apply(&mut report, Some(&mut gradient));
         }));
         assert!(caught.is_err(), "worker panic must reach the caller");
         // The shared pool survives a poisoned job.
