@@ -14,7 +14,12 @@
 //! just before that change, dense path vs real-input path: 0 mask cells
 //! flipped; max |Δψ| 1.1e-14 on the plain path and 5.8e-14 with line
 //! search; max relative per-iteration cost deviation 2.9e-16 (plain) and
-//! 3.0e-16 (line search); identical iteration counts.
+//! 3.0e-16 (line search); identical iteration counts. They were
+//! re-pinned a second time when corners at one focus began sharing one
+//! gradient pass on their summed sensitivities (DESIGN.md §13, "One pass
+//! per focus"): 0 mask cells flipped; max |Δψ| 8.9e-15 (plain) and
+//! 5.3e-14 (line search); every per-iteration cost bit-identical;
+//! identical iteration counts.
 
 use lsopc_core::{IltResult, LevelSetIlt};
 use lsopc_grid::Grid;
@@ -108,5 +113,5 @@ fn line_search_path_is_bit_identical_to_pinned_output() {
     );
 }
 
-const GOLDEN_PLAIN: u64 = 0x409c_00df_eb4a_b8ee;
-const GOLDEN_LINE_SEARCH: u64 = 0x41f8_d2ec_bd61_4f42;
+const GOLDEN_PLAIN: u64 = 0xbcc4_414a_be53_30f3;
+const GOLDEN_LINE_SEARCH: u64 = 0x8990_b4b9_d656_df88;

@@ -32,10 +32,12 @@
 //!   whichever a cost rule on the per-kernel non-zero count and `n`
 //!   picks for the kernel set (`DESIGN.md` §13).
 //!
-//! A corner pass therefore runs five full-size transforms where
+//! A focus pass therefore runs five full-size transforms where
 //! [`FftBackend`] runs `3K + 3`: two in the aerial image (the mask
 //! forward and the finishing inverse) and three in the gradient (the
-//! mask and sensitivity forwards and the finishing inverse). This
+//! mask and sensitivity forwards and the finishing inverse). Corners at
+//! one focus share a pass ([`crate::evaluate_corners`]), so an
+//! evaluation of the three ICCAD corners, at two foci, runs ten. This
 //! mirrors the paper's measured 71 % runtime reduction in structure
 //! (Table II). Every one of them has real input or real output, so all
 //! run through the half-spectrum [`RfftPlan`], and each is a full row

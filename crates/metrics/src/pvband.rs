@@ -1,8 +1,6 @@
 //! Process-variation band (paper Fig. 1(b)).
 
 use lsopc_grid::Grid;
-use lsopc_litho::LithoSimulator;
-use lsopc_parallel::ParallelContext;
 
 /// The process-variation band: the XOR region between the outermost and
 /// innermost printed contours over the process window.
@@ -51,33 +49,6 @@ impl PvBand {
         });
         let area_nm2 = map.sum() * pixel_nm * pixel_nm;
         Self { area_nm2, map }
-    }
-
-    /// Simulates `mask` at the innermost and outermost process corners
-    /// and measures the band between the two prints.
-    ///
-    /// The two corner simulations are independent and run concurrently on
-    /// the shared pool; results are identical to simulating them one
-    /// after the other.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the mask dimensions do not match the simulator grid.
-    pub fn simulate(sim: &LithoSimulator, mask: &Grid<f64>) -> Self {
-        Self::simulate_with(ParallelContext::global(), sim, mask)
-    }
-
-    /// [`Self::simulate`] on an explicit [`ParallelContext`].
-    pub fn simulate_with(ctx: &ParallelContext, sim: &LithoSimulator, mask: &Grid<f64>) -> Self {
-        let _span = lsopc_trace::span!("pvband.simulate");
-        let corners = [sim.corners().inner, sim.corners().outer];
-        // Warm the kernel cache serially so concurrent corners don't
-        // both generate the same defocus kernels on a cache miss.
-        for c in &corners {
-            let _ = sim.kernels_for(c.defocus_nm);
-        }
-        let prints = ctx.par_map(corners.len(), |i| sim.print(mask, corners[i]));
-        Self::measure(&prints[0], &prints[1], sim.pixel_nm())
     }
 }
 

@@ -1,8 +1,8 @@
-//! Parallel == serial bit-identity for PV-band simulation.
+//! Parallel == serial bit-identity for the process-corner prints that
+//! the PV band is measured on.
 
 use lsopc_grid::Grid;
 use lsopc_litho::LithoSimulator;
-use lsopc_metrics::PvBand;
 use lsopc_optics::OpticsConfig;
 use lsopc_parallel::ParallelContext;
 
@@ -19,37 +19,6 @@ fn wire_mask() -> Grid<f64> {
             0.0
         }
     })
-}
-
-/// The concurrent process-corner simulations must produce the exact same
-/// PV-band map as the serial path, for every thread count — including
-/// counts far above the two corners being simulated.
-#[test]
-fn pvband_maps_are_thread_count_invariant() {
-    let sim = sim();
-    let mask = wire_mask();
-    let reference = PvBand::simulate_with(&ParallelContext::new(1), &sim, &mask);
-    assert!(reference.area_nm2 > 0.0, "premise: a real band exists");
-    for threads in [2usize, 3, 8] {
-        let ctx = ParallelContext::new(threads);
-        let got = PvBand::simulate_with(&ctx, &sim, &mask);
-        assert_eq!(got.area_nm2.to_bits(), reference.area_nm2.to_bits());
-        for (a, b) in got.map.as_slice().iter().zip(reference.map.as_slice()) {
-            assert_eq!(a.to_bits(), b.to_bits());
-        }
-    }
-}
-
-/// `simulate` agrees with measuring prints produced one at a time.
-#[test]
-fn simulate_matches_sequential_prints() {
-    let sim = sim();
-    let mask = wire_mask();
-    let via_simulate = PvBand::simulate(&sim, &mask);
-    let inner = sim.print(&mask, sim.corners().inner);
-    let outer = sim.print(&mask, sim.corners().outer);
-    let via_measure = PvBand::measure(&inner, &outer, sim.pixel_nm());
-    assert_eq!(via_simulate, via_measure);
 }
 
 /// `print_corners` (used by `evaluate_mask`) is likewise invariant.

@@ -131,12 +131,15 @@ echo "==> histogram suite (quantile oracle + thread stability)"
 LSOPC_THREADS=1 cargo test -q -p lsopc-trace
 LSOPC_THREADS=4 cargo test -q -p lsopc-trace
 
-echo "==> benchmark smoke (lsopc_bench --quick: every workload, no failures)"
+echo "==> benchmark smoke (lsopc_bench --quick: every workload, both passes, no failures)"
 # The benchmark harness builds against the workspace crates; a quick
-# run catches an API break against it and any failed operation. The
-# last stdout line is the result object, which must report no failures.
+# run catches an API break against it and any failed operation. Both
+# passes run: the untraced one, and the traced one, where the
+# benchmark's timed backend wraps every backend call and each traced
+# mask must be bit-identical to `Engine::submit`'s. The last stdout line
+# is the result object, which must report no failures.
 bench_out=$(cargo run --release --offline --quiet \
-  --manifest-path examples/lsopc_bench/Cargo.toml -- --quick --trace 0 --threads 1)
+  --manifest-path examples/lsopc_bench/Cargo.toml -- --quick --threads 1)
 result=$(tail -n 1 <<< "$bench_out")
 if ! grep -q '"failed": 0,' <<< "$result"; then
   echo "error: lsopc_bench --quick reported failures:" >&2

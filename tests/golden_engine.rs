@@ -111,6 +111,6 @@ fn tiled_warm_job_is_bit_identical_to_pinned_output() {
     assert_eq!(hash, GOLDEN_TILED, "tiled engine output drifted bitwise");
 }
 
-const GOLDEN_FLAT_F64: u64 = 0x62a4_2c5b_2da3_684d;
-const GOLDEN_FLAT_F32: u64 = 0x5322_a83f_450d_e192;
+const GOLDEN_FLAT_F64: u64 = 0x83ec_6932_cba0_473e;
+const GOLDEN_FLAT_F32: u64 = 0x6810_9cca_93fd_72da;
 const GOLDEN_TILED: u64 = 0x7b09_cfbb_a228_0557;
