@@ -16,7 +16,7 @@
 //! Writes `results/ablation.csv`.
 
 use lsopc_baselines::{MaskOptimizer, PixelIlt, PixelIltMode};
-use lsopc_bench::runner::config_from_args;
+use lsopc_bench::runner::init_from_args;
 use lsopc_bench::Method;
 use lsopc_benchsuite::Iccad2013Suite;
 use lsopc_core::sraf::{seed_srafs, SrafRule};
@@ -27,8 +27,7 @@ use lsopc_metrics::{evaluate_mask, MaskComplexity};
 use std::fmt::Write as _;
 
 fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let mut cfg = config_from_args(&args);
+    let mut cfg = init_from_args();
     if cfg.case_filter.is_empty() {
         cfg.case_filter = vec![0];
     }

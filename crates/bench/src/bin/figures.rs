@@ -15,7 +15,7 @@
 //! cargo run -p lsopc-bench --release --bin figures [--grid 512] [--cases 1]
 //! ```
 
-use lsopc_bench::runner::config_from_args;
+use lsopc_bench::runner::init_from_args;
 use lsopc_bench::Method;
 use lsopc_benchsuite::Iccad2013Suite;
 use lsopc_core::LevelSetIlt;
@@ -25,8 +25,7 @@ use lsopc_metrics::{evaluate_mask, EpeChecker};
 use std::fmt::Write as _;
 
 fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let mut cfg = config_from_args(&args);
+    let mut cfg = init_from_args();
     if cfg.case_filter.is_empty() {
         cfg.case_filter = vec![0]; // B1 by default
     }

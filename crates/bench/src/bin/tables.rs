@@ -9,12 +9,11 @@
 //! Writes `results/table1.csv` and `results/table2.csv`.
 
 use lsopc_bench::report::{render_table1, render_table2, write_csv};
-use lsopc_bench::runner::config_from_args;
+use lsopc_bench::runner::init_from_args;
 use lsopc_bench::{paper, run_suite, Method};
 
 fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let cfg = config_from_args(&args);
+    let cfg = init_from_args();
     let methods = Method::all();
     eprintln!(
         "tables: grid {} px ({} nm/px), K = {}, levelset N = {}",

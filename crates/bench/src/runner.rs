@@ -265,10 +265,25 @@ pub fn run_suite(methods: &[Method], cfg: &ExperimentConfig) -> Vec<CaseOutcome>
     outcomes
 }
 
-/// Parses the common CLI flags (`--grid`, `--kernels`, `--iters`,
-/// `--threads`, `--cases`) into a config; unknown flags are ignored so
-/// binaries can add their own.
-pub fn config_from_args(args: &[String]) -> ExperimentConfig {
+/// Parses the binary's command line (`--grid`, `--kernels`, `--iters`,
+/// `--threads`, `--cases`; unknown flags are ignored so binaries can add
+/// their own) and sizes the process-global pool to its `--threads`, so
+/// every row runs on the lanes the binary reports: the CPU level-set row
+/// and the pixel baselines run on the global pool, the accelerated row
+/// on at most `--threads` of its lanes. Call it before building any
+/// simulator; the pool is sized once per process.
+pub fn init_from_args() -> ExperimentConfig {
+    let args: Vec<String> = std::env::args().skip(1).collect();
+    let cfg = config_from_args(&args);
+    assert!(
+        lsopc_parallel::init_global_threads(cfg.threads),
+        "the global pool was sized before --threads was read"
+    );
+    cfg
+}
+
+/// Parses the common flags of [`init_from_args`] into a config.
+fn config_from_args(args: &[String]) -> ExperimentConfig {
     let mut cfg = ExperimentConfig::default_scale();
     let mut it = args.iter();
     while let Some(arg) = it.next() {

@@ -32,14 +32,18 @@
 //!   whichever a cost rule on the per-kernel non-zero count and `n`
 //!   picks for the kernel set (`DESIGN.md` §13).
 //!
-//! A focus pass therefore runs five full-size transforms where
-//! [`FftBackend`] runs `3K + 3`: two in the aerial image (the mask
-//! forward and the finishing inverse) and three in the gradient (the
-//! mask and sensitivity forwards and the finishing inverse). Corners at
-//! one focus share a pass ([`crate::evaluate_corners`]), so an
-//! evaluation of the three ICCAD corners, at two foci, runs ten. This
-//! mirrors the paper's measured 71 % runtime reduction in structure
-//! (Table II). Every one of them has real input or real output, so all
+//! An evaluation is one [`SimBackend::evaluate`] call
+//! ([`crate::evaluate_corners`]): it transforms the mask once for all its
+//! foci, and per focus builds the K coarse fields once, for the aerial
+//! image and for an FFT-product gradient alike. A focus then costs one
+//! full-size inverse for its image and, with a gradient, one sensitivity
+//! forward and one finishing inverse, where [`FftBackend`] runs
+//! `3K + 3`. An evaluation of the three ICCAD corners, at two foci, runs
+//! seven full-size transforms, and three without the gradient.
+//! [`SimBackend::aerial_image`] and [`SimBackend::gradient`] are
+//! one-focus uses of the same steps, each with its own mask forward.
+//! This mirrors the paper's measured 71 % runtime reduction in structure
+//! (Table II). Every transform has real input or real output, so all
 //! run through the half-spectrum [`RfftPlan`], and each is a full row
 //! pass plus a column pass over only the stored columns its window
 //! reaches ([`RfftPlan::forward_band_with`],
@@ -53,7 +57,9 @@
 //! [`RfftPlan::forward_band_with`]: lsopc_fft::RfftPlan::forward_band_with
 //! [`RfftPlan::inverse_band_with`]: lsopc_fft::RfftPlan::inverse_band_with
 
-use crate::backend::{fold_kernel_grids, mask_spectrum, window_band, SimBackend};
+use crate::backend::{
+    add_into, fold_kernel_grids, mask_spectrum, window_band, OnImage, SimBackend,
+};
 use crate::caches::SimCaches;
 use lsopc_fft::{wrap_index, Fft2d, HalfSpectrum};
 use lsopc_grid::{Complex, Grid, Scalar};
@@ -223,36 +229,101 @@ fn fft_window_product(nonzeros: usize, n: usize) -> bool {
     nonzeros * nonzeros > 3 * n * n * log2_n2
 }
 
-impl<T: Scalar> SimBackend<T> for AcceleratedBackend {
-    fn name(&self) -> &'static str {
-        "accelerated"
-    }
+/// One kernel set's sizes on a `w x h` grid: the kernel window `S`, one
+/// kernel's span `D`, the coarse side `n` and the side of the gradient's
+/// window product.
+#[derive(Clone, Copy, Debug)]
+struct Sizes {
+    w: usize,
+    h: usize,
+    s: usize,
+    d: usize,
+    n: usize,
+    fft_product: bool,
+}
 
-    fn aerial_image(&self, kernels: &KernelSet<T>, mask: &Grid<T>) -> Grid<T> {
-        let _span = lsopc_trace::span!("backend.accel.aerial");
-        let (w, h) = mask.dims();
+impl Sizes {
+    /// The sizes of an aerial pass; with `gradient`, also checks that the
+    /// grid holds the doubled band `2S − 1` the gradient needs.
+    fn new<T: Scalar>(kernels: &KernelSet<T>, (w, h): (usize, usize), gradient: bool) -> Self {
         let s = kernels.support();
         assert!(
             w >= s && h >= s,
             "grid {w}x{h} too small for kernel support {s}"
         );
+        if gradient {
+            assert!(
+                w >= 2 * s - 1 && h >= 2 * s - 1,
+                "grid {w}x{h} too small for doubled band {}",
+                2 * s - 1
+            );
+        }
         let d = kernels.kernel_span();
+        // With the doubled band, the grid holds 2S − 1 ≥ 2D + 1 samples,
+        // so n ≥ 2D + 1.
         let n = coarse_side(d, w.min(h));
+        Self {
+            w,
+            h,
+            s,
+            d,
+            n,
+            fft_product: fft_window_product(kernels.max_nonzeros(), n),
+        }
+    }
+}
+
+impl AcceleratedBackend {
+    /// The centred `S`-window of the mask spectrum for each kernel set,
+    /// from **one** full-size forward FFT over the widest band's columns
+    /// (each stored column is transformed on its own, so a narrower
+    /// window reads the same bits). The full spectrum is dropped once the
+    /// windows are cut.
+    fn mask_windows<T: Scalar>(
+        &self,
+        foci: &[&KernelSet<T>],
+        mask: &Grid<T>,
+    ) -> Vec<Grid<Complex<T>>> {
+        let Some(band) = foci.iter().map(|k| window_band(k.support())).max() else {
+            return Vec::new();
+        };
+        let mhat = mask_spectrum(&self.caches, &self.ctx, mask, band);
+        foci.iter()
+            .map(|k| centered_window_half(&mhat, k.support()))
+            .collect()
+    }
+
+    /// Every kernel's coarse field `e_k` ([`coarse_field`]), in kernel
+    /// order: K coarse inverse FFTs. The aerial image reads their
+    /// intensities, and the FFT-product gradient reuses them.
+    fn coarse_fields<T: Scalar>(
+        &self,
+        kernels: &KernelSet<T>,
+        m_window: &Grid<Complex<T>>,
+        n: usize,
+    ) -> Vec<Grid<Complex<T>>> {
         let fft_coarse = self.caches.plan_t::<T>(n, n);
+        self.ctx.par_map(kernels.len(), |k| {
+            coarse_field(&fft_coarse, kernels.spectrum(k), m_window, n)
+        })
+    }
 
-        // One full-size forward FFT, on the band's columns only.
-        let mhat = mask_spectrum(&self.caches, &self.ctx, mask, window_band(s));
-        let m_window = centered_window_half(&mhat, s);
-
-        // Per-kernel coarse fields; e at full-grid sample points equals the
-        // coarse IFFT scaled by n²/(w·h).
+    /// The aerial image from the kernels' coarse fields.
+    fn image<T: Scalar>(
+        &self,
+        kernels: &KernelSet<T>,
+        fields: &[Grid<Complex<T>>],
+        sizes: Sizes,
+    ) -> Grid<T> {
+        let Sizes { w, h, d, n, .. } = sizes;
+        // e at full-grid sample points equals the coarse IFFT scaled by
+        // n²/(w·h).
         let scale = T::from_f64((n * n) as f64 / (w * h) as f64);
         let empty = Grid::new(n, n, T::ZERO);
         let accumulate = |range: std::ops::Range<usize>, partial: &mut Grid<T>| {
             for k in range {
-                let e = coarse_field(&fft_coarse, kernels.spectrum(k), &m_window, n);
                 let wk = kernels.weight(k) * scale * scale;
-                for (dst, e) in partial.as_mut_slice().iter_mut().zip(e.as_slice()) {
+                for (dst, e) in partial.as_mut_slice().iter_mut().zip(fields[k].as_slice()) {
                     *dst += wk * e.norm_sqr();
                 }
             }
@@ -262,7 +333,7 @@ impl<T: Scalar> SimBackend<T> for AcceleratedBackend {
         // Exact spectral upsampling: each |e_k|² is band-limited to
         // [−D, D], and n ≥ 2D + 1 unless n is the full grid.
         let mut ihat_c = coarse_intensity.map(|&v| Complex::from_real(v));
-        fft_coarse.forward(&mut ihat_c);
+        self.caches.plan_t::<T>(n, n).forward(&mut ihat_c);
         let size = n.min(2 * d + 1);
         let mut window = centered_window(&ihat_c, size);
         // A power of two, so scaling the window is exact.
@@ -276,28 +347,25 @@ impl<T: Scalar> SimBackend<T> for AcceleratedBackend {
             .inverse_band_with(&self.ctx, half, window_band(size))
     }
 
-    fn gradient(&self, kernels: &KernelSet<T>, mask: &Grid<T>, z: &Grid<T>) -> Grid<T> {
-        let _span = lsopc_trace::span!("backend.accel.gradient");
-        assert_eq!(mask.dims(), z.dims(), "mask and z dimensions must match");
-        let (w, h) = mask.dims();
-        let s = kernels.support();
-        assert!(
-            w >= 2 * s - 1 && h >= 2 * s - 1,
-            "grid {w}x{h} too small for doubled band {}",
-            2 * s - 1
-        );
-        let d = kernels.kernel_span();
-        // The grid holds 2S − 1 ≥ 2D + 1 samples, so n ≥ 2D + 1 here.
-        let n = coarse_side(d, w.min(h));
-
-        // Two full-size forward FFTs, each on the columns its window
-        // reads: the mask and the sensitivity field.
-        let mhat = mask_spectrum(&self.caches, &self.ctx, mask, window_band(s));
-        let m_window = centered_window_half(&mhat, s);
+    /// The gradient from the mask's `S`-window and the sensitivity `z`.
+    /// `fields`, the kernels' coarse fields, must be given exactly when
+    /// `sizes.fft_product` picks the FFT product.
+    fn adjoint<T: Scalar>(
+        &self,
+        kernels: &KernelSet<T>,
+        m_window: &Grid<Complex<T>>,
+        fields: Option<&[Grid<Complex<T>>]>,
+        z: &Grid<T>,
+        sizes: Sizes,
+    ) -> Grid<T> {
+        let Sizes { w, h, s, d, n, .. } = sizes;
+        // One full-size forward FFT, on the columns its window reads.
         // Ẑ on [−D, D]²: κ − ν for two samples of one kernel stays there.
         let zw = 2 * d + 1;
-        let zhat = mask_spectrum(&self.caches, &self.ctx, z, window_band(zw));
-        let z_window = centered_window_half(&zhat, zw);
+        let z_window = centered_window_half(
+            &mask_spectrum(&self.caches, &self.ctx, z, window_band(zw)),
+            zw,
+        );
         let cd = d as i64;
         let c = (s / 2) as i64;
         let inv_wh = T::from_f64(1.0 / (w * h) as f64);
@@ -308,7 +376,7 @@ impl<T: Scalar> SimBackend<T> for AcceleratedBackend {
         // That product spans [x0 − D, x1 + D] for a kernel on [x0, x1], so
         // it folds onto the kernel's own bins only if n ≤ 2D: it is
         // alias-free.
-        let fft_product = fft_window_product(kernels.max_nonzeros(), n).then(|| {
+        let fft_product = fields.map(|fields| {
             let fft_coarse = self.caches.plan_t::<T>(n, n);
             let mut zc = Grid::new(n, n, Complex::<T>::ZERO);
             for (i, j, &v) in z_window.iter_coords() {
@@ -318,7 +386,7 @@ impl<T: Scalar> SimBackend<T> for AcceleratedBackend {
             // A power of two, so the scaling is exact.
             let n2 = T::from_f64((n * n) as f64);
             zc.apply(|v| *v = v.scale(n2));
-            (fft_coarse, zc)
+            (fft_coarse, zc, fields)
         });
 
         // Per kernel: X̂(κ) = (1/WH)·Σ_ν ê_k(ν)·Ẑ(κ−ν) on the S-window,
@@ -336,11 +404,8 @@ impl<T: Scalar> SimBackend<T> for AcceleratedBackend {
                 match &fft_product {
                     // FFT product: e_k·z_c on the coarse grid, read back at
                     // the kernel's own bins.
-                    Some((fft_coarse, zc)) => {
-                        let mut field = coarse_field(fft_coarse, window, &m_window, n);
-                        for (e, &zv) in field.as_mut_slice().iter_mut().zip(zc.as_slice()) {
-                            *e *= zv;
-                        }
+                    Some((fft_coarse, zc, fields)) => {
+                        let mut field = fields[k].zip_map(zc, |&e, &zv| e * zv);
                         fft_coarse.forward(&mut field);
                         for (i, j, &sk) in bins() {
                             let x =
@@ -381,6 +446,69 @@ impl<T: Scalar> SimBackend<T> for AcceleratedBackend {
         self.caches
             .rplan_t::<T>(w, h)
             .inverse_band_with(&self.ctx, half, window_band(s))
+    }
+}
+
+impl<T: Scalar> SimBackend<T> for AcceleratedBackend {
+    fn name(&self) -> &'static str {
+        "accelerated"
+    }
+
+    fn aerial_image(&self, kernels: &KernelSet<T>, mask: &Grid<T>) -> Grid<T> {
+        let _span = lsopc_trace::span!("backend.accel.aerial");
+        let sizes = Sizes::new(kernels, mask.dims(), false);
+        let m_window = &self.mask_windows(&[kernels], mask)[0];
+        let fields = self.coarse_fields(kernels, m_window, sizes.n);
+        self.image(kernels, &fields, sizes)
+    }
+
+    fn gradient(&self, kernels: &KernelSet<T>, mask: &Grid<T>, z: &Grid<T>) -> Grid<T> {
+        let _span = lsopc_trace::span!("backend.accel.gradient");
+        assert_eq!(mask.dims(), z.dims(), "mask and z dimensions must match");
+        let sizes = Sizes::new(kernels, mask.dims(), true);
+        let m_window = &self.mask_windows(&[kernels], mask)[0];
+        let fields = sizes
+            .fft_product
+            .then(|| self.coarse_fields(kernels, m_window, sizes.n));
+        self.adjoint(kernels, m_window, fields.as_deref(), z, sizes)
+    }
+
+    /// One mask forward for every focus; per focus, the coarse fields of
+    /// the aerial image feed the FFT-product gradient too. Every image and
+    /// the gradient keep the bits of the default's separate passes.
+    fn evaluate(
+        &self,
+        foci: &[&KernelSet<T>],
+        mask: &Grid<T>,
+        on_image: &mut OnImage<'_, T>,
+        mut gradient: Option<&mut Grid<T>>,
+    ) {
+        let with_gradient = gradient.is_some();
+        let sizes: Vec<Sizes> = foci
+            .iter()
+            .map(|k| Sizes::new(k, mask.dims(), with_gradient))
+            .collect();
+        let m_windows = self.mask_windows(foci, mask);
+        for (f, &kernels) in foci.iter().enumerate() {
+            let _focus = lsopc_trace::span!("litho.focus");
+            let (m_window, sizes) = (&m_windows[f], sizes[f]);
+            let (image, fields) = {
+                let _span = lsopc_trace::span!("backend.accel.aerial");
+                let fields = self.coarse_fields(kernels, m_window, sizes.n);
+                (self.image(kernels, &fields, sizes), fields)
+            };
+            let z = on_image(f, &image);
+            drop(image);
+            if let (Some(gradient), Some(z)) = (gradient.as_deref_mut(), z) {
+                let _span = lsopc_trace::span!("backend.accel.gradient");
+                assert_eq!(mask.dims(), z.dims(), "mask and z dimensions must match");
+                let fields = sizes.fft_product.then_some(fields.as_slice());
+                add_into(
+                    gradient,
+                    &self.adjoint(kernels, m_window, fields, &z, sizes),
+                );
+            }
+        }
     }
 
     fn set_caches(&mut self, caches: &SimCaches) {

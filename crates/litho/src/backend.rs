@@ -44,6 +44,13 @@ where
     .unwrap_or_else(|| empty.clone())
 }
 
+/// `dst += src`, elementwise.
+pub(crate) fn add_into<T: Scalar>(dst: &mut Grid<T>, src: &Grid<T>) {
+    for (d, &s) in dst.as_mut_slice().iter_mut().zip(src.as_slice()) {
+        *d += s;
+    }
+}
+
 /// `dst += wk · |field|²` — the aerial-image accumulation shared by the
 /// reference and FFT backends, at any scalar precision.
 pub(crate) fn add_weighted_intensity<T: Scalar>(
@@ -109,6 +116,11 @@ pub(crate) fn batched_kernel_fields<T: Scalar>(
     (ks, fields)
 }
 
+/// The per-focus callback of [`SimBackend::evaluate`]: given a focus's
+/// index and its aerial image, returns the sensitivity `z = ∂L/∂I` to map
+/// back through the adjoint, or `None` for no gradient pass at that focus.
+pub type OnImage<'a, T> = dyn FnMut(usize, &Grid<T>) -> Option<Grid<T>> + 'a;
+
 /// A compute backend for the Hopkins imaging sum and its adjoint.
 ///
 /// Implementations must produce identical results up to floating-point
@@ -149,6 +161,42 @@ pub trait SimBackend<T: Scalar = f64>: Send + Sync + std::fmt::Debug {
     /// Implementations panic if `mask` and `z` dimensions differ or are
     /// unsupported.
     fn gradient(&self, kernels: &KernelSet<T>, mask: &Grid<T>, z: &Grid<T>) -> Grid<T>;
+
+    /// One cost evaluation of `mask` at several foci, each given by its
+    /// kernel set: per focus, in order, the aerial image goes to
+    /// `on_image`, and the sensitivity it returns, if any, is mapped back
+    /// by the adjoint and added into `gradient` (a zeroed grid the caller
+    /// owns; `None` for a cost-only evaluation). Each focus runs inside a
+    /// `litho.focus` span.
+    ///
+    /// The default runs [`Self::aerial_image`] and then [`Self::gradient`]
+    /// per focus. A backend may override it to share work between the
+    /// passes of one evaluation, such as the mask spectrum, as long as
+    /// every image and the gradient keep the default's bits.
+    ///
+    /// # Panics
+    ///
+    /// Panics under the conditions of [`Self::aerial_image`] and
+    /// [`Self::gradient`].
+    fn evaluate(
+        &self,
+        foci: &[&KernelSet<T>],
+        mask: &Grid<T>,
+        on_image: &mut OnImage<'_, T>,
+        mut gradient: Option<&mut Grid<T>>,
+    ) {
+        for (f, kernels) in foci.iter().enumerate() {
+            let _focus = lsopc_trace::span!("litho.focus");
+            let image = self.aerial_image(kernels, mask);
+            let z = on_image(f, &image);
+            // The gradient pass reads only the mask and `z`; free the
+            // image before it runs.
+            drop(image);
+            if let (Some(gradient), Some(z)) = (gradient.as_deref_mut(), z) {
+                add_into(gradient, &self.gradient(kernels, mask, &z));
+            }
+        }
+    }
 
     /// Injects shared cache handles (FFT plans, embedded spectra).
     /// Backends that consult caches store the bundle and route every

@@ -1,7 +1,7 @@
 //! The process-window-aware cost function and its gradient
 //! (paper Eq. (7), (9), (11)–(14)).
 
-use crate::{LithoSimulator, ProcessCondition};
+use crate::{LithoSimulator, ProcessCondition, ResistModel};
 use lsopc_grid::{Grid, Scalar};
 use lsopc_optics::KernelSet;
 use std::sync::Arc;
@@ -84,9 +84,11 @@ pub fn cost_and_gradient<T: Scalar>(
     (report, gradient.expect("a gradient was asked for"))
 }
 
-/// Evaluates the total cost `L` only (no adjoint pass) — roughly half
-/// the price of [`cost_and_gradient`], used by line searches and for
-/// the optimizer's final iterate.
+/// Evaluates the total cost `L` only (no adjoint pass), used by line
+/// searches and for the optimizer's final iterate. On the accelerated
+/// backend at the ICCAD corners it runs 3 full-size transforms (one
+/// mask forward and one finishing inverse per focus) where
+/// [`cost_and_gradient`] runs 7, and no sensitivity grid is built.
 ///
 /// # Panics
 ///
@@ -142,12 +144,13 @@ fn evaluate<T: Scalar>(
 /// image; each applies the resist at its own dose (dose enters only the
 /// resist, Eq. (8)). Per corner this gives the sigmoid print `R`, the
 /// residual `‖R − R*‖²` and, with `with_gradient`, the sensitivity
-/// `z = 2w·(R − R*)·dR/dI = ∂(w‖R − R*‖²)/∂I`. The backend's adjoint map
-/// (Eq. (11)) is linear in `z`, so the sensitivities of one focus are
-/// summed and mapped back in a single gradient pass. An evaluation thus
-/// runs one aerial pass, and at most one gradient pass, per distinct
-/// focus: two of each on the ICCAD corners, whose outer corner is in
-/// focus.
+/// `z = 2w·(R − R*)·dR/dI = ∂(w‖R − R*‖²)/∂I`, all in one loop over the
+/// image that stores no print. The backend's adjoint map (Eq. (11)) is
+/// linear in `z`, so the sensitivities of one focus are summed and
+/// mapped back in a single gradient pass. An evaluation thus runs one aerial pass,
+/// and at most one gradient pass, per distinct focus: two of each on the
+/// ICCAD corners, whose outer corner is in focus. The whole evaluation is
+/// one [`SimBackend::evaluate`](crate::SimBackend::evaluate) call.
 ///
 /// Returns each corner's unweighted residual, in the order of
 /// `corners`, and, with `with_gradient`, the gradient of the weighted
@@ -171,51 +174,67 @@ pub fn evaluate_corners<T: Scalar>(
     );
     let resist = sim.resist();
     let n = sim.grid_px();
+    let groups = focus_groups(sim, corners.iter().map(|c| c.condition));
+    let foci: Vec<&KernelSet<T>> = groups.iter().map(|(kernels, _)| kernels.as_ref()).collect();
     let mut residuals = vec![0.0; corners.len()];
     let mut gradient = with_gradient.then(|| Grid::new(n, n, T::ZERO));
-    for (kernels, members) in focus_groups(sim, corners.iter().map(|c| c.condition)) {
-        let _focus = lsopc_trace::span!("litho.focus");
-        let aerial = sim.backend().aerial_image(&kernels, mask);
-        let mut z_sum: Option<Grid<T>> = None;
-        for &i in &members {
+    let mut on_image = |f: usize, image: &Grid<T>| {
+        let mut z = None;
+        for &i in &groups[f].1 {
             let WeightedCorner { condition, weight } = corners[i];
-            let printed = resist.print_soft(&aerial, condition.dose);
-            // Accumulate the residual in `T` (at `f64` this is the exact
-            // sum); the residuals themselves are always `f64`.
-            residuals[i] = printed
-                .as_slice()
-                .iter()
-                .zip(target.as_slice())
-                .map(|(&r, &t)| (r - t) * (r - t))
-                .sum::<T>()
-                .to_f64();
-            if with_gradient {
-                // z = ∂(w·‖R − R*‖²)/∂I = 2w·(R − R*)·dR/dI.
-                let two_w = T::from_f64(2.0 * weight);
-                let z = printed.zip_map(target, |&r, &t| {
-                    two_w * (r - t) * resist.soft_derivative_t(r, condition.dose)
-                });
-                match z_sum.as_mut() {
-                    Some(sum) => add_into(sum, &z),
-                    None => z_sum = Some(z),
-                }
-            }
+            let sensitivity = with_gradient.then(|| (T::from_f64(2.0 * weight), &mut z));
+            residuals[i] = corner_pass(resist, image, target, condition.dose, sensitivity);
         }
-        // The gradient pass reads only the mask and `z`; free the image
-        // before it runs.
-        drop(aerial);
-        if let (Some(gradient), Some(z)) = (gradient.as_mut(), z_sum) {
-            add_into(gradient, &sim.backend().gradient(&kernels, mask, &z));
-        }
-    }
+        z
+    };
+    sim.backend()
+        .evaluate(&foci, mask, &mut on_image, gradient.as_mut());
     (residuals, gradient)
 }
 
-/// `dst += src`, elementwise.
-fn add_into<T: Scalar>(dst: &mut Grid<T>, src: &Grid<T>) {
-    for (d, &s) in dst.as_mut_slice().iter_mut().zip(src.as_slice()) {
-        *d += s;
+/// One corner's resist pass over its focus's aerial image, fused into a
+/// single loop: the sigmoid print `R` at `dose`, the residual
+/// `‖R − R*‖²` (returned) and, given `(2w, z)`, the sensitivity
+/// `2w·(R − R*)·dR/dI`, which the focus's first corner writes into `z`
+/// and later corners add to it. No print or per-corner sensitivity grid
+/// is stored.
+fn corner_pass<T: Scalar>(
+    resist: ResistModel,
+    image: &Grid<T>,
+    target: &Grid<T>,
+    dose: f64,
+    sensitivity: Option<(T, &mut Option<Grid<T>>)>,
+) -> f64 {
+    // The residual accumulates in `T` (at `f64` this is the exact sum);
+    // the residuals themselves are always `f64`.
+    let mut sum = T::ZERO;
+    let mut develop = |i: T, t: T| {
+        let r = resist.develop_soft_t(i, dose);
+        sum += (r - t) * (r - t);
+        r
+    };
+    let pixels = image.as_slice().iter().zip(target.as_slice());
+    match sensitivity {
+        None => pixels.for_each(|(&i, &t)| {
+            develop(i, t);
+        }),
+        Some((two_w, z)) => {
+            // z = ∂(w·‖R − R*‖²)/∂I = 2w·(R − R*)·dR/dI.
+            let dz = |r: T, t: T| two_w * (r - t) * resist.soft_derivative_t(r, dose);
+            match z {
+                Some(z) => {
+                    for ((&i, &t), zv) in pixels.zip(z.as_mut_slice()) {
+                        *zv += dz(develop(i, t), t);
+                    }
+                }
+                None => {
+                    let values = pixels.map(|(&i, &t)| dz(develop(i, t), t)).collect();
+                    *z = Some(Grid::from_vec(image.width(), image.height(), values));
+                }
+            }
+        }
     }
+    sum.to_f64()
 }
 
 /// The distinct kernel sets that `conditions` select, in order of first
@@ -242,6 +261,7 @@ pub(crate) fn focus_groups<T: Scalar>(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::backend::add_into;
     use lsopc_optics::OpticsConfig;
 
     fn sim() -> LithoSimulator {
@@ -386,35 +406,18 @@ mod tests {
                 assert!((a - b).abs() <= 1e-12 * scale, "{a} vs {b} ({foci} foci)");
             }
         }
-        // Both reports are built from the same unweighted residuals.
-        let (full, _) = cost_and_gradient(&sim, &mask, &target, 0.7);
-        assert_eq!(full, cost_only(&sim, &mask, &target, 0.7));
     }
-}
-
-#[cfg(test)]
-mod cost_only_tests {
-    use super::*;
-    use lsopc_optics::OpticsConfig;
 
     #[test]
-    fn cost_only_matches_cost_and_gradient() {
-        let sim =
-            LithoSimulator::from_optics(&OpticsConfig::iccad2013().with_kernel_count(4), 32, 8.0)
-                .expect("valid configuration");
-        let target = Grid::from_fn(32, 32, |x, y| {
-            if (12..20).contains(&x) && (8..24).contains(&y) {
-                1.0
-            } else {
-                0.0
-            }
-        });
+    fn cost_only_equals_cost_and_gradient_exactly() {
+        // Both reports come from the same fused resist pass over the same
+        // aerial images, with or without the sensitivity.
+        let sim = sim();
+        let target = target();
+        let mask = target.map(|&t| 0.2 + 0.6 * t);
         for w in [0.0, 0.5, 1.0] {
-            let full = cost_and_gradient(&sim, &target, &target, w).0;
-            let only = cost_only(&sim, &target, &target, w);
-            assert!((full.total() - only.total()).abs() < 1e-9, "w={w}");
-            assert!((full.nominal - only.nominal).abs() < 1e-9);
-            assert!((full.pvb - only.pvb).abs() < 1e-9);
+            let (full, _) = cost_and_gradient(&sim, &mask, &target, w);
+            assert_eq!(full, cost_only(&sim, &mask, &target, w), "w_pvb = {w}");
         }
     }
 }

@@ -58,6 +58,11 @@ LSOPC_THREADS=4 cargo test -q --workspace
 echo "==> cargo test -p lsopc-core --features fault-injection"
 LSOPC_THREADS=4 cargo test -q -p lsopc-core --features fault-injection
 
+echo "==> cargo test -p lsopc-litho --features fault-injection"
+# The fault hook's own unit tests (crates/litho/src/fault.rs) compile
+# only under the feature, and the hook sits on the cost evaluation path.
+LSOPC_THREADS=4 cargo test -q -p lsopc-litho --features fault-injection
+
 echo "==> precision suite (f32 tolerances + f64/f32 thread determinism)"
 # Both precisions must be deterministic per thread count; run the
 # dedicated suite at both pool sizes on top of the workspace runs above.

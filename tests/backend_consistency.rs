@@ -4,12 +4,14 @@
 //! `ReferenceBackend`, the dense oracle that needs no FFT at all, and
 //! every backend at both precisions must keep the imaging model's
 //! invariants: the adjoint identity, cyclic-shift equivariance and the
-//! clear-field intensity.
+//! clear-field intensity. The accelerated backend's one-call evaluation
+//! must keep the bits of its separate passes.
 
 use lsopc::prelude::*;
 use lsopc_grid::Scalar;
-use lsopc_litho::{AcceleratedBackend, FftBackend, ReferenceBackend, SimBackend};
+use lsopc_litho::{AcceleratedBackend, FftBackend, ProcessCorners, ReferenceBackend, SimBackend};
 use lsopc_optics::KernelSet;
+use lsopc_parallel::ParallelContext;
 use lsopc_trace::MetricsRegistry;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -495,6 +497,130 @@ fn fft_product_side_keeps_the_adjoint_identity_and_shift_equivariance() {
             dg32 < 1e-7,
             "{name}: f32 shifted gradient deviates by {dg32:e}"
         );
+    }
+}
+
+/// Forwards only the two passes to the accelerated backend, as the
+/// benchmark's timing wrapper does, so its `evaluate` is the trait's
+/// default: one `aerial_image` and one `gradient` call per focus.
+#[derive(Debug)]
+struct PassesOnly(AcceleratedBackend);
+
+impl<T: Scalar> SimBackend<T> for PassesOnly
+where
+    AcceleratedBackend: SimBackend<T>,
+{
+    fn name(&self) -> &'static str {
+        "passes-only"
+    }
+
+    fn aerial_image(&self, kernels: &KernelSet<T>, mask: &Grid<T>) -> Grid<T> {
+        self.0.aerial_image(kernels, mask)
+    }
+
+    fn gradient(&self, kernels: &KernelSet<T>, mask: &Grid<T>, z: &Grid<T>) -> Grid<T> {
+        self.0.gradient(kernels, mask, z)
+    }
+}
+
+/// The images `backend.evaluate` hands to its callback and, with
+/// `with_gradient`, the gradient it returns. The callback derives each
+/// focus's sensitivity from its image (as the cost's resist pass does)
+/// and returns none for the second focus of three.
+fn evaluation<T: Scalar>(
+    backend: &dyn SimBackend<T>,
+    foci: &[&KernelSet<T>],
+    mask: &Grid<T>,
+    with_gradient: bool,
+) -> (Vec<Grid<T>>, Option<Grid<T>>) {
+    let mut images = Vec::new();
+    let mut gradient = with_gradient.then(|| Grid::new(mask.width(), mask.height(), T::ZERO));
+    let threshold = T::from_f64(0.225);
+    let skip = (foci.len() == 3).then_some(1);
+    let mut on_image = |f: usize, image: &Grid<T>| {
+        images.push(image.clone());
+        (skip != Some(f)).then(|| image.map(|&v| (v - threshold) * v))
+    };
+    backend.evaluate(foci, mask, &mut on_image, gradient.as_mut());
+    (images, gradient)
+}
+
+/// Bit patterns of a grid, widened exactly to f64.
+fn bits<T: Scalar>(g: &Grid<T>) -> Vec<u64> {
+    g.as_slice().iter().map(|v| v.to_f64().to_bits()).collect()
+}
+
+/// `AcceleratedBackend::evaluate` (one mask forward, coarse fields shared
+/// by image and gradient) against the default path over the same
+/// backend's separate passes, at precision `T` on the global pool.
+fn assert_evaluation_bits<T: Scalar>(what: &str, foci: &[KernelSet], mask: &Grid<f64>)
+where
+    AcceleratedBackend: SimBackend<T>,
+{
+    let foci: Vec<KernelSet<T>> = foci.iter().map(KernelSet::cast::<T>).collect();
+    let foci: Vec<&KernelSet<T>> = foci.iter().collect();
+    let mask = mask.map(|&v| T::from_f64(v));
+    let backend = || AcceleratedBackend::with_context(ParallelContext::global().clone());
+    for with_gradient in [true, false] {
+        let (images, gradient) = evaluation(&backend(), &foci, &mask, with_gradient);
+        let (separate_images, separate_gradient) =
+            evaluation(&PassesOnly(backend()), &foci, &mask, with_gradient);
+        assert_eq!(images.len(), foci.len(), "{what}: one image per focus");
+        for (f, (image, separate)) in images.iter().zip(&separate_images).enumerate() {
+            assert!(
+                bits(image) == bits(separate),
+                "{what}: image {f} differs (gradient: {with_gradient})"
+            );
+        }
+        assert_eq!(gradient.is_some(), with_gradient);
+        if let (Some(gradient), Some(separate)) = (gradient, separate_gradient) {
+            assert!(
+                lsopc_grid::max_abs(&gradient) > T::ZERO,
+                "{what}: zero gradient"
+            );
+            assert!(
+                bits(&gradient) == bits(&separate),
+                "{what}: gradient differs"
+            );
+        }
+    }
+}
+
+/// The engine's one-call evaluation must give exactly what a backend
+/// wrapper that implements only the two passes gives (the benchmark's
+/// traced solves take that path and must reproduce `Engine::submit`'s
+/// masks): the same image bits to the callback and the same gradient
+/// bits, at both precisions and on both sides of the window-product
+/// rule, for the ICCAD corners (two foci) and for three foci. `check.sh`
+/// runs the workspace at `LSOPC_THREADS=1` and `=4`.
+#[test]
+fn one_call_evaluation_keeps_the_bits_of_separate_passes() {
+    let mut iccad = Vec::new();
+    for corner in ProcessCorners::iccad2013().as_array() {
+        if !iccad.contains(&corner.defocus_nm) {
+            iccad.push(corner.defocus_nm);
+        }
+    }
+    assert_eq!(iccad.len(), 2, "premise: the ICCAD corners have two foci");
+    let mask = target();
+    // 2048 nm on 128²: the FFT product; 512 nm: the direct fold.
+    for (field_nm, count, fft_product) in [(2048.0, 24, true), (512.0, 8, false)] {
+        let optics = OpticsConfig::iccad2013()
+            .with_field_nm(field_nm)
+            .with_kernel_count(count);
+        for defoci in [iccad.clone(), vec![0.0, 25.0, 10.0]] {
+            let foci: Vec<KernelSet> = defoci.iter().map(|&df| optics.kernels(df)).collect();
+            for kernels in &foci {
+                assert_eq!(
+                    takes_fft_product(kernels, 128),
+                    fft_product,
+                    "premise: window-product side at {field_nm} nm"
+                );
+            }
+            let what = format!("{field_nm} nm, foci {defoci:?}");
+            assert_evaluation_bits::<f64>(&format!("{what}, f64"), &foci, &mask);
+            assert_evaluation_bits::<f32>(&format!("{what}, f32"), &foci, &mask);
+        }
     }
 }
 

@@ -9,23 +9,28 @@
 //! leaf name and compared, as a formula in the kernel count K, with the
 //! number of those spans times the work of one. Corners at one focus
 //! share an aerial image and one gradient pass, so the three ICCAD
-//! corners cost two passes of each: the outer corner is in focus. Per
+//! corners cost two passes of each (the outer corner is in focus), and
+//! an evaluation runs each focus inside one `litho.focus` span. Per
 //! pass:
 //!
-//! - aerial: one full-size forward (`fft2d.rfft.forward`, the mask), K
-//!   coarse inverses (`fft2d.inverse`, the kernel fields), one coarse
-//!   forward (`fft2d.forward`, the intensity) and one full-size inverse
-//!   (`fft2d.rfft.inverse`);
-//! - gradient: two full-size forwards (mask and sensitivity) and one
-//!   full-size inverse. On the FFT-product side of the window-product
-//!   rule (`DESIGN.md` §13) it adds K + 1 coarse inverses (the
-//!   sensitivity and each kernel's field) and K coarse forwards; on the
-//!   direct-fold side, none.
+//! - aerial: K coarse inverses (`fft2d.inverse`, the kernel fields), one
+//!   coarse forward (`fft2d.forward`, the intensity) and one full-size
+//!   inverse (`fft2d.rfft.inverse`);
+//! - gradient: one full-size forward (`fft2d.rfft.forward`, the
+//!   sensitivity) and one full-size inverse. On the FFT-product side of
+//!   the window-product rule (`DESIGN.md` §13) it adds one coarse
+//!   inverse (the sensitivity) and K coarse forwards, and reuses the
+//!   kernel fields of its focus's aerial pass; on the direct-fold side,
+//!   none.
 //!
-//! A cost-and-gradient evaluation runs both passes per focus; the final
-//! iterate's cost-only evaluation and the scorer's corner prints run
-//! only the aerial pass. An accidental extra transform therefore fails
-//! tier-1. Timing verdicts stay with the benchmark
+//! The mask's full-size forward is shared: an evaluation
+//! (`SimBackend::evaluate`) runs one for all its foci, while each of the
+//! scorer's concurrent per-focus aerial passes runs its own. A
+//! cost-and-gradient evaluation therefore runs 7 full-size transforms
+//! (3 forwards, 4 inverses) and, on the FFT-product side, 2K + 2 coarse
+//! inverses; the final iterate's cost-only evaluation runs 3 (1
+//! forward, 2 inverses) and no gradient pass. An accidental extra
+//! transform fails tier-1. Timing verdicts stay with the benchmark
 //! (`examples/lsopc_bench`).
 
 use lsopc::benchsuite::{generate_layout, CaseSpec, RepeatedTileSpec};
@@ -40,11 +45,12 @@ const GRID: usize = 256;
 /// Distinct foci among the ICCAD process corners.
 const FOCI: u64 = 2;
 /// The spans whose inner work is counted, with the aerial and gradient
-/// passes one of them runs.
-const ENCLOSING: [(&str, u64, u64); 3] = [
-    ("litho.cost_and_gradient", FOCI, FOCI),
-    ("litho.cost_only", FOCI, 0),
-    ("litho.print_corners", FOCI, 0),
+/// passes one of them runs and whether it runs them as one
+/// `SimBackend::evaluate` call.
+const ENCLOSING: [(&str, u64, u64, bool); 3] = [
+    ("litho.cost_and_gradient", FOCI, FOCI, true),
+    ("litho.cost_only", FOCI, 0, true),
+    ("litho.print_corners", FOCI, 0, false),
 ];
 
 fn target(layout: &Layout) -> Grid<f64> {
@@ -84,13 +90,23 @@ fn work(spec: &JobSpec, layout: &Layout) -> BTreeMap<&'static str, (u64, BTreeMa
 }
 
 /// The work of `aerial` aerial and `gradient` gradient passes with `k`
-/// kernels each.
-fn passes(k: u64, aerial: u64, gradient: u64, fft_product: bool) -> [(&'static str, u64); 6] {
-    let (extra_inverses, extra_forwards) = if fft_product { (k + 1, k) } else { (0, 0) };
+/// kernels each. As one evaluation, they share one mask forward and run
+/// each focus in a `litho.focus` span; as separate aerial passes, each
+/// transforms the mask itself.
+fn passes(
+    k: u64,
+    aerial: u64,
+    gradient: u64,
+    evaluation: bool,
+    fft_product: bool,
+) -> [(&'static str, u64); 7] {
+    let (mask_forwards, focus_spans) = if evaluation { (1, aerial) } else { (aerial, 0) };
+    let (extra_inverses, extra_forwards) = if fft_product { (1, k) } else { (0, 0) };
     [
+        ("litho.focus", focus_spans),
         ("backend.accel.aerial", aerial),
         ("backend.accel.gradient", gradient),
-        ("fft2d.rfft.forward", aerial + 2 * gradient),
+        ("fft2d.rfft.forward", mask_forwards + gradient),
         ("fft2d.rfft.inverse", aerial + gradient),
         ("fft2d.inverse", aerial * k + gradient * extra_inverses),
         ("fft2d.forward", aerial + gradient * extra_forwards),
@@ -99,10 +115,11 @@ fn passes(k: u64, aerial: u64, gradient: u64, fft_product: bool) -> [(&'static s
 
 fn assert_work(what: &str, spec: &JobSpec, layout: &Layout, fft_product: bool) {
     let counted = work(spec, layout);
-    for (enclosing, aerial, gradient) in ENCLOSING {
+    for (enclosing, aerial, gradient, evaluation) in ENCLOSING {
         let (runs, inside) = &counted[enclosing];
         assert!(*runs > 0, "{what}: no `{enclosing}` ran");
-        for (span, each) in passes(spec.kernels as u64, aerial, gradient, fft_product) {
+        let k = spec.kernels as u64;
+        for (span, each) in passes(k, aerial, gradient, evaluation, fft_product) {
             let got = inside.get(span).copied().unwrap_or(0);
             assert_eq!(
                 got,
