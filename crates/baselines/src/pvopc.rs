@@ -44,17 +44,6 @@ impl PvOpc {
         self.iterations = iterations;
         self
     }
-
-    /// Sets the momentum coefficient.
-    ///
-    /// # Panics
-    ///
-    /// Panics unless in `[0, 1)`.
-    pub fn with_momentum(mut self, momentum: f64) -> Self {
-        assert!((0.0..1.0).contains(&momentum), "momentum must be in [0, 1)");
-        self.momentum = momentum;
-        self
-    }
 }
 
 impl Default for PvOpc {
@@ -128,30 +117,5 @@ mod tests {
             .optimize(&sim, &target)
             .expect("runs");
         assert!(result.cost_history.last() < result.cost_history.first());
-    }
-
-    #[test]
-    fn momentum_accelerates_early_convergence() {
-        let (sim, target) = setup();
-        let plain = PvOpc::new()
-            .with_momentum(0.0)
-            .with_iterations(8)
-            .optimize(&sim, &target)
-            .expect("runs");
-        let momentum = PvOpc::new()
-            .with_momentum(0.6)
-            .with_iterations(8)
-            .optimize(&sim, &target)
-            .expect("runs");
-        let best =
-            |r: &BaselineResult| r.cost_history.iter().cloned().fold(f64::INFINITY, f64::min);
-        // Momentum should do at least comparably well in the same budget.
-        assert!(best(&momentum) <= best(&plain) * 1.25);
-    }
-
-    #[test]
-    #[should_panic(expected = "momentum")]
-    fn momentum_of_one_panics() {
-        let _ = PvOpc::new().with_momentum(1.0);
     }
 }

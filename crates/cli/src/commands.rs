@@ -154,11 +154,10 @@ impl From<String> for CliError {
 
 /// Sinks built for one command run, per `--trace` / `--metrics`.
 ///
-/// The sinks are *scoped*, not installed process-globally: events
-/// emitted while [`CommandTrace::run`] executes the command body —
-/// including on pool workers doing its chunks — are delivered to this
-/// command's sinks without disturbing any other trace consumer in the
-/// process.
+/// The sinks are *scoped*: events emitted while [`CommandTrace::run`]
+/// executes the command body — including on pool workers doing its
+/// chunks — are delivered to this command's sinks without disturbing
+/// any other trace consumer in the process.
 struct CommandTrace {
     /// `--trace`: the path and its event stream.
     jsonl: Option<(String, Arc<JsonlSink<BufWriter<File>>>)>,

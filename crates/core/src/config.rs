@@ -39,8 +39,6 @@ pub struct LevelSetIlt {
     pub(crate) lambda_t: f64,
     pub(crate) w_pvb: f64,
     pub(crate) evolution: Evolution,
-    pub(crate) upwind: bool,
-    pub(crate) reinit_interval: usize,
     pub(crate) curvature_weight: f64,
     pub(crate) snapshot_interval: usize,
     pub(crate) narrow_band: f64,
@@ -95,17 +93,6 @@ impl LevelSetIlt {
         self.line_search
     }
 
-    /// Whether the Godunov upwind |∇ψ| scheme is used (central
-    /// differences otherwise).
-    pub fn upwind(&self) -> bool {
-        self.upwind
-    }
-
-    /// Iterations between signed-distance reinitializations (0 = never).
-    pub fn reinit_interval(&self) -> usize {
-        self.reinit_interval
-    }
-
     /// Weight of the optional curvature smoothing term (0 = off; this is
     /// an extension beyond the paper).
     pub fn curvature_weight(&self) -> f64 {
@@ -144,8 +131,9 @@ pub struct LevelSetIltBuilder {
 
 impl LevelSetIltBuilder {
     /// Creates a builder with the defaults used in our experiments:
-    /// `N = 50`, `ε = 1e−4`, `λ_t = 1`, `w_pvb = 1`, CG on, upwind on,
-    /// reinitialization every 10 iterations, no curvature term.
+    /// `N = 50`, `ε = 1e−4`, `λ_t = 1`, `w_pvb = 1`, CG on, no curvature
+    /// term. The level set always advects with the Godunov upwind |∇ψ|
+    /// and is reinitialized to a signed distance every 10 iterations.
     pub fn new() -> Self {
         Self {
             inner: LevelSetIlt {
@@ -154,8 +142,6 @@ impl LevelSetIltBuilder {
                 lambda_t: 1.0,
                 w_pvb: 1.0,
                 evolution: Evolution::PrpConjugateGradient,
-                upwind: true,
-                reinit_interval: 10,
                 curvature_weight: 0.0,
                 snapshot_interval: 0,
                 narrow_band: 0.0,
@@ -257,18 +243,6 @@ impl LevelSetIltBuilder {
         self
     }
 
-    /// Chooses between Godunov upwind (true) and central differences.
-    pub fn upwind(mut self, enabled: bool) -> Self {
-        self.inner.upwind = enabled;
-        self
-    }
-
-    /// Sets the reinitialization interval (0 disables).
-    pub fn reinit_interval(mut self, every: usize) -> Self {
-        self.inner.reinit_interval = every;
-        self
-    }
-
     /// Sets the curvature smoothing weight (0 disables; extension beyond
     /// the paper).
     ///
@@ -328,8 +302,6 @@ mod tests {
         assert_eq!(opt.max_iterations(), 50);
         assert_eq!(opt.pvb_weight(), 1.0);
         assert!(opt.conjugate_gradient());
-        assert!(opt.upwind());
-        assert_eq!(opt.reinit_interval(), 10);
         assert_eq!(opt.curvature_weight(), 0.0);
         assert_eq!(opt.recovery(), RecoveryPolicy::Off);
     }
@@ -350,8 +322,6 @@ mod tests {
             .lambda_t(2.0)
             .pvb_weight(0.3)
             .conjugate_gradient(false)
-            .upwind(false)
-            .reinit_interval(0)
             .curvature_weight(0.1)
             .snapshot_interval(2)
             .build();
@@ -360,8 +330,6 @@ mod tests {
         assert_eq!(opt.lambda_t(), 2.0);
         assert_eq!(opt.pvb_weight(), 0.3);
         assert!(!opt.conjugate_gradient());
-        assert!(!opt.upwind());
-        assert_eq!(opt.reinit_interval(), 0);
         assert_eq!(opt.curvature_weight(), 0.1);
         assert_eq!(opt.snapshot_interval(), 2);
     }

@@ -111,11 +111,6 @@ pub enum RecoveryPolicy {
 }
 
 impl RecoveryPolicy {
-    /// True unless the policy is [`RecoveryPolicy::Off`].
-    pub fn is_enabled(&self) -> bool {
-        !matches!(self, Self::Off)
-    }
-
     /// True for [`RecoveryPolicy::Strict`].
     pub fn is_strict(&self) -> bool {
         matches!(self, Self::Strict(_))
@@ -522,22 +517,24 @@ mod tests {
     #[test]
     fn off_policy_builds_no_guard() {
         assert!(HealthGuard::from_policy(&RecoveryPolicy::Off).is_none());
-        assert!(!RecoveryPolicy::Off.is_enabled());
-        assert!(RecoveryPolicy::On(GuardConfig::default()).is_enabled());
+        assert!(HealthGuard::from_policy(&RecoveryPolicy::On(GuardConfig::default())).is_some());
         assert!(RecoveryPolicy::Strict(GuardConfig::default()).is_strict());
     }
 
     #[test]
     fn parse_accepts_the_three_policies() {
         assert_eq!(RecoveryPolicy::parse("off"), Ok(RecoveryPolicy::Off));
-        assert!(RecoveryPolicy::parse("on").expect("valid").is_enabled());
+        assert_eq!(
+            RecoveryPolicy::parse("on"),
+            Ok(RecoveryPolicy::On(GuardConfig::default()))
+        );
         assert!(RecoveryPolicy::parse("strict").expect("valid").is_strict());
         let err = RecoveryPolicy::parse("maybe").expect_err("invalid");
         assert!(err.contains("maybe"));
-        assert!("on"
-            .parse::<RecoveryPolicy>()
-            .expect("FromStr")
-            .is_enabled());
+        assert_eq!(
+            "on".parse::<RecoveryPolicy>(),
+            Ok(RecoveryPolicy::On(GuardConfig::default()))
+        );
     }
 
     #[test]

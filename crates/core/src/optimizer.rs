@@ -17,6 +17,9 @@ use std::error::Error;
 use std::fmt;
 use std::time::Instant;
 
+/// Iterations between signed-distance reinitializations of ψ.
+const REINIT_INTERVAL: usize = 10;
+
 /// Error returned by [`LevelSetIlt::optimize`].
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum OptimizeError {
@@ -835,11 +838,7 @@ impl LevelSetIlt {
         // descent update is ψ̇ = +G·|∇ψ| — the sign printed in
         // Eq. (10) corresponds to the opposite inside/outside
         // convention (see DESIGN.md §7).
-        let gradmag = if self.upwind {
-            godunov_gradient(&state.psi, &gradient)
-        } else {
-            gradient_magnitude(&state.psi)
-        };
+        let gradmag = godunov_gradient(&state.psi, &gradient);
         // The gradient-velocity g_i = G·|∇ψ| drives both the descent
         // direction and the PRP coefficient.
         let gradient_velocity = gradient.zip_map(&gradmag, |&g, &m| g * m);
@@ -991,7 +990,7 @@ impl LevelSetIlt {
         }
 
         // Keep ψ a signed distance function periodically.
-        if self.reinit_interval > 0 && (i + 1).is_multiple_of(self.reinit_interval) {
+        if (i + 1).is_multiple_of(REINIT_INTERVAL) {
             state.psi = reinitialize(&state.psi);
         }
 

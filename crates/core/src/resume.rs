@@ -41,12 +41,15 @@ use lsopc_litho::LithoSimulator;
 use std::fmt;
 use std::io::{self, Write};
 use std::path::{Path, PathBuf};
-use std::time::{Duration, Instant};
+use std::time::Instant;
 
 /// File magic of an optimizer checkpoint.
 const MAGIC: &[u8; 8] = b"LSCKPT01";
 /// File magic of a per-tile checkpoint (see `TiledIlt`).
 const TILE_MAGIC: &[u8; 8] = b"LSTILE01";
+/// File magic of a warm-start cache entry (see `WarmStartCache`). The
+/// unframed entries written before used `LSWSPSI1`; they read as misses.
+const PSI_MAGIC: &[u8; 8] = b"LSWSPSI2";
 /// Format version; bumped on any layout change.
 const VERSION: u32 = 1;
 /// Decode guard: a corrupt length field must not trigger a huge
@@ -89,10 +92,10 @@ impl CheckpointSpec {
 ///
 /// ```
 /// use lsopc_core::RunControl;
-/// use std::time::Duration;
+/// use std::time::{Duration, Instant};
 ///
 /// let control = RunControl::new()
-///     .with_deadline_in(Duration::from_secs(300))
+///     .with_deadline(Instant::now() + Duration::from_secs(300))
 ///     .with_iteration_budget(40);
 /// ```
 #[derive(Clone, Debug, Default)]
@@ -121,12 +124,6 @@ impl RunControl {
     pub fn with_deadline(mut self, deadline: Instant) -> Self {
         self.deadline = Some(deadline);
         self
-    }
-
-    /// Stops the run `timeout` from now ([`RunControl::with_deadline`]
-    /// with `Instant::now() + timeout`).
-    pub fn with_deadline_in(self, timeout: Duration) -> Self {
-        self.with_deadline(Instant::now() + timeout)
     }
 
     /// Stops the run after `budget` iterations, counted globally across
@@ -378,8 +375,6 @@ pub(crate) fn config_hash<T: Scalar>(
             h.f64(beta);
         }
     }
-    h.bool(opt.upwind);
-    h.u64(opt.reinit_interval as u64);
     h.f64(opt.curvature_weight);
     h.u64(opt.snapshot_interval as u64);
     h.f64(opt.narrow_band);
@@ -847,18 +842,13 @@ fn decode_state<T: Scalar>(d: &mut Dec, recovery: &RecoveryPolicy) -> DecResult<
 
 // --- file I/O -----------------------------------------------------------
 
-/// Writes `bytes` to `path` atomically: a sibling temp file is written
-/// and synced, then renamed over the destination. A crash at any point
-/// leaves either the old file or the new one — never a torn mix.
-pub(crate) fn atomic_write(path: &Path, bytes: &[u8]) -> io::Result<()> {
-    atomic_write_parts(path, &[], bytes)
-}
-
-/// [`atomic_write`] of `header` followed by `payload`, without first
-/// gluing them into one allocation — the checkpoint payload can be tens
-/// of megabytes, and the extra copy is measurable on the periodic write
-/// path.
-fn atomic_write_parts(path: &Path, header: &[u8], payload: &[u8]) -> io::Result<()> {
+/// Writes `header` followed by `payload` to `path` atomically: a sibling
+/// temp file is written and synced, then renamed over the destination.
+/// A crash at any point leaves either the old file or the new one —
+/// never a torn mix. The two parts are not first glued into one
+/// allocation: the checkpoint payload can be tens of megabytes, and the
+/// extra copy is measurable on the periodic write path.
+fn atomic_write(path: &Path, header: &[u8], payload: &[u8]) -> io::Result<()> {
     let mut tmp = path.as_os_str().to_owned();
     tmp.push(".tmp");
     let tmp = PathBuf::from(tmp);
@@ -884,7 +874,7 @@ fn write_framed(path: &Path, magic: &[u8; 8], payload: &[u8]) -> io::Result<()> 
     header[8..12].copy_from_slice(&VERSION.to_le_bytes());
     header[12..20].copy_from_slice(&(payload.len() as u64).to_le_bytes());
     header[20..28].copy_from_slice(&fnv1a(FNV_OFFSET, payload).to_le_bytes());
-    atomic_write_parts(path, &header, payload)
+    atomic_write(path, &header, payload)
 }
 
 /// Reads a framed file, validating magic, version, length and checksum
@@ -1007,9 +997,39 @@ pub(crate) fn load_tile_checkpoint(path: &Path) -> Result<TileCheckpoint, Checkp
     Ok(tc)
 }
 
+/// Serializes and atomically writes one warm-start cache entry: the
+/// anchor `(bx, by)` its pattern was solved at, and its level set.
+pub(crate) fn write_psi_entry(
+    path: &Path,
+    anchor: (usize, usize),
+    psi: &Grid<f64>,
+) -> io::Result<()> {
+    let mut e = Enc::new();
+    e.u64(anchor.0 as u64);
+    e.u64(anchor.1 as u64);
+    e.grid(psi);
+    write_framed(path, PSI_MAGIC, &e.buf)
+}
+
+/// Reads, validates and decodes one warm-start cache entry.
+pub(crate) fn load_psi_entry(path: &Path) -> Result<((usize, usize), Grid<f64>), CheckpointError> {
+    let payload = read_framed(path, PSI_MAGIC)?;
+    let mut d = Dec::new(&payload);
+    let anchor = (d.usize()?, d.usize()?);
+    let psi: Grid<f64> = d.grid()?;
+    d.finished()?;
+    if anchor.0 >= psi.width() || anchor.1 >= psi.height() {
+        return Err(CheckpointError::Malformed(
+            "anchor outside the level set".into(),
+        ));
+    }
+    Ok((anchor, psi))
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::time::Duration;
 
     fn grid(seed: f64, w: usize, h: usize) -> Grid<f64> {
         Grid::from_fn(w, h, |x, y| seed + (x * 31 + y * 7) as f64 * 0.125)
@@ -1214,8 +1234,8 @@ mod tests {
         let dir = std::env::temp_dir().join(format!("lsopc_atomic_{}", std::process::id()));
         std::fs::create_dir_all(&dir).expect("temp dir");
         let path = dir.join("value.bin");
-        atomic_write(&path, b"first").expect("write");
-        atomic_write(&path, b"second").expect("overwrite");
+        atomic_write(&path, b"", b"first").expect("write");
+        atomic_write(&path, b"", b"second").expect("overwrite");
         assert_eq!(std::fs::read(&path).expect("read"), b"second");
         assert!(
             !dir.join("value.bin.tmp").exists(),

@@ -23,16 +23,16 @@
 //! directory backend; both are best-effort (a corrupt or unwritable
 //! entry degrades to a miss/no-op with a trace warning, never an error).
 
+use crate::resume::{load_psi_entry, write_psi_entry};
 use lsopc_fft::cyclic_shift;
 use lsopc_grid::Grid;
 use std::collections::HashMap;
-use std::io::{self, Read};
+use std::io;
 use std::path::PathBuf;
 use std::sync::{Arc, Mutex};
 
 const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
 const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
-const DIR_MAGIC: &[u8; 8] = b"LSWSPSI1";
 
 fn fnv1a(hash: u64, word: u64) -> u64 {
     let mut h = hash;
@@ -216,19 +216,23 @@ impl WarmStartCache {
     /// fingerprint's pattern position. Best-effort on the directory
     /// backend: write failures warn and drop the entry.
     pub fn store(&self, fp: &PatternFingerprint, psi: &Grid<f64>) {
-        let stored = StoredPsi {
-            bx: fp.bx,
-            by: fp.by,
-            psi: psi.clone(),
-        };
         match &self.backend {
             Backend::Mem(map) => {
+                let stored = StoredPsi {
+                    bx: fp.bx,
+                    by: fp.by,
+                    psi: psi.clone(),
+                };
                 map.lock()
                     .expect("warm-start cache lock")
                     .insert(fp.key, stored);
             }
             Backend::Dir(dir) => {
-                if let Err(e) = write_entry(&dir.join(entry_name(fp.key)), &stored) {
+                // Checksummed and written atomically (temp file +
+                // rename): a crash never leaves a torn entry, and a
+                // damaged one reads back as a miss.
+                let path = dir.join(entry_name(fp.key));
+                if let Err(e) = write_psi_entry(&path, (fp.bx, fp.by), psi) {
                     lsopc_trace::warn("warmstart", &format!("failed to persist entry: {e}"));
                 }
             }
@@ -265,11 +269,12 @@ impl WarmStartCache {
                 if !path.exists() {
                     return None;
                 }
-                match read_entry(&path) {
-                    Ok(stored) => Some(stored),
+                match load_psi_entry(&path) {
+                    Ok(((bx, by), psi)) => Some(StoredPsi { bx, by, psi }),
                     Err(e) => {
-                        // A corrupt or truncated entry is a miss, never
-                        // an error: the tile just solves cold again.
+                        // A corrupt, truncated or older-format entry is
+                        // a miss, never an error: the tile just solves
+                        // cold again.
                         lsopc_trace::warn("warmstart", &format!("discarding bad entry: {e}"));
                         None
                     }
@@ -281,47 +286,6 @@ impl WarmStartCache {
 
 fn entry_name(key: u64) -> String {
     format!("{key:016x}.psi")
-}
-
-fn write_entry(path: &std::path::Path, stored: &StoredPsi) -> io::Result<()> {
-    let (w, h) = stored.psi.dims();
-    let mut buf = Vec::with_capacity(8 + 4 * 8 + w * h * 8);
-    buf.extend_from_slice(DIR_MAGIC);
-    for v in [w as u64, h as u64, stored.bx as u64, stored.by as u64] {
-        buf.extend_from_slice(&v.to_le_bytes());
-    }
-    for v in stored.psi.as_slice() {
-        buf.extend_from_slice(&v.to_le_bytes());
-    }
-    // Atomic temp-file + rename: a crash mid-store can leave a stray
-    // temp file but never a truncated `.psi` entry that a later run
-    // would have to discard.
-    crate::resume::atomic_write(path, &buf)
-}
-
-fn read_entry(path: &std::path::Path) -> io::Result<StoredPsi> {
-    let bad = |msg: &str| io::Error::new(io::ErrorKind::InvalidData, msg.to_string());
-    let mut bytes = Vec::new();
-    std::fs::File::open(path)?.read_to_end(&mut bytes)?;
-    if bytes.len() < 8 + 4 * 8 || &bytes[..8] != DIR_MAGIC {
-        return Err(bad("bad header"));
-    }
-    let mut words = bytes[8..8 + 4 * 8]
-        .chunks_exact(8)
-        .map(|c| u64::from_le_bytes(c.try_into().expect("8-byte chunk")));
-    let w = words.next().expect("width") as usize;
-    let h = words.next().expect("height") as usize;
-    let bx = words.next().expect("bx") as usize;
-    let by = words.next().expect("by") as usize;
-    let data = &bytes[8 + 4 * 8..];
-    if w == 0 || h == 0 || data.len() != w * h * 8 || bx >= w || by >= h {
-        return Err(bad("inconsistent geometry"));
-    }
-    let mut values = data
-        .chunks_exact(8)
-        .map(|c| f64::from_le_bytes(c.try_into().expect("8-byte chunk")));
-    let psi = Grid::from_fn(w, h, |_, _| values.next().expect("sized above"));
-    Ok(StoredPsi { bx, by, psi })
 }
 
 #[cfg(test)]

@@ -324,3 +324,41 @@ fn truncated_warmstart_entry_is_a_miss_not_a_panic() {
     );
     std::fs::remove_dir_all(dir).ok();
 }
+
+/// A warm-start entry with one flipped byte inside its stored ψ keeps
+/// its length and geometry, so only the checksum can tell: it must read
+/// as a miss, not start a tile from a damaged level set.
+#[test]
+fn byte_flipped_warmstart_entry_is_a_miss() {
+    let dir = tmp_path("wsflip");
+    std::fs::remove_dir_all(&dir).ok();
+    let cache = WarmStartCache::directory(&dir).expect("dir cache");
+    let tile = Grid::from_fn(64, 64, |x, y| {
+        if (20..44).contains(&x) && (20..44).contains(&y) {
+            1.0
+        } else {
+            0.0
+        }
+    });
+    let fp = fingerprint(&tile).expect("non-empty tile");
+    let psi = Grid::from_fn(64, 64, |x, y| ((x * 13 + y * 7) as f64 * 0.21).sin());
+    cache.store(&fp, &psi);
+    assert!(cache.lookup(&fp).is_some(), "the intact entry is a hit");
+
+    let entry = std::fs::read_dir(&dir)
+        .expect("read dir")
+        .map(|e| e.expect("entry").path())
+        .find(|path| path.extension().is_some_and(|x| x == "psi"))
+        .expect("store wrote an entry");
+    let mut bytes = std::fs::read(&entry).expect("entry bytes");
+    // The file ends with ψ's cells; flip a low byte of the last one.
+    let at = bytes.len() - 8;
+    bytes[at] ^= 0x01;
+    std::fs::write(&entry, &bytes).expect("rewrite");
+
+    assert!(
+        cache.lookup(&fp).is_none(),
+        "a byte-flipped entry must read as a miss"
+    );
+    std::fs::remove_dir_all(dir).ok();
+}

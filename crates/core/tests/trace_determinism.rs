@@ -1,4 +1,4 @@
-//! Tracing must only observe, never perturb: with a sink installed the
+//! Tracing must only observe, never perturb: with a sink in scope the
 //! optimizer's output is bit-identical (`f64::to_bits`) to an untraced
 //! run. `scripts/check.sh` runs this binary under both `LSOPC_THREADS=1`
 //! and `LSOPC_THREADS=4` to pin the property at both pool sizes.
@@ -42,9 +42,7 @@ fn tracing_leaves_optimizer_output_bit_identical() {
     let baseline = run();
 
     let sink = Arc::new(lsopc_trace::MetricsRegistry::new());
-    lsopc_trace::install(sink.clone());
-    let traced = run();
-    lsopc_trace::uninstall();
+    let traced = lsopc_trace::with_scoped_sink(sink.clone(), run);
 
     // Sanity: the traced run actually went through the instrumentation.
     let report = sink.report();

@@ -11,6 +11,7 @@ use lsopc_core::{GuardConfig, LevelSetIlt, RecoveryPolicy};
 use lsopc_grid::Grid;
 use lsopc_litho::{FaultMode, LithoSimulator, ScriptedFault};
 use lsopc_optics::OpticsConfig;
+use lsopc_trace::TraceSink;
 use std::collections::BTreeSet;
 use std::sync::Arc;
 
@@ -32,8 +33,7 @@ fn field<'a>(line: &'a str, key: &str) -> Option<&'a str> {
 #[test]
 fn fault_run_streams_wellformed_jsonl() {
     let path = std::env::temp_dir().join(format!("lsopc_trace_{}.jsonl", std::process::id()));
-    let sink = lsopc_trace::JsonlSink::create(&path).expect("create stream");
-    lsopc_trace::install(Arc::new(sink));
+    let sink = Arc::new(lsopc_trace::JsonlSink::create(&path).expect("create stream"));
 
     // Default FFT backend: its per-kernel folds go through the global
     // spectrum cache (hit + miss events) and its transforms dispatch on
@@ -49,14 +49,15 @@ fn fault_run_streams_wellformed_jsonl() {
             0.0
         }
     });
-    let result = LevelSetIlt::builder()
-        .max_iterations(3)
-        .recovery(RecoveryPolicy::On(GuardConfig::default()))
-        .build()
-        .optimize(&sim, &target)
-        .expect("optimize recovers");
-    lsopc_trace::flush();
-    lsopc_trace::uninstall();
+    let result = lsopc_trace::with_scoped_sink(sink.clone(), || {
+        LevelSetIlt::builder()
+            .max_iterations(3)
+            .recovery(RecoveryPolicy::On(GuardConfig::default()))
+            .build()
+            .optimize(&sim, &target)
+    })
+    .expect("optimize recovers");
+    sink.flush();
     assert!(result.diagnostics.backoffs > 0, "the scripted fault fired");
 
     let text = std::fs::read_to_string(&path).expect("read stream");

@@ -15,7 +15,7 @@ use lsopc_parallel::ParallelContext;
 use std::sync::{Arc, Mutex};
 use std::time::Instant;
 
-/// Both tests install sinks and take timing measurements; running them
+/// Both tests scope sinks and take timing measurements; running them
 /// concurrently would leak `enabled()` state across them and pollute
 /// the timings. One at a time.
 static SERIAL: Mutex<()> = Mutex::new(());
@@ -23,7 +23,7 @@ static SERIAL: Mutex<()> = Mutex::new(());
 #[test]
 fn disabled_tracing_overhead_is_under_one_percent() {
     let _serial = SERIAL.lock().unwrap_or_else(|e| e.into_inner());
-    assert!(!lsopc_trace::enabled(), "no sink installed at test start");
+    assert!(!lsopc_trace::enabled(), "no sink in scope at test start");
 
     let sim =
         LithoSimulator::from_optics(&OpticsConfig::iccad2013().with_kernel_count(8), 256, 8.0)
@@ -67,9 +67,9 @@ fn disabled_tracing_overhead_is_under_one_percent() {
 
     // How many probes one evaluation fires: aggregate one traced call.
     let sink = Arc::new(lsopc_trace::MetricsRegistry::new());
-    lsopc_trace::install(sink.clone());
-    let _ = cost_and_gradient(&sim, &mask, &target, 1.0);
-    lsopc_trace::uninstall();
+    lsopc_trace::with_scoped_sink(sink.clone(), || {
+        let _ = cost_and_gradient(&sim, &mask, &target, 1.0);
+    });
     let report = sink.report();
     let span_events: u64 = report.spans.iter().map(|s| s.calls).sum();
     // Counter *totals* over-count count() call sites (one pool.chunks
@@ -147,9 +147,9 @@ fn registry_enabled_overhead_stays_modest() {
     let per_probe_ns = span_ns.max(count_ns);
 
     let sink = Arc::new(lsopc_trace::MetricsRegistry::new());
-    lsopc_trace::install(sink.clone());
-    let _ = cost_and_gradient(&sim, &mask, &target, 1.0);
-    lsopc_trace::uninstall();
+    lsopc_trace::with_scoped_sink(sink.clone(), || {
+        let _ = cost_and_gradient(&sim, &mask, &target, 1.0);
+    });
     let report = sink.report();
     let span_events: u64 = report.spans.iter().map(|s| s.calls).sum();
     let counter_events: u64 = report.counters.values().sum();

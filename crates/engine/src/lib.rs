@@ -1,9 +1,9 @@
 //! Headless job-execution engine for lsopc.
 //!
 //! The CLI front end used to own the whole job pipeline — building
-//! simulators, wiring optimizer flags, installing trace sinks. This
-//! crate carves that layer out behind a library API so other hosts (a
-//! future `lsopc serve`, tests, notebooks) can run the same jobs:
+//! simulators, wiring optimizer flags, scoping trace sinks. This crate
+//! carves that layer out behind a library API so other hosts (tests,
+//! notebooks, the benchmark) can run the same jobs:
 //!
 //! * [`Engine`] — long-lived shared state: one FFT plan / kernel-spectrum
 //!   cache bundle ([`SimCaches`]), the global worker pool, a per-engine
@@ -14,15 +14,15 @@
 //!   tiling, warm start, run control). Field semantics mirror the CLI
 //!   flags one-to-one; a single-job engine run is bit-identical to the
 //!   pre-engine CLI at the default f64 precision.
-//! * [`Session`] — a handle that scopes trace delivery: events emitted
-//!   while a session's closure runs (including on pool workers working
-//!   for it) go to the session's sink, independent of — and in addition
-//!   to — the process-global sink. Concurrent sessions get separate
-//!   streams.
 //! * [`JobOutcome`] — the optimized mask plus run statistics and the
 //!   stop reason, for both the flat and the tiled path.
 //! * [`Scorer`] — the shared f64 scoring simulator (scoring always runs
 //!   at f64 regardless of the job precision).
+//!
+//! A host that wants a job's event stream wraps the call in
+//! [`lsopc_trace::with_scoped_sink`]: events emitted inside (including on
+//! pool workers working for the job) reach that sink, so concurrent
+//! callers on different threads get separate streams.
 //!
 //! # Example
 //!
@@ -60,7 +60,7 @@ use lsopc_grid::Grid;
 use lsopc_litho::{AcceleratedBackend, BuildSimulatorError, LithoSimulator, SimCaches};
 use lsopc_metrics::MaskEvaluation;
 use lsopc_optics::OpticsConfig;
-use lsopc_trace::{MetricsRegistry, MetricsReport, TraceSink};
+use lsopc_trace::{MetricsRegistry, MetricsReport};
 
 // Re-export the types a host needs to build and control jobs without
 // depending on the simulation crates directly.
@@ -401,16 +401,6 @@ impl Engine {
         self.inner.pool_threads
     }
 
-    /// A session handle over this engine (no sink until
-    /// [`Session::with_sink`]).
-    pub fn session(&self) -> Session {
-        Session {
-            engine: self.clone(),
-            sink: None,
-            registry: Arc::new(MetricsRegistry::new()),
-        }
-    }
-
     /// The iccad2013 optics for a job's kernel count — the single
     /// source of optics settings for every engine job.
     fn optics(kernels: usize) -> OpticsConfig {
@@ -480,8 +470,8 @@ impl Engine {
     ///
     /// Unless [`JobSpec::collect_metrics`] is false, a per-job
     /// [`MetricsRegistry`] is layered over the run's trace scope —
-    /// composing with (never shadowing) any [`Session`] sink or global
-    /// sink — and the derived [`JobMetrics`] ride on the outcome.
+    /// composing with (never shadowing) a sink the caller scoped in —
+    /// and the derived [`JobMetrics`] ride on the outcome.
     pub fn submit(&self, spec: &JobSpec) -> Result<JobOutcome, EngineError> {
         if !spec.collect_metrics {
             return self.submit_inner(spec);
@@ -592,83 +582,6 @@ impl Engine {
             detail: JobDetail::Tiled { mask, stats },
             metrics: None,
         })
-    }
-}
-
-/// A per-caller handle over a shared [`Engine`] that scopes trace
-/// delivery: work run through [`Session::scoped`] (or
-/// [`Session::submit`]) delivers its trace events to the session's
-/// sink — on the calling thread and on pool workers executing its
-/// chunks — in addition to any process-global sink. Two sessions
-/// running concurrently get cleanly separated streams.
-pub struct Session {
-    engine: Engine,
-    sink: Option<Arc<dyn TraceSink>>,
-    /// Session-lifetime metrics, fed by every [`Session::scoped`] run
-    /// and rendered by [`Session::exposition`].
-    registry: Arc<MetricsRegistry>,
-}
-
-impl Session {
-    /// Attaches the sink this session's events are delivered to (in
-    /// addition to the session's own metrics registry).
-    pub fn with_sink(mut self, sink: Arc<dyn TraceSink>) -> Self {
-        self.sink = Some(sink);
-        self
-    }
-
-    /// The engine this session submits to.
-    pub fn engine(&self) -> &Engine {
-        &self.engine
-    }
-
-    /// Runs `f` with the session's metrics registry — and the attached
-    /// sink, if any — scoped in, so every event the work emits (on this
-    /// thread and on pool workers executing its chunks) feeds the
-    /// session's aggregate.
-    pub fn scoped<R>(&self, f: impl FnOnce() -> R) -> R {
-        let registry: Arc<dyn TraceSink> = self.registry.clone();
-        let sink = match &self.sink {
-            Some(user) => Arc::new(lsopc_trace::FanoutSink::new(vec![registry, user.clone()])),
-            None => return lsopc_trace::with_scoped_sink(registry, f),
-        };
-        lsopc_trace::with_scoped_sink(sink, f)
-    }
-
-    /// Submits a job with this session's sink scoped in.
-    pub fn submit(&self, spec: &JobSpec) -> Result<JobOutcome, EngineError> {
-        self.scoped(|| self.engine.submit(spec))
-    }
-
-    /// Flushes the session sink's buffered output.
-    pub fn flush(&self) {
-        if let Some(sink) = &self.sink {
-            sink.flush();
-        }
-    }
-
-    /// The session-lifetime metrics registry: span-duration histograms,
-    /// counter totals and gauge last-values aggregated across every
-    /// [`Session::scoped`] / [`Session::submit`] run so far.
-    pub fn metrics(&self) -> &Arc<MetricsRegistry> {
-        &self.registry
-    }
-
-    /// Renders the session's aggregated metrics in Prometheus text
-    /// exposition format (span-duration histograms with cumulative `le`
-    /// buckets in seconds, counters, gauges) — the scrape payload a
-    /// future `lsopc serve` endpoint publishes per session.
-    pub fn exposition(&self) -> String {
-        self.registry.render_prometheus()
-    }
-}
-
-impl std::fmt::Debug for Session {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("Session")
-            .field("engine", &self.engine)
-            .field("sink", &self.sink.as_ref().map(|_| "dyn TraceSink"))
-            .finish()
     }
 }
 
@@ -806,23 +719,6 @@ mod tests {
         spec.collect_metrics = false;
         let outcome = engine.submit(&spec).expect("job runs");
         assert!(outcome.metrics.is_none());
-    }
-
-    #[test]
-    fn session_exposition_renders_after_submit() {
-        let engine = Engine::builder().caches(SimCaches::private()).build();
-        let mut spec = JobSpec::new(small_target());
-        spec.kernels = 4;
-        spec.iterations = 1;
-        let session = engine.session();
-        session.submit(&spec).expect("job runs");
-        let text = session.exposition();
-        assert!(
-            text.contains("# TYPE lsopc_span_duration_seconds histogram"),
-            "exposition:\n{text}"
-        );
-        assert!(text.contains("lsopc_events_total"));
-        assert!(text.contains("le=\"+Inf\""));
     }
 
     #[test]

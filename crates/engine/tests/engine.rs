@@ -1,9 +1,9 @@
-//! Integration tests for the engine's cache-sharing and session
+//! Integration tests for the engine's cache-sharing and trace-scope
 //! contracts: repeated submissions amortize the shared caches, and
-//! concurrent sessions stay bit-identical with cleanly separated
+//! concurrent submissions stay bit-identical with cleanly separated
 //! scoped trace streams.
 
-use lsopc_engine::{Caches, Engine, JobSpec};
+use lsopc_engine::{Caches, Engine, JobOutcome, JobSpec};
 use lsopc_grid::Grid;
 use lsopc_trace::MetricsRegistry;
 use std::sync::Arc;
@@ -27,6 +27,12 @@ fn small_spec() -> JobSpec {
     spec
 }
 
+/// The total of counter `name` in the job's own metrics.
+fn counter(outcome: &JobOutcome, name: &str) -> u64 {
+    let metrics = outcome.metrics.as_ref().expect("metrics collected");
+    metrics.report.counters.get(name).copied().unwrap_or(0)
+}
+
 /// Two sequential submissions of the same optics: the first job pays
 /// the FFT-plan and kernel-set construction misses, the second runs
 /// entirely out of the engine's shared plan cache and cached simulator —
@@ -41,43 +47,33 @@ fn second_submission_runs_out_of_the_shared_caches() {
     let engine = Engine::builder().caches(Caches::private()).build();
     let spec = small_spec();
 
-    let first_sink = Arc::new(MetricsRegistry::new());
-    let first = engine
-        .session()
-        .with_sink(first_sink.clone())
-        .submit(&spec)
-        .expect("first job runs");
+    let first = engine.submit(&spec).expect("first job runs");
     assert!(
-        first_sink.counter("cache.plan.miss") > 0,
+        counter(&first, "cache.plan.miss") > 0,
         "first job builds FFT plans"
     );
     assert!(
-        first_sink.counter("cache.rplan.miss") > 0,
+        counter(&first, "cache.rplan.miss") > 0,
         "first job builds the real-input FFT plan"
     );
     assert!(
-        first_sink.counter("cache.kernels.miss") > 0,
+        counter(&first, "cache.kernels.miss") > 0,
         "first job generates the corner kernel sets"
     );
 
-    let second_sink = Arc::new(MetricsRegistry::new());
-    let second = engine
-        .session()
-        .with_sink(second_sink.clone())
-        .submit(&spec)
-        .expect("second job runs");
+    let second = engine.submit(&spec).expect("second job runs");
     assert_eq!(
-        second_sink.counter("cache.plan.miss") + second_sink.counter("cache.rplan.miss"),
+        counter(&second, "cache.plan.miss") + counter(&second, "cache.rplan.miss"),
         0,
         "second job builds no FFT plans"
     );
     assert_eq!(
-        second_sink.counter("cache.kernels.miss"),
+        counter(&second, "cache.kernels.miss"),
         0,
         "second job generates no kernel sets"
     );
-    assert!(second_sink.counter("cache.plan.hit") > 0);
-    assert!(second_sink.counter("cache.kernels.hit") > 0);
+    assert!(counter(&second, "cache.plan.hit") > 0);
+    assert!(counter(&second, "cache.kernels.hit") > 0);
 
     let (a, b) = (first.mask().as_slice(), second.mask().as_slice());
     assert_eq!(a.len(), b.len());
@@ -86,11 +82,12 @@ fn second_submission_runs_out_of_the_shared_caches() {
     }
 }
 
-/// Two threads submitting the same spec through one engine: both jobs
-/// share the simulator and caches yet produce bit-identical masks, and
-/// each session's scoped sink sees only its own thread's events.
+/// Two threads submitting the same spec through one engine, each under
+/// its own scoped registry: both jobs share the simulator and caches yet
+/// produce bit-identical masks, and each registry sees only its own
+/// thread's events.
 #[test]
-fn concurrent_sessions_are_bit_identical_with_separate_streams() {
+fn concurrent_scoped_submissions_are_bit_identical_with_separate_streams() {
     let engine = Engine::builder().caches(Caches::private()).build();
     // Warm the shared caches once so both threads race on the hit path.
     engine.submit(&small_spec()).expect("warm-up job runs");
@@ -99,10 +96,9 @@ fn concurrent_sessions_are_bit_identical_with_separate_streams() {
         let engine = engine.clone();
         move || {
             let sink = Arc::new(MetricsRegistry::new());
-            let session = engine.session().with_sink(sink.clone());
-            let outcome = session.scoped(|| {
+            let outcome = lsopc_trace::with_scoped_sink(sink.clone(), || {
                 lsopc_trace::count(marker, 1);
-                session.engine().submit(&small_spec())
+                engine.submit(&small_spec())
             });
             (outcome.expect("concurrent job runs"), sink)
         }
@@ -129,31 +125,30 @@ fn concurrent_sessions_are_bit_identical_with_separate_streams() {
     assert_eq!(sink_b.counter("test.marker.a"), 0);
     assert!(
         sink_a.counter("cache.plan.hit") > 0,
-        "session a saw its job's cache traffic"
+        "scope a saw its job's cache traffic"
     );
     assert!(
         sink_b.counter("cache.plan.hit") > 0,
-        "session b saw its job's cache traffic"
+        "scope b saw its job's cache traffic"
     );
 }
 
-/// A session's sink only observes work submitted through that session:
-/// nothing leaks in from jobs run outside its scope, and nothing it
-/// scoped leaks out.
+/// A scoped sink only observes work submitted inside its scope: nothing
+/// leaks in from jobs run after the scope has ended.
 #[test]
-fn session_sinks_do_not_leak_across_scopes() {
+fn scoped_sinks_do_not_leak_across_scopes() {
     let engine = Engine::builder().caches(Caches::private()).build();
     let sink = Arc::new(MetricsRegistry::new());
-    let session = engine.session().with_sink(sink.clone());
 
-    session.submit(&small_spec()).expect("scoped job runs");
+    lsopc_trace::with_scoped_sink(sink.clone(), || engine.submit(&small_spec()))
+        .expect("scoped job runs");
     let seen = sink.counter("cache.plan.miss") + sink.counter("cache.plan.hit");
     assert!(seen > 0, "scoped job was observed");
 
-    // The same engine run *outside* the session must not reach its sink.
+    // The same engine run *outside* the scope must not reach its sink.
     engine.submit(&small_spec()).expect("unscoped job runs");
     let after = sink.counter("cache.plan.miss") + sink.counter("cache.plan.hit");
-    assert_eq!(seen, after, "unscoped job leaked into the session sink");
+    assert_eq!(seen, after, "unscoped job leaked into the scoped sink");
 }
 
 /// Engines built with private caches are isolated from each other: one
@@ -164,14 +159,9 @@ fn private_caches_isolate_engines() {
     first.submit(&small_spec()).expect("first engine runs");
 
     let second = Engine::builder().caches(Caches::private()).build();
-    let sink = Arc::new(MetricsRegistry::new());
-    second
-        .session()
-        .with_sink(sink.clone())
-        .submit(&small_spec())
-        .expect("second engine runs");
+    let outcome = second.submit(&small_spec()).expect("second engine runs");
     assert!(
-        sink.counter("cache.plan.miss") > 0,
+        counter(&outcome, "cache.plan.miss") > 0,
         "a fresh engine pays its own cache misses"
     );
 }

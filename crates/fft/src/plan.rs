@@ -96,18 +96,6 @@ impl<T: Scalar> FftPlan<T> {
         }
     }
 
-    /// In-place inverse transform without the `1/N` normalization.
-    ///
-    /// Useful when the normalization is folded into another constant by the
-    /// caller (the accelerated lithography backend does this).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `data.len()` differs from the planned length.
-    pub fn inverse_unnormalized(&self, data: &mut [Complex<T>]) {
-        self.transform(data, true);
-    }
-
     fn transform(&self, data: &mut [Complex<T>], inverse: bool) {
         let n = self.n;
         assert_eq!(data.len(), n, "buffer length must match plan length {n}");
@@ -193,21 +181,6 @@ mod tests {
             plan.forward(&mut y);
             plan.inverse(&mut y);
             assert!(max_err(&x, &y) < 1e-11, "roundtrip failed at n={n}");
-        }
-    }
-
-    #[test]
-    fn inverse_unnormalized_differs_by_n() {
-        let n = 16;
-        let plan = FftPlan::<f64>::new(n);
-        let x = rand_signal(n, 3);
-        let mut a = x.clone();
-        plan.forward(&mut a);
-        let mut b = a.clone();
-        plan.inverse(&mut a);
-        plan.inverse_unnormalized(&mut b);
-        for (u, v) in a.iter().zip(&b) {
-            assert!((u.scale(n as f64) - *v).norm() < 1e-10);
         }
     }
 

@@ -7,7 +7,6 @@
 //! * [`Rect`], [`Polygon`], [`Shape`], [`Layout`] — integer-nanometre
 //!   rectilinear geometry;
 //! * [`glp`] — parse/write the contest-style `.glp` text format;
-//! * [`gds`] — minimal GDSII stream reader/writer (BOUNDARY subset);
 //! * [`rasterize`] — layout → binary pixel grid at a chosen resolution;
 //! * [`contour`] — marching-squares iso-contour extraction;
 //! * [`components`] — connected-component labelling of binary grids;
@@ -39,7 +38,6 @@ pub const MAX_COORD: i64 = 1 << 30;
 
 pub mod components;
 pub mod contour;
-pub mod gds;
 pub mod glp;
 pub mod probes;
 
@@ -52,7 +50,6 @@ mod vectorize;
 
 pub use components::{label_components, Component};
 pub use contour::{extract_contours, Contour};
-pub use gds::{parse_gds, write_gds, ParseGdsError};
 pub use glp::{parse_glp, write_glp, ParseGlpError};
 pub use layout::{Layout, Shape};
 pub use point::{FPoint, Point};

@@ -24,14 +24,6 @@ impl Point {
     pub const fn new(x: i64, y: i64) -> Self {
         Self { x, y }
     }
-
-    /// Converts to floating point.
-    pub fn to_fpoint(self) -> FPoint {
-        FPoint {
-            x: self.x as f64,
-            y: self.y as f64,
-        }
-    }
 }
 
 impl std::ops::Add for Point {
@@ -101,11 +93,6 @@ mod tests {
         let b = FPoint::new(3.0, 4.0);
         assert_eq!(a.distance(b), 5.0);
         assert_eq!(b.distance(a), 5.0);
-    }
-
-    #[test]
-    fn conversion() {
-        assert_eq!(Point::new(2, 3).to_fpoint(), FPoint::new(2.0, 3.0));
     }
 
     #[test]

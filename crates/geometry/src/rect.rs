@@ -76,20 +76,6 @@ impl Rect {
         self.x0 < other.x1 && other.x0 < self.x1 && self.y0 < other.y1 && other.y0 < self.y1
     }
 
-    /// Intersection rectangle, or `None` if disjoint.
-    pub fn intersection(&self, other: &Rect) -> Option<Rect> {
-        if self.intersects(other) {
-            Some(Rect {
-                x0: self.x0.max(other.x0),
-                y0: self.y0.max(other.y0),
-                x1: self.x1.min(other.x1),
-                y1: self.y1.min(other.y1),
-            })
-        } else {
-            None
-        }
-    }
-
     /// Smallest rectangle containing both.
     pub fn union_bbox(&self, other: &Rect) -> Rect {
         Rect {
@@ -154,16 +140,6 @@ mod tests {
         let a = Rect::new(0, 0, 10, 10);
         let b = Rect::new(10, 0, 20, 10);
         assert!(!a.intersects(&b));
-        assert!(a.intersection(&b).is_none());
-    }
-
-    #[test]
-    fn overlapping_intersection() {
-        let a = Rect::new(0, 0, 10, 10);
-        let b = Rect::new(5, 5, 15, 15);
-        let i = a.intersection(&b).expect("overlap");
-        assert_eq!(i, Rect::new(5, 5, 10, 10));
-        assert_eq!(i.area(), 25);
     }
 
     #[test]

@@ -1,9 +1,8 @@
-//! Adversarial-input properties of the layout parsers: arbitrary bytes
+//! Adversarial-input properties of the `.glp` parser: arbitrary bytes
 //! and mutated-but-plausible records must never panic, and every failure
-//! must carry a position (line for `.glp`, byte offset for GDSII) that
-//! points back into the input.
+//! must carry the line that it points back to in the input.
 
-use lsopc_geometry::{parse_gds, parse_glp, write_gds, Layout, Rect};
+use lsopc_geometry::parse_glp;
 use proptest::prelude::*;
 
 /// A pool of adversarial integer tokens: boundary values, overflow
@@ -73,49 +72,6 @@ proptest! {
             let nlines = text.lines().count().max(1);
             prop_assert!(e.line() >= 1 && e.line() <= nlines);
             prop_assert!(!e.to_string().is_empty());
-        }
-    }
-
-    /// Raw bytes never panic `parse_gds`; any error carries an offset no
-    /// further than one record header past the end of the input.
-    #[test]
-    fn gds_survives_arbitrary_bytes(bytes in prop::collection::vec(any::<u8>(), 0..256)) {
-        if let Err(e) = parse_gds(&bytes) {
-            prop_assert!(e.offset() <= bytes.len(),
-                "offset {} beyond input ({} bytes)", e.offset(), bytes.len());
-        }
-    }
-
-    /// A valid stream with one corrupted byte (truncated records, bogus
-    /// tags, warped coordinates) parses or fails cleanly — never panics.
-    #[test]
-    fn gds_survives_single_byte_corruption(
-        x0 in -512i64..512, y0 in -512i64..512,
-        w in 1i64..256, h in 1i64..256,
-        at in any::<u16>(), to in any::<u8>(),
-    ) {
-        let mut layout = Layout::new();
-        layout.push(Rect::from_origin_size(x0, y0, w, h).into());
-        let mut bytes = write_gds(&layout, 1);
-        let at = at as usize % bytes.len();
-        bytes[at] = to;
-        if let Err(e) = parse_gds(&bytes) {
-            prop_assert!(e.offset() <= bytes.len());
-        }
-    }
-
-    /// Truncating a valid stream at any point fails cleanly with an
-    /// in-range offset (or still parses, when the cut lands after ENDLIB).
-    #[test]
-    fn gds_survives_truncation_everywhere(
-        w in 1i64..256, h in 1i64..256, cut in any::<u16>(),
-    ) {
-        let mut layout = Layout::new();
-        layout.push(Rect::from_origin_size(0, 0, w, h).into());
-        let bytes = write_gds(&layout, 1);
-        let cut = cut as usize % bytes.len();
-        if let Err(e) = parse_gds(&bytes[..cut]) {
-            prop_assert!(e.offset() <= cut);
         }
     }
 }

@@ -16,7 +16,7 @@ use std::ops::{Add, AddAssign, Div, Mul, MulAssign, Neg, Sub, SubAssign};
 /// ```
 /// use lsopc_grid::Complex;
 ///
-/// let z = Complex::from_polar(2.0_f64, std::f64::consts::FRAC_PI_2);
+/// let z = Complex::cis(std::f64::consts::FRAC_PI_2).scale(2.0);
 /// assert!((z.re).abs() < 1e-15);
 /// assert!((z.im - 2.0).abs() < 1e-15);
 /// assert!((z.norm_sqr() - 4.0).abs() < 1e-15);
@@ -58,15 +58,6 @@ impl<T: Scalar> Complex<T> {
         Self { re, im: T::ZERO }
     }
 
-    /// Creates `r * exp(i*theta)`.
-    #[inline]
-    pub fn from_polar(r: T, theta: T) -> Self {
-        Self {
-            re: r * theta.cos(),
-            im: r * theta.sin(),
-        }
-    }
-
     /// Creates `exp(i*theta)`, a unit phasor.
     #[inline]
     pub fn cis(theta: T) -> Self {
@@ -103,15 +94,6 @@ impl<T: Scalar> Complex<T> {
         Self {
             re: self.re * s,
             im: self.im * s,
-        }
-    }
-
-    /// `self * other.conj()`, fused for the common correlation pattern.
-    #[inline]
-    pub fn mul_conj(self, other: Self) -> Self {
-        Self {
-            re: self.re * other.re + self.im * other.im,
-            im: self.im * other.re - self.re * other.im,
         }
     }
 
@@ -261,16 +243,8 @@ mod tests {
     }
 
     #[test]
-    fn mul_conj_matches_explicit() {
-        let a = C64::new(1.0, 2.0);
-        let b = C64::new(-0.5, 3.0);
-        assert!(close(a.mul_conj(b), a * b.conj()));
-    }
-
-    #[test]
-    fn polar_and_cis() {
-        let z = C64::from_polar(2.0, std::f64::consts::PI);
-        assert!(close(z, C64::new(-2.0, 0.0)));
+    fn cis_is_a_unit_phasor() {
+        assert!(close(C64::cis(std::f64::consts::PI), C64::new(-1.0, 0.0)));
         let u = C64::cis(std::f64::consts::FRAC_PI_4);
         assert!((u.norm() - 1.0).abs() < 1e-15);
     }

@@ -215,11 +215,6 @@ impl<T> Grid<T> {
 }
 
 impl<T: Copy> Grid<T> {
-    /// Transposed copy of the grid.
-    pub fn transposed(&self) -> Grid<T> {
-        Grid::from_fn(self.height, self.width, |x, y| self[(y, x)])
-    }
-
     /// Extracts the `w` x `h` sub-grid whose top-left corner is `(x0, y0)`.
     ///
     /// # Panics
@@ -260,18 +255,6 @@ impl Grid<f64> {
                 }
             }
             acc * inv
-        })
-    }
-
-    /// Upsamples by integer `factor` using nearest-neighbour replication.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `factor == 0`.
-    pub fn upsample_nearest(&self, factor: usize) -> Grid<f64> {
-        assert!(factor > 0, "factor must be positive");
-        Grid::from_fn(self.width * factor, self.height * factor, |x, y| {
-            self[(x / factor, y / factor)]
         })
     }
 }
@@ -383,13 +366,6 @@ mod tests {
     }
 
     #[test]
-    fn transpose_involution() {
-        let g = Grid::from_fn(4, 2, |x, y| x * 10 + y);
-        assert_eq!(g.transposed().transposed(), g);
-        assert_eq!(g.transposed()[(1, 3)], g[(3, 1)]);
-    }
-
-    #[test]
     fn window_extracts_block() {
         let g = Grid::from_fn(4, 4, |x, y| y * 4 + x);
         let w = g.window(1, 2, 2, 2);
@@ -403,12 +379,6 @@ mod tests {
         assert_eq!(d.dims(), (2, 2));
         assert_eq!(d[(0, 0)], 0.5);
         assert_eq!(d[(1, 0)], 2.5);
-    }
-
-    #[test]
-    fn upsample_then_downsample_roundtrips() {
-        let g = Grid::from_fn(3, 3, |x, y| (x * y) as f64);
-        assert_eq!(g.upsample_nearest(2).downsample(2), g);
     }
 
     #[test]

@@ -33,9 +33,7 @@ pub use complex::Complex;
 pub use grid::Grid;
 pub use io::{write_csv, write_pgm, GridIoError};
 pub use scalar::Scalar;
-pub use stats::{dot, l2_norm, l2_norm_sq, max_abs};
+pub use stats::{dot, l2_norm_sq, max_abs};
 
 /// Complex number specialised to `f64`, the workspace's reference precision.
 pub type C64 = Complex<f64>;
-/// Complex number specialised to `f32`, used by the accelerated backend.
-pub type C32 = Complex<f32>;

@@ -25,11 +25,6 @@ pub fn l2_norm_sq<T: Scalar>(g: &Grid<T>) -> T {
     g.as_slice().iter().map(|&v| v * v).sum()
 }
 
-/// Euclidean (Frobenius) norm `sqrt(Σ v²)`.
-pub fn l2_norm<T: Scalar>(g: &Grid<T>) -> T {
-    l2_norm_sq(g).sqrt()
-}
-
 /// Inner product `Σ aᵢ bᵢ` of two same-shape grids.
 ///
 /// # Panics
@@ -64,7 +59,6 @@ mod tests {
     fn norms_match_hand_computation() {
         let g = Grid::from_vec(2, 2, vec![1.0, 2.0, 2.0, 4.0]);
         assert_eq!(l2_norm_sq(&g), 25.0);
-        assert_eq!(l2_norm(&g), 5.0);
     }
 
     #[test]

@@ -96,7 +96,6 @@ use lsopc_parallel::ParallelContext;
 /// ```
 #[derive(Debug, Clone)]
 pub struct AcceleratedBackend {
-    threads: usize,
     ctx: ParallelContext,
     /// Cache handles; defaults to the process globals.
     caches: SimCaches,
@@ -109,7 +108,6 @@ impl AcceleratedBackend {
     pub fn new(threads: usize) -> Self {
         let threads = lsopc_parallel::sanitize_thread_count(threads, "AcceleratedBackend::new");
         Self {
-            threads,
             ctx: ParallelContext::global().with_max_threads(threads),
             caches: SimCaches::default(),
         }
@@ -119,15 +117,9 @@ impl AcceleratedBackend {
     /// sweeps), fanning out over up to `ctx.threads()` lanes.
     pub fn with_context(ctx: ParallelContext) -> Self {
         Self {
-            threads: ctx.threads(),
             ctx,
             caches: SimCaches::default(),
         }
-    }
-
-    /// Requested thread fan-out.
-    pub fn threads(&self) -> usize {
-        self.threads
     }
 }
 
@@ -664,7 +656,7 @@ mod tests {
     #[test]
     fn zero_threads_degrades_to_one() {
         let backend = AcceleratedBackend::new(0);
-        assert_eq!(backend.threads(), 1);
+        assert_eq!(backend.ctx.threads(), 1);
         // The degraded backend still computes correctly.
         let ks = kernels(512.0, 4);
         let mask = test_mask(64);

@@ -31,11 +31,6 @@ pub struct SimCaches {
 }
 
 impl SimCaches {
-    /// Handles to the process-global caches — the historical default.
-    pub fn shared() -> Self {
-        Self::default()
-    }
-
     /// A fresh, private cache pool independent of the process globals.
     /// Simulators built from clones of the returned value share it.
     pub fn private() -> Self {
@@ -93,7 +88,7 @@ mod tests {
 
     #[test]
     fn default_handles_resolve_to_globals() {
-        let caches = SimCaches::shared();
+        let caches = SimCaches::default();
         let a = caches.plan_t::<f64>(16, 16);
         let b = lsopc_fft::plan_t::<f64>(16, 16);
         assert!(Arc::ptr_eq(&a, &b));

@@ -3,7 +3,6 @@
 use crate::{AcceleratedBackend, FftBackend, ResistModel, SimBackend, SimCaches};
 use lsopc_grid::{Grid, Scalar};
 use lsopc_optics::{KernelSet, OpticsConfig, ProcessCondition, ProcessCorners};
-use lsopc_parallel::ParallelContext;
 use std::collections::HashMap;
 use std::error::Error;
 use std::fmt;
@@ -337,53 +336,31 @@ impl<T: Scalar> LithoSimulator<T> {
         self.resist.print(&aerial, condition.dose)
     }
 
-    /// Sigmoid print (paper Eq. (8)) at a process condition.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the mask dimensions do not match the simulator grid.
-    pub fn print_soft(&self, mask: &Grid<T>, condition: ProcessCondition) -> Grid<T> {
-        let aerial = self.aerial(mask, condition);
-        self.resist.print_soft(&aerial, condition.dose)
-    }
-
-    /// Hard prints at all three process corners.
+    /// Hard prints at all three process corners, from one
+    /// [`SimBackend::evaluate`] call that asks for no gradient.
     ///
     /// Corners at one focus share one aerial image and differ only in the
     /// dose the resist applies, so the ICCAD corners take two aerial
-    /// passes, not three. The foci are independent simulations and run
-    /// concurrently on the shared pool (each one's inner kernel fold then
-    /// runs inline on its thread); a focus's image is dropped as soon as
-    /// its prints are made. Results are identical to running the foci
-    /// one after the other.
+    /// passes, not three; a focus's image is thresholded at each of its
+    /// corners' doses as soon as it is made.
     ///
     /// # Panics
     ///
     /// Panics if the mask dimensions do not match the simulator grid.
     pub fn print_corners(&self, mask: &Grid<T>) -> PrintedCorners<T> {
-        self.print_corners_with(ParallelContext::global(), mask)
-    }
-
-    /// [`Self::print_corners`] on an explicit [`ParallelContext`].
-    pub fn print_corners_with(&self, ctx: &ParallelContext, mask: &Grid<T>) -> PrintedCorners<T> {
         let _span = lsopc_trace::span!("litho.print_corners");
         self.check_mask(mask);
         let corners = self.corners.as_array();
-        // Grouping fetches the kernel sets serially: concurrent misses on
-        // the same defocus would generate the same set redundantly.
-        let foci = crate::cost::focus_groups(self, corners);
-        let prints = ctx.par_map(foci.len(), |f| {
-            let (kernels, members) = &foci[f];
-            let aerial = self.backend.aerial_image(kernels, mask);
-            members
-                .iter()
-                .map(|&i| (i, self.resist.print(&aerial, corners[i].dose)))
-                .collect::<Vec<_>>()
-        });
+        let groups = crate::cost::focus_groups(self, corners);
+        let foci: Vec<&KernelSet<T>> = groups.iter().map(|(kernels, _)| kernels.as_ref()).collect();
         let mut by_corner = [None, None, None];
-        for (i, print) in prints.into_iter().flatten() {
-            by_corner[i] = Some(print);
-        }
+        let mut on_image = |f: usize, image: &Grid<T>| {
+            for &i in &groups[f].1 {
+                by_corner[i] = Some(self.resist.print(image, corners[i].dose));
+            }
+            None
+        };
+        self.backend.evaluate(&foci, mask, &mut on_image, None);
         let [nominal, inner, outer] = by_corner.map(|p| p.expect("every corner is printed"));
         PrintedCorners {
             nominal,

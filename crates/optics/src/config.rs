@@ -1,7 +1,7 @@
 //! Top-level optical system configuration.
 
 use crate::tcc::{abbe_kernels, tcc_kernels};
-use crate::{KernelSet, SourceModel, ZernikeSet};
+use crate::{KernelSet, SourceModel};
 
 /// Configuration of the lithography optical system.
 ///
@@ -29,7 +29,6 @@ pub struct OpticsConfig {
     kernel_count: usize,
     tcc_source_points: usize,
     tcc_iterations: usize,
-    aberrations: ZernikeSet,
 }
 
 impl OpticsConfig {
@@ -47,30 +46,7 @@ impl OpticsConfig {
             kernel_count: 24,
             tcc_source_points: 120,
             tcc_iterations: 60,
-            aberrations: ZernikeSet::NONE,
         }
-    }
-
-    /// Sets the source wavelength in nm.
-    ///
-    /// # Panics
-    ///
-    /// Panics if not positive.
-    pub fn with_wavelength_nm(mut self, wavelength_nm: f64) -> Self {
-        assert!(wavelength_nm > 0.0, "wavelength must be positive");
-        self.wavelength_nm = wavelength_nm;
-        self
-    }
-
-    /// Sets the numerical aperture.
-    ///
-    /// # Panics
-    ///
-    /// Panics if not positive.
-    pub fn with_na(mut self, na: f64) -> Self {
-        assert!(na > 0.0, "NA must be positive");
-        self.na = na;
-        self
     }
 
     /// Sets the (periodic) field size in nm.
@@ -115,18 +91,6 @@ impl OpticsConfig {
         assert!(n > 0, "iteration count must be positive");
         self.tcc_iterations = n;
         self
-    }
-
-    /// Sets Zernike lens aberrations applied to the pupil (an extension
-    /// beyond the paper's defocus-only process model).
-    pub fn with_aberrations(mut self, aberrations: ZernikeSet) -> Self {
-        self.aberrations = aberrations;
-        self
-    }
-
-    /// Zernike lens aberrations.
-    pub fn aberrations(&self) -> ZernikeSet {
-        self.aberrations
     }
 
     /// Wavelength in nm.
@@ -234,12 +198,8 @@ mod tests {
     #[test]
     fn builder_chain() {
         let cfg = OpticsConfig::iccad2013()
-            .with_wavelength_nm(248.0)
-            .with_na(0.93)
             .with_kernel_count(12)
             .with_field_nm(1024.0);
-        assert_eq!(cfg.wavelength_nm(), 248.0);
-        assert_eq!(cfg.na(), 0.93);
         assert_eq!(cfg.kernel_count(), 12);
         assert_eq!(cfg.field_nm(), 1024.0);
     }

@@ -117,11 +117,6 @@ impl<T: Scalar> KernelSet<T> {
         self.support / 2
     }
 
-    /// Largest frequency offset from DC in samples (`S/2`).
-    pub fn half_band(&self) -> i64 {
-        (self.support / 2) as i64
-    }
-
     /// Spectral span `D` of one kernel: the largest extent `max − min`,
     /// along either axis, of a single kernel's non-zero window samples,
     /// so one kernel's band fits in `D + 1` samples per axis.
@@ -331,7 +326,6 @@ mod tests {
         assert_eq!(set.len(), 1);
         assert_eq!(set.support(), 5);
         assert_eq!(set.center(), 2);
-        assert_eq!(set.half_band(), 2);
         assert_eq!(set.weight(0), 2.0);
         assert_eq!(set.period_nm(), 256.0);
     }

@@ -4,8 +4,8 @@
 //! decomposition of its 193 nm annular-illumination system). This crate
 //! *generates* equivalent kernels from first principles:
 //!
-//! * [`SourceModel`] — circular / annular / quadrupole illumination shapes,
-//!   discretized into weighted source points;
+//! * [`SourceModel`] — the annular illumination shape, discretized into
+//!   weighted source points;
 //! * [`Pupil`] — the projection-lens pupil with (non-paraxial) defocus;
 //! * [`KernelSet`] — band-limited kernel spectra `ĥ_k` with weights `μ_k`,
 //!   the inputs of the Hopkins sum `I = Σ μ_k |h_k ⊗ M|²` (paper Eq. (1));
@@ -39,19 +39,15 @@ pub mod eig;
 
 mod condition;
 mod config;
-mod io;
 mod kernels;
 mod matrix;
 mod pupil;
 mod source;
 mod tcc;
-mod zernike;
 
 pub use condition::{ProcessCondition, ProcessCorners};
 pub use config::OpticsConfig;
-pub use io::{kernels_from_str, kernels_to_string, read_kernels, write_kernels, ReadKernelsError};
 pub use kernels::KernelSet;
 pub use matrix::CMatrix;
 pub use pupil::Pupil;
 pub use source::{SourceModel, SourcePoint};
-pub use zernike::ZernikeSet;

@@ -1,17 +1,14 @@
 //! The projection-lens pupil function.
 
-use crate::ZernikeSet;
 use lsopc_grid::C64;
 
 /// The (circular, unapodized) pupil of the projection lens, with an exact
-/// (non-paraxial) defocus phase term and optional Zernike aberrations.
+/// (non-paraxial) defocus phase term.
 ///
 /// Spatial frequencies are physical, in cycles/nm. The pupil passes
 /// `|f| <= NA/λ` and a defocus `δz` multiplies the passband by
 /// `exp(i·2π·δz·(sqrt(1/λ² − |f|²) − 1/λ))`, the difference in axial
-/// propagation constant — the standard scalar defocus model. Aberrations
-/// add `exp(i·Φ(f/f_c))` with `Φ` the Zernike wavefront (an extension
-/// beyond the paper's defocus-only model).
+/// propagation constant — the standard scalar defocus model.
 ///
 /// # Example
 ///
@@ -28,31 +25,16 @@ pub struct Pupil {
     na: f64,
     defocus_nm: f64,
     cutoff: f64,
-    aberrations: ZernikeSet,
 }
 
 impl Pupil {
     /// Creates a pupil for the given wavelength (nm), numerical aperture
-    /// and defocus (nm), with no further aberrations.
+    /// and defocus (nm).
     ///
     /// # Panics
     ///
     /// Panics if the wavelength or NA is not positive.
     pub fn new(wavelength_nm: f64, na: f64, defocus_nm: f64) -> Self {
-        Self::with_aberrations(wavelength_nm, na, defocus_nm, ZernikeSet::NONE)
-    }
-
-    /// Creates an aberrated pupil (defocus plus a Zernike wavefront).
-    ///
-    /// # Panics
-    ///
-    /// Panics if the wavelength or NA is not positive.
-    pub fn with_aberrations(
-        wavelength_nm: f64,
-        na: f64,
-        defocus_nm: f64,
-        aberrations: ZernikeSet,
-    ) -> Self {
         assert!(wavelength_nm > 0.0, "wavelength must be positive");
         assert!(na > 0.0, "numerical aperture must be positive");
         Self {
@@ -60,7 +42,6 @@ impl Pupil {
             na,
             defocus_nm,
             cutoff: na / wavelength_nm,
-            aberrations,
         }
     }
 
@@ -74,29 +55,19 @@ impl Pupil {
         self.defocus_nm
     }
 
-    /// The Zernike aberration set.
-    pub fn aberrations(&self) -> ZernikeSet {
-        self.aberrations
-    }
-
     /// Evaluates the pupil at physical frequency `(fx, fy)` cycles/nm.
     pub fn eval(&self, fx: f64, fy: f64) -> C64 {
         let f2 = fx * fx + fy * fy;
         if f2 > self.cutoff * self.cutoff {
             return C64::ZERO;
         }
-        let mut phase = 0.0;
-        if self.defocus_nm != 0.0 {
-            let inv_lambda = 1.0 / self.wavelength_nm;
-            // kz/2π = sqrt(1/λ² − f²); guard tiny negatives from rounding.
-            let kz = (inv_lambda * inv_lambda - f2).max(0.0).sqrt();
-            phase += 2.0 * std::f64::consts::PI * self.defocus_nm * (kz - inv_lambda);
+        if self.defocus_nm == 0.0 {
+            return C64::ONE;
         }
-        if !self.aberrations.is_none() {
-            phase += self
-                .aberrations
-                .phase_radians(fx / self.cutoff, fy / self.cutoff);
-        }
+        let inv_lambda = 1.0 / self.wavelength_nm;
+        // kz/2π = sqrt(1/λ² − f²); guard tiny negatives from rounding.
+        let kz = (inv_lambda * inv_lambda - f2).max(0.0).sqrt();
+        let phase = 2.0 * std::f64::consts::PI * self.defocus_nm * (kz - inv_lambda);
         if phase == 0.0 {
             C64::ONE
         } else {
@@ -164,53 +135,5 @@ mod tests {
     #[should_panic(expected = "positive")]
     fn invalid_na_panics() {
         let _ = Pupil::new(193.0, 0.0, 0.0);
-    }
-}
-
-#[cfg(test)]
-mod aberration_tests {
-    use super::*;
-
-    #[test]
-    fn aberrated_pupil_is_unit_modulus_in_band() {
-        let z = ZernikeSet {
-            coma_x: 0.05,
-            spherical: 0.03,
-            ..ZernikeSet::NONE
-        };
-        let p = Pupil::with_aberrations(193.0, 1.35, 10.0, z);
-        let v = p.eval(0.004, -0.002);
-        assert!((v.norm() - 1.0).abs() < 1e-12);
-        assert_eq!(p.aberrations(), z);
-    }
-
-    #[test]
-    fn aberrations_change_the_phase() {
-        let clean = Pupil::new(193.0, 1.35, 0.0);
-        let aberrated = Pupil::with_aberrations(
-            193.0,
-            1.35,
-            0.0,
-            ZernikeSet {
-                spherical: 0.1,
-                ..ZernikeSet::NONE
-            },
-        );
-        let f = 0.005;
-        assert!((clean.eval(f, 0.0) - aberrated.eval(f, 0.0)).norm() > 1e-3);
-    }
-
-    #[test]
-    fn aberrations_still_respect_cutoff() {
-        let p = Pupil::with_aberrations(
-            193.0,
-            1.35,
-            0.0,
-            ZernikeSet {
-                defocus: 1.0,
-                ..ZernikeSet::NONE
-            },
-        );
-        assert_eq!(p.eval(0.02, 0.0), C64::ZERO);
     }
 }

@@ -12,10 +12,8 @@ pub struct SourcePoint {
     pub weight: f64,
 }
 
-/// Illumination source shape.
-///
-/// The ICCAD 2013 optical system uses annular illumination; circular and
-/// quadrupole shapes are provided for experiments beyond the paper.
+/// Illumination source shape: the ICCAD 2013 optical system's annular
+/// illumination.
 ///
 /// # Example
 ///
@@ -29,11 +27,6 @@ pub struct SourcePoint {
 /// ```
 #[derive(Copy, Clone, Debug, PartialEq)]
 pub enum SourceModel {
-    /// A uniform disc of radius `sigma`.
-    Circular {
-        /// Partial-coherence factor (disc radius in pupil units).
-        sigma: f64,
-    },
     /// A uniform ring between `sigma_in` and `sigma_out`.
     Annular {
         /// Inner radius in pupil units.
@@ -41,73 +34,37 @@ pub enum SourceModel {
         /// Outer radius in pupil units.
         sigma_out: f64,
     },
-    /// Four poles on the ±45° diagonals, each a small disc.
-    Quadrupole {
-        /// Pole-centre radius in pupil units.
-        sigma_center: f64,
-        /// Pole disc radius in pupil units.
-        sigma_radius: f64,
-    },
 }
 
 impl SourceModel {
     /// The largest radial extent of the source in pupil units.
     pub fn sigma_max(&self) -> f64 {
-        match *self {
-            SourceModel::Circular { sigma } => sigma,
-            SourceModel::Annular { sigma_out, .. } => sigma_out,
-            SourceModel::Quadrupole {
-                sigma_center,
-                sigma_radius,
-            } => sigma_center + sigma_radius,
-        }
+        let SourceModel::Annular { sigma_out, .. } = *self;
+        sigma_out
     }
 
     /// Discretizes the source into exactly `count` weighted points.
     ///
-    /// Points are placed on concentric rings (or pole clusters for the
-    /// quadrupole) with per-ring counts proportional to circumference, so
-    /// the discretization approaches the continuous shape as `count` grows.
-    /// All weights are equal and sum to one. The layout is deterministic.
+    /// Points are placed on concentric rings with per-ring counts
+    /// proportional to circumference, so the discretization approaches the
+    /// continuous shape as `count` grows. All weights are equal and sum to
+    /// one. The layout is deterministic.
     ///
     /// # Panics
     ///
-    /// Panics if `count == 0` or the shape parameters are non-positive /
-    /// inverted.
+    /// Panics if `count == 0` or the annulus is inverted or has a negative
+    /// inner radius.
     pub fn sample(&self, count: usize) -> Vec<SourcePoint> {
         assert!(count > 0, "source sample count must be positive");
-        let pts = match *self {
-            SourceModel::Circular { sigma } => {
-                assert!(sigma > 0.0, "sigma must be positive");
-                sample_disc(0.0, sigma, count, 0.0, 0.0)
-            }
-            SourceModel::Annular {
-                sigma_in,
-                sigma_out,
-            } => {
-                assert!(
-                    sigma_out > sigma_in && sigma_in >= 0.0,
-                    "annulus requires 0 <= sigma_in < sigma_out"
-                );
-                sample_disc(sigma_in, sigma_out, count, 0.0, 0.0)
-            }
-            SourceModel::Quadrupole {
-                sigma_center,
-                sigma_radius,
-            } => {
-                assert!(
-                    sigma_center > 0.0 && sigma_radius > 0.0,
-                    "quadrupole parameters must be positive"
-                );
-                let per_pole = count.div_euclid(4).max(1);
-                let mut pts = Vec::new();
-                let d = sigma_center / std::f64::consts::SQRT_2;
-                for &(cx, cy) in &[(d, d), (-d, d), (d, -d), (-d, -d)] {
-                    pts.extend(sample_disc(0.0, sigma_radius, per_pole, cx, cy));
-                }
-                pts
-            }
-        };
+        let SourceModel::Annular {
+            sigma_in,
+            sigma_out,
+        } = *self;
+        assert!(
+            sigma_out > sigma_in && sigma_in >= 0.0,
+            "annulus requires 0 <= sigma_in < sigma_out"
+        );
+        let pts = sample_annulus(sigma_in, sigma_out, count);
         let w = 1.0 / pts.len() as f64;
         pts.into_iter()
             .map(|(sx, sy)| SourcePoint { sx, sy, weight: w })
@@ -115,17 +72,16 @@ impl SourceModel {
     }
 }
 
-/// Samples `count` points on an annulus `[r_in, r_out]` centred at
-/// `(cx, cy)`, using rings with point counts proportional to ring radius.
-fn sample_disc(r_in: f64, r_out: f64, count: usize, cx: f64, cy: f64) -> Vec<(f64, f64)> {
+/// Samples `count` points on the annulus `[r_in, r_out]` centred at the
+/// origin, using rings with point counts proportional to ring radius.
+fn sample_annulus(r_in: f64, r_out: f64, count: usize) -> Vec<(f64, f64)> {
     if count == 1 {
-        let r = (r_in + r_out) / 2.0;
         // A single point sits on the mid-radius along +x (or at the centre
         // for a full disc).
         return if r_in == 0.0 {
-            vec![(cx, cy)]
+            vec![(0.0, 0.0)]
         } else {
-            vec![(cx + r, cy)]
+            vec![((r_in + r_out) / 2.0, 0.0)]
         };
     }
     // Choose the number of rings so each ring has a handful of points.
@@ -160,7 +116,7 @@ fn sample_disc(r_in: f64, r_out: f64, count: usize, cx: f64, cy: f64) -> Vec<(f6
         let phase = 0.5 * ring as f64;
         for k in 0..n {
             let theta = 2.0 * std::f64::consts::PI * (k as f64 + phase) / n as f64;
-            pts.push((cx + r * theta.cos(), cy + r * theta.sin()));
+            pts.push((r * theta.cos(), r * theta.sin()));
         }
     }
     pts
@@ -186,15 +142,6 @@ mod tests {
     }
 
     #[test]
-    fn circular_points_lie_in_disc() {
-        let src = SourceModel::Circular { sigma: 0.5 };
-        for p in src.sample(16) {
-            let r = (p.sx * p.sx + p.sy * p.sy).sqrt();
-            assert!(r <= 0.5 + 1e-9);
-        }
-    }
-
-    #[test]
     fn exact_count_for_various_requests() {
         let src = SourceModel::Annular {
             sigma_in: 0.6,
@@ -207,21 +154,13 @@ mod tests {
 
     #[test]
     fn weights_sum_to_one() {
-        for src in [
-            SourceModel::Circular { sigma: 0.7 },
-            SourceModel::Annular {
-                sigma_in: 0.5,
-                sigma_out: 0.8,
-            },
-            SourceModel::Quadrupole {
-                sigma_center: 0.7,
-                sigma_radius: 0.15,
-            },
-        ] {
-            let pts = src.sample(24);
-            let total: f64 = pts.iter().map(|p| p.weight).sum();
-            assert!((total - 1.0).abs() < 1e-12);
+        let pts = SourceModel::Annular {
+            sigma_in: 0.5,
+            sigma_out: 0.8,
         }
+        .sample(24);
+        let total: f64 = pts.iter().map(|p| p.weight).sum();
+        assert!((total - 1.0).abs() < 1e-12);
     }
 
     #[test]
@@ -239,28 +178,7 @@ mod tests {
     }
 
     #[test]
-    fn quadrupole_has_four_clusters() {
-        let pts = SourceModel::Quadrupole {
-            sigma_center: 0.7,
-            sigma_radius: 0.1,
-        }
-        .sample(24);
-        let quadrants: [usize; 4] = pts.iter().fold([0; 4], |mut acc, p| {
-            let q = match (p.sx > 0.0, p.sy > 0.0) {
-                (true, true) => 0,
-                (false, true) => 1,
-                (true, false) => 2,
-                (false, false) => 3,
-            };
-            acc[q] += 1;
-            acc
-        });
-        assert_eq!(quadrants, [6, 6, 6, 6]);
-    }
-
-    #[test]
     fn sigma_max_matches_shape() {
-        assert_eq!(SourceModel::Circular { sigma: 0.4 }.sigma_max(), 0.4);
         assert_eq!(
             SourceModel::Annular {
                 sigma_in: 0.6,

@@ -24,8 +24,7 @@ use lsopc_grid::{Grid, C64};
 pub fn abbe_kernels(cfg: &OpticsConfig, defocus_nm: f64) -> KernelSet {
     let support = cfg.support_size();
     let c = (support / 2) as i64;
-    let pupil =
-        Pupil::with_aberrations(cfg.wavelength_nm(), cfg.na(), defocus_nm, cfg.aberrations());
+    let pupil = Pupil::new(cfg.wavelength_nm(), cfg.na(), defocus_nm);
     let fc = pupil.cutoff();
     let df = 1.0 / cfg.field_nm();
     let points = cfg.source().sample(cfg.kernel_count());
@@ -60,8 +59,7 @@ pub fn abbe_kernels(cfg: &OpticsConfig, defocus_nm: f64) -> KernelSet {
 pub fn tcc_kernels(cfg: &OpticsConfig, defocus_nm: f64) -> KernelSet {
     let support = cfg.support_size();
     let c = (support / 2) as i64;
-    let pupil =
-        Pupil::with_aberrations(cfg.wavelength_nm(), cfg.na(), defocus_nm, cfg.aberrations());
+    let pupil = Pupil::new(cfg.wavelength_nm(), cfg.na(), defocus_nm);
     let fc = pupil.cutoff();
     let df = 1.0 / cfg.field_nm();
     let f_limit = (1.0 + cfg.source().sigma_max()) * fc + df;

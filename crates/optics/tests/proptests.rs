@@ -1,7 +1,7 @@
 //! Property-based invariants of the optics crate.
 
 use lsopc_grid::{Grid, C64};
-use lsopc_optics::{kernels_from_str, kernels_to_string, KernelSet, SourceModel};
+use lsopc_optics::{KernelSet, SourceModel};
 use proptest::prelude::*;
 
 fn arbitrary_kernel_set() -> impl Strategy<Value = KernelSet> {
@@ -42,20 +42,6 @@ fn arbitrary_kernel_set() -> impl Strategy<Value = KernelSet> {
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(32))]
-
-    /// Kernel files round-trip bit-exactly.
-    #[test]
-    fn kernel_io_roundtrip(set in arbitrary_kernel_set()) {
-        let text = kernels_to_string(&set);
-        let parsed = kernels_from_str(&text).expect("own output parses");
-        prop_assert_eq!(parsed.len(), set.len());
-        for k in 0..set.len() {
-            prop_assert_eq!(parsed.weight(k), set.weight(k));
-            prop_assert_eq!(parsed.spectrum(k), set.spectrum(k));
-        }
-        prop_assert_eq!(parsed.period_nm(), set.period_nm());
-        prop_assert_eq!(parsed.defocus_nm(), set.defocus_nm());
-    }
 
     /// Source sampling always returns the requested count with unit total
     /// weight, inside the stated radial extent.

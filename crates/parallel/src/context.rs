@@ -4,10 +4,9 @@
 //!
 //! Every primitive here is deterministic by construction:
 //!
-//! * [`par_ranges`](ParallelContext::par_ranges) and
-//!   [`par_chunks_mut`](ParallelContext::par_chunks_mut) only hand out
-//!   disjoint index ranges / subslices — whichever thread runs a range,
-//!   the bytes written are the same.
+//! * [`par_chunks_mut`](ParallelContext::par_chunks_mut) only hands out
+//!   disjoint subslices — whichever thread runs a chunk, the bytes
+//!   written are the same.
 //! * [`par_map`](ParallelContext::par_map) writes each result into its
 //!   own slot, so output order is index order regardless of scheduling.
 //! * [`par_map_reduce`](ParallelContext::par_map_reduce) splits the item
@@ -114,23 +113,6 @@ impl ParallelContext {
     /// construction; see [`ThreadPool::os_threads_spawned`]).
     pub fn os_threads_spawned(&self) -> usize {
         self.pool.os_threads_spawned()
-    }
-
-    /// Runs `f` over contiguous subranges of `0..items` in parallel.
-    ///
-    /// Intended for disjoint-write loops (e.g. "FFT each row"): the union
-    /// of ranges is exactly `0..items` with no overlap, so the result is
-    /// bit-identical however the ranges are scheduled or even split.
-    pub fn par_ranges(&self, items: usize, f: impl Fn(Range<usize>) + Sync) {
-        if items == 0 {
-            return;
-        }
-        // Over-decompose ~4× the lane count for load balancing; writes are
-        // disjoint so the chunk count never affects results.
-        let chunks = (self.threads() * 4).clamp(1, items);
-        self.pool.execute(chunks, self.max_threads, &|i| {
-            f(chunk_bounds(items, chunks, i));
-        });
     }
 
     /// Splits `data` into consecutive chunks of `chunk_len` elements (the
@@ -310,21 +292,6 @@ mod tests {
                 }
                 assert_eq!(next, items);
             }
-        }
-    }
-
-    #[test]
-    fn par_ranges_visits_every_index_once() {
-        use std::sync::atomic::{AtomicUsize, Ordering};
-        for threads in [1usize, 2, 3, 8] {
-            let ctx = ParallelContext::new(threads);
-            let hits: Vec<AtomicUsize> = (0..57).map(|_| AtomicUsize::new(0)).collect();
-            ctx.par_ranges(hits.len(), |r| {
-                for i in r {
-                    hits[i].fetch_add(1, Ordering::Relaxed);
-                }
-            });
-            assert!(hits.iter().all(|h| h.load(Ordering::Relaxed) == 1));
         }
     }
 

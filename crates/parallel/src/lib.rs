@@ -2,8 +2,8 @@
 //!
 //! A persistent, work-chunking thread pool ([`ThreadPool`]) plus the
 //! deterministic primitives every lsopc hot path uses to run on it
-//! ([`ParallelContext::par_ranges`], [`ParallelContext::par_chunks_mut`],
-//! [`ParallelContext::par_map`], [`ParallelContext::par_map_reduce`]).
+//! ([`ParallelContext::par_chunks_mut`], [`ParallelContext::par_map`],
+//! [`ParallelContext::par_map_reduce`]).
 //!
 //! Two properties are load-bearing for the rest of the workspace:
 //!

@@ -175,9 +175,8 @@ impl Histogram {
         self.max.load(Ordering::Relaxed)
     }
 
-    /// Non-empty buckets as `(inclusive upper bound, count)`, ascending.
-    /// The exposition and analyzer layers build cumulative (`le`)
-    /// series from this.
+    /// Non-empty buckets as `(inclusive upper bound, count)`, ascending:
+    /// the whole recorded distribution, for comparing two histograms.
     pub fn nonzero_buckets(&self) -> Vec<(u64, u64)> {
         self.buckets
             .iter()

@@ -10,27 +10,26 @@
 //!   span stack, so nested spans produce hierarchical `/`-joined paths
 //!   (`optimize.iter/litho.cost_and_gradient/fft2d.forward`). Worker
 //!   threads of the `lsopc-parallel` pool inherit the submitting
-//!   caller's path via [`current_path_token`]/[`with_base_path`], so
-//!   pool-side work nests under the span that dispatched it.
+//!   caller's path with its scope ([`task_scope`]), so pool-side work
+//!   nests under the span that dispatched it.
 //! - [`count`]/[`gauge`] — monotonic counters and last-value gauges
 //!   (cache hits/misses, pool jobs, chunks claimed, guard rollbacks).
 //! - [`warn`] — structured warnings that route through the active sink,
-//!   falling back to stderr when no sink is installed.
+//!   falling back to stderr when no sink is in scope.
 //! - [`iter`] — one structured record per optimizer iteration.
 //!
-//! Events flow to a process-global [`TraceSink`] installed with
-//! [`install`], and/or to a thread-scoped sink entered with
-//! [`with_scoped_sink`]. Scoped sinks are the multi-tenant seam: two
-//! concurrent jobs in one process each wrap their run in a scope and
-//! receive separate event streams, while a globally installed sink (the
-//! CLI `--trace` default) still sees everything. Scopes hop threads with
-//! the work: [`task_scope`]/[`with_task_scope`] capture the calling
+//! Events flow to the [`TraceSink`] of a thread-scoped frame entered with
+//! [`with_scoped_sink`]; there is no process-global sink. Scopes are the
+//! multi-tenant seam: two concurrent jobs in one process each wrap their
+//! run in a scope and receive separate event streams (the CLI scopes its
+//! `--trace` and `--metrics` sinks the same way). Scopes hop threads
+//! with the work: [`task_scope`]/[`with_task_scope`] capture the calling
 //! thread's scope (path prefix + sink) so the `lsopc-parallel` pool can
-//! re-enter it on its workers. With no sink installed anywhere, every
-//! instrumentation point is a couple of relaxed atomic loads and a
-//! branch — no clock read, no allocation, no locking — which is what
-//! makes it safe to leave the instrumentation compiled into the hot
-//! paths unconditionally.
+//! re-enter it on its workers. With no scope open anywhere, every
+//! instrumentation point is one relaxed atomic load and a branch — no
+//! clock read, no allocation, no locking — which is what makes it safe
+//! to leave the instrumentation compiled into the hot paths
+//! unconditionally.
 //!
 //! Determinism: the layer only *observes*. It never changes chunking,
 //! iteration order, or arithmetic, so enabling any sink leaves optimizer
@@ -49,8 +48,8 @@ pub use registry::MetricsRegistry;
 pub use report::{CacheRatio, Convergence, MetricsReport, SpanRow};
 
 use std::cell::RefCell;
-use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
-use std::sync::{Arc, RwLock};
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::Arc;
 use std::time::Instant;
 
 /// Version of the event schema emitted by [`JsonlSink`]. Bump when the
@@ -131,8 +130,8 @@ pub struct IterRecord {
     pub rolled_back: bool,
 }
 
-/// Receives every event emitted while installed. Implementations must be
-/// thread-safe: spans close concurrently from pool workers.
+/// Receives every event emitted while it is in scope. Implementations
+/// must be thread-safe: spans close concurrently from pool workers.
 pub trait TraceSink: Send + Sync {
     /// Handles one event. Called from arbitrary threads.
     fn event(&self, event: &Event<'_>);
@@ -169,18 +168,10 @@ impl TraceSink for FanoutSink {
     }
 }
 
-/// Fast-path switch: true iff a global sink is installed. Every
-/// instrumentation point loads this (Relaxed) before doing other work.
-static ENABLED: AtomicBool = AtomicBool::new(false);
-
 /// Number of live scoped-sink frames across all threads. Non-zero turns
 /// [`enabled`] on so instrumentation points take the slow path and
 /// consult the thread-local scope.
 static SCOPED_COUNT: AtomicUsize = AtomicUsize::new(0);
-
-/// The installed global sink. Only read when `ENABLED` is true, so the
-/// lock is never touched on the disabled path.
-static SINK: RwLock<Option<Arc<dyn TraceSink>>> = RwLock::new(None);
 
 thread_local! {
     /// Names of the spans currently open on this thread, oldest first.
@@ -191,70 +182,26 @@ thread_local! {
     static SCOPED: RefCell<Option<Arc<dyn TraceSink>>> = const { RefCell::new(None) };
 }
 
-/// True when any sink may receive events: a global sink is installed or
-/// some thread is inside a scoped-sink frame. Two relaxed atomic loads;
-/// this is the disabled-path cost of every instrumentation point.
+/// True when any sink may receive events: some thread is inside a
+/// scoped-sink frame. One relaxed atomic load; this is the disabled-path
+/// cost of every instrumentation point.
 #[inline(always)]
 pub fn enabled() -> bool {
-    ENABLED.load(Ordering::Relaxed) || SCOPED_COUNT.load(Ordering::Relaxed) > 0
-}
-
-/// Installs `sink` as the process-global event receiver and enables all
-/// instrumentation points. Replaces any previously installed sink.
-pub fn install(sink: Arc<dyn TraceSink>) {
-    let mut slot = SINK.write().unwrap_or_else(|e| e.into_inner());
-    *slot = Some(sink);
-    ENABLED.store(true, Ordering::Release);
-}
-
-/// Removes the installed sink (flushing it) and disables all
-/// instrumentation points. No-op when nothing is installed.
-pub fn uninstall() {
-    let sink = {
-        let mut slot = SINK.write().unwrap_or_else(|e| e.into_inner());
-        ENABLED.store(false, Ordering::Release);
-        slot.take()
-    };
-    if let Some(sink) = sink {
-        sink.flush();
-    }
-}
-
-/// Flushes this thread's scoped sink and the global sink, if present.
-pub fn flush() {
-    if let Some(sink) = scoped_sink() {
-        sink.flush();
-    }
-    if let Some(sink) = global_sink() {
-        sink.flush();
-    }
-}
-
-fn global_sink() -> Option<Arc<dyn TraceSink>> {
-    if !ENABLED.load(Ordering::Relaxed) {
-        return None;
-    }
-    SINK.read().unwrap_or_else(|e| e.into_inner()).clone()
+    SCOPED_COUNT.load(Ordering::Relaxed) > 0
 }
 
 fn scoped_sink() -> Option<Arc<dyn TraceSink>> {
-    if SCOPED_COUNT.load(Ordering::Relaxed) == 0 {
+    if !enabled() {
         return None;
     }
     SCOPED.with(|s| s.borrow().clone())
 }
 
-/// Emits one event to this thread's scoped sink (if inside a scope) and
-/// to the installed global sink (if any). Cheap no-op when disabled.
+/// Emits one event to this thread's scoped sink, if it is inside a
+/// scope. Cheap no-op when disabled.
 #[inline]
 pub fn emit(event: &Event<'_>) {
-    if !enabled() {
-        return;
-    }
     if let Some(sink) = scoped_sink() {
-        sink.event(event);
-    }
-    if let Some(sink) = global_sink() {
         sink.event(event);
     }
 }
@@ -286,23 +233,14 @@ pub fn iter(record: &IterRecord) {
     emit(&Event::Iter(record));
 }
 
-/// Raises a structured warning. Routed through the scoped and global
-/// sinks when present; otherwise printed to stderr so operational
-/// warnings (invalid `LSOPC_THREADS`, …) are never silently dropped.
+/// Raises a structured warning. Routed through the scoped sink when
+/// there is one; otherwise printed to stderr so operational warnings
+/// (invalid `LSOPC_THREADS`, …) are never silently dropped.
 pub fn warn(origin: &'static str, message: &str) {
-    let scoped = scoped_sink();
-    let global = global_sink();
-    if scoped.is_none() && global.is_none() {
+    match scoped_sink() {
+        Some(sink) => sink.event(&Event::Warn { origin, message }),
         // allow-print: stderr fallback when no trace sink is reachable.
-        eprintln!("warning: [{origin}] {message}");
-        return;
-    }
-    let event = Event::Warn { origin, message };
-    if let Some(sink) = scoped {
-        sink.event(&event);
-    }
-    if let Some(sink) = global {
-        sink.event(&event);
+        None => eprintln!("warning: [{origin}] {message}"),
     }
 }
 
@@ -385,10 +323,8 @@ fn joined_path(stack: &[&'static str], leaf: Option<&'static str>) -> String {
 }
 
 /// Captures the calling thread's current span path as a cheap clonable
-/// token, or `None` when tracing is disabled or no span is open. The
-/// `lsopc-parallel` pool stores this on each job so worker threads can
-/// nest their spans under the submitting caller's path.
-pub fn current_path_token() -> Option<Arc<str>> {
+/// token, or `None` when tracing is disabled or no span is open.
+fn current_path_token() -> Option<Arc<str>> {
     if !enabled() {
         return None;
     }
@@ -403,7 +339,7 @@ pub fn current_path_token() -> Option<Arc<str>> {
 /// Runs `f` with this thread's span paths rooted under `base` (a token
 /// from [`current_path_token`] on another thread). The previous base is
 /// restored afterwards, including on panic. `None` runs `f` unchanged.
-pub fn with_base_path<R>(base: Option<Arc<str>>, f: impl FnOnce() -> R) -> R {
+fn with_base_path<R>(base: Option<Arc<str>>, f: impl FnOnce() -> R) -> R {
     let Some(base) = base else { return f() };
     struct Restore(Option<Arc<str>>);
     impl Drop for Restore {
@@ -417,9 +353,9 @@ pub fn with_base_path<R>(base: Option<Arc<str>>, f: impl FnOnce() -> R) -> R {
 
 /// Runs `f` with `sink` as this thread's scoped sink. While inside the
 /// scope, every event emitted on this thread (and on pool workers that
-/// re-enter the scope via [`with_task_scope`]) is delivered to `sink`
-/// *in addition to* the global sink, if one is installed. Scopes nest:
-/// the previous scoped sink is restored afterwards, including on panic.
+/// re-enter the scope via [`with_task_scope`]) is delivered to `sink`.
+/// Scopes nest: the previous scoped sink is restored afterwards,
+/// including on panic.
 ///
 /// This is the multi-tenant seam: concurrent jobs on different threads
 /// each get their own event stream without touching process-global
@@ -439,10 +375,10 @@ pub fn with_scoped_sink<R>(sink: Arc<dyn TraceSink>, f: impl FnOnce() -> R) -> R
 
 /// Runs `f` with `sink` *layered over* this thread's current scoped
 /// sink: while inside, events reach both `sink` and whatever scoped
-/// sink was already in force (plus the global sink, as always). This is
-/// how a nested collector — e.g. the per-job metrics registry inside
-/// `Engine::submit` — observes a run without shadowing the stream an
-/// enclosing `Session` scope set up.
+/// sink was already in force. This is how a nested collector — e.g. the
+/// per-job metrics registry inside `Engine::submit` — observes a run
+/// without shadowing the stream an enclosing scope set up (such as the
+/// CLI's `--trace` sink).
 ///
 /// Contrast with [`with_scoped_sink`], which *replaces* the thread's
 /// scoped sink for the duration of the frame.
@@ -479,16 +415,7 @@ impl std::fmt::Debug for TaskScope {
 /// with [`with_task_scope`] on the receiving thread.
 pub fn task_scope() -> Option<TaskScope> {
     let sink = scoped_sink();
-    let base = if enabled() {
-        let path = STACK.with(|stack| joined_path(&stack.borrow(), None));
-        if path.is_empty() {
-            None
-        } else {
-            Some(Arc::from(path.as_str()))
-        }
-    } else {
-        None
-    };
+    let base = current_path_token();
     if base.is_none() && sink.is_none() {
         None
     } else {
@@ -515,22 +442,24 @@ mod tests {
     use super::*;
     use std::sync::Mutex;
 
-    /// Serializes tests that touch the process-global sink.
-    static GLOBAL: Mutex<()> = Mutex::new(());
+    /// Serializes the tests: any open scope turns [`enabled`] on for the
+    /// whole process, and some tests assert that it is off.
+    static SERIAL: Mutex<()> = Mutex::new(());
+
+    fn serial() -> std::sync::MutexGuard<'static, ()> {
+        SERIAL.lock().unwrap_or_else(|e| e.into_inner())
+    }
 
     fn with_registry(f: impl FnOnce()) -> Arc<MetricsRegistry> {
-        let _guard = GLOBAL.lock().unwrap_or_else(|e| e.into_inner());
+        let _guard = serial();
         let sink = Arc::new(MetricsRegistry::new());
-        install(sink.clone());
-        f();
-        uninstall();
+        with_scoped_sink(sink.clone(), f);
         sink
     }
 
     #[test]
     fn disabled_span_reports_nothing() {
-        let _guard = GLOBAL.lock().unwrap_or_else(|e| e.into_inner());
-        uninstall();
+        let _guard = serial();
         assert!(!enabled());
         let _span = span!("quiet");
         drop(_span);
@@ -564,8 +493,8 @@ mod tests {
     }
 
     #[test]
-    fn base_path_roots_worker_spans() {
-        let sink = with_registry(|| {
+    fn path_token_captures_only_open_spans() {
+        with_registry(|| {
             {
                 let _outer = span!("submit");
             }
@@ -574,36 +503,23 @@ mod tests {
                 "token must capture only open spans"
             );
             let _outer = span!("submit");
-            let token = current_path_token();
-            assert_eq!(token.as_deref(), Some("submit"));
-            std::thread::scope(|scope| {
-                let token = token.clone();
-                scope.spawn(move || {
-                    with_base_path(token, || {
-                        let _span = span!("chunk");
-                    });
-                });
-            });
+            assert_eq!(current_path_token().as_deref(), Some("submit"));
         });
-        let report = sink.report();
-        let paths: Vec<&str> = report.spans.iter().map(|s| s.path.as_str()).collect();
-        assert!(paths.contains(&"submit/chunk"), "paths: {paths:?}");
     }
 
     #[test]
     fn base_path_restored_after_scope() {
-        let _guard = GLOBAL.lock().unwrap_or_else(|e| e.into_inner());
-        install(Arc::new(MetricsRegistry::new()));
-        with_base_path(Some(Arc::from("root")), || {
-            with_base_path(Some(Arc::from("deeper")), || {
-                let _span = span!("x");
+        with_registry(|| {
+            with_base_path(Some(Arc::from("root")), || {
+                with_base_path(Some(Arc::from("deeper")), || {
+                    let _span = span!("x");
+                });
+                // Outer base must be back in force.
+                let _outer = span!("y");
+                assert_eq!(current_path_token().as_deref(), Some("root/y"));
             });
-            // Outer base must be back in force.
-            let _outer = span!("y");
-            assert_eq!(current_path_token().as_deref(), Some("root/y"));
+            assert!(current_path_token().is_none());
         });
-        assert!(current_path_token().is_none());
-        uninstall();
     }
 
     #[test]
@@ -620,7 +536,7 @@ mod tests {
     }
 
     #[test]
-    fn warn_routes_to_sink_when_installed() {
+    fn warn_routes_to_the_scoped_sink() {
         let sink = with_registry(|| {
             warn("parallel", "requested 0 threads");
         });
@@ -667,9 +583,8 @@ mod tests {
     }
 
     #[test]
-    fn scoped_sink_captures_without_global_install() {
-        let _guard = GLOBAL.lock().unwrap_or_else(|e| e.into_inner());
-        uninstall();
+    fn scoped_sink_captures_and_ends_with_its_frame() {
+        let _guard = serial();
         let sink = Arc::new(MetricsRegistry::new());
         with_scoped_sink(sink.clone(), || {
             assert!(enabled());
@@ -684,24 +599,8 @@ mod tests {
     }
 
     #[test]
-    fn scoped_and_global_sinks_both_receive() {
-        let scoped = Arc::new(MetricsRegistry::new());
-        let global = with_registry(|| {
-            with_scoped_sink(scoped.clone(), || {
-                count("both", 1);
-            });
-            count("global.only", 1);
-        });
-        assert_eq!(scoped.counter("both"), 1);
-        assert_eq!(scoped.counter("global.only"), 0);
-        assert_eq!(global.counter("both"), 1);
-        assert_eq!(global.counter("global.only"), 1);
-    }
-
-    #[test]
     fn scoped_sinks_isolate_concurrent_threads() {
-        let _guard = GLOBAL.lock().unwrap_or_else(|e| e.into_inner());
-        uninstall();
+        let _guard = serial();
         let a = Arc::new(MetricsRegistry::new());
         let b = Arc::new(MetricsRegistry::new());
         std::thread::scope(|scope| {
@@ -725,8 +624,7 @@ mod tests {
 
     #[test]
     fn task_scope_carries_sink_and_path_to_workers() {
-        let _guard = GLOBAL.lock().unwrap_or_else(|e| e.into_inner());
-        uninstall();
+        let _guard = serial();
         let sink = Arc::new(MetricsRegistry::new());
         with_scoped_sink(sink.clone(), || {
             let _outer = span!("submit");
@@ -747,8 +645,7 @@ mod tests {
 
     #[test]
     fn layered_scope_reaches_both_sinks() {
-        let _guard = GLOBAL.lock().unwrap_or_else(|e| e.into_inner());
-        uninstall();
+        let _guard = serial();
         let outer = Arc::new(MetricsRegistry::new());
         let inner = Arc::new(MetricsRegistry::new());
         with_scoped_sink(outer.clone(), || {
@@ -766,8 +663,7 @@ mod tests {
 
     #[test]
     fn layered_scope_without_enclosing_scope_is_plain() {
-        let _guard = GLOBAL.lock().unwrap_or_else(|e| e.into_inner());
-        uninstall();
+        let _guard = serial();
         let sink = Arc::new(MetricsRegistry::new());
         with_layered_scoped_sink(sink.clone(), || count("solo", 1));
         assert_eq!(sink.counter("solo"), 1);
@@ -776,8 +672,7 @@ mod tests {
 
     #[test]
     fn scoped_sink_restored_after_nested_scope() {
-        let _guard = GLOBAL.lock().unwrap_or_else(|e| e.into_inner());
-        uninstall();
+        let _guard = serial();
         let outer = Arc::new(MetricsRegistry::new());
         let inner = Arc::new(MetricsRegistry::new());
         with_scoped_sink(outer.clone(), || {

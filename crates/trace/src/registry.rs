@@ -17,7 +17,7 @@ use std::sync::{Arc, Mutex, RwLock};
 /// atomic totals, gauges into last-value slots, iteration records into
 /// a [`Convergence`] summary and warnings into a list. Composes with
 /// [`JsonlSink`](crate::JsonlSink) via [`FanoutSink`](crate::FanoutSink)
-/// or a scoped-sink layer, and renders as Prometheus text exposition.
+/// or a scoped-sink layer.
 ///
 /// Locking: the maps take a read lock per event on the steady state
 /// (write lock only the first time a path/name appears); the values are
@@ -187,97 +187,6 @@ impl MetricsRegistry {
             counters,
         }
     }
-
-    /// Renders the registry in Prometheus text exposition format
-    /// (version 0.0.4): span durations as a `histogram` family in
-    /// seconds with cumulative `le` buckets (only buckets that change
-    /// the running total, plus `+Inf`), counters as
-    /// `lsopc_events_total`, gauges as `lsopc_gauge`.
-    pub fn render_prometheus(&self) -> String {
-        use std::fmt::Write as _;
-        let mut out = String::new();
-        let spans = self.spans.read().unwrap_or_else(|e| e.into_inner());
-        if !spans.is_empty() {
-            out.push_str("# TYPE lsopc_span_duration_seconds histogram\n");
-            for (path, hist) in spans.iter() {
-                let label = prom_label(path);
-                let mut cumulative = 0u64;
-                for (upper_ns, n) in hist.nonzero_buckets() {
-                    cumulative += n;
-                    let _ = writeln!(
-                        out,
-                        "lsopc_span_duration_seconds_bucket{{path=\"{label}\",le=\"{}\"}} {cumulative}",
-                        prom_f64(upper_ns as f64 / 1e9)
-                    );
-                }
-                let _ = writeln!(
-                    out,
-                    "lsopc_span_duration_seconds_bucket{{path=\"{label}\",le=\"+Inf\"}} {cumulative}"
-                );
-                let _ = writeln!(
-                    out,
-                    "lsopc_span_duration_seconds_sum{{path=\"{label}\"}} {}",
-                    prom_f64(hist.sum() as f64 / 1e9)
-                );
-                let _ = writeln!(
-                    out,
-                    "lsopc_span_duration_seconds_count{{path=\"{label}\"}} {}",
-                    hist.count()
-                );
-            }
-        }
-        drop(spans);
-        let counters = self.counters();
-        if !counters.is_empty() {
-            out.push_str("# TYPE lsopc_events_total counter\n");
-            for (name, total) in &counters {
-                let _ = writeln!(
-                    out,
-                    "lsopc_events_total{{name=\"{}\"}} {total}",
-                    prom_label(name)
-                );
-            }
-        }
-        let gauges = self.gauges();
-        if !gauges.is_empty() {
-            out.push_str("# TYPE lsopc_gauge gauge\n");
-            for (name, value) in &gauges {
-                let _ = writeln!(
-                    out,
-                    "lsopc_gauge{{name=\"{}\"}} {}",
-                    prom_label(name),
-                    prom_f64(*value)
-                );
-            }
-        }
-        out
-    }
-}
-
-/// Escapes a label value per the Prometheus text format.
-fn prom_label(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '\\' => out.push_str("\\\\"),
-            '"' => out.push_str("\\\""),
-            '\n' => out.push_str("\\n"),
-            c => out.push(c),
-        }
-    }
-    out
-}
-
-/// Prometheus sample value: plain decimal, `NaN`/`+Inf`/`-Inf` spelled
-/// out per the text format.
-fn prom_f64(value: f64) -> String {
-    if value.is_nan() {
-        "NaN".to_string()
-    } else if value.is_infinite() {
-        if value > 0.0 { "+Inf" } else { "-Inf" }.to_string()
-    } else {
-        format!("{value}")
-    }
 }
 
 impl TraceSink for MetricsRegistry {
@@ -425,37 +334,5 @@ mod tests {
         assert_eq!(report.caches["kernels"].ratio(), 0.0);
         assert_eq!(report.caches.len(), 2, "{:?}", report.caches);
         assert_eq!(report.stop_reason.as_deref(), Some("budget"));
-    }
-
-    #[test]
-    fn prometheus_exposition_has_cumulative_buckets() {
-        let reg = MetricsRegistry::new();
-        reg.event(&span("fft", 100));
-        reg.event(&span("fft", 100));
-        reg.event(&span("fft", 1_000_000));
-        reg.event(&Event::Count {
-            name: "cache.hit",
-            delta: 7,
-        });
-        reg.event(&Event::Gauge {
-            name: "pool.threads",
-            value: 4.0,
-        });
-        let text = reg.render_prometheus();
-        assert!(text.contains("# TYPE lsopc_span_duration_seconds histogram"));
-        assert!(
-            text.contains("lsopc_span_duration_seconds_bucket{path=\"fft\",le=\"+Inf\"} 3"),
-            "exposition:\n{text}"
-        );
-        assert!(text.contains("lsopc_span_duration_seconds_count{path=\"fft\"} 3"));
-        assert!(text.contains("lsopc_events_total{name=\"cache.hit\"} 7"));
-        assert!(text.contains("lsopc_gauge{name=\"pool.threads\"} 4"));
-        // Cumulative: the last finite bucket must already total 3.
-        let lines: Vec<&str> = text
-            .lines()
-            .filter(|l| l.starts_with("lsopc_span_duration_seconds_bucket"))
-            .collect();
-        assert!(lines.len() >= 3, "expected >= 3 bucket lines:\n{text}");
-        assert!(lines[lines.len() - 2].ends_with(" 3"), "lines: {lines:?}");
     }
 }

@@ -114,10 +114,10 @@ echo "==> process-fault suite (mid-pipeline cancel, rollback resume, corrupt che
 LSOPC_THREADS=1 cargo test -q -p lsopc-core --features fault-injection --test process_fault
 LSOPC_THREADS=4 cargo test -q -p lsopc-core --features fault-injection --test process_fault
 
-echo "==> engine suite (cache amortization + concurrent sessions)"
+echo "==> engine suite (cache amortization + concurrent scoped streams)"
 # The headless engine must amortize its shared caches across sequential
-# jobs and keep concurrent sessions bit-identical with separated scoped
-# trace streams, at both pool sizes.
+# jobs and keep concurrent submissions, each under its own scoped trace
+# sink, bit-identical with separated streams, at both pool sizes.
 LSOPC_THREADS=1 cargo test -q -p lsopc-engine
 LSOPC_THREADS=4 cargo test -q -p lsopc-engine --test engine
 
@@ -227,7 +227,7 @@ fi
 echo "==> CLI layering gate (front end talks to lsopc-engine only)"
 # The CLI reaches simulators, caches and precision variants through the
 # engine layer; a direct dependency on lsopc-fft or lsopc-litho would
-# bypass the session/cache contract (DESIGN.md §16).
+# bypass the engine's cache-sharing contract (DESIGN.md §16).
 bad=$(grep -nE 'lsopc[-_](fft|litho)' crates/cli/Cargo.toml crates/cli/src/*.rs || true)
 if [ -n "$bad" ]; then
   echo "error: crates/cli must not depend on lsopc-fft or lsopc-litho" >&2

@@ -10,7 +10,7 @@
 
 use lsopc::engine::{Caches, Engine, JobSpec};
 use lsopc::grid::Grid;
-use lsopc::trace::JsonlSink;
+use lsopc::trace::{JsonlSink, TraceSink};
 use std::sync::Arc;
 
 #[test]
@@ -32,9 +32,9 @@ fn job_metrics_equal_the_replayed_trace_exactly() {
     ));
     let engine = Engine::builder().caches(Caches::private()).build();
     let sink = Arc::new(JsonlSink::create(&path).expect("create trace"));
-    let session = engine.session().with_sink(sink.clone());
-    let outcome = session.submit(&spec).expect("job runs");
-    session.flush();
+    let outcome =
+        lsopc::trace::with_scoped_sink(sink.clone(), || engine.submit(&spec)).expect("job runs");
+    sink.flush();
     assert!(sink.take_error().is_none(), "trace written in full");
     let text = std::fs::read_to_string(&path).expect("read trace");
     std::fs::remove_file(&path).ok();
