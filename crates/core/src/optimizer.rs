@@ -603,9 +603,9 @@ impl LevelSetIlt {
             None => {
                 // The coarse simulator shares the optics (same field
                 // period, so identical physics in cycles-per-field) with
-                // a truncated kernel rank; its plans and spectra go
-                // through the fine simulator's caches, so a job built on
-                // private caches stays isolated from the process globals.
+                // a truncated kernel rank; its plans go through the fine
+                // simulator's cache, so repeated runs on one simulator
+                // plan the coarse grid once.
                 let coarse_kernels = schedule.coarse_kernels().min(sim.optics().kernel_count());
                 let coarse_optics = sim.optics().clone().with_kernel_count(coarse_kernels);
                 let coarse_pixel_nm = sim.field_nm() / schedule.coarse_px() as f64;
@@ -1465,9 +1465,8 @@ mod line_search_tests {
 mod schedule_tests {
     use super::*;
     use crate::ResolutionSchedule;
-    use lsopc_fft::PlanCache;
-    use lsopc_litho::{SimCaches, SpectrumCache};
     use lsopc_optics::OpticsConfig;
+    use lsopc_trace::MetricsRegistry;
     use std::sync::Arc;
 
     fn optics() -> OpticsConfig {
@@ -1532,29 +1531,33 @@ mod schedule_tests {
 
     #[test]
     fn coarse_stage_uses_the_simulators_caches() {
-        // Each run gets a fresh injected plan cache; the coarse stage
-        // must plan its grid there, not in the process-global cache.
+        // The coarse stage must plan its coarse fields' transforms in the
+        // fine simulator's cache: once one scheduled run has built every
+        // plan, a second run on the same simulator builds no dense plan.
         let target = wire_target_256();
-        let plans_after = |schedule: Option<ResolutionSchedule>| {
-            let plans = Arc::new(PlanCache::new());
-            let caches =
-                SimCaches::with_handles(Arc::clone(&plans), Arc::new(SpectrumCache::new()));
-            LevelSetIlt::builder()
-                .max_iterations(6)
-                .schedule(schedule)
-                .build()
-                .optimize(&sim_256().with_caches(caches), &target)
-                .expect("run");
-            plans.len()
-        };
         let schedule =
             ResolutionSchedule::auto(256, &optics(), 6).expect("256 px grid is schedulable");
-        let flat = plans_after(None);
-        let scheduled = plans_after(Some(schedule));
-        assert!(
-            scheduled > flat,
-            "scheduled run left {scheduled} plans, flat run {flat}"
-        );
+        let sim = sim_256();
+        let dense_plan_misses = || {
+            let registry = Arc::new(MetricsRegistry::new());
+            lsopc_trace::with_scoped_sink(registry.clone(), || {
+                LevelSetIlt::builder()
+                    .max_iterations(6)
+                    .schedule(Some(schedule))
+                    .build()
+                    .optimize(&sim, &target)
+                    .expect("run")
+            });
+            (
+                registry.counter("cache.plan.miss"),
+                registry.counter("cache.plan.hit"),
+            )
+        };
+        let (cold, _) = dense_plan_misses();
+        assert!(cold > 0, "the first run builds its dense plans");
+        let (warm, hits) = dense_plan_misses();
+        assert_eq!(warm, 0, "the second run built {warm} dense plans");
+        assert!(hits > 0, "the second run looked its plans up");
     }
 
     #[test]

@@ -149,8 +149,8 @@ pub struct TiledIlt {
     /// `None` → [`ParallelContext::global`].
     ctx: Option<ParallelContext>,
     control: Option<RunControl>,
-    /// Cache handles injected into the internal tile simulator.
-    caches: Option<lsopc_litho::SimCaches>,
+    /// The plan cache of the internal tile simulator.
+    caches: lsopc_litho::SimCaches,
 }
 
 impl TiledIlt {
@@ -192,7 +192,7 @@ impl TiledIlt {
             warm_iterations: None,
             ctx: None,
             control: None,
-            caches: None,
+            caches: lsopc_litho::SimCaches::default(),
         })
     }
 
@@ -244,12 +244,13 @@ impl TiledIlt {
         self
     }
 
-    /// Injects shared cache handles ([`lsopc_litho::SimCaches`]) into the
-    /// tile simulator built by [`Self::optimize_with_stats`], so repeated
-    /// tiled runs in one host process (the engine) amortize FFT plans and
-    /// embedded spectra instead of re-warming the process globals.
+    /// Injects a shared plan cache ([`lsopc_litho::SimCaches`]) into the
+    /// tile simulator built by [`Self::optimize_with_stats`], so tiled
+    /// runs of one host process (the engine) amortize FFT plans across
+    /// optimizers. Without it, the optimizer and its clones share a fresh
+    /// cache of their own.
     pub fn with_caches(mut self, caches: lsopc_litho::SimCaches) -> Self {
-        self.caches = Some(caches);
+        self.caches = caches;
         self
     }
 
@@ -381,13 +382,11 @@ impl TiledIlt {
         }
         let tile = self.tile_px();
         // Each tile solve is serial (the fan-out is across tiles), hence
-        // the 1-thread backend; cache handles forward to it because the
+        // the 1-thread backend; the plan cache forwards to it because the
         // simulator is built here, out of the caller's reach.
-        let mut sim = LithoSimulator::from_optics(optics, tile, pixel_nm)?
-            .with_backend(Box::new(lsopc_litho::AcceleratedBackend::new(1)));
-        if let Some(caches) = &self.caches {
-            sim = sim.with_caches(caches.clone());
-        }
+        let sim = LithoSimulator::from_optics(optics, tile, pixel_nm)?
+            .with_backend(Box::new(lsopc_litho::AcceleratedBackend::new(1)))
+            .with_caches(self.caches.clone());
         // Warm the per-defocus kernel cache before fanning out so
         // concurrent tiles don't all generate the same kernels on a miss.
         let corners = sim.corners();

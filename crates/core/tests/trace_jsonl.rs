@@ -1,6 +1,6 @@
 //! Golden event-stream test: a short optimization under fault injection
 //! streams well-formed schema-v1 JSONL whose events include the guard
-//! rollback and spectrum-cache counters, with monotonically
+//! rollback and the plan- and kernel-cache counters, with monotonically
 //! non-decreasing timestamps across the whole (multi-threaded) run.
 //!
 //! Runs only with the `fault-injection` feature
@@ -35,10 +35,11 @@ fn fault_run_streams_wellformed_jsonl() {
     let path = std::env::temp_dir().join(format!("lsopc_trace_{}.jsonl", std::process::id()));
     let sink = Arc::new(lsopc_trace::JsonlSink::create(&path).expect("create stream"));
 
-    // Default FFT backend: its per-kernel folds go through the global
-    // spectrum cache (hit + miss events) and its transforms dispatch on
-    // the pool (pool events). The scripted NaN gradient at iteration 1
-    // trips the guard into a rollback.
+    // Default FFT backend: every pass looks its plans up in the
+    // simulator's plan cache and its kernel sets up in the simulator's
+    // kernel cache (hit events), and its transforms dispatch on the pool
+    // (pool events). The scripted NaN gradient at iteration 1 trips the
+    // guard into a rollback.
     let sim = LithoSimulator::from_optics(&OpticsConfig::iccad2013().with_kernel_count(4), 64, 4.0)
         .expect("valid configuration")
         .with_fault_injector(Arc::new(ScriptedFault::once(1, FaultMode::NanGradient)));
@@ -95,8 +96,8 @@ fn fault_run_streams_wellformed_jsonl() {
     }
     for counter in [
         "guard.rollback",
-        "cache.spectra.hit",
-        "cache.spectra.miss",
+        "cache.kernels.hit",
+        "cache.rplan.hit",
         "cache.plan.hit",
     ] {
         assert!(

@@ -5,10 +5,10 @@
 //! carves that layer out behind a library API so other hosts (tests,
 //! notebooks, the benchmark) can run the same jobs:
 //!
-//! * [`Engine`] — long-lived shared state: one FFT plan / kernel-spectrum
-//!   cache bundle ([`SimCaches`]), the global worker pool, a per-engine
-//!   in-memory warm-start cache, and a simulator cache keyed by job
-//!   geometry so repeated jobs share kernel construction.
+//! * [`Engine`] — long-lived shared state: one FFT plan cache
+//!   ([`SimCaches`]) its simulators share, the global worker pool, a
+//!   per-engine in-memory warm-start cache, and a simulator cache keyed by
+//!   job geometry so repeated jobs share kernel construction.
 //! * [`JobSpec`] — a plain-data description of one optimization job
 //!   (target, optics size, optimizer parameters, precision, schedule,
 //!   tiling, warm start, run control). Field semantics mirror the CLI
@@ -352,7 +352,7 @@ pub struct Engine {
 #[derive(Debug, Default)]
 pub struct EngineBuilder {
     threads: usize,
-    caches: Option<SimCaches>,
+    caches: SimCaches,
 }
 
 impl EngineBuilder {
@@ -365,11 +365,11 @@ impl EngineBuilder {
         self
     }
 
-    /// Uses an explicit cache bundle instead of the process-global
-    /// caches — e.g. [`SimCaches::private`] to isolate an engine's FFT
-    /// plans and kernel spectra from the rest of the process.
+    /// Uses the given plan cache for the engine's simulators instead of
+    /// a fresh one of its own — e.g. a clone of another engine's, so the
+    /// two share FFT plans.
     pub fn caches(mut self, caches: SimCaches) -> Self {
-        self.caches = Some(caches);
+        self.caches = caches;
         self
     }
 
@@ -381,7 +381,7 @@ impl EngineBuilder {
         let pool_threads = lsopc_parallel::ParallelContext::global().threads();
         Engine {
             inner: Arc::new(Inner {
-                caches: self.caches.unwrap_or_default(),
+                caches: self.caches,
                 warm_memory: WarmStartCache::in_memory(),
                 pool_threads,
                 sims: Mutex::new(HashMap::new()),

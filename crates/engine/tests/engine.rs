@@ -36,10 +36,9 @@ fn counter(outcome: &JobOutcome, name: &str) -> u64 {
 /// Two sequential submissions of the same optics: the first job pays
 /// the FFT-plan and kernel-set construction misses, the second runs
 /// entirely out of the engine's shared plan cache and cached simulator —
-/// and produces the same mask bit for bit. (The accelerated backend
-/// windows the kernel set directly, so no engine job reaches the
-/// embedded-spectrum cache; its amortization is covered by the
-/// `lsopc-litho` spectra tests.)
+/// and produces the same mask bit for bit. (Kernel spectra have no cache
+/// of their own: every backend reads each kernel's window from the
+/// cached kernel set.)
 #[test]
 fn second_submission_runs_out_of_the_shared_caches() {
     // Private caches so counters reflect only this engine's jobs, not

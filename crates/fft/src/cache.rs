@@ -1,20 +1,12 @@
-//! Process-wide cache of 2-D FFT plans.
+//! A cache of 2-D FFT plans.
 //!
 //! Building an [`Fft2d`] computes twiddle-factor and bit-reversal tables;
-//! doing that on every simulation call wastes work and, worse, hides the
-//! plan's identity from callers that could otherwise share it. This
-//! module gives the workspace one canonical plan per `(scalar type,
-//! width, height)`:
-//!
-//! * [`PlanCache`] — an injectable cache instance, for tests and for
-//!   callers that want isolated plan lifetimes;
-//! * [`PlanCache::global`] — the process-global instance every hot path
-//!   (backends, convolution helpers, optics kernel construction) goes
-//!   through;
-//! * [`plan`] — shorthand for `PlanCache::global().plan(w, h)` (`f64`);
-//! * [`plan_t`] — the scalar-generic equivalent, used by the f32
-//!   execution mode;
-//! * [`rplan`]/[`rplan_t`] — the same for the real-input [`RfftPlan`].
+//! doing that on every simulation call wastes work. A [`PlanCache`] holds
+//! one plan per `(scalar type, width, height)`, dense ([`Fft2d`]) and
+//! real-input ([`RfftPlan`]) alike. There is no process-wide instance:
+//! each simulator owns one (through `lsopc_litho::SimCaches`) and shares
+//! it with its backend, and a one-shot transform builds its plan with
+//! [`Fft2d::new`] or [`RfftPlan::new`].
 //!
 //! Plans are returned as `Arc<Fft2d<T>>`: repeated lookups of the same
 //! size and scalar type return clones of the *same* allocation, so
@@ -56,12 +48,6 @@ impl PlanCache {
     /// Creates an empty cache.
     pub fn new() -> Self {
         PlanCache::default()
-    }
-
-    /// The process-global cache shared by all simulation hot paths.
-    pub fn global() -> &'static PlanCache {
-        static GLOBAL: std::sync::LazyLock<PlanCache> = std::sync::LazyLock::new(PlanCache::new);
-        &GLOBAL
     }
 
     /// Returns the shared `f64` plan for `width` x `height` grids,
@@ -158,19 +144,6 @@ impl PlanCache {
     pub fn is_empty(&self) -> bool {
         self.len() == 0
     }
-
-    /// Drops all cached plans. Outstanding `Arc`s stay valid; subsequent
-    /// lookups rebuild.
-    pub fn clear(&self) {
-        self.plans
-            .write()
-            .unwrap_or_else(PoisonError::into_inner)
-            .clear();
-        self.rplans
-            .write()
-            .unwrap_or_else(PoisonError::into_inner)
-            .clear();
-    }
 }
 
 /// Recovers the typed `Arc<Fft2d<T>>` from a cache entry. The key's
@@ -187,46 +160,6 @@ fn downcast_rplan<T: Scalar>(erased: &Arc<dyn Any + Send + Sync>) -> Arc<RfftPla
     Arc::clone(erased)
         .downcast::<RfftPlan<T>>()
         .unwrap_or_else(|_| unreachable!("rfft plan cache entry keyed by TypeId has that type"))
-}
-
-/// Shared `f64` plan for `width` x `height` grids from the process-global
-/// cache. See [`PlanCache::plan`].
-///
-/// # Panics
-///
-/// Panics if either dimension is zero or not a power of two.
-pub fn plan(width: usize, height: usize) -> Arc<Fft2d<f64>> {
-    PlanCache::global().plan(width, height)
-}
-
-/// Shared plan of scalar type `T` for `width` x `height` grids from the
-/// process-global cache. See [`PlanCache::plan_t`].
-///
-/// # Panics
-///
-/// Panics if either dimension is zero or not a power of two.
-pub fn plan_t<T: Scalar>(width: usize, height: usize) -> Arc<Fft2d<T>> {
-    PlanCache::global().plan_t::<T>(width, height)
-}
-
-/// Shared `f64` real-input plan for `width` x `height` grids from the
-/// process-global cache. See [`PlanCache::rplan`].
-///
-/// # Panics
-///
-/// Panics if either dimension is zero or not a power of two.
-pub fn rplan(width: usize, height: usize) -> Arc<RfftPlan<f64>> {
-    PlanCache::global().rplan(width, height)
-}
-
-/// Shared real-input plan of scalar type `T` for `width` x `height` grids
-/// from the process-global cache. See [`PlanCache::rplan_t`].
-///
-/// # Panics
-///
-/// Panics if either dimension is zero or not a power of two.
-pub fn rplan_t<T: Scalar>(width: usize, height: usize) -> Arc<RfftPlan<T>> {
-    PlanCache::global().rplan_t::<T>(width, height)
 }
 
 #[cfg(test)]
@@ -260,19 +193,6 @@ mod tests {
     }
 
     #[test]
-    fn clear_keeps_outstanding_arcs_usable() {
-        use lsopc_grid::{Grid, C64};
-        let cache = PlanCache::new();
-        let plan = cache.plan(4, 4);
-        cache.clear();
-        assert!(cache.is_empty());
-        let mut g = Grid::new(4, 4, C64::ONE);
-        plan.forward(&mut g);
-        let rebuilt = cache.plan(4, 4);
-        assert!(!Arc::ptr_eq(&plan, &rebuilt));
-    }
-
-    #[test]
     fn f32_and_f64_plans_are_cached_independently() {
         let cache = PlanCache::new();
         let a64 = cache.plan_t::<f64>(16, 16);
@@ -296,13 +216,6 @@ mod tests {
         let r32 = cache.rplan_t::<f32>(16, 8);
         assert_eq!((r32.width(), r32.height()), (16, 8));
         assert_eq!(cache.len(), 3, "per-scalar rfft entries");
-        cache.clear();
-        assert!(cache.is_empty());
-        // Outstanding Arcs stay valid after clear.
-        use lsopc_grid::Grid;
-        let g = Grid::new(16, 8, 1.0_f64);
-        let spec = r1.forward(&g);
-        assert_eq!(spec.dims(), (16, 8));
     }
 
     #[test]
@@ -316,17 +229,5 @@ mod tests {
         assert_eq!(cache.plan(8, 8).width(), 8);
         assert_eq!(cache.rplan(8, 8).width(), 8);
         assert_eq!(cache.len(), 2);
-    }
-
-    #[test]
-    fn generic_helper_reuses_f64_plans() {
-        // The global cache is shared; use a size no other test asks for.
-        let a = plan_t::<f64>(64, 2);
-        let b = plan(64, 2);
-        assert!(Arc::ptr_eq(&a, &b));
-        let c = plan_t::<f32>(64, 2);
-        let d = plan_t::<f32>(64, 2);
-        assert!(Arc::ptr_eq(&c, &d), "global f32 plans are cached too");
-        assert_eq!((c.width(), c.height()), (64, 2));
     }
 }

@@ -112,10 +112,11 @@ impl<T: Scalar> Fft2d<T> {
         });
         // The separable transform runs rows-then-columns forward and
         // columns-then-rows inverse. The order is load-bearing: the
-        // band-limited paths ([`Self::inverse_band`], [`Self::forward_band`])
-        // skip zero columns, and skipping is exactly equivalent to the
-        // dense transform only when the dense column pass sees the
-        // original (still banded) spectrum, not an intermediate.
+        // band-limited paths ([`Self::inverse_band_with`],
+        // [`Self::forward_band_with`]) skip zero columns, and skipping is
+        // exactly equivalent to the dense transform only when the dense
+        // column pass sees the original (still banded) spectrum, not an
+        // intermediate.
         if inverse {
             self.column_pass(ctx, g, true);
             self.row_pass(ctx, g, true);
@@ -160,54 +161,9 @@ impl<T: Scalar> Fft2d<T> {
         transpose_into(ctx, &t, g);
     }
 
-    /// Runs a 1-D column FFT on every listed column: gather each column
-    /// into a contiguous buffer, transform all of them in parallel, and
-    /// scatter the results back. The per-column arithmetic is identical to
-    /// the serial scratch loop, so results are exact at any thread count.
-    fn band_column_pass(
-        &self,
-        ctx: &ParallelContext,
-        g: &mut Grid<Complex<T>>,
-        cols: &[usize],
-        inverse: bool,
-    ) {
-        if cols.is_empty() {
-            return;
-        }
-        let _span = lsopc_trace::span!("fft2d.band_col_pass");
-        for &x in cols {
-            assert!(x < self.width, "band column {x} out of range");
-        }
-        let w = self.width;
-        let h = self.height;
-        let mut buf = vec![Complex::ZERO; cols.len() * h];
-        {
-            let src = g.as_slice();
-            ctx.par_chunks_mut(&mut buf, h, |i, col| {
-                let x = cols[i];
-                for (y, c) in col.iter_mut().enumerate() {
-                    *c = src[y * w + x];
-                }
-                if inverse {
-                    self.col_plan.inverse(col);
-                } else {
-                    self.col_plan.forward(col);
-                }
-            });
-        }
-        // Scatter back serially: strided writes are memory-bound and cheap
-        // next to the transforms above.
-        let dst = g.as_mut_slice();
-        for (i, col) in buf.chunks_exact(h).enumerate() {
-            let x = cols[i];
-            for (y, c) in col.iter().enumerate() {
-                dst[y * w + x] = *c;
-            }
-        }
-    }
-
-    /// In-place inverse transform of a spectrum that is nonzero only on
-    /// the columns listed in `cols` (deduplicated, each `< width`).
+    /// In-place inverse transform, on `ctx`, of a spectrum that is
+    /// nonzero only on the columns listed in `cols` (deduplicated, each
+    /// `< width`): a one-grid [`Self::inverse_band_batch_with`].
     ///
     /// Produces the same result as [`Self::inverse`]: the inverse runs
     /// columns first, a zero column's inverse FFT is identically zero, so
@@ -220,31 +176,18 @@ impl<T: Scalar> Fft2d<T> {
     ///
     /// Panics if the grid dimensions differ from the planned size or any
     /// column index is out of range.
-    pub fn inverse_band(&self, g: &mut Grid<Complex<T>>, cols: &[usize]) {
-        self.inverse_band_with(ParallelContext::global(), g, cols);
-    }
-
-    /// [`Self::inverse_band`] on an explicit [`ParallelContext`].
     pub fn inverse_band_with(
         &self,
         ctx: &ParallelContext,
         g: &mut Grid<Complex<T>>,
         cols: &[usize],
     ) {
-        assert_eq!(
-            g.dims(),
-            (self.width, self.height),
-            "grid dimensions must match plan ({}x{})",
-            self.width,
-            self.height
-        );
-        let _span = lsopc_trace::span!("fft2d.inverse_band");
-        self.band_column_pass(ctx, g, cols, true);
-        self.row_pass(ctx, g, true);
+        self.inverse_band_batch_with(ctx, std::slice::from_mut(g), &[cols]);
     }
 
-    /// In-place forward transform evaluated only on the spectrum columns
-    /// listed in `cols` (deduplicated, each `< width`).
+    /// In-place forward transform, on `ctx`, evaluated only on the
+    /// spectrum columns listed in `cols` (deduplicated, each `< width`):
+    /// a one-grid [`Self::forward_band_batch_with`].
     ///
     /// On the listed columns the result is identical to [`Self::forward`];
     /// entries in all other columns are **unspecified** (they hold the
@@ -256,27 +199,13 @@ impl<T: Scalar> Fft2d<T> {
     ///
     /// Panics if the grid dimensions differ from the planned size or any
     /// column index is out of range.
-    pub fn forward_band(&self, g: &mut Grid<Complex<T>>, cols: &[usize]) {
-        self.forward_band_with(ParallelContext::global(), g, cols);
-    }
-
-    /// [`Self::forward_band`] on an explicit [`ParallelContext`].
     pub fn forward_band_with(
         &self,
         ctx: &ParallelContext,
         g: &mut Grid<Complex<T>>,
         cols: &[usize],
     ) {
-        assert_eq!(
-            g.dims(),
-            (self.width, self.height),
-            "grid dimensions must match plan ({}x{})",
-            self.width,
-            self.height
-        );
-        let _span = lsopc_trace::span!("fft2d.forward_band");
-        self.row_pass(ctx, g, false);
-        self.band_column_pass(ctx, g, cols, false);
+        self.forward_band_batch_with(ctx, std::slice::from_mut(g), &[cols]);
     }
 
     /// Widens a real grid to complex and runs the **dense** forward
@@ -299,7 +228,7 @@ impl<T: Scalar> Fft2d<T> {
         c
     }
 
-    /// Batched [`Self::inverse_band`] over several spectra at once:
+    /// Batched [`Self::inverse_band_with`] over several spectra at once:
     /// `grids[i]` is inverse-transformed assuming it is nonzero only on
     /// `cols[i]`. All listed columns across all grids are gathered into
     /// one buffer and transformed in a single parallel pass, so the pool
@@ -307,19 +236,14 @@ impl<T: Scalar> Fft2d<T> {
     /// separate fan-outs — better load balancing when each kernel's band
     /// alone is narrower than the pool.
     ///
-    /// **Bit-identical** to calling [`Self::inverse_band`] on each grid in
-    /// order: every column FFT runs the same arithmetic on the same
-    /// values, and writes stay per-grid disjoint.
+    /// **Bit-identical** to transforming each grid on its own, as
+    /// [`Self::inverse_band_with`] does: every column FFT runs the same
+    /// arithmetic on the same values, and writes stay per-grid disjoint.
     ///
     /// # Panics
     ///
     /// Panics if `grids` and `cols` lengths differ, any grid's dimensions
     /// differ from the planned size, or any column index is out of range.
-    pub fn inverse_band_batch(&self, grids: &mut [Grid<Complex<T>>], cols: &[&[usize]]) {
-        self.inverse_band_batch_with(ParallelContext::global(), grids, cols);
-    }
-
-    /// [`Self::inverse_band_batch`] on an explicit [`ParallelContext`].
     pub fn inverse_band_batch_with(
         &self,
         ctx: &ParallelContext,
@@ -334,23 +258,19 @@ impl<T: Scalar> Fft2d<T> {
         }
     }
 
-    /// Batched [`Self::forward_band`] over several grids at once:
+    /// Batched [`Self::forward_band_with`] over several grids at once:
     /// `grids[i]` gets its dense row pass, then only the spectrum columns
     /// in `cols[i]` get the column pass (off-band columns are left
-    /// **unspecified**, exactly as in [`Self::forward_band`]).
+    /// **unspecified**, exactly as in [`Self::forward_band_with`]).
     ///
-    /// **Bit-identical** to calling [`Self::forward_band`] on each grid in
-    /// order, for the same reason as [`Self::inverse_band_batch`].
+    /// **Bit-identical** to transforming each grid on its own, as
+    /// [`Self::forward_band_with`] does, for the same reason as
+    /// [`Self::inverse_band_batch_with`].
     ///
     /// # Panics
     ///
     /// Panics if `grids` and `cols` lengths differ, any grid's dimensions
     /// differ from the planned size, or any column index is out of range.
-    pub fn forward_band_batch(&self, grids: &mut [Grid<Complex<T>>], cols: &[&[usize]]) {
-        self.forward_band_batch_with(ParallelContext::global(), grids, cols);
-    }
-
-    /// [`Self::forward_band_batch`] on an explicit [`ParallelContext`].
     pub fn forward_band_batch_with(
         &self,
         ctx: &ParallelContext,
@@ -384,11 +304,11 @@ impl<T: Scalar> Fft2d<T> {
         }
     }
 
-    /// The strided multi-grid column pass behind the `*_band_batch`
-    /// methods: flatten every `(grid, column)` pair into one work list,
-    /// gather/transform the columns in a single parallel pass, and scatter
-    /// each back to its grid. Identical per-column arithmetic to
-    /// [`Self::band_column_pass`], so batching never changes a bit.
+    /// The strided column pass behind every band transform: flatten each
+    /// `(grid, column)` pair into one work list, gather/transform the
+    /// columns in a single parallel pass, and scatter each back to its
+    /// grid. Each column's arithmetic does not depend on the batch it
+    /// runs in, so batching never changes a bit, at any thread count.
     fn batched_band_column_pass(
         &self,
         ctx: &ParallelContext,
@@ -498,6 +418,10 @@ mod tests {
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
 
+    fn ctx() -> &'static ParallelContext {
+        ParallelContext::global()
+    }
+
     fn rand_grid(w: usize, h: usize, seed: u64) -> Grid<C64> {
         let mut rng = StdRng::seed_from_u64(seed);
         Grid::from_fn(w, h, |_, _| {
@@ -585,7 +509,7 @@ mod tests {
         let mut full = dense.clone();
         fft.inverse(&mut full);
         let mut banded = dense;
-        fft.inverse_band(&mut banded, &cols);
+        fft.inverse_band_with(ctx(), &mut banded, &cols);
         // Exactly equal, not merely close: the band path runs the same
         // arithmetic on the same values and skips only zero columns.
         for (a, b) in full.as_slice().iter().zip(banded.as_slice()) {
@@ -603,7 +527,7 @@ mod tests {
         let mut dense = g.clone();
         fft.forward(&mut dense);
         let mut banded = g;
-        fft.forward_band(&mut banded, &cols);
+        fft.forward_band_with(ctx(), &mut banded, &cols);
         for &x in &cols {
             for y in 0..h {
                 assert_eq!(dense[(x, y)].re, banded[(x, y)].re);
@@ -628,8 +552,8 @@ mod tests {
             }
         });
         let mut field = spectrum.clone();
-        fft.inverse_band(&mut field, &cols);
-        fft.forward_band(&mut field, &cols);
+        fft.inverse_band_with(ctx(), &mut field, &cols);
+        fft.forward_band_with(ctx(), &mut field, &cols);
         for &x in &cols {
             for y in 0..h {
                 assert!((field[(x, y)] - spectrum[(x, y)]).norm() < 1e-12);
@@ -661,10 +585,10 @@ mod tests {
         // the whole transform.
         let fft = Fft2d::<f64>::new(8, 8);
         let mut g = rand_grid(8, 8, 3);
-        fft.inverse_band(&mut g, &[]);
+        fft.inverse_band_with(ctx(), &mut g, &[]);
         // Row pass ran: rows are transformed even with no columns listed.
         let mut rows_only = rand_grid(8, 8, 3);
-        fft.row_pass(ParallelContext::global(), &mut rows_only, true);
+        fft.row_pass(ctx(), &mut rows_only, true);
         for (a, b) in g.as_slice().iter().zip(rows_only.as_slice()) {
             assert_eq!(a.re, b.re);
             assert_eq!(a.im, b.im);
@@ -676,7 +600,7 @@ mod tests {
         let mut full = spectrum.clone();
         fft.inverse(&mut full);
         let mut banded = spectrum;
-        fft.inverse_band(&mut banded, &[0]);
+        fft.inverse_band_with(ctx(), &mut banded, &[0]);
         for (a, b) in full.as_slice().iter().zip(banded.as_slice()) {
             assert_eq!(a.re, b.re);
             assert_eq!(a.im, b.im);
@@ -688,7 +612,7 @@ mod tests {
     fn band_column_out_of_range_panics() {
         let fft = Fft2d::<f64>::new(8, 8);
         let mut g = rand_grid(8, 8, 1);
-        fft.inverse_band(&mut g, &[8]);
+        fft.inverse_band_with(ctx(), &mut g, &[8]);
     }
 
     #[test]
@@ -700,20 +624,20 @@ mod tests {
 
         let mut seq = grids.clone();
         for (g, cols) in seq.iter_mut().zip(&col_sets) {
-            fft.inverse_band(g, cols);
+            fft.inverse_band_with(ctx(), g, cols);
         }
         let mut batch = grids.clone();
-        fft.inverse_band_batch(&mut batch, &col_sets);
+        fft.inverse_band_batch_with(ctx(), &mut batch, &col_sets);
         for (a, b) in seq.iter().zip(&batch) {
             assert_eq!(a.as_slice(), b.as_slice(), "inverse batch differs");
         }
 
         let mut seq = grids.clone();
         for (g, cols) in seq.iter_mut().zip(&col_sets) {
-            fft.forward_band(g, cols);
+            fft.forward_band_with(ctx(), g, cols);
         }
         let mut batch = grids;
-        fft.forward_band_batch(&mut batch, &col_sets);
+        fft.forward_band_batch_with(ctx(), &mut batch, &col_sets);
         // Compare only the specified (listed) columns plus the row-pass
         // intermediate — which is also deterministic, so full equality
         // holds here too.
@@ -726,8 +650,8 @@ mod tests {
     fn batched_band_pass_with_empty_batch_is_noop() {
         let fft = Fft2d::<f64>::new(8, 8);
         let mut grids: Vec<Grid<C64>> = Vec::new();
-        fft.inverse_band_batch(&mut grids, &[]);
-        fft.forward_band_batch(&mut grids, &[]);
+        fft.inverse_band_batch_with(ctx(), &mut grids, &[]);
+        fft.forward_band_batch_with(ctx(), &mut grids, &[]);
     }
 
     #[test]
@@ -735,6 +659,6 @@ mod tests {
     fn batched_band_pass_length_mismatch_panics() {
         let fft = Fft2d::<f64>::new(8, 8);
         let mut grids = vec![rand_grid(8, 8, 1)];
-        fft.inverse_band_batch(&mut grids, &[]);
+        fft.inverse_band_batch_with(ctx(), &mut grids, &[]);
     }
 }

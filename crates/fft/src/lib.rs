@@ -8,17 +8,18 @@
 //! * [`FftPlan`] — an iterative radix-2 decimation-in-time 1-D transform
 //!   with precomputed twiddle factors and bit-reversal tables;
 //! * [`Fft2d`] — row-column 2-D transforms over [`lsopc_grid::Grid`],
-//!   including band-limited variants ([`Fft2d::inverse_band`],
-//!   [`Fft2d::forward_band`]) that skip zero spectrum columns, plus
-//!   batched multi-grid variants ([`Fft2d::inverse_band_batch`],
-//!   [`Fft2d::forward_band_batch`]) that share one strided column pass
-//!   across several band-limited spectra;
+//!   including band-limited variants ([`Fft2d::inverse_band_with`],
+//!   [`Fft2d::forward_band_with`]) that skip zero spectrum columns, and
+//!   their batched multi-grid forms ([`Fft2d::inverse_band_batch_with`],
+//!   [`Fft2d::forward_band_batch_with`]) that share one strided column
+//!   pass across several band-limited spectra;
 //! * [`RfftPlan`]/[`HalfSpectrum`] — a true real-input 2-D transform that
 //!   stores only the non-redundant `(w/2 + 1) × h` Hermitian half and
 //!   reconstructs real output directly; the simulation backends run every
 //!   full-size real transform through it;
-//! * [`PlanCache`]/[`plan`] — a process-wide cache handing out shared
-//!   `Arc<Fft2d>` plans so hot paths never rebuild twiddle tables;
+//! * [`PlanCache`] — a cache handing out shared `Arc<Fft2d>` and
+//!   `Arc<RfftPlan>` plans, so a simulator that owns one never rebuilds
+//!   twiddle tables;
 //! * [`naive_dft`]/[`naive_dft2d`] — O(n²) reference transforms used by the
 //!   test-suite to pin correctness;
 //! * [`upsample_spectral`] and the index helpers [`wrap_index`] and
@@ -57,7 +58,7 @@ mod resample;
 mod rfft;
 mod shift;
 
-pub use cache::{plan, plan_t, rplan, rplan_t, PlanCache};
+pub use cache::PlanCache;
 pub use fft2d::Fft2d;
 pub use plan::FftPlan;
 pub use reference::{naive_dft, naive_dft2d};

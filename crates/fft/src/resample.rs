@@ -6,7 +6,7 @@
 //! internally. [`upsample_spectral`] exposes it as a utility (e.g. for
 //! writing 1 nm/px figures from an 8 nm/px simulation).
 
-use crate::wrap_index;
+use crate::{wrap_index, Fft2d};
 use lsopc_grid::{Complex, Grid, Scalar};
 
 /// Upsamples a real periodic field by an integer factor via spectral
@@ -19,7 +19,7 @@ use lsopc_grid::{Complex, Grid, Scalar};
 /// that is the correct spectral interpolation, not an error.
 ///
 /// Generic over the scalar precision `T` (`f32`/`f64`); both the small
-/// and the upsampled transform run at `T` through the shared plan cache.
+/// and the upsampled transform run at `T` on plans built for the call.
 /// The dense complex path is used deliberately — this is a one-shot
 /// utility, not a hot loop — so the `f64` instantiation is bit-identical
 /// to what it produced before the precision genericization.
@@ -57,8 +57,8 @@ pub fn upsample_spectral<T: Scalar>(g: &Grid<T>, factor: usize) -> Grid<T> {
     let big_h = h
         .checked_mul(factor)
         .unwrap_or_else(|| panic!("upsampled height {h} * {factor} overflows usize"));
-    let fft_small = crate::plan_t::<T>(w, h);
-    let fft_big = crate::plan_t::<T>(big_w, big_h);
+    let fft_small = Fft2d::<T>::new(w, h);
+    let fft_big = Fft2d::<T>::new(big_w, big_h);
     let spectrum = fft_small.forward_real(g);
 
     let mut big = Grid::new(big_w, big_h, Complex::<T>::ZERO);

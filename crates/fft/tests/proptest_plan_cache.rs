@@ -1,4 +1,4 @@
-//! Property tests for the process-wide FFT plan cache.
+//! Property tests for the FFT plan cache.
 
 use std::sync::Arc;
 

@@ -7,7 +7,7 @@
 //! then fuzz values on small sizes where the dense oracle is cheap. The
 //! band-limited transforms are pinned bitwise against the full ones.
 
-use lsopc_fft::{HalfSpectrum, RfftPlan};
+use lsopc_fft::{Fft2d, HalfSpectrum, RfftPlan};
 use lsopc_grid::{Complex, Grid, Scalar};
 use lsopc_parallel::ParallelContext;
 use proptest::prelude::*;
@@ -30,7 +30,7 @@ fn test_grid(w: usize, h: usize, seed: u64) -> Grid<f64> {
 /// Dense-oracle forward: full w×h spectrum via the complex plan.
 fn dense_forward(g: &Grid<f64>) -> Grid<Complex<f64>> {
     let (w, h) = g.dims();
-    lsopc_fft::plan_t::<f64>(w, h).forward_real(g)
+    Fft2d::<f64>::new(w, h).forward_real(g)
 }
 
 fn assert_forward_matches_dense(g: &Grid<f64>, tag: &str) {
@@ -211,7 +211,7 @@ proptest! {
         // Build a Hermitian spectrum from a real grid, then invert it both
         // ways: through the half layout and through the dense plan.
         let plan = RfftPlan::<f64>::new(16, 16);
-        let fft = lsopc_fft::plan_t::<f64>(16, 16);
+        let fft = Fft2d::<f64>::new(16, 16);
         let half = plan.forward(&g);
         let mut dense = half.to_full();
         fft.inverse(&mut dense);

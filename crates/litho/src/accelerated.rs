@@ -97,7 +97,7 @@ use lsopc_parallel::ParallelContext;
 #[derive(Debug, Clone)]
 pub struct AcceleratedBackend {
     ctx: ParallelContext,
-    /// Cache handles; defaults to the process globals.
+    /// The plan cache; a fresh one until a simulator injects its own.
     caches: SimCaches,
 }
 

@@ -1,8 +1,7 @@
 //! Simulation backends: the pluggable convolution engines.
 
 use crate::caches::SimCaches;
-use crate::spectra::EmbeddedSpectra;
-use lsopc_fft::HalfSpectrum;
+use lsopc_fft::{Fft2d, HalfSpectrum};
 use lsopc_grid::{Complex, Grid, Scalar};
 use lsopc_optics::KernelSet;
 use lsopc_parallel::ParallelContext;
@@ -84,36 +83,92 @@ pub(crate) fn mask_spectrum<T: Scalar>(
     caches.rplan_t::<T>(w, h).forward_band_with(ctx, mask, band)
 }
 
-/// `fields[i] ← h_{k_i} ⊗ M` for one chunk of kernels: per-kernel window
-/// application from the half spectrum followed by **one** batched band
-/// inverse over the whole chunk, so the pool sees every column FFT of
-/// the chunk at once instead of one narrow fan-out per kernel.
-/// Bit-identical to the sequential per-kernel transforms (see
-/// [`lsopc_fft::Fft2d::inverse_band_batch`]).
+/// Kernel `k`'s non-zero spectrum samples, each wrapped onto a `w x h`
+/// grid in DFT layout (DC at index 0, negative frequencies wrapped), as
+/// `(fx, fy, sample)` in window order.
 ///
-/// Returns the chunk's kernel indices with their fields, in ascending
-/// kernel order — callers accumulate in that order, preserving the
-/// [`fold_kernel_grids`] determinism contract.
-pub(crate) fn batched_kernel_fields<T: Scalar>(
+/// # Panics
+///
+/// Panics if the grid cannot hold the `S x S` window: the wrap would
+/// alias samples onto one bin.
+pub(crate) fn window_samples<T: Scalar>(
+    kernels: &KernelSet<T>,
+    k: usize,
+    (w, h): (usize, usize),
+) -> impl Iterator<Item = (usize, usize, Complex<T>)> + '_ {
+    let s = kernels.support();
+    assert!(
+        w >= s && h >= s,
+        "grid {w}x{h} too small for kernel support {s}"
+    );
+    // Window index i sits at offset i − c, which wraps onto index
+    // i − c, or i − c + n when negative (|i − c| ≤ c < n).
+    let c = kernels.center();
+    let wrap = move |i: usize, n: usize| if i >= c { i - c } else { i + n - c };
+    kernels
+        .spectrum(k)
+        .as_slice()
+        .chunks_exact(s)
+        .enumerate()
+        .flat_map(move |(j, row)| {
+            let fy = wrap(j, h);
+            row.iter()
+                .enumerate()
+                .filter(|&(_, &v)| v != Complex::<T>::ZERO)
+                .map(move |(i, &v)| (wrap(i, w), fy, v))
+        })
+}
+
+/// The grid columns the bands of kernels `ks` occupy: the distinct `fx`
+/// of their [`window_samples`], in ascending order.
+fn band_columns<T: Scalar>(
+    kernels: &KernelSet<T>,
+    ks: Range<usize>,
+    dims: (usize, usize),
+) -> Vec<usize> {
+    let mut occupied = vec![false; dims.0];
+    for k in ks {
+        for (fx, _, _) in window_samples(kernels, k, dims) {
+            occupied[fx] = true;
+        }
+    }
+    (0..dims.0).filter(|&fx| occupied[fx]).collect()
+}
+
+/// `fields[i] ← h_k ⊗ M` for the kernels `k` of one chunk, with each
+/// kernel's band columns: per-kernel window products with the half
+/// spectrum followed by **one** batched band inverse over the whole
+/// chunk, so the pool sees every column FFT of the chunk at once instead
+/// of one narrow fan-out per kernel. Bit-identical to the sequential
+/// per-kernel transforms (see
+/// [`lsopc_fft::Fft2d::inverse_band_batch_with`]).
+///
+/// Fields come in ascending kernel order — callers accumulate in that
+/// order, preserving the [`fold_kernel_grids`] determinism contract.
+fn kernel_fields<T: Scalar>(
     ctx: &ParallelContext,
-    fft: &lsopc_fft::Fft2d<T>,
-    spectra: &EmbeddedSpectra<T>,
+    fft: &Fft2d<T>,
+    kernels: &KernelSet<T>,
     range: Range<usize>,
     mhat: &HalfSpectrum<T>,
-) -> (Vec<usize>, Vec<Grid<Complex<T>>>) {
-    let (w, h) = spectra.dims();
-    let ks: Vec<usize> = range.collect();
-    let mut fields: Vec<Grid<Complex<T>>> = ks
-        .iter()
-        .map(|&k| {
-            let mut f = Grid::new(w, h, Complex::<T>::ZERO);
-            spectra.apply_window_into_half(k, mhat, &mut f);
+) -> (Vec<Vec<usize>>, Vec<Grid<Complex<T>>>) {
+    let dims = mhat.dims();
+    let cols: Vec<Vec<usize>> = range
+        .clone()
+        .map(|k| band_columns(kernels, k..k + 1, dims))
+        .collect();
+    let mut fields: Vec<Grid<Complex<T>>> = range
+        .map(|k| {
+            let mut f = Grid::new(dims.0, dims.1, Complex::<T>::ZERO);
+            for (fx, fy, s) in window_samples(kernels, k, dims) {
+                f[(fx, fy)] = s * mhat.at(fx, fy);
+            }
             f
         })
         .collect();
-    let cols: Vec<&[usize]> = ks.iter().map(|&k| spectra.cols(k)).collect();
-    fft.inverse_band_batch_with(ctx, &mut fields, &cols);
-    (ks, fields)
+    let col_lists: Vec<&[usize]> = cols.iter().map(Vec::as_slice).collect();
+    fft.inverse_band_batch_with(ctx, &mut fields, &col_lists);
+    (cols, fields)
 }
 
 /// The per-focus callback of [`SimBackend::evaluate`]: given a focus's
@@ -198,10 +253,9 @@ pub trait SimBackend<T: Scalar = f64>: Send + Sync + std::fmt::Debug {
         }
     }
 
-    /// Injects shared cache handles (FFT plans, embedded spectra).
-    /// Backends that consult caches store the bundle and route every
-    /// lookup through it; the default no-op suits cache-free backends
-    /// such as [`ReferenceBackend`].
+    /// Injects the shared FFT plan cache. Backends that plan transforms
+    /// store the handle and look every plan up through it; the default
+    /// no-op suits cache-free backends such as [`ReferenceBackend`].
     fn set_caches(&mut self, caches: &SimCaches) {
         let _ = caches;
     }
@@ -301,17 +355,18 @@ fn convolve_direct<T: Scalar>(kernel: &Grid<Complex<T>>, mask: &Grid<T>) -> Grid
 /// Per-kernel FFT convolution — the paper's CPU implementation.
 ///
 /// Each pass performs one real-input FFT of the mask (on the kernel
-/// band's columns only) plus, per kernel,
-/// one inverse FFT (aerial) or one inverse and one forward FFT
-/// (gradient). All plans come from the process-wide plan cache
-/// ([`lsopc_fft::plan`], [`lsopc_fft::rplan`]) and the embedded kernel
-/// spectra from the per-`(KernelSet, grid size)` [`crate::SpectrumCache`], so
-/// repeated calls (the optimizer loop) never rebuild twiddle tables or
-/// re-embed spectra. The per-kernel transforms use the band-limited
-/// variants ([`lsopc_fft::Fft2d::inverse_band`] /
-/// [`lsopc_fft::Fft2d::forward_band`]), which skip the spectrum columns
-/// the band provably leaves zero — bit-identical to the dense transforms
-/// on these inputs, just cheaper.
+/// band's columns only) plus, per kernel, one inverse FFT (aerial) or one
+/// inverse and one forward FFT (gradient). Each kernel's band is read
+/// from its centred window ([`KernelSet::spectrum`]), the way
+/// [`crate::AcceleratedBackend`] reads it: its non-zero samples are
+/// wrapped onto the grid, and the per-kernel transforms run only over
+/// the columns those samples occupy
+/// ([`lsopc_fft::Fft2d::inverse_band_batch_with`] /
+/// [`lsopc_fft::Fft2d::forward_band_batch_with`]) — bit-identical to the
+/// dense transforms on these inputs, just cheaper. Plans come from the
+/// injected [`SimCaches`] (a simulator's own, see
+/// [`crate::LithoSimulator::with_caches`]), so repeated calls (the
+/// optimizer loop) never rebuild twiddle tables.
 ///
 /// The per-kernel accumulation fans out over the shared
 /// [`ParallelContext`] pool, in a fixed chunk order; results are
@@ -320,7 +375,7 @@ fn convolve_direct<T: Scalar>(kernel: &Grid<Complex<T>>, mask: &Grid<T>) -> Grid
 pub struct FftBackend {
     /// `None` → [`ParallelContext::global`].
     ctx: Option<ParallelContext>,
-    /// Cache handles; defaults to the process globals.
+    /// The plan cache; a fresh one until a simulator injects its own.
     caches: SimCaches,
 }
 
@@ -355,7 +410,6 @@ impl<T: Scalar> SimBackend<T> for FftBackend {
         let _span = lsopc_trace::span!("backend.fft.aerial");
         let (w, h) = mask.dims();
         let fft = self.caches.plan_t::<T>(w, h);
-        let spectra = self.caches.embedded(kernels, w, h);
         let ctx = self.ctx();
         let mhat = mask_spectrum(&self.caches, ctx, mask, window_band(kernels.support()));
         let empty = Grid::new(w, h, T::ZERO);
@@ -363,8 +417,8 @@ impl<T: Scalar> SimBackend<T> for FftBackend {
             // The chunk's fields come from one batched band inverse;
             // accumulation stays in ascending-k order (bit-identical to
             // the sequential per-kernel path).
-            let (ks, fields) = batched_kernel_fields(ctx, &fft, &spectra, range, &mhat);
-            for (&k, field) in ks.iter().zip(&fields) {
+            let (_, fields) = kernel_fields(ctx, &fft, kernels, range.clone(), &mhat);
+            for (k, field) in range.zip(&fields) {
                 add_weighted_intensity(intensity, field, kernels.weight(k));
             }
         })
@@ -373,15 +427,15 @@ impl<T: Scalar> SimBackend<T> for FftBackend {
     fn gradient(&self, kernels: &KernelSet<T>, mask: &Grid<T>, z: &Grid<T>) -> Grid<T> {
         let _span = lsopc_trace::span!("backend.fft.gradient");
         assert_eq!(mask.dims(), z.dims(), "mask and z dimensions must match");
-        let (w, h) = mask.dims();
-        let fft = self.caches.plan_t::<T>(w, h);
-        let spectra = self.caches.embedded(kernels, w, h);
+        let dims = mask.dims();
+        let all_cols = band_columns(kernels, 0..kernels.len(), dims);
+        let fft = self.caches.plan_t::<T>(dims.0, dims.1);
         let ctx = self.ctx();
         let mhat = mask_spectrum(&self.caches, ctx, mask, window_band(kernels.support()));
-        let empty: Grid<Complex<T>> = Grid::new(w, h, Complex::<T>::ZERO);
+        let empty: Grid<Complex<T>> = Grid::new(dims.0, dims.1, Complex::<T>::ZERO);
         let mut acc = fold_kernel_grids(ctx, kernels.len(), &empty, |range, acc| {
             // e_k = h_k ⊗ M for the whole chunk, one batched inverse.
-            let (ks, mut fields) = batched_kernel_fields(ctx, &fft, &spectra, range, &mhat);
+            let (cols, mut fields) = kernel_fields(ctx, &fft, kernels, range.clone(), &mhat);
             // W = z ⊙ e_k, then Ŵ (needed only on the band columns) —
             // again one batched forward across the chunk.
             for field in fields.iter_mut() {
@@ -389,14 +443,17 @@ impl<T: Scalar> SimBackend<T> for FftBackend {
                     *fv = fv.scale(zv);
                 }
             }
-            let cols: Vec<&[usize]> = ks.iter().map(|&k| spectra.cols(k)).collect();
+            let cols: Vec<&[usize]> = cols.iter().map(Vec::as_slice).collect();
             fft.forward_band_batch_with(ctx, &mut fields, &cols);
             // acc += μ_k · conj(Ŝ_k) ⊙ Ŵ (only the band is non-zero).
-            for (&k, field) in ks.iter().zip(&fields) {
-                spectra.accumulate_adjoint(k, field, kernels.weight(k), acc);
+            for (k, field) in range.zip(&fields) {
+                let wk = kernels.weight(k);
+                for (fx, fy, s) in window_samples(kernels, k, dims) {
+                    acc[(fx, fy)] += s.conj() * field[(fx, fy)].scale(wk);
+                }
             }
         });
-        fft.inverse_band_with(ctx, &mut acc, spectra.all_cols());
+        fft.inverse_band_with(ctx, &mut acc, &all_cols);
         let two = T::from_f64(2.0);
         acc.map(|v| two * v.re)
     }
@@ -404,24 +461,6 @@ impl<T: Scalar> SimBackend<T> for FftBackend {
     fn set_caches(&mut self, caches: &SimCaches) {
         self.caches = caches.clone();
     }
-}
-
-/// `Ŝ_k ⊙ M̂` with the sparse band-limited window (full grid elsewhere
-/// zero), as a freshly allocated dense grid.
-///
-/// Builds the embedding uncached — for one-shot kernel sets (e.g. the
-/// fused kernel of [`crate::fused_aerial_image`]) whose ids would only
-/// churn the [`SpectrumCache`]. Hot paths use the cache directly.
-pub(crate) fn apply_kernel_window<T: Scalar>(
-    kernels: &KernelSet<T>,
-    k: usize,
-    mhat: &Grid<Complex<T>>,
-) -> Grid<Complex<T>> {
-    let (w, h) = mhat.dims();
-    let spectra = EmbeddedSpectra::new(kernels, w, h);
-    let mut out = Grid::new(w, h, Complex::<T>::ZERO);
-    spectra.apply_window_into(k, mhat, &mut out);
-    out
 }
 
 #[cfg(test)]
@@ -535,6 +574,16 @@ mod tests {
         let mask = Grid::new(16, 16, 0.0);
         let z = Grid::new(32, 32, 0.0);
         let _ = FftBackend::new().gradient(&kernels, &mask, &z);
+    }
+
+    #[test]
+    #[should_panic(expected = "too small")]
+    fn rejects_a_grid_narrower_than_the_kernel_window() {
+        // The window is wider than the grid, so wrapping it onto the
+        // grid would alias its samples.
+        let kernels = tiny_kernels();
+        assert!(kernels.support() > 4, "premise: S = {}", kernels.support());
+        let _ = FftBackend::new().aerial_image(&kernels, &Grid::new(4, 4, 0.0));
     }
 
     #[test]

@@ -1,117 +1,73 @@
-//! Injectable cache handles for the simulation backends.
+//! The FFT plan cache a simulator owns and shares with its backend.
 //!
-//! Every FFT-based backend needs two long-lived caches: the FFT plan
-//! cache ([`lsopc_fft::PlanCache`]) and the embedded-spectrum cache
-//! ([`SpectrumCache`]). Historically both were process globals; that is
-//! still the default, but multi-job hosts (the `lsopc-engine` crate)
-//! want *explicit* handles so a set of jobs can share one cache pool —
-//! amortizing plans and spectra across submissions — while staying
-//! isolated from unrelated work in the same process.
-//!
-//! [`SimCaches`] bundles the two handles. `None` means "use the process
-//! global", so a default-constructed value reproduces the historical
-//! behavior exactly and costs nothing extra on the hot path (one branch
-//! per lookup, then the same cache code either way).
+//! Every FFT-based backend transforms the same few grid sizes on every
+//! pass, so it looks its plans up in a [`PlanCache`] instead of building
+//! them. [`SimCaches`] is the handle to that cache: each
+//! [`crate::LithoSimulator`] owns one and hands it to its backend, and a
+//! multi-job host (the `lsopc-engine` crate) gives one clone to every
+//! simulator it builds so its jobs share plans. There is no process-wide
+//! cache; a default-constructed handle is a fresh one.
 
 use std::sync::Arc;
 
-use crate::spectra::{EmbeddedSpectra, SpectrumCache};
 use lsopc_fft::{Fft2d, PlanCache, RfftPlan};
 use lsopc_grid::Scalar;
-use lsopc_optics::KernelSet;
 
-/// Shared cache handles injected into a [`crate::LithoSimulator`] and its
-/// backend. Cloning shares the underlying caches (handles are `Arc`s).
+/// Shared cache handle injected into a [`crate::LithoSimulator`] and its
+/// backend. Cloning shares the underlying cache (the handle is an
+/// `Arc`); [`Default`] and [`Self::private`] make a fresh one.
 #[derive(Debug, Default, Clone)]
 pub struct SimCaches {
-    /// `None` → [`PlanCache::global`].
-    plans: Option<Arc<PlanCache>>,
-    /// `None` → [`SpectrumCache::global`].
-    spectra: Option<Arc<SpectrumCache>>,
+    plans: Arc<PlanCache>,
 }
 
 impl SimCaches {
-    /// A fresh, private cache pool independent of the process globals.
-    /// Simulators built from clones of the returned value share it.
+    /// A fresh, empty cache. Simulators built from clones of the
+    /// returned value share it. The same as [`Default::default`].
     pub fn private() -> Self {
-        Self {
-            plans: Some(Arc::new(PlanCache::new())),
-            spectra: Some(Arc::new(SpectrumCache::new())),
-        }
+        Self::default()
     }
 
-    /// Builds a bundle from explicit cache handles.
-    pub fn with_handles(plans: Arc<PlanCache>, spectra: Arc<SpectrumCache>) -> Self {
-        Self {
-            plans: Some(plans),
-            spectra: Some(spectra),
-        }
-    }
-
-    /// The FFT plan for a `width x height` grid at precision `T`, from
-    /// the injected plan cache or the process-global one.
+    /// The FFT plan for a `width x height` grid at precision `T`.
     pub fn plan_t<T: Scalar>(&self, width: usize, height: usize) -> Arc<Fft2d<T>> {
-        match &self.plans {
-            Some(cache) => cache.plan_t::<T>(width, height),
-            None => lsopc_fft::plan_t::<T>(width, height),
-        }
+        self.plans.plan_t::<T>(width, height)
     }
 
     /// The real-input FFT plan for a `width x height` grid at precision
-    /// `T`, from the injected plan cache or the process-global one.
+    /// `T`.
     pub fn rplan_t<T: Scalar>(&self, width: usize, height: usize) -> Arc<RfftPlan<T>> {
-        match &self.plans {
-            Some(cache) => cache.rplan_t::<T>(width, height),
-            None => lsopc_fft::rplan_t::<T>(width, height),
-        }
-    }
-
-    /// The embedded spectra of `kernels` on a `width x height` grid, from
-    /// the injected spectrum cache or the process-global one.
-    pub(crate) fn embedded<T: Scalar>(
-        &self,
-        kernels: &KernelSet<T>,
-        width: usize,
-        height: usize,
-    ) -> Arc<EmbeddedSpectra<T>> {
-        match &self.spectra {
-            Some(cache) => cache.embedded(kernels, width, height),
-            None => SpectrumCache::global().embedded(kernels, width, height),
-        }
+        self.plans.rplan_t::<T>(width, height)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use lsopc_optics::OpticsConfig;
 
     #[test]
-    fn default_handles_resolve_to_globals() {
-        let caches = SimCaches::default();
-        let a = caches.plan_t::<f64>(16, 16);
-        let b = lsopc_fft::plan_t::<f64>(16, 16);
-        assert!(Arc::ptr_eq(&a, &b));
+    fn clones_share_one_cache() {
+        let caches = SimCaches::private();
+        let again = caches.clone();
+        assert!(Arc::ptr_eq(
+            &caches.plan_t::<f64>(32, 32),
+            &again.plan_t::<f64>(32, 32)
+        ));
+        assert!(Arc::ptr_eq(
+            &caches.rplan_t::<f32>(32, 32),
+            &again.rplan_t::<f32>(32, 32)
+        ));
     }
 
     #[test]
-    fn private_handles_are_isolated_but_clones_share() {
-        let caches = SimCaches::private();
-        let global = lsopc_fft::plan_t::<f64>(32, 32);
-        let private = caches.plan_t::<f64>(32, 32);
-        assert!(!Arc::ptr_eq(&global, &private));
-        // A clone of the bundle resolves to the same cache entries.
-        let again = caches.clone().plan_t::<f64>(32, 32);
-        assert!(Arc::ptr_eq(&private, &again));
-        // Spectrum cache likewise.
-        let kernels = OpticsConfig::iccad2013()
-            .with_field_nm(128.0)
-            .with_kernel_count(2)
-            .kernels(0.0);
-        let s1 = caches.embedded(&kernels, 16, 16);
-        let s2 = caches.clone().embedded(&kernels, 16, 16);
-        assert!(Arc::ptr_eq(&s1, &s2));
-        let sg = SpectrumCache::global().embedded(&kernels, 16, 16);
-        assert!(!Arc::ptr_eq(&s1, &sg));
+    fn fresh_bundles_do_not_share() {
+        let (a, b) = (SimCaches::default(), SimCaches::private());
+        assert!(!Arc::ptr_eq(
+            &a.plan_t::<f64>(16, 16),
+            &b.plan_t::<f64>(16, 16)
+        ));
+        assert!(!Arc::ptr_eq(
+            &a.rplan_t::<f64>(16, 16),
+            &b.rplan_t::<f64>(16, 16)
+        ));
     }
 }

@@ -11,6 +11,8 @@
 //! paths always use the exact SOCS sum — see `DESIGN.md` §7 for the
 //! deviation note.
 
+use crate::backend::window_samples;
+use lsopc_fft::Fft2d;
 use lsopc_grid::{Grid, C64};
 use lsopc_optics::KernelSet;
 
@@ -62,9 +64,12 @@ pub fn fused_kernel(kernels: &KernelSet) -> KernelSet {
 pub fn fused_aerial_image(kernels: &KernelSet, mask: &Grid<f64>) -> Grid<f64> {
     let fused = fused_kernel(kernels);
     let (w, h) = mask.dims();
-    let fft = lsopc_fft::plan(w, h);
+    let fft = Fft2d::<f64>::new(w, h);
     let mhat = fft.forward_real(mask);
-    let mut field = crate::backend::apply_kernel_window(&fused, 0, &mhat);
+    let mut field = Grid::new(w, h, C64::ZERO);
+    for (fx, fy, s) in window_samples(&fused, 0, (w, h)) {
+        field[(fx, fy)] = s * mhat[(fx, fy)];
+    }
     fft.inverse(&mut field);
     field.map(|e| e.norm_sqr())
 }

@@ -147,10 +147,9 @@ impl<T: Scalar> LithoSimulator<T> {
         if grid_px < required {
             return Err(BuildSimulatorError::GridTooSmall { grid_px, required });
         }
-        // Pre-warm the process-wide real-input FFT plan for this grid
-        // size so the first simulation call pays no planning; every
-        // backend fetches the same shared plan for the mask spectrum.
-        let _ = lsopc_fft::rplan_t::<T>(grid_px, grid_px);
+        // The simulator owns a fresh plan cache, which `with_caches`
+        // shares with the backend and pre-warms.
+        let caches = SimCaches::default();
         Ok(Self {
             optics,
             grid_px,
@@ -158,11 +157,12 @@ impl<T: Scalar> LithoSimulator<T> {
             resist: ResistModel::iccad2013(),
             corners: ProcessCorners::iccad2013(),
             backend: Box::new(FftBackend::new()),
-            caches: SimCaches::default(),
+            caches: caches.clone(),
             kernel_cache: RwLock::new(HashMap::new()),
             #[cfg(feature = "fault-injection")]
             fault: None,
-        })
+        }
+        .with_caches(caches))
     }
 
     /// Installs a [`FaultInjector`](crate::FaultInjector) invoked after
@@ -213,13 +213,13 @@ impl<T: Scalar> LithoSimulator<T> {
         self
     }
 
-    /// Injects shared cache handles (FFT plans, embedded spectra) into
-    /// this simulator and its backend. Defaults to the process-global
-    /// caches; multi-job hosts pass one [`SimCaches`] clone per simulator
-    /// to amortize plans and spectra across submissions.
+    /// Replaces the simulator's plan cache, in the simulator and its
+    /// backend, with a shared one. Each simulator starts with a fresh
+    /// cache of its own; multi-job hosts pass one [`SimCaches`] clone per
+    /// simulator to amortize plans across submissions.
     pub fn with_caches(mut self, caches: SimCaches) -> Self {
-        // Pre-warm the injected plan cache like `from_optics` pre-warmed
-        // the global one, so the first call pays no planning.
+        // Pre-warm the real-input plan every backend fetches for the mask
+        // spectrum, so the first simulation call pays no planning.
         let _ = caches.rplan_t::<T>(self.grid_px, self.grid_px);
         self.backend.set_caches(&caches);
         self.caches = caches;

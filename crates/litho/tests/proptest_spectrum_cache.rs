@@ -1,13 +1,15 @@
-//! Property tests pinning the cached, band-limited FFT backend to a
-//! cache-free dense reference — bit for bit, not just to a tolerance.
+//! Property tests pinning the band-limited FFT backend, with its cached
+//! plans, to a cache-free dense reference — bit for bit, not just to a
+//! tolerance.
 //!
 //! The dense reference below rebuilds its plans per call (`Fft2d::new`,
 //! `RfftPlan::new`), embeds each kernel spectrum densely
 //! (`KernelSet::embed_full`) and runs full transforms. It takes the mask
 //! spectrum from the same real-input transform the backend uses,
 //! expanded to the full layout sample by sample with `HalfSpectrum::at`.
-//! The cached path reuses shared plans, applies sparse cached spectra
-//! straight from the half layout and skips provably-zero spectrum
+//! The backend reuses the plans of its cache, wraps only each kernel
+//! window's non-zero samples onto the grid, reading the mask spectrum
+//! straight from the half layout, and skips provably-zero spectrum
 //! columns — every one of which is an exact-arithmetic rewrite, so the
 //! outputs must be identical floats.
 

@@ -27,8 +27,6 @@ pub struct OpticsConfig {
     source: SourceModel,
     field_nm: f64,
     kernel_count: usize,
-    tcc_source_points: usize,
-    tcc_iterations: usize,
 }
 
 impl OpticsConfig {
@@ -44,8 +42,6 @@ impl OpticsConfig {
             },
             field_nm: 2048.0,
             kernel_count: 24,
-            tcc_source_points: 120,
-            tcc_iterations: 60,
         }
     }
 
@@ -68,28 +64,6 @@ impl OpticsConfig {
     pub fn with_kernel_count(mut self, kernel_count: usize) -> Self {
         assert!(kernel_count > 0, "kernel count must be positive");
         self.kernel_count = kernel_count;
-        self
-    }
-
-    /// Sets the source discretization density for the TCC path.
-    ///
-    /// # Panics
-    ///
-    /// Panics if zero.
-    pub fn with_tcc_source_points(mut self, n: usize) -> Self {
-        assert!(n > 0, "source point count must be positive");
-        self.tcc_source_points = n;
-        self
-    }
-
-    /// Sets the subspace-iteration count for the TCC eigendecomposition.
-    ///
-    /// # Panics
-    ///
-    /// Panics if zero.
-    pub fn with_tcc_iterations(mut self, n: usize) -> Self {
-        assert!(n > 0, "iteration count must be positive");
-        self.tcc_iterations = n;
         self
     }
 
@@ -118,16 +92,6 @@ impl OpticsConfig {
         self.kernel_count
     }
 
-    /// Source samples used when assembling the TCC.
-    pub fn tcc_source_points(&self) -> usize {
-        self.tcc_source_points
-    }
-
-    /// Subspace iterations used by the TCC eigendecomposition.
-    pub fn tcc_iterations(&self) -> usize {
-        self.tcc_iterations
-    }
-
     /// Coherent cutoff `NA/λ` in cycles/nm.
     pub fn cutoff(&self) -> f64 {
         self.na / self.wavelength_nm
@@ -148,9 +112,12 @@ impl OpticsConfig {
     }
 
     /// Generates the kernel set at `defocus_nm` via the Hopkins TCC matrix
-    /// and SOCS eigendecomposition (the classical construction; slower).
+    /// and SOCS eigendecomposition (the classical construction; slower),
+    /// with 120 source samples in the TCC's source integral and 60
+    /// subspace iterations. The tests check the Abbe kernels against it;
+    /// simulation uses [`Self::kernels`].
     pub fn kernels_tcc(&self, defocus_nm: f64) -> KernelSet {
-        tcc_kernels(self, defocus_nm)
+        tcc_kernels(self, defocus_nm, 120, 60)
     }
 
     /// Generates the kernel set at `defocus_nm` in scalar precision `T`.

@@ -1,12 +1,7 @@
 //! Band-limited optical kernel sets (the `h_k`, `μ_k` of paper Eq. (1)).
 
-use std::sync::atomic::{AtomicU64, Ordering};
-
-use lsopc_fft::wrap_index;
+use lsopc_fft::{wrap_index, Fft2d};
 use lsopc_grid::{Complex, Grid, Scalar};
-
-/// Source of unique [`KernelSet`] identities (see [`KernelSet::id`]).
-static NEXT_KERNEL_SET_ID: AtomicU64 = AtomicU64::new(1);
 
 /// A set of optical kernels stored as centred frequency-domain spectra.
 ///
@@ -26,7 +21,6 @@ static NEXT_KERNEL_SET_ID: AtomicU64 = AtomicU64::new(1);
 /// image of the reference set, not an independently generated one).
 #[derive(Clone, Debug)]
 pub struct KernelSet<T: Scalar = f64> {
-    id: u64,
     support: usize,
     span: usize,
     max_nonzeros: usize,
@@ -74,7 +68,6 @@ impl<T: Scalar> KernelSet<T> {
             .map(nonzero_extent)
             .fold((0, 0), |(span, count), (s, c)| (span.max(s), count.max(c)));
         Self {
-            id: NEXT_KERNEL_SET_ID.fetch_add(1, Ordering::Relaxed),
             support,
             span,
             max_nonzeros,
@@ -83,18 +76,6 @@ impl<T: Scalar> KernelSet<T> {
             spectra,
             weights,
         }
-    }
-
-    /// Identity of this set's *spectra*, unique per construction.
-    ///
-    /// Spectra are immutable after [`KernelSet::new`] (only weights can be
-    /// rescaled), so the id is a sound cache key for anything derived from
-    /// the spectra alone — e.g. the embedded-spectrum caches in the
-    /// simulation backends. Clones share the id (same spectra); every
-    /// constructor call, including [`KernelSet::truncated`], gets a fresh
-    /// one.
-    pub fn id(&self) -> u64 {
-        self.id
     }
 
     /// Number of kernels `K`.
@@ -197,7 +178,7 @@ impl<T: Scalar> KernelSet<T> {
     /// `w`/`h` is not a power of two.
     pub fn spatial_kernel(&self, k: usize, w: usize, h: usize) -> Grid<Complex<T>> {
         let mut full = self.embed_full(k, w, h);
-        lsopc_fft::plan_t::<T>(w, h).inverse(&mut full);
+        Fft2d::<T>::new(w, h).inverse(&mut full);
         full
     }
 
@@ -260,22 +241,16 @@ impl<T: Scalar> KernelSet<T> {
         set.normalized()
     }
 
-    /// Converts the set to another scalar precision, keeping the [`id`].
-    ///
-    /// The id is preserved deliberately: a cast set holds the *same*
-    /// spectra (rounded), and every cache derived from kernel spectra
-    /// keys on the scalar type in addition to the id, so an `f32` cast
-    /// never collides with its `f64` source. Casting to the same
-    /// precision is the identity on every value. The [`kernel_span`] and
+    /// Converts the set to another scalar precision: each spectrum sample
+    /// and weight is rounded once. Casting to the same precision is the
+    /// identity on every value. The [`kernel_span`] and
     /// [`max_nonzeros`] are copied: rounding never turns a zero sample
     /// non-zero, so the source's values bound the cast set's.
     ///
-    /// [`id`]: KernelSet::id
     /// [`kernel_span`]: KernelSet::kernel_span
     /// [`max_nonzeros`]: KernelSet::max_nonzeros
     pub fn cast<U: Scalar>(&self) -> KernelSet<U> {
         KernelSet {
-            id: self.id,
             support: self.support,
             span: self.span,
             max_nonzeros: self.max_nonzeros,
@@ -375,10 +350,9 @@ mod tests {
     }
 
     #[test]
-    fn cast_preserves_id_and_is_identity_at_same_precision() {
+    fn cast_is_identity_at_same_precision() {
         let set = delta_set(5, 2.0);
         let same = set.cast::<f64>();
-        assert_eq!(same.id(), set.id(), "cast keeps the spectra identity");
         assert_eq!(same.weight(0).to_bits(), set.weight(0).to_bits());
         for (a, b) in same
             .spectrum(0)
@@ -390,7 +364,6 @@ mod tests {
             assert_eq!(a.im.to_bits(), b.im.to_bits());
         }
         let low = set.cast::<f32>();
-        assert_eq!(low.id(), set.id());
         assert_eq!(low.support(), 5);
         assert_eq!(low.weight(0), 2.0_f32);
         // Round-tripping f64 → f32 → f64 rounds to f32 precision.

@@ -11,9 +11,10 @@
 //!   the inputs of the Hopkins sum `I = Σ μ_k |h_k ⊗ M|²` (paper Eq. (1));
 //! * two generation paths:
 //!   [`OpticsConfig::kernels`] (Abbe source-point discretization, exact for
-//!   the discretized source, the default) and
+//!   the discretized source: the kernels every simulation uses) and
 //!   [`OpticsConfig::kernels_tcc`] (Hopkins TCC matrix + Hermitian
-//!   eigendecomposition, the classical SOCS construction);
+//!   eigendecomposition, the classical SOCS construction: the oracle the
+//!   tests check the Abbe kernels against);
 //! * [`eig`] — from-scratch dense Hermitian eigensolvers (cyclic Jacobi and
 //!   orthogonal iteration) used by the TCC path.
 //!

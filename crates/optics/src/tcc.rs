@@ -48,15 +48,20 @@ pub fn abbe_kernels(cfg: &OpticsConfig, defocus_nm: f64) -> KernelSet {
 /// eigendecomposition (SOCS).
 ///
 /// The TCC is assembled on the disc of frequency samples inside the band
-/// limit `(1 + σ_max)·NA/λ`, using `cfg.tcc_source_points()` source samples
-/// for the source integral, then reduced to `cfg.kernel_count()` kernels by
-/// orthogonal iteration. The set is normalized to unit clear-field
-/// intensity.
+/// limit `(1 + σ_max)·NA/λ`, using `source_points` source samples for the
+/// source integral, then reduced to `cfg.kernel_count()` kernels by
+/// `iterations` rounds of orthogonal iteration. The set is normalized to
+/// unit clear-field intensity.
 ///
 /// This path is O(dim²·source_points) in time and O(dim²) in memory with
 /// `dim ≈ π/4·S²`; prefer [`abbe_kernels`] for large fields unless the true
 /// SOCS construction is required.
-pub fn tcc_kernels(cfg: &OpticsConfig, defocus_nm: f64) -> KernelSet {
+pub fn tcc_kernels(
+    cfg: &OpticsConfig,
+    defocus_nm: f64,
+    source_points: usize,
+    iterations: usize,
+) -> KernelSet {
     let support = cfg.support_size();
     let c = (support / 2) as i64;
     let pupil = Pupil::new(cfg.wavelength_nm(), cfg.na(), defocus_nm);
@@ -78,7 +83,7 @@ pub fn tcc_kernels(cfg: &OpticsConfig, defocus_nm: f64) -> KernelSet {
     let dim = freqs.len();
 
     // Pupil samples per source point: column s → vector over freqs.
-    let points = cfg.source().sample(cfg.tcc_source_points());
+    let points = cfg.source().sample(source_points);
     let fields: Vec<Vec<C64>> = points
         .iter()
         .map(|p| {
@@ -105,7 +110,7 @@ pub fn tcc_kernels(cfg: &OpticsConfig, defocus_nm: f64) -> KernelSet {
     }
 
     let rank = cfg.kernel_count().min(dim);
-    let eig = top_eigenpairs(&t, rank, cfg.tcc_iterations());
+    let eig = top_eigenpairs(&t, rank, iterations);
 
     let mut spectra = Vec::with_capacity(rank);
     let mut weights = Vec::with_capacity(rank);
@@ -124,18 +129,18 @@ pub fn tcc_kernels(cfg: &OpticsConfig, defocus_nm: f64) -> KernelSet {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use lsopc_fft::Fft2d;
 
     fn small_cfg() -> OpticsConfig {
         OpticsConfig::iccad2013()
             .with_field_nm(256.0)
             .with_kernel_count(8)
-            .with_tcc_source_points(48)
     }
 
     /// Aerial image of a mask under a kernel set, computed directly.
     fn aerial(set: &KernelSet, mask: &Grid<f64>) -> Grid<f64> {
         let (w, h) = mask.dims();
-        let fft = lsopc_fft::plan(w, h);
+        let fft = Fft2d::<f64>::new(w, h);
         let mhat = fft.forward_real(mask);
         let mut intensity = Grid::new(w, h, 0.0);
         for k in 0..set.len() {
@@ -205,11 +210,9 @@ mod tests {
         // image must match the Abbe image (same operator, different basis).
         let cfg = OpticsConfig::iccad2013()
             .with_field_nm(128.0)
-            .with_kernel_count(24)
-            .with_tcc_source_points(24)
-            .with_tcc_iterations(120);
+            .with_kernel_count(24);
         let abbe = abbe_kernels(&cfg, 0.0);
-        let tcc = tcc_kernels(&cfg, 0.0);
+        let tcc = tcc_kernels(&cfg, 0.0, 24, 120);
         let mask = Grid::from_fn(32, 32, |x, y| {
             if (10..22).contains(&x) && (12..20).contains(&y) {
                 1.0
@@ -230,7 +233,7 @@ mod tests {
 
     #[test]
     fn tcc_weights_decay() {
-        let set = tcc_kernels(&small_cfg(), 0.0);
+        let set = tcc_kernels(&small_cfg(), 0.0, 48, 60);
         for k in 1..set.len() {
             assert!(
                 set.weight(k) <= set.weight(k - 1) + 1e-12,

@@ -192,8 +192,8 @@ bad=$(awk '
   /^#\[cfg\(test\)\]/ { in_tests = 1 }
   !in_tests && /[0-9]_?f64/ && !/allow-f64/ { print FILENAME ":" FNR ": " $0 }
 ' crates/litho/src/backend.rs crates/litho/src/accelerated.rs \
-  crates/litho/src/spectra.rs crates/litho/src/resist.rs \
-  crates/litho/src/cost.rs crates/levelset/src/*.rs crates/core/src/cg.rs)
+  crates/litho/src/resist.rs crates/litho/src/cost.rs \
+  crates/levelset/src/*.rs crates/core/src/cg.rs)
 if [ -n "$bad" ]; then
   echo "error: bare f64 literal in precision-generic code (use T::from_f64," >&2
   echo "or mark deliberate f64 internals with an allow-f64 comment):" >&2

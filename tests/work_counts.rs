@@ -23,9 +23,9 @@
 //!   kernel fields of its focus's aerial pass; on the direct-fold side,
 //!   none.
 //!
-//! The mask's full-size forward is shared: an evaluation
-//! (`SimBackend::evaluate`) runs one for all its foci, and the scorer's
-//! prints are one such evaluation without a gradient. A
+//! Every enclosing span runs its passes as one evaluation
+//! (`SimBackend::evaluate`), which runs one mask forward for all its
+//! foci; the scorer's prints are one such evaluation without a gradient. A
 //! cost-and-gradient evaluation therefore runs 7 full-size transforms
 //! (3 forwards, 4 inverses) and, on the FFT-product side, 2K + 2 coarse
 //! inverses; the final iterate's cost-only evaluation and the scorer's
@@ -45,12 +45,11 @@ const GRID: usize = 256;
 /// Distinct foci among the ICCAD process corners.
 const FOCI: u64 = 2;
 /// The spans whose inner work is counted, with the aerial and gradient
-/// passes one of them runs and whether it runs them as one
-/// `SimBackend::evaluate` call.
-const ENCLOSING: [(&str, u64, u64, bool); 3] = [
-    ("litho.cost_and_gradient", FOCI, FOCI, true),
-    ("litho.cost_only", FOCI, 0, true),
-    ("litho.print_corners", FOCI, 0, true),
+/// passes one of them runs.
+const ENCLOSING: [(&str, u64, u64); 3] = [
+    ("litho.cost_and_gradient", FOCI, FOCI),
+    ("litho.cost_only", FOCI, 0),
+    ("litho.print_corners", FOCI, 0),
 ];
 
 fn target(layout: &Layout) -> Grid<f64> {
@@ -89,24 +88,16 @@ fn work(spec: &JobSpec, layout: &Layout) -> BTreeMap<&'static str, (u64, BTreeMa
     counted
 }
 
-/// The work of `aerial` aerial and `gradient` gradient passes with `k`
-/// kernels each. As one evaluation, they share one mask forward and run
-/// each focus in a `litho.focus` span; as separate aerial passes, each
-/// transforms the mask itself.
-fn passes(
-    k: u64,
-    aerial: u64,
-    gradient: u64,
-    evaluation: bool,
-    fft_product: bool,
-) -> [(&'static str, u64); 7] {
-    let (mask_forwards, focus_spans) = if evaluation { (1, aerial) } else { (aerial, 0) };
+/// The work of one evaluation of `aerial` aerial and `gradient` gradient
+/// passes with `k` kernels each: one mask forward, and each focus in a
+/// `litho.focus` span.
+fn passes(k: u64, aerial: u64, gradient: u64, fft_product: bool) -> [(&'static str, u64); 7] {
     let (extra_inverses, extra_forwards) = if fft_product { (1, k) } else { (0, 0) };
     [
-        ("litho.focus", focus_spans),
+        ("litho.focus", aerial),
         ("backend.accel.aerial", aerial),
         ("backend.accel.gradient", gradient),
-        ("fft2d.rfft.forward", mask_forwards + gradient),
+        ("fft2d.rfft.forward", 1 + gradient),
         ("fft2d.rfft.inverse", aerial + gradient),
         ("fft2d.inverse", aerial * k + gradient * extra_inverses),
         ("fft2d.forward", aerial + gradient * extra_forwards),
@@ -115,11 +106,11 @@ fn passes(
 
 fn assert_work(what: &str, spec: &JobSpec, layout: &Layout, fft_product: bool) {
     let counted = work(spec, layout);
-    for (enclosing, aerial, gradient, evaluation) in ENCLOSING {
+    for (enclosing, aerial, gradient) in ENCLOSING {
         let (runs, inside) = &counted[enclosing];
         assert!(*runs > 0, "{what}: no `{enclosing}` ran");
         let k = spec.kernels as u64;
-        for (span, each) in passes(k, aerial, gradient, evaluation, fft_product) {
+        for (span, each) in passes(k, aerial, gradient, fft_product) {
             let got = inside.get(span).copied().unwrap_or(0);
             assert_eq!(
                 got,
