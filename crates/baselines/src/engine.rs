@@ -115,12 +115,21 @@ impl PixelEngine {
         let mut velocity: Grid<f64> = Grid::new(n, n, 0.0);
         let mut cost_history = Vec::with_capacity(self.iterations);
         let mut best: Option<(f64, Grid<f64>)> = None;
+        // The evaluation's buffers, overwritten by every iteration.
+        let mut image = Grid::new(n, n, 0.0);
+        let mut grad_mask = Grid::new(n, n, 0.0);
 
         for i in 0..self.iterations {
             let mask = self.mask_of(&theta);
             let corners = schedule(i);
-            let (residuals, grad_mask) = evaluate_corners(sim, &mask, &target, &corners, true);
-            let grad_mask = grad_mask.expect("a gradient was asked for");
+            let residuals = evaluate_corners(
+                sim,
+                &mask,
+                &target,
+                &corners,
+                &mut image,
+                Some(&mut grad_mask),
+            );
             let cost = corners
                 .iter()
                 .zip(&residuals)

@@ -50,13 +50,6 @@ impl RepeatedTileSpec {
         (FIELD_NM / self.cell_nm) as usize
     }
 
-    /// Empty margin between the motif and its cell boundary, nm. Tile
-    /// halos narrower than this see only empty field, which is the
-    /// precondition for every tile hashing to the same warm-start key.
-    pub fn margin_nm(&self) -> i64 {
-        (self.cell_nm - self.motif_span()) / 2
-    }
-
     fn motif_span(&self) -> i64 {
         (self.cluster as i64 - 1) * self.pitch_nm + self.size_nm
     }
@@ -139,7 +132,11 @@ mod tests {
         assert_eq!(cells, 16);
         assert_eq!(layout.len(), cells * 9);
         assert_eq!(layout.total_area(), (cells * 9) as i64 * 70 * 70);
-        assert!(spec.margin_nm() >= 64, "margin {}", spec.margin_nm());
+        // The empty margin between the motif and its cell boundary: tile
+        // halos narrower than it see only empty field, the precondition
+        // for every tile hashing to the same warm-start key.
+        let margin_nm = (spec.cell_nm - spec.motif_span()) / 2;
+        assert!(margin_nm >= 64, "margin {margin_nm}");
     }
 
     #[test]

@@ -89,8 +89,8 @@ prints one `stopped: <reason>` line. Only a SIGINT stop changes the
 exit code (8); deadline/budget stops exit 0.
 --checkpoint persists the optimizer loop state to the given file every
 --checkpoint-every iterations (default 10; at 1024² with 24 kernels one
-write costs 2.4–2.6% of the ten iterations it follows, DESIGN.md §15)
-and on every graceful stop,
+write cost 2.4–2.6% of the ten iterations it follows, measured at
+f27caab, DESIGN.md §15) and on every graceful stop,
 via an atomic temp-file + rename — a crash never corrupts the previous
 checkpoint. With --tile the path is a directory holding one file per
 completed tile. --resume restarts from such a checkpoint; the resumed

@@ -20,6 +20,7 @@
 //! DESIGN.md §10 for the state machine and the determinism argument).
 
 use lsopc_grid::{Grid, Scalar};
+use lsopc_levelset::SpeedScan;
 use std::fmt;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 
@@ -411,9 +412,12 @@ impl HealthGuard {
         Health::Healthy
     }
 
-    /// Scans a velocity field for non-finite cells.
-    pub(crate) fn inspect_velocity<T: Scalar>(&self, velocity: &Grid<T>) -> Option<GuardEventKind> {
-        scan_non_finite(velocity).then_some(GuardEventKind::NonFiniteVelocity)
+    /// Reads a velocity field's scan for non-finite cells.
+    pub(crate) fn inspect_velocity<T: Scalar>(
+        &self,
+        speed: &SpeedScan<T>,
+    ) -> Option<GuardEventKind> {
+        (!speed.finite).then_some(GuardEventKind::NonFiniteVelocity)
     }
 
     /// Scans `ψ` for non-finite cells after an evolution step.
@@ -673,10 +677,10 @@ mod tests {
     #[test]
     fn velocity_and_levelset_scans_catch_non_finite_cells() {
         let g = guard();
-        assert_eq!(g.inspect_velocity(&finite_gradient()), None);
+        assert_eq!(g.inspect_velocity(&SpeedScan::of(&finite_gradient())), None);
         let bad = Grid::from_vec(2, 2, vec![0.5, f64::NEG_INFINITY, 2.0, 0.0]);
         assert_eq!(
-            g.inspect_velocity(&bad),
+            g.inspect_velocity(&SpeedScan::of(&bad)),
             Some(GuardEventKind::NonFiniteVelocity)
         );
         assert_eq!(

@@ -7,12 +7,14 @@ use crate::{
     Evolution, GuardEventKind, IterationRecord, LevelSetIlt, RecoveryPolicy, ResolutionSchedule,
     RunControl, SolverDiagnostics, StopReason,
 };
-use lsopc_grid::{max_abs, Grid, Scalar};
+use lsopc_grid::{Grid, Scalar};
 use lsopc_levelset::{
-    cfl_time_step, curvature, evolve, godunov_gradient, gradient_magnitude, mask_from_levelset,
-    reinitialize, signed_distance, upsample_levelset, NarrowBand,
+    curvature, evolve, godunov_velocity, gradient_magnitude, mask_from_levelset,
+    mask_from_levelset_into, reinitialize, signed_distance, upsample_levelset, NarrowBand,
+    SpeedScan,
 };
-use lsopc_litho::{cost_and_gradient, cost_only, CostReport, LithoSimulator};
+use lsopc_litho::{evaluate_cost, CostReport, LithoSimulator};
+use std::borrow::Cow;
 use std::error::Error;
 use std::fmt;
 use std::time::Instant;
@@ -177,6 +179,13 @@ impl<T: Scalar> IltResult<T> {
 /// and turns it into the [`IltResult`], the checkpoint codec encodes it
 /// in place, and a guard rollback restores it in one method — so a new
 /// piece of loop state is declared once, here.
+///
+/// Each grid here is allocated once and then overwritten in place: the
+/// velocity of an iteration is written over the previous one, the
+/// gradient velocity swaps places with the previous one (the old buffer
+/// becomes the next evaluation's gradient buffer, see [`Scratch`]), and
+/// the best and guard ψ are copied into, not cloned. A rollback drops
+/// the CG pair, so the next iteration allocates it again.
 pub(crate) struct LoopState<T: Scalar> {
     /// The next iteration to run (stage-local); after the loop, the
     /// number of iterations run.
@@ -278,12 +287,47 @@ impl<T: Scalar> LoopState<T> {
         }
         // With no checkpoint yet, ψ is still the untouched ψ₀.
         if let Some(checkpoint) = &self.guard_checkpoint {
-            self.psi = checkpoint.clone();
+            self.psi
+                .as_mut_slice()
+                .copy_from_slice(checkpoint.as_slice());
         }
         self.prev_gradient_velocity = None;
         self.prev_velocity = None;
         Ok(if retry { Step::Retry } else { Step::Stop })
     }
+}
+
+/// The grids that live only inside one iteration. [`LevelSetIlt::run`]
+/// allocates them once per stage and every iteration overwrites them:
+/// the mask from ψ, the image buffer an evaluation writes each focus's
+/// aerial image, sensitivity and adjoint into, and the gradient, which
+/// the sweep of Eq. (10) turns into the gradient velocity before it
+/// swaps places with the previous one in [`LoopState`]. With the CG pair
+/// and the best and guard ψ that makes eight grids at the solve's peak.
+struct Scratch<T: Scalar> {
+    mask: Grid<T>,
+    image: Grid<T>,
+    gradient: Grid<T>,
+}
+
+impl<T: Scalar> Scratch<T> {
+    fn new(n: usize) -> Self {
+        let grid = || Grid::new(n, n, T::ZERO);
+        Self {
+            mask: grid(),
+            image: grid(),
+            gradient: grid(),
+        }
+    }
+}
+
+/// Whether every cell is exactly `+0.0` or `1.0`: a target the 0.5
+/// threshold would map to itself, bit for bit.
+fn is_binary<T: Scalar>(target: &Grid<T>) -> bool {
+    target
+        .as_slice()
+        .iter()
+        .all(|&v| v == T::ONE || v.to_f64().to_bits() == 0)
 }
 
 /// How one iteration of the loop ended.
@@ -470,8 +514,9 @@ impl LevelSetIlt {
     }
 
     /// The one start of every run: validates the warm-start ψ₀ and the
-    /// target (binarized here), fingerprints the configuration, loads the
-    /// resume checkpoint, and dispatches to the scheduled or flat loop.
+    /// target (binarized here, into a copy only when it is not already
+    /// 0/1), fingerprints the configuration, loads the resume checkpoint,
+    /// and dispatches to the scheduled or flat loop.
     fn start<T: Scalar>(
         &self,
         sim: &LithoSimulator<T>,
@@ -492,7 +537,11 @@ impl LevelSetIlt {
                 sim: n,
             });
         }
-        let target = target.binarize(0.5);
+        let target: Cow<'_, Grid<T>> = if is_binary(target) {
+            Cow::Borrowed(target)
+        } else {
+            Cow::Owned(target.binarize(0.5))
+        };
         if target.sum() == T::ZERO {
             return Err(OptimizeError::EmptyTarget);
         }
@@ -533,7 +582,9 @@ impl LevelSetIlt {
     }
 
     /// Loads the control's resume checkpoint, if any: the decoder checks
-    /// config hash and recovery policy, this ψ against its stage's grid.
+    /// config hash and recovery policy, this ψ and every grid the loop
+    /// overwrites in place (the CG pair, the best and guard ψ) against
+    /// its stage's grid.
     fn load_resume<T: Scalar>(
         &self,
         control: &RunControl,
@@ -551,12 +602,27 @@ impl LevelSetIlt {
             (StageTag::Coarse, Some(schedule)) => schedule.coarse_px(),
             _ => n,
         };
-        let (w, h) = ck.state.psi.dims();
-        if (w, h) != (stage_px, stage_px) {
-            return Err(CheckpointError::Malformed(format!(
-                "checkpoint ψ is {w}×{h}, stage grid is {stage_px}×{stage_px}"
-            ))
-            .into());
+        let state = &ck.state;
+        let grids = [
+            ("ψ", Some(&state.psi)),
+            (
+                "CG gradient velocity",
+                state.prev_gradient_velocity.as_ref(),
+            ),
+            ("CG velocity", state.prev_velocity.as_ref()),
+            ("best ψ", state.best.as_ref().map(|(_, psi)| psi)),
+            ("guard ψ", state.guard_checkpoint.as_ref()),
+        ];
+        for (name, grid) in grids {
+            let Some((w, h)) = grid.map(Grid::dims) else {
+                continue;
+            };
+            if (w, h) != (stage_px, stage_px) {
+                return Err(CheckpointError::Malformed(format!(
+                    "checkpoint {name} is {w}×{h}, stage grid is {stage_px}×{stage_px}"
+                ))
+                .into());
+            }
         }
         lsopc_trace::count("checkpoint.load", 1);
         Ok(Some(ck))
@@ -711,6 +777,14 @@ impl LevelSetIlt {
     /// is polled at every iteration boundary (before any work of that
     /// iteration), and the state is checkpointed every
     /// `checkpoint-every` iterations and at a graceful stop.
+    ///
+    /// The loop owns one [`Scratch`] for the stage. With the grids of
+    /// `state`, it holds every grid an iteration touches, so once the
+    /// first iteration has allocated the CG pair and the best and guard
+    /// ψ, an iteration allocates nothing grid-sized — except the
+    /// reinitialization every `REINIT_INTERVAL` iterations and the paths
+    /// that are off by default (line search, curvature, narrow band,
+    /// snapshots).
     fn run<T: Scalar>(
         &self,
         sim: &LithoSimulator<T>,
@@ -722,6 +796,7 @@ impl LevelSetIlt {
         let control = ctx.meta.control;
         let mut converged = false;
         let mut stopped = None;
+        let mut scratch = Scratch::new(sim.grid_px());
         while state.next_iteration < max_iterations {
             let _iter_span = lsopc_trace::span!("optimize.iter");
             let i = state.next_iteration;
@@ -738,7 +813,7 @@ impl LevelSetIlt {
                 break;
             }
             state.next_iteration = i + 1;
-            match self.iterate(sim, target, &mut state, i, ctx.start)? {
+            match self.iterate(sim, target, &mut state, &mut scratch, i, ctx.start)? {
                 Step::Next => {}
                 Step::Retry => continue,
                 Step::Stop => break,
@@ -758,26 +833,27 @@ impl LevelSetIlt {
                 }
             }
         }
-        Ok(self.finish(sim, target, state, converged, stopped, ctx.start))
+        Ok(self.finish(sim, target, state, scratch, converged, stopped, ctx.start))
     }
 
     /// Iteration `i` of Algorithm 1 on `state`: evaluate, form the
     /// velocity, evolve ψ — with the guard's checks, each of which hands
-    /// trouble to [`LoopState::roll_back`].
+    /// trouble to [`LoopState::roll_back`]. The mask, the image and the
+    /// gradient live in `scratch`.
     fn iterate<T: Scalar>(
         &self,
         sim: &LithoSimulator<T>,
         target: &Grid<T>,
         state: &mut LoopState<T>,
+        scratch: &mut Scratch<T>,
         i: usize,
         start: Instant,
     ) -> Result<Step, OptimizeError> {
-        let n = sim.grid_px();
         let strict = self.recovery.is_strict();
         // Line 7 (Eq. (6)): current binary mask from ψ.
-        let mask = mask_from_levelset(&state.psi);
+        mask_from_levelset_into(&state.psi, &mut scratch.mask);
         if self.snapshot_interval > 0 && i.is_multiple_of(self.snapshot_interval) {
-            state.snapshots.push((i, mask.clone()));
+            state.snapshots.push((i, scratch.mask.clone()));
         }
         // Effective λ_t: halved per guard backoff. With the guard off or
         // never triggered the scale is exactly 1.0, and the multiply
@@ -785,25 +861,34 @@ impl LevelSetIlt {
         let lambda_scale = state.guard.as_ref().map_or(1.0, |g| g.lambda_scale);
         let effective_lambda_t = self.lambda_t * lambda_scale;
 
-        // Lines 8–9: simulate, evaluate, back-propagate (Eq. (11)/(14)).
+        // Lines 8–9: simulate, evaluate, back-propagate (Eq. (11)/(14)),
+        // in the scratch buffers. The evaluation zeroes the gradient and
+        // overwrites the image first, so a contained panic leaves nothing
+        // stale for the next one.
         let evaluated = contain_panic(state.guard.is_some(), || {
-            cost_and_gradient(sim, &mask, target, self.w_pvb)
+            evaluate_cost(
+                sim,
+                &scratch.mask,
+                target,
+                self.w_pvb,
+                &mut scratch.image,
+                Some(&mut scratch.gradient),
+            )
         });
-        let (report, gradient, mut verdict) = match evaluated {
-            Ok((report, gradient)) => (report, gradient, Health::Healthy),
+        let (report, mut verdict) = match evaluated {
+            Ok(report) => (report, Health::Healthy),
             Err(panicked) => (
                 CostReport {
                     nominal: f64::NAN,
                     pvb: f64::NAN,
                     w_pvb: self.w_pvb,
                 },
-                Grid::new(n, n, T::from_f64(f64::NAN)),
                 Health::Corrupt(panicked),
             ),
         };
         if matches!(verdict, Health::Healthy) {
             if let Some(g) = state.guard.as_mut() {
-                verdict = g.inspect_evaluation(i, report.total(), &gradient);
+                verdict = g.inspect_evaluation(i, report.total(), &scratch.gradient);
             }
         }
         // The record of an iteration rejected before its step: the
@@ -829,49 +914,75 @@ impl LevelSetIlt {
 
         // Best-tracking: only evaluations the guard accepted (or all
         // of them with the guard off) can become the returned mask.
-        if state.best.as_ref().is_none_or(|(c, _)| report.total() < *c) {
-            state.best = Some((report.total(), state.psi.clone()));
+        let total = report.total();
+        match &mut state.best {
+            Some((best_cost, best_psi)) if total < *best_cost => {
+                *best_cost = total;
+                best_psi
+                    .as_mut_slice()
+                    .copy_from_slice(state.psi.as_slice());
+            }
+            Some(_) => {}
+            None => state.best = Some((total, state.psi.clone())),
         }
 
         // Eq. (10) up to sign: with the Eq. (5)/(6) convention
         // (ψ ≤ 0 inside, M = H(−ψ)) we have ∂L/∂ψ = −G·δ(ψ), so the
         // descent update is ψ̇ = +G·|∇ψ| — the sign printed in
         // Eq. (10) corresponds to the opposite inside/outside
-        // convention (see DESIGN.md §7).
-        let gradmag = godunov_gradient(&state.psi, &gradient);
-        // The gradient-velocity g_i = G·|∇ψ| drives both the descent
-        // direction and the PRP coefficient.
-        let gradient_velocity = gradient.zip_map(&gradmag, |&g, &m| g * m);
-        let mut velocity = gradient_velocity.clone();
+        // convention (see DESIGN.md §7). One sweep writes the
+        // gradient-velocity g_i = G·|∇ψ|, which drives both the descent
+        // direction and the PRP coefficient, over the gradient, and folds
+        // the three sums of Eq. (16) in pixel order.
+        let has_prev_velocity = state.prev_velocity.is_some();
+        let g_prev = match self.evolution {
+            Evolution::PrpConjugateGradient if has_prev_velocity => {
+                state.prev_gradient_velocity.as_ref().map(Grid::as_slice)
+            }
+            _ => None,
+        };
+        let [mut g_sq, mut g_dot_prev, mut prev_sq] = [T::ZERO; 3];
+        godunov_velocity(&state.psi, &mut scratch.gradient, |p, g| {
+            if let Some(g_prev) = g_prev {
+                g_sq += g * g;
+                g_dot_prev += g * g_prev[p];
+                prev_sq += g_prev[p] * g_prev[p];
+            }
+        });
 
         // Eq. (15)–(16): combine with the previous velocity according
-        // to the configured evolution scheme.
+        // to the configured evolution scheme, v_i = g_i + β·v_{i−1},
+        // written over v_{i−1}.
         let mut beta = 0.0;
-        match self.evolution {
-            Evolution::Plain => {}
-            Evolution::PrpConjugateGradient => {
-                if let (Some(g_prev), Some(v_prev)) = (
-                    state.prev_gradient_velocity.as_ref(),
-                    state.prev_velocity.as_ref(),
-                ) {
-                    beta = prp_beta(&gradient_velocity, g_prev);
-                    if beta > 0.0 {
-                        let beta_t = T::from_f64(beta);
-                        for (v, &pv) in velocity.as_mut_slice().iter_mut().zip(v_prev.as_slice()) {
-                            *v += beta_t * pv;
-                        }
-                    }
+        let combine = match self.evolution {
+            Evolution::Plain => None,
+            Evolution::PrpConjugateGradient => g_prev.and_then(|_| {
+                beta = prp_beta(g_sq, g_dot_prev, prev_sq);
+                (beta > 0.0).then(|| T::from_f64(beta))
+            }),
+            Evolution::HeavyBall { beta: momentum } => has_prev_velocity.then(|| {
+                beta = momentum;
+                T::from_f64(momentum)
+            }),
+        };
+        let gradient_velocity = &scratch.gradient;
+        let mut velocity = state
+            .prev_velocity
+            .take()
+            .unwrap_or_else(|| gradient_velocity.clone());
+        match combine {
+            Some(beta_t) => {
+                for (v, &g) in velocity
+                    .as_mut_slice()
+                    .iter_mut()
+                    .zip(gradient_velocity.as_slice())
+                {
+                    *v = g + beta_t * *v;
                 }
             }
-            Evolution::HeavyBall { beta: momentum } => {
-                if let Some(v_prev) = state.prev_velocity.as_ref() {
-                    beta = momentum;
-                    let momentum_t = T::from_f64(momentum);
-                    for (v, &pv) in velocity.as_mut_slice().iter_mut().zip(v_prev.as_slice()) {
-                        *v += momentum_t * pv;
-                    }
-                }
-            }
+            None => velocity
+                .as_mut_slice()
+                .copy_from_slice(gradient_velocity.as_slice()),
         }
 
         // Optional contour smoothing (extension beyond the paper).
@@ -896,18 +1007,20 @@ impl LevelSetIlt {
             NarrowBand::extract(&state.psi, self.narrow_band).mask_velocity(&mut velocity);
         }
 
-        // A combined velocity with NaN/∞ cells (e.g. momentum carried
-        // from a corrupt history) must never evolve ψ.
+        // One scan gives the peak speed, the CFL step and the guard's
+        // finiteness check. A combined velocity with NaN/∞ cells (e.g.
+        // momentum carried from a corrupt history) must never evolve ψ.
+        let speed = SpeedScan::of(&velocity);
         if let Some(kind) = state
             .guard
             .as_ref()
-            .and_then(|g| g.inspect_velocity(&velocity))
+            .and_then(|g| g.inspect_velocity(&speed))
         {
             return state.roll_back(i, kind, Some(rejected(beta)), strict);
         }
 
-        let vmax = max_abs(&velocity).to_f64();
-        let dt = cfl_time_step(&velocity, effective_lambda_t);
+        let vmax = speed.peak.to_f64();
+        let dt = speed.time_step(effective_lambda_t);
         state.record(IterationRecord {
             iteration: i,
             cost_nominal: report.nominal,
@@ -940,7 +1053,12 @@ impl LevelSetIlt {
         // every check and its cost is on record; a corrupted evolve
         // rolls back to exactly here.
         if state.guard.is_some() {
-            state.guard_checkpoint = Some(state.psi.clone());
+            match &mut state.guard_checkpoint {
+                Some(checkpoint) => checkpoint
+                    .as_mut_slice()
+                    .copy_from_slice(state.psi.as_slice()),
+                None => state.guard_checkpoint = Some(state.psi.clone()),
+            }
         }
 
         // Lines 5–6: CFL step and evolution, optionally guarded by a
@@ -952,11 +1070,19 @@ impl LevelSetIlt {
             for _ in 0..3 {
                 let mut trial_psi = state.psi.clone();
                 evolve(&mut trial_psi, &velocity, trial_dt);
-                let trial_mask = mask_from_levelset(&trial_psi);
+                mask_from_levelset_into(&trial_psi, &mut scratch.mask);
                 // A contained worker panic rejects this trial step; the
                 // post-evolve scan still protects the fallback step below.
                 let trial_cost = contain_panic(state.guard.is_some(), || {
-                    cost_only(sim, &trial_mask, target, self.w_pvb).total()
+                    evaluate_cost(
+                        sim,
+                        &scratch.mask,
+                        target,
+                        self.w_pvb,
+                        &mut scratch.image,
+                        None,
+                    )
+                    .total()
                 })
                 .unwrap_or_else(|panicked| {
                     if let Some(g) = state.guard.as_mut() {
@@ -994,18 +1120,32 @@ impl LevelSetIlt {
             state.psi = reinitialize(&state.psi);
         }
 
-        state.prev_gradient_velocity = Some(gradient_velocity);
+        // The CG pair for the next iteration: g_i takes the place of
+        // g_{i−1}, whose buffer becomes the next evaluation's gradient.
+        match &mut state.prev_gradient_velocity {
+            Some(g_prev) => std::mem::swap(g_prev, &mut scratch.gradient),
+            None => {
+                let (w, h) = scratch.gradient.dims();
+                let fresh = Grid::new(w, h, T::ZERO);
+                state.prev_gradient_velocity =
+                    Some(std::mem::replace(&mut scratch.gradient, fresh));
+            }
+        }
         state.prev_velocity = Some(velocity);
         Ok(Step::Next)
     }
 
     /// Evaluates the final iterate and turns the loop state into the
-    /// stage's result, returning the best mask seen.
+    /// stage's result, returning the best mask seen. The final
+    /// evaluation runs in the scratch buffers, and the scratch mask
+    /// becomes the result's.
+    #[allow(clippy::too_many_arguments)]
     fn finish<T: Scalar>(
         &self,
         sim: &LithoSimulator<T>,
         target: &Grid<T>,
         state: LoopState<T>,
+        scratch: Scratch<T>,
         converged: bool,
         stopped: Option<StopReason>,
         start: Instant,
@@ -1019,11 +1159,16 @@ impl LevelSetIlt {
             mut snapshots,
             ..
         } = state;
+        let Scratch {
+            mut mask,
+            mut image,
+            ..
+        } = scratch;
         // With the guard on, a panic or non-finite cost here must not
         // pick the (corrupt) final iterate.
-        let final_mask = mask_from_levelset(&psi);
+        mask_from_levelset_into(&psi, &mut mask);
         let final_evaluated = contain_panic(guard.is_some(), || {
-            cost_only(sim, &final_mask, target, self.w_pvb)
+            evaluate_cost(sim, &mask, target, self.w_pvb, &mut image, None)
         });
         let (final_total, trouble) = match final_evaluated {
             Ok(report) => {
@@ -1043,11 +1188,12 @@ impl LevelSetIlt {
         // finite under the guard (every evolve was scanned or rolled
         // back), so its mask is a safe last resort.
         let distrust_final = guard.is_some() && !final_total.is_finite();
-        let (mask, levelset) = match best {
+        let levelset = match best {
             Some((cost, best_psi)) if distrust_final || cost < final_total => {
-                (mask_from_levelset(&best_psi), best_psi)
+                mask_from_levelset_into(&best_psi, &mut mask);
+                best_psi
             }
-            _ => (final_mask, psi),
+            _ => psi,
         };
         if self.snapshot_interval > 0 {
             snapshots.push((iterations, mask.clone()));
@@ -1071,6 +1217,7 @@ impl LevelSetIlt {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use lsopc_litho::cost_and_gradient;
     use lsopc_optics::OpticsConfig;
 
     fn sim() -> LithoSimulator {
@@ -1214,6 +1361,34 @@ mod tests {
             .expect_err("should fail");
         assert!(matches!(err, OptimizeError::TargetDimsMismatch { .. }));
         assert!(err.to_string().contains("32x32"));
+    }
+
+    #[test]
+    fn resume_refuses_a_loop_grid_that_does_not_fit_the_stage() {
+        // The loop overwrites the CG pair and the best and guard ψ in
+        // place, so a checkpoint whose grids disagree with the stage grid
+        // is malformed, not a panic or a silent partial overwrite.
+        let dir = std::env::temp_dir().join(format!("lsopc_loop_dims_{}", std::process::id()));
+        std::fs::create_dir_all(&dir).expect("temp dir");
+        let path = dir.join("state.ckpt");
+        let ilt = LevelSetIlt::builder().build();
+        let mut state = LoopState::new(Grid::new(64, 64, 1.0), &ilt.recovery);
+        state.prev_gradient_velocity = Some(Grid::new(64, 64, 0.5));
+        state.prev_velocity = Some(Grid::new(32, 64, 0.5));
+        resume::write_checkpoint(&path, 7, StageTag::Flat, None, &state).expect("written");
+        let control = RunControl::new().with_resume(&path);
+        let err = ilt
+            .load_resume::<f64>(&control, 7, 64)
+            .err()
+            .expect("a 32×64 CG velocity is refused");
+        assert!(
+            err.to_string().contains("CG velocity is 32×64"),
+            "unexpected error: {err}"
+        );
+        state.prev_velocity = Some(Grid::new(64, 64, 0.5));
+        resume::write_checkpoint(&path, 7, StageTag::Flat, None, &state).expect("written");
+        assert!(ilt.load_resume::<f64>(&control, 7, 64).is_ok());
+        std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]

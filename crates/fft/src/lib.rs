@@ -14,9 +14,10 @@
 //!   [`Fft2d::forward_band_batch_with`]) that share one strided column
 //!   pass across several band-limited spectra;
 //! * [`RfftPlan`]/[`HalfSpectrum`] — a true real-input 2-D transform that
-//!   stores only the non-redundant `(w/2 + 1) × h` Hermitian half and
-//!   reconstructs real output directly; the simulation backends run every
-//!   full-size real transform through it;
+//!   stores only the non-redundant `(w/2 + 1) × h` Hermitian half, or just
+//!   its leading band of columns, and reconstructs real output directly;
+//!   the simulation backends run every full-size real transform through
+//!   it, on band-stored spectra;
 //! * [`PlanCache`] — a cache handing out shared `Arc<Fft2d>` and
 //!   `Arc<RfftPlan>` plans, so a simulator that owns one never rebuilds
 //!   twiddle tables;

@@ -12,21 +12,23 @@
 //! pass touches roughly half the columns.
 //!
 //! The half spectrum lives in an explicit [`HalfSpectrum`] container
-//! (`(w/2 + 1) × h`, row-major); the redundant mirror half is never
-//! materialized. [`RfftPlan::inverse`] reconstructs the real field
-//! directly from the half layout (inverse column pass, re-tangle, one
-//! half-length inverse FFT per row) with the same `1/(W·H)` overall
-//! normalization as [`crate::Fft2d::inverse`].
+//! (row-major); the redundant mirror half is never materialized.
+//! [`RfftPlan::inverse`] reconstructs the real field directly from the
+//! half layout (inverse column pass, re-tangle, one half-length inverse
+//! FFT per row) with the same `1/(W·H)` overall normalization as
+//! [`crate::Fft2d::inverse`].
 //!
-//! Band-limited fields need even less. [`RfftPlan::forward_band_with`]
-//! still runs every row's half-length FFT, but untangles and
-//! column-transforms only the leading `band` stored columns;
-//! [`RfftPlan::inverse_band_with`] column-transforms only those columns
-//! of a spectrum that is zero beyond them. Both are bit-identical to the
-//! full transforms on what they compute: every untangled sample and every
-//! column FFT is independent of the others, and a zero column's inverse
-//! FFT is exactly `+0.0`. The full transforms are the `band = w/2 + 1`
-//! case of the same code.
+//! Band-limited fields need even less. A [`HalfSpectrum`] stores only its
+//! leading `band` columns and reads as exact zero beyond them; the full
+//! half spectrum is the `band = w/2 + 1` case.
+//! [`RfftPlan::forward_band_with`] still runs every row's half-length
+//! FFT, but untangles and column-transforms only the stored columns, and
+//! [`RfftPlan::inverse_into`] column-transforms only those before the
+//! full row inverse. Both are bit-identical to the full transforms on
+//! what they compute: every untangled sample and every column FFT is
+//! independent of the others, and a zero column's inverse FFT is exactly
+//! `+0.0`. At 1024² a band of 30 stores 30 of 513 columns, and the
+//! column pass gathers and scatters only those.
 //!
 //! Like every transform in this crate, both passes fan out over the
 //! shared [`ParallelContext`] pool with disjoint writes and identical
@@ -42,31 +44,52 @@ use crate::FftPlan;
 use lsopc_grid::{Complex, Grid, Scalar};
 use lsopc_parallel::ParallelContext;
 
-/// The non-redundant half of a Hermitian 2-D spectrum.
+/// The non-redundant half of a Hermitian 2-D spectrum, stored on its
+/// leading `band` columns.
 ///
-/// Stores the `(w/2 + 1) × h` columns `kx ≤ w/2` of the full `w × h` DFT
-/// layout, row-major (`ky` outer, `kx` inner). The mirrored half is
-/// implied: [`HalfSpectrum::at`] reconstructs any full-layout sample via
+/// Of the full `w × h` DFT layout only the columns `kx ≤ w/2` carry
+/// information; of those, a spectrum stores the leading `band`
+/// (`1 ≤ band ≤ w/2 + 1`), row-major (`ky` outer, `kx` inner), and every
+/// column beyond them reads as exact zero. [`HalfSpectrum::new`] stores
+/// all `w/2 + 1`, the full half spectrum; a band-limited field needs
+/// only [`HalfSpectrum::with_band`]. The mirrored half is implied:
+/// [`HalfSpectrum::at`] reconstructs any full-layout sample via
 /// `X[kx, ky] = conj(X[(w−kx) mod w, (h−ky) mod h])`.
 #[derive(Debug, Clone, PartialEq)]
 pub struct HalfSpectrum<T: Scalar = f64> {
     width: usize,
     height: usize,
+    band: usize,
     data: Vec<Complex<T>>,
 }
 
 impl<T: Scalar> HalfSpectrum<T> {
-    /// Creates an all-zero half spectrum for a full `width x height` grid.
+    /// Creates an all-zero full half spectrum (`w/2 + 1` stored columns)
+    /// for a `width x height` grid.
     ///
     /// # Panics
     ///
     /// Panics if either dimension is zero.
     pub fn new(width: usize, height: usize) -> Self {
+        Self::with_band(width, height, width / 2 + 1)
+    }
+
+    /// Creates an all-zero half spectrum for a `width x height` grid that
+    /// stores only its leading `band` columns. A `band` above the half
+    /// width `w/2 + 1` is clamped to it.
+    ///
+    /// # Panics
+    ///
+    /// Panics if either dimension or `band` is zero.
+    pub fn with_band(width: usize, height: usize, band: usize) -> Self {
         assert!(width > 0 && height > 0, "dimensions must be positive");
+        assert!(band > 0, "a half spectrum stores at least one column");
+        let band = band.min(width / 2 + 1);
         Self {
             width,
             height,
-            data: vec![Complex::ZERO; (width / 2 + 1) * height],
+            band,
+            data: vec![Complex::ZERO; band * height],
         }
     }
 
@@ -75,12 +98,12 @@ impl<T: Scalar> HalfSpectrum<T> {
         (self.width, self.height)
     }
 
-    /// Stored columns per row: `w/2 + 1`.
-    pub fn half_width(&self) -> usize {
-        self.width / 2 + 1
+    /// Stored columns per row: the leading `band` of the half.
+    pub fn band(&self) -> usize {
+        self.band
     }
 
-    /// The stored samples, row-major over `(w/2 + 1) × h`.
+    /// The stored samples, row-major over `band × h`.
     pub fn as_slice(&self) -> &[Complex<T>] {
         &self.data
     }
@@ -90,8 +113,30 @@ impl<T: Scalar> HalfSpectrum<T> {
         &mut self.data
     }
 
+    /// Index of the stored sample `(kx, ky)`.
+    fn index(&self, kx: usize, ky: usize) -> usize {
+        assert!(
+            kx < self.band && ky < self.height,
+            "({kx},{ky}) not a stored sample of {}x{} (band {})",
+            self.width,
+            self.height,
+            self.band
+        );
+        ky * self.band + kx
+    }
+
+    /// The half-layout sample at `(kx, ky)`, `kx ≤ w/2`: stored, or
+    /// exact zero beyond the band.
+    fn half_at(&self, kx: usize, ky: usize) -> Complex<T> {
+        if kx < self.band {
+            self.data[ky * self.band + kx]
+        } else {
+            Complex::ZERO
+        }
+    }
+
     /// The full-layout sample at `(kx, ky)`, reconstructing the mirrored
-    /// half by conjugate symmetry.
+    /// half by conjugate symmetry. Columns beyond the band read as zero.
     ///
     /// # Panics
     ///
@@ -103,30 +148,23 @@ impl<T: Scalar> HalfSpectrum<T> {
             self.width,
             self.height
         );
-        let hw = self.half_width();
         if kx <= self.width / 2 {
-            self.data[ky * hw + kx]
+            self.half_at(kx, ky)
         } else {
             let mx = self.width - kx;
             let my = (self.height - ky) % self.height;
-            self.data[my * hw + mx].conj()
+            self.half_at(mx, my).conj()
         }
     }
 
-    /// Sets the stored sample at `(kx, ky)`, `kx ≤ w/2`.
+    /// Sets the stored sample at `(kx, ky)`, `kx < band`.
     ///
     /// # Panics
     ///
-    /// Panics if `kx > w/2` or `ky ≥ h`.
+    /// Panics if `kx ≥ band` or `ky ≥ h`.
     pub fn set(&mut self, kx: usize, ky: usize, v: Complex<T>) {
-        assert!(
-            kx <= self.width / 2 && ky < self.height,
-            "({kx},{ky}) not a stored sample of {}x{}",
-            self.width,
-            self.height
-        );
-        let hw = self.half_width();
-        self.data[ky * hw + kx] = v;
+        let i = self.index(kx, ky);
+        self.data[i] = v;
     }
 
     /// Adds a full-layout spectrum contribution `F[kx, ky] += v` as its
@@ -141,7 +179,8 @@ impl<T: Scalar> HalfSpectrum<T> {
     ///
     /// # Panics
     ///
-    /// Panics if `kx ≥ w` or `ky ≥ h`.
+    /// Panics if `kx ≥ w` or `ky ≥ h`, or if either half of the
+    /// projection lands on a half-layout column beyond the band.
     pub fn accumulate_hermitian(&mut self, kx: usize, ky: usize, v: Complex<T>) {
         assert!(
             kx < self.width && ky < self.height,
@@ -149,15 +188,16 @@ impl<T: Scalar> HalfSpectrum<T> {
             self.width,
             self.height
         );
-        let hw = self.half_width();
         let half = T::from_f64(0.5);
         if kx <= self.width / 2 {
-            self.data[ky * hw + kx] += v.scale(half);
+            let i = self.index(kx, ky);
+            self.data[i] += v.scale(half);
         }
         let mx = (self.width - kx) % self.width;
         let my = (self.height - ky) % self.height;
         if mx <= self.width / 2 {
-            self.data[my * hw + mx] += v.conj().scale(half);
+            let i = self.index(mx, my);
+            self.data[i] += v.conj().scale(half);
         }
     }
 
@@ -166,17 +206,17 @@ impl<T: Scalar> HalfSpectrum<T> {
         Grid::from_fn(self.width, self.height, |kx, ky| self.at(kx, ky))
     }
 
-    /// Projects a full spectrum onto its Hermitian half,
+    /// Projects a full spectrum onto its (full) Hermitian half,
     /// `H[κ] = (F[κ] + conj(F[−κ]))/2`. For an already-Hermitian `F`
     /// (e.g. the forward transform of a real field) this is the exact
     /// half-layout restriction.
     pub fn from_full_hermitian(full: &Grid<Complex<T>>) -> Self {
         let (w, h) = full.dims();
         let mut s = Self::new(w, h);
-        let hw = s.half_width();
+        let band = s.band;
         let half = T::from_f64(0.5);
         for ky in 0..h {
-            for (kx, out) in s.data[ky * hw..(ky + 1) * hw].iter_mut().enumerate() {
+            for (kx, out) in s.data[ky * band..(ky + 1) * band].iter_mut().enumerate() {
                 let a = full[(kx, ky)];
                 let b = full[((w - kx) % w, (h - ky) % h)].conj();
                 *out = (a + b).scale(half);
@@ -190,8 +230,9 @@ impl<T: Scalar> HalfSpectrum<T> {
 ///
 /// Each real row is packed into a half-length complex vector, transformed
 /// and untangled into its `w/2 + 1` unique samples; the column pass then
-/// transforms only those stored columns, or just a leading band of them
-/// ([`Self::forward_band_with`], [`Self::inverse_band_with`]). The
+/// transforms only those columns, or just the leading band a
+/// [`HalfSpectrum`] stores ([`Self::forward_band_with`],
+/// [`Self::inverse_into`]). The
 /// forward transform is unnormalized (matching [`crate::Fft2d::forward`]);
 /// the inverse carries the full `1/(W·H)` normalization so that
 /// `inverse(forward(x)) == x`.
@@ -205,7 +246,7 @@ impl<T: Scalar> HalfSpectrum<T> {
 /// let plan = RfftPlan::<f64>::new(8, 8);
 /// let g = Grid::from_fn(8, 8, |x, y| (x * 3 + y) as f64);
 /// let spec = plan.forward(&g);
-/// assert_eq!(spec.half_width(), 5); // only kx <= 4 is stored
+/// assert_eq!(spec.band(), 5); // only kx <= 4 is stored
 /// let back = plan.inverse(&spec);
 /// for (a, b) in g.as_slice().iter().zip(back.as_slice()) {
 ///     assert!((a - b).abs() < 1e-12);
@@ -274,17 +315,19 @@ impl<T: Scalar> RfftPlan<T> {
         self.forward_band_with(ctx, g, self.width / 2 + 1)
     }
 
-    /// The forward transform on the leading `band` stored columns only.
+    /// The forward transform on the leading `band` stored columns only,
+    /// as a spectrum that stores just those columns.
     ///
     /// Every row still runs its half-length FFT, but only the samples
     /// `kx < band` are untangled and column-transformed. On those columns
     /// the result equals [`Self::forward_with`] bit for bit; every other
-    /// stored sample is exactly `0.0`. A `band` above the half width
+    /// column reads as exact zero. A `band` above the half width
     /// `w/2 + 1` is clamped to it (the full transform).
     ///
     /// # Panics
     ///
-    /// Panics if the grid dimensions differ from the planned size.
+    /// Panics if the grid dimensions differ from the planned size, or if
+    /// `band` is zero.
     pub fn forward_band_with(
         &self,
         ctx: &ParallelContext,
@@ -299,10 +342,9 @@ impl<T: Scalar> RfftPlan<T> {
             self.height
         );
         let _span = lsopc_trace::span!("fft2d.rfft.forward");
-        let mut spec = HalfSpectrum::new(self.width, self.height);
-        let band = band.min(spec.half_width());
-        self.real_row_pass(ctx, g, &mut spec, band);
-        self.column_pass(ctx, &mut spec, band, false);
+        let mut spec = HalfSpectrum::with_band(self.width, self.height, band);
+        self.real_row_pass(ctx, g, &mut spec);
+        self.column_pass(ctx, &mut spec, false);
         spec
     }
 
@@ -318,63 +360,57 @@ impl<T: Scalar> RfftPlan<T> {
     /// [`Self::inverse`] on an explicit [`ParallelContext`]. Bit-identical
     /// to the default path at every thread count.
     pub fn inverse_with(&self, ctx: &ParallelContext, spec: &HalfSpectrum<T>) -> Grid<T> {
-        self.inverse_band_with(ctx, spec.clone(), self.width / 2 + 1)
-    }
-
-    /// The inverse transform of a spectrum that is zero on every stored
-    /// column `kx ≥ band`, column-transforming only the leading `band`
-    /// columns before the full row inverse.
-    ///
-    /// On such input the result equals [`Self::inverse_with`] bit for bit:
-    /// the inverse FFT of an all-zero column is exactly `+0.0`, so the
-    /// skipped columns already hold what the full column pass would write.
-    /// The spectrum is taken by value and transformed in place. A `band`
-    /// above the half width `w/2 + 1` is clamped to it (the full
-    /// transform).
-    ///
-    /// # Panics
-    ///
-    /// Panics if the spectrum dimensions differ from the planned size.
-    pub fn inverse_band_with(
-        &self,
-        ctx: &ParallelContext,
-        mut spec: HalfSpectrum<T>,
-        band: usize,
-    ) -> Grid<T> {
-        assert_eq!(
-            spec.dims(),
-            (self.width, self.height),
-            "spectrum dimensions must match plan ({}x{})",
-            self.width,
-            self.height
-        );
-        let _span = lsopc_trace::span!("fft2d.rfft.inverse");
-        let band = band.min(spec.half_width());
-        self.column_pass(ctx, &mut spec, band, true);
         let mut out = Grid::new(self.width, self.height, T::ZERO);
-        self.real_row_inverse_pass(ctx, &spec, &mut out);
+        self.inverse_into(ctx, spec.clone(), &mut out);
         out
     }
 
-    /// Forward row pass: every real row packed, half-length transformed
-    /// and untangled into its leading `band` samples. Rows are disjoint
-    /// output slices, so scheduling never affects the result.
-    fn real_row_pass(
+    /// The inverse transform of `spec` into `out`, column-transforming
+    /// only the spectrum's stored columns before the full row inverse.
+    ///
+    /// The result equals the full inverse of the spectrum it represents
+    /// (zero beyond the band) bit for bit: the inverse FFT of an all-zero
+    /// column is exactly `+0.0`, so the skipped columns hold what the
+    /// full column pass would write. The spectrum is taken by value and
+    /// transformed in place; every pixel of `out` is overwritten.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the spectrum or output dimensions differ from the
+    /// planned size.
+    pub fn inverse_into(
         &self,
         ctx: &ParallelContext,
-        g: &Grid<T>,
-        spec: &mut HalfSpectrum<T>,
-        band: usize,
+        mut spec: HalfSpectrum<T>,
+        out: &mut Grid<T>,
     ) {
+        for dims in [spec.dims(), out.dims()] {
+            assert_eq!(
+                dims,
+                (self.width, self.height),
+                "spectrum and output dimensions must match plan ({}x{})",
+                self.width,
+                self.height
+            );
+        }
+        let _span = lsopc_trace::span!("fft2d.rfft.inverse");
+        self.column_pass(ctx, &mut spec, true);
+        self.real_row_inverse_pass(ctx, &spec, out);
+    }
+
+    /// Forward row pass: every real row packed, half-length transformed
+    /// and untangled into the spectrum's stored samples. Rows are
+    /// disjoint output slices, so scheduling never affects the result.
+    fn real_row_pass(&self, ctx: &ParallelContext, g: &Grid<T>, spec: &mut HalfSpectrum<T>) {
         let _span = lsopc_trace::span!("fft2d.rfft.row_pass");
-        let (w, hw) = (self.width, spec.half_width());
+        let (w, band) = (self.width, spec.band());
         let rpc = rows_per_chunk(self.height, ctx.threads());
         let src = g.as_slice();
-        ctx.par_chunks_mut(spec.as_mut_slice(), hw * rpc, |ci, rows| {
+        ctx.par_chunks_mut(spec.as_mut_slice(), band * rpc, |ci, rows| {
             let mut scratch = vec![Complex::<T>::ZERO; w / 2];
-            for (dy, out_row) in rows.chunks_exact_mut(hw).enumerate() {
+            for (dy, out_row) in rows.chunks_exact_mut(band).enumerate() {
                 let y = ci * rpc + dy;
-                self.untangle_row(&src[y * w..(y + 1) * w], &mut out_row[..band], &mut scratch);
+                self.untangle_row(&src[y * w..(y + 1) * w], out_row, &mut scratch);
             }
         });
     }
@@ -411,9 +447,9 @@ impl<T: Scalar> RfftPlan<T> {
         }
     }
 
-    /// Inverse row pass: re-tangle each half row into the `w/2`-point
-    /// packed spectrum and inverse-transform it straight into the real
-    /// output row.
+    /// Inverse row pass: re-tangle each stored half row into the
+    /// `w/2`-point packed spectrum and inverse-transform it straight into
+    /// the real output row.
     fn real_row_inverse_pass(
         &self,
         ctx: &ParallelContext,
@@ -421,32 +457,33 @@ impl<T: Scalar> RfftPlan<T> {
         out: &mut Grid<T>,
     ) {
         let _span = lsopc_trace::span!("fft2d.rfft.row_pass");
-        let (w, hw) = (self.width, spec.half_width());
+        let (w, band) = (self.width, spec.band());
         let rpc = rows_per_chunk(self.height, ctx.threads());
         let src = spec.as_slice();
-        ctx.par_chunks_mut(out.as_mut_slice(), w * rpc, |ci, band| {
+        ctx.par_chunks_mut(out.as_mut_slice(), w * rpc, |ci, rows| {
             let mut scratch = vec![Complex::<T>::ZERO; w / 2];
-            for (dy, out_row) in band.chunks_exact_mut(w).enumerate() {
+            for (dy, out_row) in rows.chunks_exact_mut(w).enumerate() {
                 let y = ci * rpc + dy;
-                self.retangle_row(&src[y * hw..(y + 1) * hw], out_row, &mut scratch);
+                self.retangle_row(&src[y * band..(y + 1) * band], out_row, &mut scratch);
             }
         });
     }
 
-    /// One inverse row: rebuild `Z[k] = E[k] + i·O[k]` from the half
-    /// spectrum and run the half-length inverse (its `1/M` scaling is the
-    /// exact row normalization — `Z` is the true `M`-point spectrum of the
-    /// packed row).
+    /// One inverse row: rebuild `Z[k] = E[k] + i·O[k]` from the stored
+    /// half row (zero beyond its end) and run the half-length inverse
+    /// (its `1/M` scaling is the exact row normalization — `Z` is the
+    /// true `M`-point spectrum of the packed row).
     fn retangle_row(&self, spec_row: &[Complex<T>], out: &mut [T], scratch: &mut [Complex<T>]) {
+        let sample = |k: usize| spec_row.get(k).copied().unwrap_or(Complex::ZERO);
         if self.width == 1 {
-            out[0] = spec_row[0].re;
+            out[0] = sample(0).re;
             return;
         }
         let m = self.width / 2;
         let half = T::from_f64(0.5);
         for (k, z) in scratch.iter_mut().enumerate() {
-            let a = spec_row[k];
-            let b = spec_row[m - k].conj();
+            let a = sample(k);
+            let b = sample(m - k).conj();
             let e = (a + b).scale(half);
             let d = (a - b).scale(half);
             let o = self.twiddles[k].conj() * d;
@@ -463,26 +500,20 @@ impl<T: Scalar> RfftPlan<T> {
         }
     }
 
-    /// Column pass over the leading `band` stored columns: gather each
-    /// into a contiguous buffer, transform all in parallel, scatter back —
-    /// the same scheme as the dense plan's band column pass. Columns at
-    /// and beyond `band` are left as they are.
-    fn column_pass(
-        &self,
-        ctx: &ParallelContext,
-        spec: &mut HalfSpectrum<T>,
-        band: usize,
-        inverse: bool,
-    ) {
+    /// Column pass over the spectrum's stored columns: gather each into a
+    /// contiguous buffer, transform all in parallel, scatter back — the
+    /// same scheme as the dense plan's band column pass, over `band`-wide
+    /// rows.
+    fn column_pass(&self, ctx: &ParallelContext, spec: &mut HalfSpectrum<T>, inverse: bool) {
         let _span = lsopc_trace::span!("fft2d.rfft.col_pass");
-        let hw = spec.half_width();
+        let band = spec.band();
         let h = self.height;
         let mut buf = vec![Complex::<T>::ZERO; band * h];
         {
             let src = spec.as_slice();
             ctx.par_chunks_mut(&mut buf, h, |x, col| {
                 for (y, c) in col.iter_mut().enumerate() {
-                    *c = src[y * hw + x];
+                    *c = src[y * band + x];
                 }
                 if inverse {
                     self.col_plan.inverse(col);
@@ -494,7 +525,7 @@ impl<T: Scalar> RfftPlan<T> {
         let dst = spec.as_mut_slice();
         for (x, col) in buf.chunks_exact(h).enumerate() {
             for (y, c) in col.iter().enumerate() {
-                dst[y * hw + x] = *c;
+                dst[y * band + x] = *c;
             }
         }
     }

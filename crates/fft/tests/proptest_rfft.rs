@@ -5,7 +5,9 @@
 //! input. The sweep tests cover every power-of-two size in 4..=512
 //! deterministically (one pseudo-random grid per size); the proptests
 //! then fuzz values on small sizes where the dense oracle is cheap. The
-//! band-limited transforms are pinned bitwise against the full ones.
+//! band-limited transforms, on spectra that store only their band's
+//! columns, are pinned bitwise against the full ones, over a sweep and
+//! over random sizes and bands.
 
 use lsopc_fft::{Fft2d, HalfSpectrum, RfftPlan};
 use lsopc_grid::{Complex, Grid, Scalar};
@@ -108,41 +110,63 @@ fn bits<T: Scalar>(c: Complex<T>) -> (u64, u64) {
     (c.re.to_f64().to_bits(), c.im.to_f64().to_bits())
 }
 
-/// The band transforms of `g` against the full ones on `ctx`, for every
-/// band of the sweep: the band forward matches `forward` bit for bit on
-/// `kx < band` and is `+0.0` beyond, and the band inverse of the
-/// spectrum zeroed beyond the band matches `inverse` of that spectrum
-/// bit for bit. The largest band exceeds the half width, where both
-/// must be the full transform.
-fn assert_band_transforms_exact<T: Scalar>(g: &Grid<T>, ctx: &ParallelContext, tag: &str) {
+/// The band transforms of `g` against the full ones on `ctx`, at `band`:
+/// the band forward stores `min(band, w/2 + 1)` columns, matches
+/// `forward` bit for bit on them and reads as exact zero beyond them
+/// (mirrored samples included); its band inverse overwrites every output
+/// pixel and matches `inverse` of the full spectrum zeroed beyond the
+/// band bit for bit. A band above the half width is the full transform.
+fn assert_band_exact<T: Scalar>(g: &Grid<T>, band: usize, ctx: &ParallelContext, tag: &str) {
     let (w, h) = g.dims();
     let plan = RfftPlan::<T>::new(w, h);
     let half = w / 2 + 1;
     let full = plan.forward_with(ctx, g);
-    for band in [1, 2, half / 2, half, half + 3] {
-        let banded = plan.forward_band_with(ctx, g, band);
-        let mut zeroed = full.clone();
-        for ky in 0..h {
-            for kx in 0..half {
-                let got = banded.at(kx, ky);
-                if kx < band {
-                    let want = full.at(kx, ky);
-                    assert_eq!(bits(got), bits(want), "{tag} band {band}: ({kx},{ky})");
-                } else {
-                    assert_eq!(bits(got), (0, 0), "{tag} band {band}: ({kx},{ky}) not 0");
+    let banded = plan.forward_band_with(ctx, g, band);
+    assert_eq!(
+        banded.band(),
+        band.min(half),
+        "{tag} band {band}: stored columns"
+    );
+    assert_eq!(
+        banded.as_slice().len(),
+        band.min(half) * h,
+        "{tag} band {band}"
+    );
+    let mut zeroed = full.clone();
+    for ky in 0..h {
+        for kx in 0..w {
+            let got = banded.at(kx, ky);
+            // The half-layout column this full-layout sample reads.
+            let column = kx.min(w - kx);
+            if column < band {
+                let want = full.at(kx, ky);
+                assert_eq!(bits(got), bits(want), "{tag} band {band}: ({kx},{ky})");
+            } else {
+                assert_eq!(got, Complex::ZERO, "{tag} band {band}: ({kx},{ky}) not 0");
+                if kx < half {
                     zeroed.set(kx, ky, Complex::ZERO);
                 }
             }
         }
-        let want = plan.inverse_with(ctx, &zeroed);
-        let got = plan.inverse_band_with(ctx, zeroed, band);
-        for (i, (a, b)) in got.as_slice().iter().zip(want.as_slice()).enumerate() {
-            assert_eq!(
-                a.to_f64().to_bits(),
-                b.to_f64().to_bits(),
-                "{tag} band {band}: inverse pixel {i}"
-            );
-        }
+    }
+    let want = plan.inverse_with(ctx, &zeroed);
+    let mut got = Grid::new(w, h, T::from_f64(f64::NAN));
+    plan.inverse_into(ctx, banded, &mut got);
+    for (i, (a, b)) in got.as_slice().iter().zip(want.as_slice()).enumerate() {
+        assert_eq!(
+            a.to_f64().to_bits(),
+            b.to_f64().to_bits(),
+            "{tag} band {band}: inverse pixel {i}"
+        );
+    }
+}
+
+/// [`assert_band_exact`] for every band of the sweep; the largest band
+/// exceeds the half width.
+fn assert_band_transforms_exact<T: Scalar>(g: &Grid<T>, ctx: &ParallelContext, tag: &str) {
+    let half = g.width() / 2 + 1;
+    for band in [1, 2, (half / 2).max(1), half, half + 3] {
+        assert_band_exact(g, band, ctx, tag);
     }
 }
 
@@ -160,6 +184,23 @@ fn band_transforms_are_bit_identical_to_full_transforms() {
             assert_band_transforms_exact(&g32, ctx, &format!("f32 {tag}"));
         }
     }
+}
+
+/// A band-stored spectrum built by hand: `accumulate_hermitian` and `set`
+/// reach only stored columns, and a sample beyond the band is refused.
+#[test]
+fn band_spectrum_refuses_samples_beyond_its_band() {
+    let mut spec = HalfSpectrum::<f64>::with_band(16, 8, 3);
+    assert_eq!(spec.band(), 3);
+    // Offset −2 folds onto column 2; offset +2 is stored directly.
+    spec.accumulate_hermitian(14, 5, Complex::new(1.0, 2.0));
+    spec.accumulate_hermitian(2, 3, Complex::new(1.0, 2.0));
+    assert_eq!(spec.at(2, 3), Complex::new(1.0, 0.0));
+    assert_eq!(spec.at(14, 5), Complex::new(1.0, 0.0));
+    assert_eq!(spec.at(4, 3), Complex::ZERO);
+    let beyond = std::panic::catch_unwind(move || spec.set(3, 0, Complex::new(1.0, 0.0)));
+    assert!(beyond.is_err(), "column 3 lies beyond a band of 3");
+    assert_eq!(HalfSpectrum::<f64>::with_band(16, 8, 40).band(), 9);
 }
 
 #[test]
@@ -185,6 +226,23 @@ fn real_grid(w: usize, h: usize) -> impl Strategy<Value = Grid<f64>> {
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(32))]
+
+    #[test]
+    fn band_transforms_are_exact_for_random_sizes_and_bands(
+        (pw, ph, pick, seed) in (0u32..=6, 0u32..=6, 0usize..1000, 0u64..1_000_000)
+    ) {
+        // Bands run over 1..=w/2 + 4, so some exceed the half width
+        // w/2 + 1 and must clamp to the full transform.
+        let (w, h) = (1usize << pw, 1usize << ph);
+        let band = 1 + pick % (w / 2 + 4);
+        let g = test_grid(w, h, seed);
+        let g32 = g.map(|&v| v as f32);
+        for ctx in [ParallelContext::new(1), ParallelContext::new(4)] {
+            let tag = format!("{w}x{h} on {} lanes", ctx.threads());
+            assert_band_exact(&g, band, &ctx, &format!("f64 {tag}"));
+            assert_band_exact(&g32, band, &ctx, &format!("f32 {tag}"));
+        }
+    }
 
     #[test]
     fn forward_matches_dense_on_random_grids(g in real_grid(16, 8)) {

@@ -12,8 +12,8 @@ use lsopc_grid::{Grid, Scalar};
 /// `max`-fold (`f64::max` ignores NaN) and would otherwise propagate
 /// into `ψ` on the next [`evolve`]. Callers that need to distinguish
 /// "converged" from "corrupted" (the solver health guard does) should
-/// scan the field themselves; this function only promises a finite,
-/// non-negative `Δt`.
+/// read [`SpeedScan::finite`]; this function only promises a finite,
+/// non-negative `Δt`. The same as `SpeedScan::of(velocity).time_step(λ_t)`.
 ///
 /// # Panics
 ///
@@ -29,21 +29,48 @@ use lsopc_grid::{Grid, Scalar};
 /// assert_eq!(cfl_time_step(&v, 1.0), 0.5);
 /// ```
 pub fn cfl_time_step<T: Scalar>(velocity: &Grid<T>, lambda_t: f64) -> f64 {
-    let _span = lsopc_trace::span!("levelset.cfl");
-    assert!(lambda_t > 0.0, "lambda_t must be positive");
-    let mut vmax = T::ZERO;
-    for &v in velocity.as_slice() {
-        if !v.is_finite() {
-            return 0.0;
+    SpeedScan::of(velocity).time_step(lambda_t)
+}
+
+/// What one scan of a velocity field gives the time-step rule and the
+/// health guard: the peak speed and whether every cell is finite.
+#[derive(Copy, Clone, Debug, PartialEq)]
+pub struct SpeedScan<T> {
+    /// `max|v|` over the cells, folded from zero with `max`, which skips
+    /// a NaN cell as `f64::max` does (an infinite cell counts).
+    pub peak: T,
+    /// Whether every cell is finite.
+    pub finite: bool,
+}
+
+impl<T: Scalar> SpeedScan<T> {
+    /// Scans `velocity` once.
+    pub fn of(velocity: &Grid<T>) -> Self {
+        let _span = lsopc_trace::span!("levelset.cfl");
+        let mut peak = T::ZERO;
+        let mut finite = true;
+        for &v in velocity.as_slice() {
+            finite &= v.is_finite();
+            peak = peak.max(v.abs());
         }
-        vmax = vmax.max(v.abs());
+        Self { peak, finite }
     }
-    if vmax == T::ZERO {
-        0.0
-    } else {
-        // Δt stays `f64` at every precision: it is optimizer control
-        // state, not field data (the master-state pattern).
-        lambda_t / vmax.to_f64()
+
+    /// The CFL step `λ_t / max|v|` of the scanned field: 0 for a zero or
+    /// non-finite field (see [`cfl_time_step`]). `Δt` stays `f64` at
+    /// every precision: it is optimizer control state, not field data
+    /// (the master-state pattern).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `lambda_t` is not positive.
+    pub fn time_step(&self, lambda_t: f64) -> f64 {
+        assert!(lambda_t > 0.0, "lambda_t must be positive");
+        if !self.finite || self.peak == T::ZERO {
+            0.0
+        } else {
+            lambda_t / self.peak.to_f64()
+        }
     }
 }
 
@@ -156,6 +183,24 @@ mod tests {
         assert_eq!(cfl_time_step(&v, 2.0), 0.0);
         let v = Grid::from_vec(2, 2, vec![1.0, f64::NEG_INFINITY, -3.0, 0.5]);
         assert_eq!(cfl_time_step(&v, 2.0), 0.0);
+    }
+
+    #[test]
+    fn one_scan_gives_the_peak_and_the_step() {
+        let v = Grid::from_vec(2, 2, vec![1.0, -4.0, 2.0, 0.0]);
+        let scan = SpeedScan::of(&v);
+        assert_eq!((scan.peak, scan.finite), (4.0, true));
+        assert_eq!(scan.peak, lsopc_grid::max_abs(&v));
+        assert_eq!(scan.time_step(1.0), cfl_time_step(&v, 1.0));
+        // A NaN cell is skipped by the peak, as by `max_abs`, and zeroes
+        // the step; an infinite one counts in the peak.
+        let v = Grid::from_vec(3, 1, vec![f64::NAN, -3.0, 0.5]);
+        let scan = SpeedScan::of(&v);
+        assert_eq!((scan.peak, scan.finite), (3.0, false));
+        assert_eq!(scan.peak, lsopc_grid::max_abs(&v));
+        assert_eq!(scan.time_step(1.0), 0.0);
+        let v = Grid::from_vec(2, 1, vec![f64::NEG_INFINITY, 1.0]);
+        assert_eq!(SpeedScan::of(&v).peak, f64::INFINITY);
     }
 
     #[test]

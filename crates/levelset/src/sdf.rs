@@ -120,7 +120,22 @@ pub fn signed_distance<T: Scalar>(mask: &Grid<T>) -> Grid<T> {
 /// Thresholds a level-set function back into a binary mask: `ψ <= 0` is
 /// inside (paper Eq. (6)).
 pub fn mask_from_levelset<T: Scalar>(psi: &Grid<T>) -> Grid<T> {
-    psi.map(|&v| if v <= T::ZERO { T::ONE } else { T::ZERO })
+    let (w, h) = psi.dims();
+    let mut mask = Grid::new(w, h, T::ZERO);
+    mask_from_levelset_into(psi, &mut mask);
+    mask
+}
+
+/// [`mask_from_levelset`] written over `mask`, a grid the caller keeps.
+///
+/// # Panics
+///
+/// Panics if the grids differ in shape.
+pub fn mask_from_levelset_into<T: Scalar>(psi: &Grid<T>, mask: &mut Grid<T>) {
+    assert_eq!(psi.dims(), mask.dims(), "grid dimensions must match");
+    for (m, &v) in mask.as_mut_slice().iter_mut().zip(psi.as_slice()) {
+        *m = if v <= T::ZERO { T::ONE } else { T::ZERO };
+    }
 }
 
 #[cfg(test)]

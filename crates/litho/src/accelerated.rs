@@ -45,17 +45,19 @@
 //! This mirrors the paper's measured 71 % runtime reduction in structure
 //! (Table II). Every transform has real input or real output, so all
 //! run through the half-spectrum [`RfftPlan`], and each is a full row
-//! pass plus a column pass over only the stored columns its window
-//! reaches ([`RfftPlan::forward_band_with`],
-//! [`RfftPlan::inverse_band_with`]; `DESIGN.md` §13): at 1024² and
-//! 2048 nm, 30 (the mask and gradient windows, `S/2 + 1`) or 29 (the
-//! intensity and sensitivity windows, `D + 1`) of 513. Results match
-//! [`FftBackend`] to rounding, which the test-suite pins.
+//! pass plus a column pass over only the columns its window reaches, on
+//! a spectrum that stores just those ([`RfftPlan::forward_band_with`],
+//! [`RfftPlan::inverse_into`]; `DESIGN.md` §13): at 1024² and 2048 nm,
+//! 30 (the mask and gradient windows, `S/2 + 1`) or 29 (the intensity
+//! and sensitivity windows, `D + 1`) of 513. Both finishing inverses of
+//! a focus land in the caller's image buffer, so an evaluation allocates
+//! no full-size grid. Results match [`FftBackend`] to rounding, which
+//! the test-suite pins.
 //!
 //! [`FftBackend`]: crate::FftBackend
 //! [`RfftPlan`]: lsopc_fft::RfftPlan
 //! [`RfftPlan::forward_band_with`]: lsopc_fft::RfftPlan::forward_band_with
-//! [`RfftPlan::inverse_band_with`]: lsopc_fft::RfftPlan::inverse_band_with
+//! [`RfftPlan::inverse_into`]: lsopc_fft::RfftPlan::inverse_into
 
 use crate::backend::{
     add_into, fold_kernel_grids, mask_spectrum, window_band, OnImage, SimBackend,
@@ -151,14 +153,15 @@ fn centered_window_half<T: Scalar>(half: &HalfSpectrum<T>, size: usize) -> Grid<
 }
 
 /// Embeds a centred window into a `w x h` spectrum in the Hermitian half
-/// layout: each window sample is accumulated as its Hermitian projection,
-/// so the rfft inverse of the result equals the real part a dense
-/// inverse of the full embedding would produce (see
+/// layout, stored on the `size/2 + 1` columns the window reaches: each
+/// window sample is accumulated as its Hermitian projection, so the rfft
+/// inverse of the result equals the real part a dense inverse of the
+/// full embedding would produce (see
 /// [`HalfSpectrum::accumulate_hermitian`]).
 fn embed_window_half<T: Scalar>(window: &Grid<Complex<T>>, w: usize, h: usize) -> HalfSpectrum<T> {
     let size = window.width();
     let c = (size / 2) as i64;
-    let mut half = HalfSpectrum::new(w, h);
+    let mut half = HalfSpectrum::with_band(w, h, window_band(size));
     for (i, j, &v) in window.iter_coords() {
         half.accumulate_hermitian(wrap_index(i as i64 - c, w), wrap_index(j as i64 - c, h), v);
     }
@@ -300,13 +303,14 @@ impl AcceleratedBackend {
         })
     }
 
-    /// The aerial image from the kernels' coarse fields.
-    fn image<T: Scalar>(
+    /// The aerial image's spectrum window from the kernels' coarse
+    /// fields, ready for [`Self::finish_into`].
+    fn image_window<T: Scalar>(
         &self,
         kernels: &KernelSet<T>,
         fields: &[Grid<Complex<T>>],
         sizes: Sizes,
-    ) -> Grid<T> {
+    ) -> Grid<Complex<T>> {
         let Sizes { w, h, d, n, .. } = sizes;
         // e at full-grid sample points equals the coarse IFFT scaled by
         // n²/(w·h).
@@ -331,25 +335,21 @@ impl AcceleratedBackend {
         // A power of two, so scaling the window is exact.
         let up = T::from_f64((w * h) as f64 / (n * n) as f64);
         window.apply(|v| *v = v.scale(up));
-        // Real-output finishing inverse straight from the half layout,
-        // over the window's columns only.
-        let half = embed_window_half(&window, w, h);
-        self.caches
-            .rplan_t::<T>(w, h)
-            .inverse_band_with(&self.ctx, half, window_band(size))
+        window
     }
 
-    /// The gradient from the mask's `S`-window and the sensitivity `z`.
-    /// `fields`, the kernels' coarse fields, must be given exactly when
+    /// The gradient's spectrum window from the mask's `S`-window and the
+    /// sensitivity `z`, ready for [`Self::finish_into`]. `fields`, the
+    /// kernels' coarse fields, must be given exactly when
     /// `sizes.fft_product` picks the FFT product.
-    fn adjoint<T: Scalar>(
+    fn gradient_window<T: Scalar>(
         &self,
         kernels: &KernelSet<T>,
         m_window: &Grid<Complex<T>>,
         fields: Option<&[Grid<Complex<T>>]>,
         z: &Grid<T>,
         sizes: Sizes,
-    ) -> Grid<T> {
+    ) -> Grid<Complex<T>> {
         let Sizes { w, h, s, d, n, .. } = sizes;
         // One full-size forward FFT, on the columns its window reads.
         // Ẑ on [−D, D]²: κ − ν for two samples of one kernel stays there.
@@ -427,17 +427,30 @@ impl AcceleratedBackend {
             }
         };
         let mut acc_window = fold_kernel_grids(&self.ctx, kernels.len(), &empty, accumulate);
-
-        // One full-size inverse FFT, over the window's columns, finishes
-        // the pass. The gradient is 2·Re(IFFT(acc)); the Hermitian
-        // projection inside `embed_window_half` computes exactly that real
-        // part, and doubling the window instead of the output is exact.
+        // The gradient is 2·Re(IFFT(acc)); the Hermitian projection of
+        // the finishing inverse computes exactly that real part, and
+        // doubling the window instead of the output is exact.
         let two = T::from_f64(2.0);
         acc_window.apply(|v| *v = v.scale(two));
-        let half = embed_window_half(&acc_window, w, h);
+        acc_window
+    }
+
+    /// One full-size real-output inverse FFT of a centred spectrum
+    /// `window` into `out`, straight from the half layout and over the
+    /// window's columns only: the finishing step of every pass.
+    fn finish_into<T: Scalar>(&self, window: &Grid<Complex<T>>, out: &mut Grid<T>) {
+        let (w, h) = out.dims();
+        let half = embed_window_half(window, w, h);
         self.caches
             .rplan_t::<T>(w, h)
-            .inverse_band_with(&self.ctx, half, window_band(s))
+            .inverse_into(&self.ctx, half, out);
+    }
+
+    /// [`Self::finish_into`] a fresh grid.
+    fn finish<T: Scalar>(&self, window: &Grid<Complex<T>>, sizes: Sizes) -> Grid<T> {
+        let mut out = Grid::new(sizes.w, sizes.h, T::ZERO);
+        self.finish_into(window, &mut out);
+        out
     }
 }
 
@@ -451,7 +464,7 @@ impl<T: Scalar> SimBackend<T> for AcceleratedBackend {
         let sizes = Sizes::new(kernels, mask.dims(), false);
         let m_window = &self.mask_windows(&[kernels], mask)[0];
         let fields = self.coarse_fields(kernels, m_window, sizes.n);
-        self.image(kernels, &fields, sizes)
+        self.finish(&self.image_window(kernels, &fields, sizes), sizes)
     }
 
     fn gradient(&self, kernels: &KernelSet<T>, mask: &Grid<T>, z: &Grid<T>) -> Grid<T> {
@@ -462,19 +475,29 @@ impl<T: Scalar> SimBackend<T> for AcceleratedBackend {
         let fields = sizes
             .fft_product
             .then(|| self.coarse_fields(kernels, m_window, sizes.n));
-        self.adjoint(kernels, m_window, fields.as_deref(), z, sizes)
+        let window = self.gradient_window(kernels, m_window, fields.as_deref(), z, sizes);
+        self.finish(&window, sizes)
     }
 
     /// One mask forward for every focus; per focus, the coarse fields of
-    /// the aerial image feed the FFT-product gradient too. Every image and
-    /// the gradient keep the bits of the default's separate passes.
+    /// the aerial image feed the FFT-product gradient too. Both finishing
+    /// inverses land in `image`: the aerial image, then, once the
+    /// sensitivity written over it has been transformed, the focus's
+    /// gradient, which is added into `gradient`. Every image and the
+    /// gradient keep the bits of the default's separate passes.
     fn evaluate(
         &self,
         foci: &[&KernelSet<T>],
         mask: &Grid<T>,
+        image: &mut Grid<T>,
         on_image: &mut OnImage<'_, T>,
         mut gradient: Option<&mut Grid<T>>,
     ) {
+        assert_eq!(
+            image.dims(),
+            mask.dims(),
+            "image and mask dimensions must match"
+        );
         let with_gradient = gradient.is_some();
         let sizes: Vec<Sizes> = foci
             .iter()
@@ -484,21 +507,21 @@ impl<T: Scalar> SimBackend<T> for AcceleratedBackend {
         for (f, &kernels) in foci.iter().enumerate() {
             let _focus = lsopc_trace::span!("litho.focus");
             let (m_window, sizes) = (&m_windows[f], sizes[f]);
-            let (image, fields) = {
+            let fields = {
                 let _span = lsopc_trace::span!("backend.accel.aerial");
                 let fields = self.coarse_fields(kernels, m_window, sizes.n);
-                (self.image(kernels, &fields, sizes), fields)
+                self.finish_into(&self.image_window(kernels, &fields, sizes), image);
+                fields
             };
-            let z = on_image(f, &image);
-            drop(image);
-            if let (Some(gradient), Some(z)) = (gradient.as_deref_mut(), z) {
+            if !on_image(f, image) {
+                continue;
+            }
+            if let Some(gradient) = gradient.as_deref_mut() {
                 let _span = lsopc_trace::span!("backend.accel.gradient");
-                assert_eq!(mask.dims(), z.dims(), "mask and z dimensions must match");
                 let fields = sizes.fft_product.then_some(fields.as_slice());
-                add_into(
-                    gradient,
-                    &self.adjoint(kernels, m_window, fields, &z, sizes),
-                );
+                let window = self.gradient_window(kernels, m_window, fields, image, sizes);
+                self.finish_into(&window, image);
+                add_into(gradient, image);
             }
         }
     }

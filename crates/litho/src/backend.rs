@@ -172,9 +172,10 @@ fn kernel_fields<T: Scalar>(
 }
 
 /// The per-focus callback of [`SimBackend::evaluate`]: given a focus's
-/// index and its aerial image, returns the sensitivity `z = ∂L/∂I` to map
-/// back through the adjoint, or `None` for no gradient pass at that focus.
-pub type OnImage<'a, T> = dyn FnMut(usize, &Grid<T>) -> Option<Grid<T>> + 'a;
+/// index and the image buffer holding its aerial image, it either writes
+/// the sensitivity `z = ∂L/∂I` over the buffer and returns `true`, for a
+/// gradient pass at that focus, or returns `false`.
+pub type OnImage<'a, T> = dyn FnMut(usize, &mut Grid<T>) -> bool + 'a;
 
 /// A compute backend for the Hopkins imaging sum and its adjoint.
 ///
@@ -218,37 +219,43 @@ pub trait SimBackend<T: Scalar = f64>: Send + Sync + std::fmt::Debug {
     fn gradient(&self, kernels: &KernelSet<T>, mask: &Grid<T>, z: &Grid<T>) -> Grid<T>;
 
     /// One cost evaluation of `mask` at several foci, each given by its
-    /// kernel set: per focus, in order, the aerial image goes to
-    /// `on_image`, and the sensitivity it returns, if any, is mapped back
-    /// by the adjoint and added into `gradient` (a zeroed grid the caller
-    /// owns; `None` for a cost-only evaluation). Each focus runs inside a
-    /// `litho.focus` span.
+    /// kernel set, in buffers the caller owns: per focus, in order, the
+    /// aerial image is written into `image` and handed to `on_image`; if
+    /// the callback writes a sensitivity over it and asks for a gradient
+    /// pass, the adjoint maps it back and the result is added into
+    /// `gradient` (a zeroed grid; `None` for a cost-only evaluation).
+    /// Each focus runs inside a `litho.focus` span.
     ///
     /// The default runs [`Self::aerial_image`] and then [`Self::gradient`]
     /// per focus. A backend may override it to share work between the
-    /// passes of one evaluation, such as the mask spectrum, as long as
-    /// every image and the gradient keep the default's bits.
+    /// passes of one evaluation, such as the mask spectrum, and to run in
+    /// the caller's buffers, as long as every image and the gradient keep
+    /// the default's bits.
     ///
     /// # Panics
     ///
     /// Panics under the conditions of [`Self::aerial_image`] and
-    /// [`Self::gradient`].
+    /// [`Self::gradient`], or if `image` does not match the mask.
     fn evaluate(
         &self,
         foci: &[&KernelSet<T>],
         mask: &Grid<T>,
+        image: &mut Grid<T>,
         on_image: &mut OnImage<'_, T>,
         mut gradient: Option<&mut Grid<T>>,
     ) {
+        assert_eq!(
+            image.dims(),
+            mask.dims(),
+            "image and mask dimensions must match"
+        );
         for (f, kernels) in foci.iter().enumerate() {
             let _focus = lsopc_trace::span!("litho.focus");
-            let image = self.aerial_image(kernels, mask);
-            let z = on_image(f, &image);
-            // The gradient pass reads only the mask and `z`; free the
-            // image before it runs.
-            drop(image);
-            if let (Some(gradient), Some(z)) = (gradient.as_deref_mut(), z) {
-                add_into(gradient, &self.gradient(kernels, mask, &z));
+            *image = self.aerial_image(kernels, mask);
+            if on_image(f, image) {
+                if let Some(gradient) = gradient.as_deref_mut() {
+                    add_into(gradient, &self.gradient(kernels, mask, image));
+                }
             }
         }
     }

@@ -46,6 +46,9 @@ pub struct WeightedCorner {
 /// weight are skipped, so `w_pvb = 0` reduces to plain nominal-cost ILT
 /// at half the cost: one focus instead of two.
 ///
+/// A one-shot wrapper over [`evaluate_cost`] that allocates its own
+/// image and gradient buffers.
+///
 /// # Panics
 ///
 /// Panics if the mask or target dimensions do not match the simulator
@@ -79,16 +82,25 @@ pub fn cost_and_gradient<T: Scalar>(
     target: &Grid<T>,
     w_pvb: f64,
 ) -> (CostReport, Grid<T>) {
-    let _span = lsopc_trace::span!("litho.cost_and_gradient");
-    let (report, gradient) = evaluate(sim, mask, target, w_pvb, true);
-    (report, gradient.expect("a gradient was asked for"))
+    let n = sim.grid_px();
+    let mut gradient = Grid::new(n, n, T::ZERO);
+    let report = evaluate_cost(
+        sim,
+        mask,
+        target,
+        w_pvb,
+        &mut Grid::new(n, n, T::ZERO),
+        Some(&mut gradient),
+    );
+    (report, gradient)
 }
 
 /// Evaluates the total cost `L` only (no adjoint pass), used by line
 /// searches and for the optimizer's final iterate. On the accelerated
 /// backend at the ICCAD corners it runs 3 full-size transforms (one
 /// mask forward and one finishing inverse per focus) where
-/// [`cost_and_gradient`] runs 7, and no sensitivity grid is built.
+/// [`cost_and_gradient`] runs 7. A one-shot wrapper over
+/// [`evaluate_cost`] that allocates its own image buffer.
 ///
 /// # Panics
 ///
@@ -99,20 +111,47 @@ pub fn cost_only<T: Scalar>(
     target: &Grid<T>,
     w_pvb: f64,
 ) -> CostReport {
-    let _span = lsopc_trace::span!("litho.cost_only");
-    evaluate(sim, mask, target, w_pvb, false).0
+    let n = sim.grid_px();
+    evaluate_cost(
+        sim,
+        mask,
+        target,
+        w_pvb,
+        &mut Grid::new(n, n, T::ZERO),
+        None,
+    )
 }
 
-/// The paper's cost at PV-band weight `w_pvb`: the nominal corner at
+/// The paper's cost at PV-band weight `w_pvb` — the nominal corner at
 /// weight 1, then the inner and outer corners at `w_pvb` (left out when
-/// it is 0). The fault hook, when installed, sees every evaluation.
-fn evaluate<T: Scalar>(
+/// it is 0) — in buffers the caller owns, so an optimizer loop that
+/// keeps them allocates nothing grid-sized per evaluation.
+///
+/// `image` takes each focus's aerial image and then its sensitivity and
+/// adjoint; with `gradient`, the cost's mask gradient is written there
+/// (the grid is zeroed first, so no earlier contents survive), and
+/// without it the evaluation is cost-only. It runs inside a
+/// `litho.cost_and_gradient` or `litho.cost_only` span, and the fault
+/// hook, when installed, sees every evaluation. [`cost_and_gradient`]
+/// and [`cost_only`] are this path with fresh buffers.
+///
+/// # Panics
+///
+/// Panics if the mask, target or a buffer does not match the simulator
+/// grid, or if `w_pvb` is negative.
+pub fn evaluate_cost<T: Scalar>(
     sim: &LithoSimulator<T>,
     mask: &Grid<T>,
     target: &Grid<T>,
     w_pvb: f64,
-    with_gradient: bool,
-) -> (CostReport, Option<Grid<T>>) {
+    image: &mut Grid<T>,
+    mut gradient: Option<&mut Grid<T>>,
+) -> CostReport {
+    let _span = lsopc_trace::span!(if gradient.is_some() {
+        "litho.cost_and_gradient"
+    } else {
+        "litho.cost_only"
+    });
     assert!(w_pvb >= 0.0, "w_pvb must be non-negative");
     let corners = sim.corners();
     let mut weighted = vec![WeightedCorner {
@@ -127,114 +166,127 @@ fn evaluate<T: Scalar>(
             }),
         );
     }
-    let (residuals, gradient) = evaluate_corners(sim, mask, target, &weighted, with_gradient);
+    // The fault hook, when compiled in, reads the gradient after the
+    // corners have written it, so the corners get a reborrow.
+    let residuals = match &mut gradient {
+        Some(gradient) => evaluate_corners(sim, mask, target, &weighted, image, Some(gradient)),
+        None => evaluate_corners(sim, mask, target, &weighted, image, None),
+    };
     let report = CostReport {
         nominal: residuals[0],
         pvb: residuals[1..].iter().fold(0.0, |sum, r| sum + r),
         w_pvb,
     };
     #[cfg(feature = "fault-injection")]
-    let (report, gradient) = sim.apply_fault(report, gradient);
-    (report, gradient)
+    let report = sim.apply_fault(report, gradient);
+    report
 }
 
-/// Evaluates a list of weighted process corners focus by focus.
+/// Evaluates a list of weighted process corners focus by focus, in
+/// buffers the caller owns.
 ///
 /// Corners whose defocus selects the same kernel set share one aerial
 /// image; each applies the resist at its own dose (dose enters only the
 /// resist, Eq. (8)). Per corner this gives the sigmoid print `R`, the
-/// residual `‖R − R*‖²` and, with `with_gradient`, the sensitivity
-/// `z = 2w·(R − R*)·dR/dI = ∂(w‖R − R*‖²)/∂I`, all in one loop over the
-/// image that stores no print. The backend's adjoint map (Eq. (11)) is
-/// linear in `z`, so the sensitivities of one focus are summed and
-/// mapped back in a single gradient pass. An evaluation thus runs one aerial pass,
-/// and at most one gradient pass, per distinct focus: two of each on the
-/// ICCAD corners, whose outer corner is in focus. The whole evaluation is
-/// one [`SimBackend::evaluate`](crate::SimBackend::evaluate) call.
+/// residual `‖R − R*‖²` and, with a `gradient`, the sensitivity
+/// `z = 2w·(R − R*)·dR/dI = ∂(w‖R − R*‖²)/∂I`, all in one pixel-major
+/// pass over the focus's image that stores no print and writes the
+/// focus's summed sensitivity over the image. The backend's adjoint map
+/// (Eq. (11)) is linear in `z`, so the sensitivities of one focus are
+/// mapped back in a single gradient pass. An evaluation thus runs one
+/// aerial pass, and at most one gradient pass, per distinct focus: two
+/// of each on the ICCAD corners, whose outer corner is in focus. The
+/// whole evaluation is one
+/// [`SimBackend::evaluate`](crate::SimBackend::evaluate) call, in
+/// `image` and `gradient`.
 ///
 /// Returns each corner's unweighted residual, in the order of
-/// `corners`, and, with `with_gradient`, the gradient of the weighted
-/// sum `Σ w·‖R − R*‖²`.
+/// `corners`; with `gradient`, the gradient of the weighted sum
+/// `Σ w·‖R − R*‖²` is written there (the grid is zeroed first).
 ///
 /// # Panics
 ///
-/// Panics if the mask or target dimensions do not match the simulator
+/// Panics if the mask, target or a buffer does not match the simulator
 /// grid.
 pub fn evaluate_corners<T: Scalar>(
     sim: &LithoSimulator<T>,
     mask: &Grid<T>,
     target: &Grid<T>,
     corners: &[WeightedCorner],
-    with_gradient: bool,
-) -> (Vec<f64>, Option<Grid<T>>) {
+    image: &mut Grid<T>,
+    mut gradient: Option<&mut Grid<T>>,
+) -> Vec<f64> {
     assert_eq!(
         mask.dims(),
         target.dims(),
         "mask and target dimensions must match"
     );
     let resist = sim.resist();
-    let n = sim.grid_px();
     let groups = focus_groups(sim, corners.iter().map(|c| c.condition));
     let foci: Vec<&KernelSet<T>> = groups.iter().map(|(kernels, _)| kernels.as_ref()).collect();
     let mut residuals = vec![0.0; corners.len()];
-    let mut gradient = with_gradient.then(|| Grid::new(n, n, T::ZERO));
-    let mut on_image = |f: usize, image: &Grid<T>| {
-        let mut z = None;
-        for &i in &groups[f].1 {
-            let WeightedCorner { condition, weight } = corners[i];
-            let sensitivity = with_gradient.then(|| (T::from_f64(2.0 * weight), &mut z));
-            residuals[i] = corner_pass(resist, image, target, condition.dose, sensitivity);
+    let with_gradient = gradient.is_some();
+    if let Some(gradient) = gradient.as_deref_mut() {
+        assert_eq!(
+            gradient.dims(),
+            mask.dims(),
+            "gradient and mask dimensions must match"
+        );
+        gradient.fill(T::ZERO);
+    }
+    let mut on_image = |f: usize, image: &mut Grid<T>| {
+        let members = &groups[f].1;
+        let doses: Vec<(f64, T)> = members
+            .iter()
+            .map(|&i| {
+                let WeightedCorner { condition, weight } = corners[i];
+                (condition.dose, T::from_f64(2.0 * weight))
+            })
+            .collect();
+        let sums = resist_pass(resist, image, target, &doses, with_gradient);
+        for (&i, sum) in members.iter().zip(sums) {
+            residuals[i] = sum.to_f64();
         }
-        z
+        with_gradient
     };
     sim.backend()
-        .evaluate(&foci, mask, &mut on_image, gradient.as_mut());
-    (residuals, gradient)
+        .evaluate(&foci, mask, image, &mut on_image, gradient);
+    residuals
 }
 
-/// One corner's resist pass over its focus's aerial image, fused into a
-/// single loop: the sigmoid print `R` at `dose`, the residual
-/// `‖R − R*‖²` (returned) and, given `(2w, z)`, the sensitivity
-/// `2w·(R − R*)·dR/dI`, which the focus's first corner writes into `z`
-/// and later corners add to it. No print or per-corner sensitivity grid
-/// is stored.
-fn corner_pass<T: Scalar>(
+/// One focus's resist pass over its aerial image in `image`, fused into a
+/// single pixel-major loop over the focus's corners `(dose, 2w)`: per
+/// corner the sigmoid print `R` at its dose and the residual `‖R − R*‖²`
+/// (returned, in corner order) and, with `with_gradient`, the summed
+/// sensitivity `Σ 2w·(R − R*)·dR/dI` written over the pixel — the first
+/// corner's term, then each later corner's added to it. No print or
+/// per-corner sensitivity grid is stored.
+fn resist_pass<T: Scalar>(
     resist: ResistModel,
-    image: &Grid<T>,
+    image: &mut Grid<T>,
     target: &Grid<T>,
-    dose: f64,
-    sensitivity: Option<(T, &mut Option<Grid<T>>)>,
-) -> f64 {
-    // The residual accumulates in `T` (at `f64` this is the exact sum);
-    // the residuals themselves are always `f64`.
-    let mut sum = T::ZERO;
-    let mut develop = |i: T, t: T| {
-        let r = resist.develop_soft_t(i, dose);
-        sum += (r - t) * (r - t);
-        r
-    };
-    let pixels = image.as_slice().iter().zip(target.as_slice());
-    match sensitivity {
-        None => pixels.for_each(|(&i, &t)| {
-            develop(i, t);
-        }),
-        Some((two_w, z)) => {
-            // z = ∂(w·‖R − R*‖²)/∂I = 2w·(R − R*)·dR/dI.
-            let dz = |r: T, t: T| two_w * (r - t) * resist.soft_derivative_t(r, dose);
-            match z {
-                Some(z) => {
-                    for ((&i, &t), zv) in pixels.zip(z.as_mut_slice()) {
-                        *zv += dz(develop(i, t), t);
-                    }
-                }
-                None => {
-                    let values = pixels.map(|(&i, &t)| dz(develop(i, t), t)).collect();
-                    *z = Some(Grid::from_vec(image.width(), image.height(), values));
-                }
+    corners: &[(f64, T)],
+    with_gradient: bool,
+) -> Vec<T> {
+    // The residuals accumulate in `T` (at `f64` this is the exact sum).
+    let mut sums = vec![T::ZERO; corners.len()];
+    for (pixel, &t) in image.as_mut_slice().iter_mut().zip(target.as_slice()) {
+        let i = *pixel;
+        let mut z = T::ZERO;
+        for (c, (sum, &(dose, two_w))) in sums.iter_mut().zip(corners).enumerate() {
+            let r = resist.develop_soft_t(i, dose);
+            *sum += (r - t) * (r - t);
+            if with_gradient {
+                // z = ∂(w·‖R − R*‖²)/∂I = 2w·(R − R*)·dR/dI.
+                let dz = two_w * (r - t) * resist.soft_derivative_t(r, dose);
+                z = if c == 0 { dz } else { z + dz };
             }
         }
+        if with_gradient {
+            *pixel = z;
+        }
     }
-    sum.to_f64()
+    sums
 }
 
 /// The distinct kernel sets that `conditions` select, in order of first
@@ -389,16 +441,27 @@ mod tests {
             corner(iccad.inner.defocus_nm, iccad.inner.dose, 0.7),
             corner(iccad.outer.defocus_nm, iccad.outer.dose, 0.7),
         ];
+        let evaluate = |corners: &[WeightedCorner]| {
+            let mut gradient = Grid::new(32, 32, f64::NAN);
+            let mut image = Grid::new(32, 32, f64::NAN);
+            let residuals = evaluate_corners(
+                &sim,
+                &mask,
+                &target,
+                corners,
+                &mut image,
+                Some(&mut gradient),
+            );
+            (residuals, gradient)
+        };
         for (corners, foci) in [(three_foci, 3), (two_foci, 2)] {
-            let ((residuals, gradient), aerial, adjoint) =
-                count_passes(|| evaluate_corners(&sim, &mask, &target, &corners, true));
+            let ((residuals, gradient), aerial, adjoint) = count_passes(|| evaluate(&corners));
             assert_eq!((aerial, adjoint), (foci, foci), "{foci} foci");
-            let gradient = gradient.expect("a gradient was asked for");
             let mut per_corner = Grid::new(32, 32, 0.0);
             for (c, &residual) in corners.iter().zip(&residuals) {
-                let (alone, g) = evaluate_corners(&sim, &mask, &target, &[*c], true);
+                let (alone, g) = evaluate(&[*c]);
                 assert_eq!(residual, alone[0], "{c:?}");
-                add_into(&mut per_corner, &g.expect("a gradient was asked for"));
+                add_into(&mut per_corner, &g);
             }
             let scale = lsopc_grid::max_abs(&per_corner);
             assert!(scale > 0.0);

@@ -124,7 +124,9 @@ impl<T: Scalar> fmt::Debug for LithoSimulator<T> {
 impl<T: Scalar> LithoSimulator<T> {
     /// Builds a simulator over a `grid_px x grid_px` field with square
     /// pixels of `pixel_nm`. The optics' field period is set to
-    /// `grid_px · pixel_nm`. Uses the [`FftBackend`] by default.
+    /// `grid_px · pixel_nm`. Uses the [`FftBackend`] by default, on a
+    /// fresh plan cache of the simulator's own that builds each plan on
+    /// first use (see [`Self::with_caches`]).
     ///
     /// # Errors
     ///
@@ -147,22 +149,25 @@ impl<T: Scalar> LithoSimulator<T> {
         if grid_px < required {
             return Err(BuildSimulatorError::GridTooSmall { grid_px, required });
         }
-        // The simulator owns a fresh plan cache, which `with_caches`
-        // shares with the backend and pre-warms.
+        // The simulator owns a fresh plan cache and shares it with its
+        // backend. Nothing is planned here: a simulator that keeps this
+        // cache plans on first use, and `with_caches` pre-warms the cache
+        // it injects, so no plan is built on a cache that is dropped.
         let caches = SimCaches::default();
+        let mut backend: Box<dyn SimBackend<T>> = Box::new(FftBackend::new());
+        backend.set_caches(&caches);
         Ok(Self {
             optics,
             grid_px,
             pixel_nm,
             resist: ResistModel::iccad2013(),
             corners: ProcessCorners::iccad2013(),
-            backend: Box::new(FftBackend::new()),
-            caches: caches.clone(),
+            backend,
+            caches,
             kernel_cache: RwLock::new(HashMap::new()),
             #[cfg(feature = "fault-injection")]
             fault: None,
-        }
-        .with_caches(caches))
+        })
     }
 
     /// Installs a [`FaultInjector`](crate::FaultInjector) invoked after
@@ -182,15 +187,16 @@ impl<T: Scalar> LithoSimulator<T> {
     }
 
     /// Runs the installed fault injector (if any) against one evaluation;
-    /// `gradient` is `None` for a cost-only evaluation.
+    /// `gradient` is `None` for a cost-only evaluation and is corrupted
+    /// in place.
     #[cfg(feature = "fault-injection")]
     pub(crate) fn apply_fault(
         &self,
         mut report: crate::CostReport,
-        gradient: Option<Grid<T>>,
-    ) -> (crate::CostReport, Option<Grid<T>>) {
+        gradient: Option<&mut Grid<T>>,
+    ) -> crate::CostReport {
         let Some(hook) = &self.fault else {
-            return (report, gradient);
+            return report;
         };
         let call = hook
             .calls
@@ -199,9 +205,14 @@ impl<T: Scalar> LithoSimulator<T> {
         // The injector API is `f64` (object-safe); round-trip the
         // gradient through `f64`. At `T = f64` both casts are the
         // identity, so the hook sees and writes the exact values.
-        let mut g64 = gradient.map(|g| g.map(|v| v.to_f64()));
+        let mut g64 = gradient.as_deref().map(|g| g.map(|v| v.to_f64()));
         hook.injector.inject(call, &mut report, g64.as_mut());
-        (report, g64.map(|g| g.map(|&v| T::from_f64(v))))
+        if let (Some(gradient), Some(g64)) = (gradient, g64) {
+            for (g, &v) in gradient.as_mut_slice().iter_mut().zip(g64.as_slice()) {
+                *g = T::from_f64(v);
+            }
+        }
+        report
     }
 
     /// Replaces the compute backend. The simulator's cache handles (see
@@ -216,7 +227,8 @@ impl<T: Scalar> LithoSimulator<T> {
     /// Replaces the simulator's plan cache, in the simulator and its
     /// backend, with a shared one. Each simulator starts with a fresh
     /// cache of its own; multi-job hosts pass one [`SimCaches`] clone per
-    /// simulator to amortize plans across submissions.
+    /// simulator to amortize plans across submissions. The injected cache
+    /// gets the simulator's real-input plan now, if it lacks it.
     pub fn with_caches(mut self, caches: SimCaches) -> Self {
         // Pre-warm the real-input plan every backend fetches for the mask
         // spectrum, so the first simulation call pays no planning.
@@ -354,13 +366,15 @@ impl<T: Scalar> LithoSimulator<T> {
         let groups = crate::cost::focus_groups(self, corners);
         let foci: Vec<&KernelSet<T>> = groups.iter().map(|(kernels, _)| kernels.as_ref()).collect();
         let mut by_corner = [None, None, None];
-        let mut on_image = |f: usize, image: &Grid<T>| {
+        let mut on_image = |f: usize, image: &mut Grid<T>| {
             for &i in &groups[f].1 {
                 by_corner[i] = Some(self.resist.print(image, corners[i].dose));
             }
-            None
+            false
         };
-        self.backend.evaluate(&foci, mask, &mut on_image, None);
+        let mut image = Grid::new(self.grid_px, self.grid_px, T::ZERO);
+        self.backend
+            .evaluate(&foci, mask, &mut image, &mut on_image, None);
         let [nominal, inner, outer] = by_corner.map(|p| p.expect("every corner is printed"));
         PrintedCorners {
             nominal,
@@ -483,6 +497,32 @@ mod tests {
         let a = cpu.print(&mask, ProcessCondition::NOMINAL);
         let b = gpu.print(&mask, ProcessCondition::NOMINAL);
         assert_eq!(a, b);
+    }
+
+    #[test]
+    fn a_simulator_plans_only_on_the_cache_it_uses() {
+        // `from_optics(..).with_caches(c)` builds the real-input plan on
+        // `c` if it is cold and on no other cache, and builds none if
+        // `c` is warm.
+        let build_on = |caches: &SimCaches| {
+            let registry = Arc::new(lsopc_trace::MetricsRegistry::new());
+            lsopc_trace::with_scoped_sink(registry.clone(), || {
+                LithoSimulator::<f64>::from_optics(
+                    &OpticsConfig::iccad2013().with_kernel_count(4),
+                    64,
+                    4.0,
+                )
+                .expect("valid configuration")
+                .with_caches(caches.clone())
+            });
+            (
+                registry.counter("cache.rplan.miss"),
+                registry.counter("cache.rplan.hit"),
+            )
+        };
+        let caches = SimCaches::private();
+        assert_eq!(build_on(&caches), (1, 0), "a cold cache: one build");
+        assert_eq!(build_on(&caches), (0, 1), "a warm cache: no build");
     }
 
     #[test]

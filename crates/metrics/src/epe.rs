@@ -36,7 +36,7 @@ pub struct EpeReport {
 /// ```
 /// use lsopc_metrics::EpeChecker;
 /// let checker = EpeChecker::iccad2013();
-/// assert_eq!(checker.threshold_nm(), 15.0);
+/// assert_eq!(checker.spacing_nm(), 40.0);
 /// ```
 #[derive(Copy, Clone, Debug, PartialEq)]
 pub struct EpeChecker {
@@ -74,16 +74,6 @@ impl EpeChecker {
     /// Probe spacing in nm.
     pub fn spacing_nm(&self) -> f64 {
         self.spacing_nm
-    }
-
-    /// Violation threshold `th_EPE` in nm.
-    pub fn threshold_nm(&self) -> f64 {
-        self.threshold_nm
-    }
-
-    /// How far along the normal the printed contour is searched, in nm.
-    pub fn search_nm(&self) -> f64 {
-        self.search_nm
     }
 
     /// Measures the EPE of a printed (hard-thresholded) image against the

@@ -72,8 +72,9 @@ LSOPC_THREADS=4 cargo test -q --test precision_tolerance
 echo "==> transform suite (real-input FFT vs dense oracle + golden hashes)"
 # The half-spectrum transform every backend runs must match the dense
 # complex oracle and stay bit-identical across thread counts, and its
-# band-limited forward/inverse (the accelerated backend's full-size
-# transforms) must match the full transforms bit for bit. The f64
+# band-limited forward/inverse on spectra that store only the band's
+# columns (the accelerated backend's full-size transforms) must match
+# the full transforms bit for bit. The f64
 # pipeline (golden_f64, FftBackend) and the engine's production path
 # (golden_engine, AcceleratedBackend at f64 and f32, flat and tiled)
 # must keep their pinned golden hashes at both pool sizes.
@@ -82,6 +83,16 @@ LSOPC_THREADS=4 cargo test -q -p lsopc-fft --test proptest_rfft
 LSOPC_THREADS=4 cargo test -q -p lsopc-core --test golden_f64
 LSOPC_THREADS=1 cargo test -q --test golden_engine
 LSOPC_THREADS=4 cargo test -q --test golden_engine
+
+echo "==> allocation gate (no grid-sized allocation in a steady-state iteration)"
+# A counting global allocator counts the allocations of at least half a
+# grid while Engine::submit runs a flat 256²/K=24 job at f64 and f32: a
+# job of N iterations and one of N + 2 must count the same, so a
+# per-iteration clone, a full-width spectrum or a fresh image buffer
+# fails it. The pool's workers allocate for the job too, so both pool
+# sizes run.
+LSOPC_THREADS=1 cargo test -q --test allocations
+LSOPC_THREADS=4 cargo test -q --test allocations
 
 echo "==> warm-start suite (fingerprint invariance + thread determinism)"
 # The coarse-to-fine schedule and the warm-start cache must keep the

@@ -526,22 +526,30 @@ where
 /// The images `backend.evaluate` hands to its callback and, with
 /// `with_gradient`, the gradient it returns. The callback derives each
 /// focus's sensitivity from its image (as the cost's resist pass does)
-/// and returns none for the second focus of three.
+/// and writes it over the image buffer, except at the second focus of
+/// three, where it asks for no gradient pass. The image buffer starts
+/// as NaN, so an image that is not fully written shows.
 fn evaluation<T: Scalar>(
     backend: &dyn SimBackend<T>,
     foci: &[&KernelSet<T>],
     mask: &Grid<T>,
     with_gradient: bool,
 ) -> (Vec<Grid<T>>, Option<Grid<T>>) {
+    let (w, h) = mask.dims();
     let mut images = Vec::new();
-    let mut gradient = with_gradient.then(|| Grid::new(mask.width(), mask.height(), T::ZERO));
+    let mut gradient = with_gradient.then(|| Grid::new(w, h, T::ZERO));
+    let mut image = Grid::new(w, h, T::from_f64(f64::NAN));
     let threshold = T::from_f64(0.225);
     let skip = (foci.len() == 3).then_some(1);
-    let mut on_image = |f: usize, image: &Grid<T>| {
+    let mut on_image = |f: usize, image: &mut Grid<T>| {
         images.push(image.clone());
-        (skip != Some(f)).then(|| image.map(|&v| (v - threshold) * v))
+        if skip == Some(f) {
+            return false;
+        }
+        image.apply(|v| *v = (*v - threshold) * *v);
+        true
     };
-    backend.evaluate(foci, mask, &mut on_image, gradient.as_mut());
+    backend.evaluate(foci, mask, &mut image, &mut on_image, gradient.as_mut());
     (images, gradient)
 }
 
