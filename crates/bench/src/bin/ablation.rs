@@ -1,13 +1,10 @@
 //! Ablation experiments beyond the paper's tables, pinning its design
 //! choices:
 //!
-//! * evolution schemes: PRP conjugate gradient (Section III-C claim) vs
-//!   plain descent vs heavy-ball momentum;
+//! * PRP conjugate gradient (Section III-C claim) vs plain descent;
 //! * `w_pvb` sweep (Section III-B trade-off between EPE and PVB);
 //! * the Eq. (17) fused-kernel approximation error (DESIGN.md §7);
-//! * the extensions: curvature regularization, backtracking line search,
-//!   narrow-band evolution, SRAF seeding, and mask-complexity of
-//!   level-set vs pixel-ILT masks.
+//! * mask complexity of level-set vs pixel-ILT masks (paper §I).
 //!
 //! ```text
 //! cargo run -p lsopc-bench --release --bin ablation [--grid 512] [--cases 1]
@@ -19,8 +16,7 @@ use lsopc_baselines::{MaskOptimizer, PixelIlt, PixelIltMode};
 use lsopc_bench::runner::init_from_args;
 use lsopc_bench::Method;
 use lsopc_benchsuite::Iccad2013Suite;
-use lsopc_core::sraf::{seed_srafs, SrafRule};
-use lsopc_core::{Evolution, LevelSetIlt};
+use lsopc_core::LevelSetIlt;
 use lsopc_geometry::rasterize;
 use lsopc_litho::{fused_aerial_image, ProcessCondition};
 use lsopc_metrics::{evaluate_mask, MaskComplexity};
@@ -42,58 +38,24 @@ fn main() {
 
     eprintln!("ablation: case {}, grid {} px", case.name, cfg.grid_px);
 
-    // ---- 1. Evolution schemes: PRP CG vs plain vs heavy-ball -------------
-    for (variant, evolution) in [
-        ("prp-cg", Evolution::PrpConjugateGradient),
-        ("plain", Evolution::Plain),
-        ("heavy-ball", Evolution::HeavyBall { beta: 0.5 }),
-    ] {
+    // ---- 1. Evolution: PRP CG vs plain descent -----------------------------
+    for (variant, cg) in [("prp-cg", true), ("plain", false)] {
         let result = LevelSetIlt::builder()
             .max_iterations(cfg.levelset_iterations)
-            .evolution(evolution)
+            .conjugate_gradient(cg)
             .build()
             .optimize(&sim, &target)
             .expect("well-formed target");
         let eval = evaluate_mask(&sim, &result.mask, &layout, &target);
         let final_cost = result.final_cost();
         println!(
-            "evolution / {variant:<10}: final cost {final_cost:>10.2}, #EPE {:>3}, PVB {:>9.0}",
+            "evolution / {variant:<6}: final cost {final_cost:>10.2}, #EPE {:>3}, PVB {:>9.0}",
             eval.epe.violations, eval.pvb_area_nm2
         );
         let _ = writeln!(
             csv,
             "evolution,{variant},{final_cost:.3},{},{:.0},{:.3}",
             eval.epe.violations, eval.pvb_area_nm2, result.runtime_s
-        );
-    }
-
-    // ---- 1b. Line search and narrow band (extensions) ---------------------
-    for (variant, line_search, band) in [
-        ("baseline", false, 0.0),
-        ("line-search", true, 0.0),
-        ("narrow-band6", false, 6.0),
-    ] {
-        let result = LevelSetIlt::builder()
-            .max_iterations(cfg.levelset_iterations)
-            .line_search(line_search)
-            .narrow_band(band)
-            .build()
-            .optimize(&sim, &target)
-            .expect("well-formed target");
-        let eval = evaluate_mask(&sim, &result.mask, &layout, &target);
-        println!(
-            "stabilizers / {variant:<12}: final cost {:>10.2}, #EPE {:>3}, rt {:.2}s",
-            result.final_cost(),
-            eval.epe.violations,
-            result.runtime_s
-        );
-        let _ = writeln!(
-            csv,
-            "stabilizers,{variant},{:.3},{},{:.0},{:.3}",
-            result.final_cost(),
-            eval.epe.violations,
-            eval.pvb_area_nm2,
-            result.runtime_s
         );
     }
 
@@ -120,31 +82,7 @@ fn main() {
         );
     }
 
-    // ---- 3. Curvature regularization (extension) ---------------------------
-    for w in [0.0, 0.5] {
-        let result = LevelSetIlt::builder()
-            .max_iterations(cfg.levelset_iterations)
-            .curvature_weight(w)
-            .build()
-            .optimize(&sim, &target)
-            .expect("well-formed target");
-        let eval = evaluate_mask(&sim, &result.mask, &layout, &target);
-        println!(
-            "curvature / {w:<4}: final cost {:>10.2}, #EPE {:>3}",
-            result.final_cost(),
-            eval.epe.violations
-        );
-        let _ = writeln!(
-            csv,
-            "curvature,{w},{:.3},{},{:.0},{:.3}",
-            result.final_cost(),
-            eval.epe.violations,
-            eval.pvb_area_nm2,
-            result.runtime_s
-        );
-    }
-
-    // ---- 4. Eq. (17) fused-kernel approximation error ----------------------
+    // ---- 3. Eq. (17) fused-kernel approximation error ----------------------
     let kernels = sim.kernels_for(ProcessCondition::NOMINAL.defocus_nm);
     let exact = sim.aerial(&target, ProcessCondition::NOMINAL);
     let fused = fused_aerial_image(&kernels, &target);
@@ -162,38 +100,7 @@ fn main() {
     let _ = writeln!(csv, "fused_kernel,rel_l2,{rel:.6},0,0,0");
     let _ = writeln!(csv, "fused_kernel,max_abs,{max_err:.6},0,0,0");
 
-    // ---- 5. SRAF seeding (extension) --------------------------------------
-    {
-        let plain_eval = {
-            let result = LevelSetIlt::builder()
-                .max_iterations(cfg.levelset_iterations)
-                .build()
-                .optimize(&sim, &target)
-                .expect("well-formed target");
-            evaluate_mask(&sim, &result.mask, &layout, &target)
-        };
-        let seeded_target = seed_srafs(&target, SrafRule::iccad2013_4nm());
-        // Seed, then let the optimizer refine from the seeded state by
-        // evaluating the seeded mask directly (seeding alone) — the
-        // optimizer path starts from the target by design.
-        let seeded_eval = evaluate_mask(&sim, &seeded_target, &layout, &target);
-        println!(
-            "sraf seeding: PVB {:.0} -> {:.0} nm² (optimized-no-sraf vs seeded-unoptimized)",
-            plain_eval.pvb_area_nm2, seeded_eval.pvb_area_nm2
-        );
-        let _ = writeln!(
-            csv,
-            "sraf,optimized_no_sraf,0,{},{:.0},0",
-            plain_eval.epe.violations, plain_eval.pvb_area_nm2
-        );
-        let _ = writeln!(
-            csv,
-            "sraf,seeded_unoptimized,0,{},{:.0},0",
-            seeded_eval.epe.violations, seeded_eval.pvb_area_nm2
-        );
-    }
-
-    // ---- 6. Mask complexity: level-set vs pixel ILT -----------------------
+    // ---- 4. Mask complexity: level-set vs pixel ILT -----------------------
     {
         let ls = LevelSetIlt::builder()
             .max_iterations(cfg.levelset_iterations)
@@ -207,7 +114,9 @@ fn main() {
         let c_ls = MaskComplexity::measure(&ls.mask);
         let c_px = MaskComplexity::measure(&px.mask);
         println!(
-            "mask complexity: level-set {} fragments / jaggedness {:.2};              pixel-ilt {} fragments / jaggedness {:.2}              (paper §I: level-set suppresses irregularity)",
+            "mask complexity: level-set {} fragments / jaggedness {:.2}; \
+             pixel-ilt {} fragments / jaggedness {:.2} \
+             (paper §I: level-set suppresses irregularity)",
             c_ls.fragments, c_ls.jaggedness, c_px.fragments, c_px.jaggedness
         );
         let _ = writeln!(

@@ -21,12 +21,10 @@
 #![warn(missing_docs)]
 
 mod cases;
-mod contacts;
 mod generator;
 mod repeated;
 
 pub use cases::{CaseSpec, FIELD_NM, PAPER_PATTERN_AREAS};
-pub use contacts::ContactArraySpec;
 pub use generator::generate_layout;
 pub use repeated::RepeatedTileSpec;
 

@@ -7,8 +7,7 @@
 //! stamped on a regular `cell_nm` grid, so every tile of a [`TiledIlt`]
 //! run whose core matches the cell period sees *identical* content up to
 //! whole-pixel translation — a 100 % cache-hit workload after the first
-//! tile. Real layouts sit between this and the fully irregular
-//! [`ContactArraySpec`](crate::ContactArraySpec) case.
+//! tile. Real layouts sit between this and a fully irregular layout.
 
 use crate::{CaseSpec, FIELD_NM};
 use lsopc_geometry::{Layout, Rect, Shape};

@@ -2,21 +2,6 @@
 
 use crate::{RecoveryPolicy, ResolutionSchedule};
 
-/// How successive evolution velocities are combined (paper Eq. (15)).
-#[derive(Copy, Clone, Debug, PartialEq)]
-pub enum Evolution {
-    /// Pure steepest descent: `v_i = −g_i`.
-    Plain,
-    /// The paper's Polak–Ribière–Polyak conjugate gradient (Eq. (15)–(16)).
-    PrpConjugateGradient,
-    /// Heavy-ball momentum with a fixed coefficient: `v_i = −g_i + β·v_{i−1}`
-    /// (an alternative "momentum-based evolution" for the ablation study).
-    HeavyBall {
-        /// Momentum coefficient in `[0, 1)`.
-        beta: f64,
-    },
-}
-
 /// The level-set ILT optimizer (paper Algorithm 1), configured through
 /// [`LevelSetIlt::builder`].
 ///
@@ -36,13 +21,9 @@ pub enum Evolution {
 pub struct LevelSetIlt {
     pub(crate) max_iterations: usize,
     pub(crate) velocity_tolerance: f64,
-    pub(crate) lambda_t: f64,
     pub(crate) w_pvb: f64,
-    pub(crate) evolution: Evolution,
-    pub(crate) curvature_weight: f64,
+    pub(crate) conjugate_gradient: bool,
     pub(crate) snapshot_interval: usize,
-    pub(crate) narrow_band: f64,
-    pub(crate) line_search: bool,
     pub(crate) recovery: RecoveryPolicy,
     pub(crate) schedule: Option<ResolutionSchedule>,
 }
@@ -63,11 +44,6 @@ impl LevelSetIlt {
         self.velocity_tolerance
     }
 
-    /// Time-step scale `λ_t` (`Δt = λ_t / max|v|`).
-    pub fn lambda_t(&self) -> f64 {
-        self.lambda_t
-    }
-
     /// Process-variation weight `w_pvb` (paper Eq. (13)).
     pub fn pvb_weight(&self) -> f64 {
         self.w_pvb
@@ -75,28 +51,7 @@ impl LevelSetIlt {
 
     /// Whether the PRP conjugate-gradient rule is applied.
     pub fn conjugate_gradient(&self) -> bool {
-        self.evolution == Evolution::PrpConjugateGradient
-    }
-
-    /// The velocity-combination scheme.
-    pub fn evolution(&self) -> Evolution {
-        self.evolution
-    }
-
-    /// Narrow-band half-width in pixels (0 = full-grid evolution).
-    pub fn narrow_band(&self) -> f64 {
-        self.narrow_band
-    }
-
-    /// Whether backtracking line search on the time step is enabled.
-    pub fn line_search(&self) -> bool {
-        self.line_search
-    }
-
-    /// Weight of the optional curvature smoothing term (0 = off; this is
-    /// an extension beyond the paper).
-    pub fn curvature_weight(&self) -> f64 {
-        self.curvature_weight
+        self.conjugate_gradient
     }
 
     /// Iterations between mask snapshots in the result (0 = none).
@@ -131,21 +86,18 @@ pub struct LevelSetIltBuilder {
 
 impl LevelSetIltBuilder {
     /// Creates a builder with the defaults used in our experiments:
-    /// `N = 50`, `ε = 1e−4`, `λ_t = 1`, `w_pvb = 1`, CG on, no curvature
-    /// term. The level set always advects with the Godunov upwind |∇ψ|
-    /// and is reinitialized to a signed distance every 10 iterations.
+    /// `N = 50`, `ε = 1e−4`, `w_pvb = 1`, CG on. The time step is the
+    /// paper's `Δt = λ_t / max|v|` with `λ_t = 1`; the level set always
+    /// advects with the Godunov upwind |∇ψ| and is reinitialized to a
+    /// signed distance every 10 iterations.
     pub fn new() -> Self {
         Self {
             inner: LevelSetIlt {
                 max_iterations: 50,
                 velocity_tolerance: 1e-4,
-                lambda_t: 1.0,
                 w_pvb: 1.0,
-                evolution: Evolution::PrpConjugateGradient,
-                curvature_weight: 0.0,
+                conjugate_gradient: true,
                 snapshot_interval: 0,
-                narrow_band: 0.0,
-                line_search: false,
                 recovery: RecoveryPolicy::Off,
                 schedule: None,
             },
@@ -174,18 +126,6 @@ impl LevelSetIltBuilder {
         self
     }
 
-    /// Sets the time-step scale `λ_t` (the peak per-iteration change of
-    /// `ψ`, in pixels).
-    ///
-    /// # Panics
-    ///
-    /// Panics unless positive.
-    pub fn lambda_t(mut self, lambda_t: f64) -> Self {
-        assert!(lambda_t > 0.0, "lambda_t must be positive");
-        self.inner.lambda_t = lambda_t;
-        self
-    }
-
     /// Sets the process-variation weight `w_pvb`.
     ///
     /// # Panics
@@ -197,61 +137,11 @@ impl LevelSetIltBuilder {
         self
     }
 
-    /// Enables or disables the PRP conjugate-gradient combination
-    /// (sugar over [`LevelSetIltBuilder::evolution`]).
+    /// Enables (the default) or disables the PRP conjugate-gradient
+    /// combination of Eq. (15)–(16); disabled, every iteration moves
+    /// along the plain gradient velocity.
     pub fn conjugate_gradient(mut self, enabled: bool) -> Self {
-        self.inner.evolution = if enabled {
-            Evolution::PrpConjugateGradient
-        } else {
-            Evolution::Plain
-        };
-        self
-    }
-
-    /// Selects the velocity-combination scheme explicitly.
-    ///
-    /// # Panics
-    ///
-    /// Panics if a heavy-ball coefficient is outside `[0, 1)`.
-    pub fn evolution(mut self, evolution: Evolution) -> Self {
-        if let Evolution::HeavyBall { beta } = evolution {
-            assert!((0.0..1.0).contains(&beta), "momentum must be in [0, 1)");
-        }
-        self.inner.evolution = evolution;
-        self
-    }
-
-    /// Enables backtracking line search: when a step increases the total
-    /// cost, the time step is halved (up to 3 times) before accepting.
-    /// Costs one extra forward simulation per backtrack (extension beyond
-    /// the paper, which relies on the CFL rule alone).
-    pub fn line_search(mut self, enabled: bool) -> Self {
-        self.inner.line_search = enabled;
-        self
-    }
-
-    /// Restricts the evolution to a narrow band of the given half-width
-    /// (pixels) around the contour; 0 disables (extension beyond the
-    /// paper).
-    ///
-    /// # Panics
-    ///
-    /// Panics if negative.
-    pub fn narrow_band(mut self, width_px: f64) -> Self {
-        assert!(width_px >= 0.0, "band width must be non-negative");
-        self.inner.narrow_band = width_px;
-        self
-    }
-
-    /// Sets the curvature smoothing weight (0 disables; extension beyond
-    /// the paper).
-    ///
-    /// # Panics
-    ///
-    /// Panics if negative.
-    pub fn curvature_weight(mut self, w: f64) -> Self {
-        assert!(w >= 0.0, "curvature weight must be non-negative");
-        self.inner.curvature_weight = w;
+        self.inner.conjugate_gradient = enabled;
         self
     }
 
@@ -302,7 +192,6 @@ mod tests {
         assert_eq!(opt.max_iterations(), 50);
         assert_eq!(opt.pvb_weight(), 1.0);
         assert!(opt.conjugate_gradient());
-        assert_eq!(opt.curvature_weight(), 0.0);
         assert_eq!(opt.recovery(), RecoveryPolicy::Off);
     }
 
@@ -319,18 +208,14 @@ mod tests {
         let opt = LevelSetIlt::builder()
             .max_iterations(5)
             .velocity_tolerance(0.01)
-            .lambda_t(2.0)
             .pvb_weight(0.3)
             .conjugate_gradient(false)
-            .curvature_weight(0.1)
             .snapshot_interval(2)
             .build();
         assert_eq!(opt.max_iterations(), 5);
         assert_eq!(opt.velocity_tolerance(), 0.01);
-        assert_eq!(opt.lambda_t(), 2.0);
         assert_eq!(opt.pvb_weight(), 0.3);
         assert!(!opt.conjugate_gradient());
-        assert_eq!(opt.curvature_weight(), 0.1);
         assert_eq!(opt.snapshot_interval(), 2);
     }
 

@@ -13,8 +13,8 @@
 //! 3. form the evolution velocity `v = −G·|∇ψ|` (Eq. (10)), optionally
 //!    combined with the previous velocity by the Polak–Ribière–Polyak
 //!    conjugate-gradient rule (Eq. (15)–(16));
-//! 4. advance `ψ ← ψ + v·Δt` with `Δt = λ_t / max|v|` and re-threshold the
-//!    mask (Eq. (6));
+//! 4. advance `ψ ← ψ + v·Δt` with `Δt = λ_t / max|v|`, `λ_t = 1`, and
+//!    re-threshold the mask (Eq. (6));
 //! 5. stop after `N` iterations or when `max|v| ≤ ε`.
 //!
 //! # Example
@@ -48,7 +48,6 @@
 #![warn(missing_docs)]
 
 pub mod cg;
-pub mod sraf;
 
 mod config;
 mod guard;
@@ -59,7 +58,7 @@ mod schedule;
 mod tiles;
 mod warmstart;
 
-pub use config::{Evolution, LevelSetIlt, LevelSetIltBuilder};
+pub use config::{LevelSetIlt, LevelSetIltBuilder};
 pub use guard::{GuardConfig, GuardEvent, GuardEventKind, RecoveryPolicy, SolverDiagnostics};
 pub use history::IterationRecord;
 pub use lsopc_parallel::{CancelToken, StopReason};

@@ -4,14 +4,13 @@ use crate::cg::prp_beta;
 use crate::guard::{contain_panic, BackoffOutcome, Health, HealthGuard};
 use crate::resume::{self, Checkpoint, CheckpointError, CoarseCarry, StageTag};
 use crate::{
-    Evolution, GuardEventKind, IterationRecord, LevelSetIlt, RecoveryPolicy, ResolutionSchedule,
-    RunControl, SolverDiagnostics, StopReason,
+    GuardEventKind, IterationRecord, LevelSetIlt, RecoveryPolicy, ResolutionSchedule, RunControl,
+    SolverDiagnostics, StopReason,
 };
 use lsopc_grid::{Grid, Scalar};
 use lsopc_levelset::{
-    curvature, evolve, godunov_velocity, gradient_magnitude, mask_from_levelset,
-    mask_from_levelset_into, reinitialize, signed_distance, upsample_levelset, NarrowBand,
-    SpeedScan,
+    evolve, godunov_velocity, mask_from_levelset, mask_from_levelset_into, reinitialize,
+    signed_distance, upsample_levelset, SpeedScan,
 };
 use lsopc_litho::{evaluate_cost, CostReport, LithoSimulator};
 use std::borrow::Cow;
@@ -21,6 +20,10 @@ use std::time::Instant;
 
 /// Iterations between signed-distance reinitializations of ψ.
 const REINIT_INTERVAL: usize = 10;
+
+/// The time-step scale `λ_t` of `Δt = λ_t / max|v|`: the peak change of
+/// ψ per iteration, in pixels.
+const LAMBDA_T: f64 = 1.0;
 
 /// Error returned by [`LevelSetIlt::optimize`].
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -782,9 +785,8 @@ impl LevelSetIlt {
     /// `state`, it holds every grid an iteration touches, so once the
     /// first iteration has allocated the CG pair and the best and guard
     /// ψ, an iteration allocates nothing grid-sized — except the
-    /// reinitialization every `REINIT_INTERVAL` iterations and the paths
-    /// that are off by default (line search, curvature, narrow band,
-    /// snapshots).
+    /// reinitialization every `REINIT_INTERVAL` iterations and, when
+    /// enabled, the snapshots.
     fn run<T: Scalar>(
         &self,
         sim: &LithoSimulator<T>,
@@ -857,9 +859,9 @@ impl LevelSetIlt {
         }
         // Effective λ_t: halved per guard backoff. With the guard off or
         // never triggered the scale is exactly 1.0, and the multiply
-        // reproduces `self.lambda_t` bit-for-bit.
+        // reproduces `LAMBDA_T` bit-for-bit.
         let lambda_scale = state.guard.as_ref().map_or(1.0, |g| g.lambda_scale);
-        let effective_lambda_t = self.lambda_t * lambda_scale;
+        let effective_lambda_t = LAMBDA_T * lambda_scale;
 
         // Lines 8–9: simulate, evaluate, back-propagate (Eq. (11)/(14)),
         // in the scratch buffers. The evaluation zeroes the gradient and
@@ -934,12 +936,10 @@ impl LevelSetIlt {
         // gradient-velocity g_i = G·|∇ψ|, which drives both the descent
         // direction and the PRP coefficient, over the gradient, and folds
         // the three sums of Eq. (16) in pixel order.
-        let has_prev_velocity = state.prev_velocity.is_some();
-        let g_prev = match self.evolution {
-            Evolution::PrpConjugateGradient if has_prev_velocity => {
-                state.prev_gradient_velocity.as_ref().map(Grid::as_slice)
-            }
-            _ => None,
+        let g_prev = if self.conjugate_gradient && state.prev_velocity.is_some() {
+            state.prev_gradient_velocity.as_ref().map(Grid::as_slice)
+        } else {
+            None
         };
         let [mut g_sq, mut g_dot_prev, mut prev_sq] = [T::ZERO; 3];
         godunov_velocity(&state.psi, &mut scratch.gradient, |p, g| {
@@ -950,66 +950,38 @@ impl LevelSetIlt {
             }
         });
 
-        // Eq. (15)–(16): combine with the previous velocity according
-        // to the configured evolution scheme, v_i = g_i + β·v_{i−1},
-        // written over v_{i−1}.
-        let mut beta = 0.0;
-        let combine = match self.evolution {
-            Evolution::Plain => None,
-            Evolution::PrpConjugateGradient => g_prev.and_then(|_| {
-                beta = prp_beta(g_sq, g_dot_prev, prev_sq);
-                (beta > 0.0).then(|| T::from_f64(beta))
-            }),
-            Evolution::HeavyBall { beta: momentum } => has_prev_velocity.then(|| {
-                beta = momentum;
-                T::from_f64(momentum)
-            }),
+        // Eq. (15)–(16): with CG on and a previous step, combine with the
+        // previous velocity, v_i = g_i + β·v_{i−1}, written over v_{i−1};
+        // otherwise (and on a PRP restart, β = 0) v_i = g_i.
+        let beta = if g_prev.is_some() {
+            prp_beta(g_sq, g_dot_prev, prev_sq)
+        } else {
+            0.0
         };
         let gradient_velocity = &scratch.gradient;
         let mut velocity = state
             .prev_velocity
             .take()
             .unwrap_or_else(|| gradient_velocity.clone());
-        match combine {
-            Some(beta_t) => {
-                for (v, &g) in velocity
-                    .as_mut_slice()
-                    .iter_mut()
-                    .zip(gradient_velocity.as_slice())
-                {
-                    *v = g + beta_t * *v;
-                }
-            }
-            None => velocity
-                .as_mut_slice()
-                .copy_from_slice(gradient_velocity.as_slice()),
-        }
-
-        // Optional contour smoothing (extension beyond the paper).
-        if self.curvature_weight > 0.0 {
-            let kappa = curvature(&state.psi);
-            let central = gradient_magnitude(&state.psi);
-            let weight = T::from_f64(self.curvature_weight);
-            for ((v, &k), &m) in velocity
+        if beta > 0.0 {
+            let beta_t = T::from_f64(beta);
+            for (v, &g) in velocity
                 .as_mut_slice()
                 .iter_mut()
-                .zip(kappa.as_slice())
-                .zip(central.as_slice())
+                .zip(gradient_velocity.as_slice())
             {
-                *v += weight * k * m;
+                *v = g + beta_t * *v;
             }
-        }
-
-        // Optional narrow-band restriction (extension beyond the
-        // paper): freeze the far field so only near-contour cells
-        // evolve.
-        if self.narrow_band > 0.0 {
-            NarrowBand::extract(&state.psi, self.narrow_band).mask_velocity(&mut velocity);
+        } else {
+            velocity
+                .as_mut_slice()
+                .copy_from_slice(gradient_velocity.as_slice());
         }
 
         // One scan gives the peak speed, the CFL step and the guard's
         // finiteness check. A combined velocity with NaN/∞ cells (e.g.
-        // momentum carried from a corrupt history) must never evolve ψ.
+        // a CG direction carried from a corrupt history) must never
+        // evolve ψ.
         let speed = SpeedScan::of(&velocity);
         if let Some(kind) = state
             .guard
@@ -1061,48 +1033,8 @@ impl LevelSetIlt {
             }
         }
 
-        // Lines 5–6: CFL step and evolution, optionally guarded by a
-        // backtracking line search on the total cost.
-        if self.line_search {
-            let _ls_span = lsopc_trace::span!("optimize.line_search");
-            let mut trial_dt = dt;
-            let mut accepted = false;
-            for _ in 0..3 {
-                let mut trial_psi = state.psi.clone();
-                evolve(&mut trial_psi, &velocity, trial_dt);
-                mask_from_levelset_into(&trial_psi, &mut scratch.mask);
-                // A contained worker panic rejects this trial step; the
-                // post-evolve scan still protects the fallback step below.
-                let trial_cost = contain_panic(state.guard.is_some(), || {
-                    evaluate_cost(
-                        sim,
-                        &scratch.mask,
-                        target,
-                        self.w_pvb,
-                        &mut scratch.image,
-                        None,
-                    )
-                    .total()
-                })
-                .unwrap_or_else(|panicked| {
-                    if let Some(g) = state.guard.as_mut() {
-                        g.note_event(i, panicked);
-                    }
-                    f64::INFINITY
-                });
-                if trial_cost <= report.total() {
-                    state.psi = trial_psi;
-                    accepted = true;
-                    break;
-                }
-                trial_dt /= 2.0;
-            }
-            if !accepted {
-                evolve(&mut state.psi, &velocity, trial_dt);
-            }
-        } else {
-            evolve(&mut state.psi, &velocity, dt);
-        }
+        // Lines 5–6: evolve ψ by the CFL step.
+        evolve(&mut state.psi, &velocity, dt);
 
         // Scan ψ BEFORE reinitialization: reinit thresholds at zero
         // and would launder NaN cells into a finite (wrong) signed
@@ -1403,69 +1335,6 @@ mod tests {
 }
 
 #[cfg(test)]
-mod evolution_tests {
-    use super::*;
-    use crate::Evolution;
-    use lsopc_optics::OpticsConfig;
-
-    fn sim() -> LithoSimulator {
-        LithoSimulator::from_optics(&OpticsConfig::iccad2013().with_kernel_count(4), 64, 4.0)
-            .expect("valid configuration")
-    }
-
-    fn target() -> Grid<f64> {
-        Grid::from_fn(64, 64, |x, y| {
-            if (26..38).contains(&x) && (12..52).contains(&y) {
-                1.0
-            } else {
-                0.0
-            }
-        })
-    }
-
-    #[test]
-    fn heavy_ball_improves_cost() {
-        let result = LevelSetIlt::builder()
-            .max_iterations(10)
-            .evolution(Evolution::HeavyBall { beta: 0.5 })
-            .build()
-            .optimize(&sim(), &target())
-            .expect("optimization runs");
-        let first = result.history.first().expect("history");
-        let last = result.history.last().expect("history");
-        assert!(last.cost_total < first.cost_total);
-        // From iteration 1 onward the recorded beta is the momentum.
-        assert!(result.history[1..].iter().all(|r| r.cg_beta == 0.5));
-    }
-
-    #[test]
-    fn narrow_band_run_matches_full_run_closely() {
-        let full = LevelSetIlt::builder()
-            .max_iterations(8)
-            .build()
-            .optimize(&sim(), &target())
-            .expect("optimization runs");
-        let banded = LevelSetIlt::builder()
-            .max_iterations(8)
-            .narrow_band(6.0)
-            .build()
-            .optimize(&sim(), &target())
-            .expect("optimization runs");
-        // Contour motion only depends on near-field ψ, so both runs reach
-        // comparable cost.
-        assert!(banded.final_cost() < full.final_cost() * 1.5 + 1.0);
-        let first = banded.history.first().expect("history");
-        assert!(banded.final_cost() < first.cost_total);
-    }
-
-    #[test]
-    #[should_panic(expected = "momentum")]
-    fn invalid_heavy_ball_coefficient_panics() {
-        let _ = LevelSetIlt::builder().evolution(Evolution::HeavyBall { beta: 1.0 });
-    }
-}
-
-#[cfg(test)]
 mod guard_tests {
     use super::*;
     use crate::{GuardConfig, RecoveryPolicy};
@@ -1549,26 +1418,6 @@ mod guard_tests {
     }
 
     #[test]
-    fn fault_free_line_search_run_is_bit_identical_with_guard_enabled() {
-        let sim = sim();
-        let target = wire_target();
-        let build = |policy: RecoveryPolicy| {
-            LevelSetIlt::builder()
-                .max_iterations(6)
-                .lambda_t(4.0)
-                .line_search(true)
-                .recovery(policy)
-                .build()
-                .optimize(&sim, &target)
-                .expect("runs")
-        };
-        let off = build(RecoveryPolicy::Off);
-        let on = build(RecoveryPolicy::Strict(GuardConfig::default()));
-        assert_bit_identical(&off, &on);
-        assert!(!on.diagnostics.has_events());
-    }
-
-    #[test]
     fn healthy_records_carry_unit_lambda_scale() {
         let sim = sim();
         let result = LevelSetIlt::builder()
@@ -1582,57 +1431,6 @@ mod guard_tests {
             assert_eq!(rec.backoffs, 0);
             assert_eq!(rec.lambda_scale, 1.0);
         }
-    }
-}
-
-#[cfg(test)]
-mod line_search_tests {
-    use super::*;
-    use lsopc_optics::OpticsConfig;
-
-    #[test]
-    fn line_search_never_does_worse_than_plain() {
-        let sim =
-            LithoSimulator::from_optics(&OpticsConfig::iccad2013().with_kernel_count(4), 64, 4.0)
-                .expect("valid configuration");
-        let target = Grid::from_fn(64, 64, |x, y| {
-            if (26..38).contains(&x) && (12..52).contains(&y) {
-                1.0
-            } else {
-                0.0
-            }
-        });
-        // A deliberately aggressive step makes plain evolution overshoot.
-        let plain = LevelSetIlt::builder()
-            .max_iterations(8)
-            .lambda_t(4.0)
-            .build()
-            .optimize(&sim, &target)
-            .expect("runs");
-        let guarded = LevelSetIlt::builder()
-            .max_iterations(8)
-            .lambda_t(4.0)
-            .line_search(true)
-            .build()
-            .optimize(&sim, &target)
-            .expect("runs");
-        // Line search makes the cost trace (nearly) monotone; the
-        // unguarded aggressive steps oscillate more.
-        let increases = |history: &[crate::IterationRecord]| {
-            history
-                .windows(2)
-                .filter(|w| w[1].cost_total > w[0].cost_total * (1.0 + 1e-9))
-                .count()
-        };
-        assert!(
-            increases(&guarded.history) <= increases(&plain.history),
-            "guarded had {} increases, plain {}",
-            increases(&guarded.history),
-            increases(&plain.history)
-        );
-        // And the guarded run still makes progress.
-        let first = guarded.history.first().expect("history").cost_total;
-        assert!(guarded.final_cost() < first);
     }
 }
 

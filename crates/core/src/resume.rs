@@ -365,20 +365,9 @@ pub(crate) fn config_hash<T: Scalar>(
     let mut h = Hasher::new();
     h.u64(opt.max_iterations as u64);
     h.f64(opt.velocity_tolerance);
-    h.f64(opt.lambda_t);
     h.f64(opt.w_pvb);
-    match opt.evolution {
-        crate::Evolution::Plain => h.u64(0),
-        crate::Evolution::PrpConjugateGradient => h.u64(1),
-        crate::Evolution::HeavyBall { beta } => {
-            h.u64(2);
-            h.f64(beta);
-        }
-    }
-    h.f64(opt.curvature_weight);
+    h.bool(opt.conjugate_gradient);
     h.u64(opt.snapshot_interval as u64);
-    h.f64(opt.narrow_band);
-    h.bool(opt.line_search);
     match opt.recovery {
         crate::RecoveryPolicy::Off => h.u64(0),
         crate::RecoveryPolicy::On(c) | crate::RecoveryPolicy::Strict(c) => {

@@ -2,24 +2,21 @@
 //! pinned output bit for bit.
 //!
 //! The hash is FNV-1a over `f64::to_bits` of every history field, the
-//! final mask, and the final level-set function (plain and line-search
-//! paths, 64 px grid, K = 4, vertical wire target, default `FftBackend`)
-//! — any reordering of floating-point operations in the f64 path changes
-//! it.
+//! final mask, and the final level-set function (64 px grid, K = 4,
+//! vertical wire target, default `FftBackend`) — any reordering of
+//! floating-point operations in the f64 path changes it.
 //!
-//! The hashes were first captured before the `Scalar`-generic refactor,
-//! on the dense complex mask transform. They were re-pinned once, on
-//! purpose, when the real-input half-spectrum transform became the only
-//! production path (DESIGN.md §13). Measured on the same configurations
+//! The hash was first captured before the `Scalar`-generic refactor, on
+//! the dense complex mask transform. It was re-pinned once, on purpose,
+//! when the real-input half-spectrum transform became the only
+//! production path (DESIGN.md §13). Measured on the same configuration
 //! just before that change, dense path vs real-input path: 0 mask cells
-//! flipped; max |Δψ| 1.1e-14 on the plain path and 5.8e-14 with line
-//! search; max relative per-iteration cost deviation 2.9e-16 (plain) and
-//! 3.0e-16 (line search); identical iteration counts. They were
-//! re-pinned a second time when corners at one focus began sharing one
-//! gradient pass on their summed sensitivities (DESIGN.md §13, "One pass
-//! per focus"): 0 mask cells flipped; max |Δψ| 8.9e-15 (plain) and
-//! 5.3e-14 (line search); every per-iteration cost bit-identical;
-//! identical iteration counts.
+//! flipped; max |Δψ| 1.1e-14; max relative per-iteration cost deviation
+//! 2.9e-16; identical iteration counts. It was re-pinned a second time
+//! when corners at one focus began sharing one gradient pass on their
+//! summed sensitivities (DESIGN.md §13, "One pass per focus"): 0 mask
+//! cells flipped; max |Δψ| 8.9e-15; every per-iteration cost
+//! bit-identical; identical iteration counts.
 
 use lsopc_core::{IltResult, LevelSetIlt};
 use lsopc_grid::Grid;
@@ -96,22 +93,4 @@ fn plain_path_is_bit_identical_to_pinned_output() {
     assert_eq!(hash, GOLDEN_PLAIN, "plain-path f64 output drifted bitwise");
 }
 
-#[test]
-fn line_search_path_is_bit_identical_to_pinned_output() {
-    let result = LevelSetIlt::builder()
-        .max_iterations(6)
-        .lambda_t(4.0)
-        .line_search(true)
-        .build()
-        .optimize(&sim(), &wire_target())
-        .expect("optimization runs");
-    let hash = result_hash(&result);
-    println!("line-search golden hash: {hash:#018x}");
-    assert_eq!(
-        hash, GOLDEN_LINE_SEARCH,
-        "line-search f64 output drifted bitwise"
-    );
-}
-
 const GOLDEN_PLAIN: u64 = 0xbcc4_414a_be53_30f3;
-const GOLDEN_LINE_SEARCH: u64 = 0x8990_b4b9_d656_df88;

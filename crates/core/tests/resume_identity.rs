@@ -5,10 +5,10 @@
 //! (excluding wall-clock `elapsed_s`) and the same mask snapshots.
 //!
 //! Covered paths: the plain loop, the health-guard loop (state machine
-//! and rollback target are checkpointed), the line-search loop, the
-//! snapshotting loop, and the coarse-to-fine schedule resumed in *both*
-//! stages, at f64 — plus the plain and guarded loops at f32, where the
-//! checkpoint widens every field to f64 and the resume narrows it back.
+//! and rollback target are checkpointed), the snapshotting loop, and
+//! the coarse-to-fine schedule resumed in *both* stages, at f64 — plus
+//! the plain and guarded loops at f32, where the checkpoint widens
+//! every field to f64 and the resume narrows it back.
 //! An uninterrupted run that writes periodic checkpoints must equal the
 //! run with no control, bit for bit, and write exactly the checkpoints
 //! its interval asks for.
@@ -234,16 +234,6 @@ fn snapshotting_loop_resumes_bit_identically() {
     for k in [3, 5] {
         check_kill_resume::<f64>(&ilt, 64, k, "snapshots");
     }
-}
-
-#[test]
-fn line_search_loop_resumes_bit_identically() {
-    let ilt = LevelSetIlt::builder()
-        .max_iterations(8)
-        .lambda_t(4.0)
-        .line_search(true)
-        .build();
-    check_kill_resume::<f64>(&ilt, 64, 3, "line_search");
 }
 
 #[test]

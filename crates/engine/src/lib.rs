@@ -8,7 +8,8 @@
 //! * [`Engine`] — long-lived shared state: one FFT plan cache
 //!   ([`SimCaches`]) its simulators share, the global worker pool, a
 //!   per-engine in-memory warm-start cache, and a simulator cache keyed by
-//!   job geometry so repeated jobs share kernel construction.
+//!   job geometry and precision so repeated jobs share kernel
+//!   construction.
 //! * [`JobSpec`] — a plain-data description of one optimization job
 //!   (target, optics size, optimizer parameters, precision, schedule,
 //!   tiling, warm start, run control). Field semantics mirror the CLI
@@ -46,6 +47,7 @@
 
 #![warn(missing_docs)]
 
+use std::any::{Any, TypeId};
 use std::collections::HashMap;
 use std::path::PathBuf;
 use std::sync::{Arc, Mutex};
@@ -56,7 +58,7 @@ use lsopc_core::{
     RunControl, StopReason, TiledError, TiledIlt, TiledStats, WarmStartCache,
 };
 use lsopc_geometry::Layout;
-use lsopc_grid::Grid;
+use lsopc_grid::{Grid, Scalar};
 use lsopc_litho::{AcceleratedBackend, BuildSimulatorError, LithoSimulator, SimCaches};
 use lsopc_metrics::MaskEvaluation;
 use lsopc_optics::OpticsConfig;
@@ -318,26 +320,18 @@ impl JobOutcome {
     }
 }
 
-/// Simulator cache key: everything that feeds simulator construction.
-#[derive(Clone, Debug, PartialEq, Eq, Hash)]
-struct SimKey {
-    grid: usize,
-    kernels: usize,
-    precision: Precision,
-}
-
-#[derive(Debug)]
-enum SimEntry {
-    F64(Arc<LithoSimulator<f64>>),
-    F32(Arc<LithoSimulator<f32>>),
-}
+/// The engine's simulators, keyed by everything that feeds their
+/// construction: the loop precision (the scalar type), the grid and the
+/// kernel count. Values are type-erased `Arc<LithoSimulator<T>>`, one
+/// map for both precisions, as `lsopc_fft::PlanCache` keeps its plans.
+type SimMap = HashMap<(TypeId, usize, usize), Arc<dyn Any + Send + Sync>>;
 
 #[derive(Debug)]
 struct Inner {
     caches: SimCaches,
     warm_memory: WarmStartCache,
     pool_threads: usize,
-    sims: Mutex<HashMap<SimKey, SimEntry>>,
+    sims: Mutex<SimMap>,
 }
 
 /// Long-lived job executor: owns the shared caches and the simulator
@@ -407,41 +401,27 @@ impl Engine {
         OpticsConfig::iccad2013().with_kernel_count(kernels)
     }
 
-    /// The cached f64 simulator for `key` (building it on first use).
-    fn sim_f64(&self, key: SimKey) -> Result<Arc<LithoSimulator<f64>>, EngineError> {
-        debug_assert_eq!(key.precision, Precision::F64);
+    /// The cached simulator of precision `T` for a `grid`-pixel field
+    /// and `kernels` kernels, building it on first use.
+    fn sim<T: Scalar>(
+        &self,
+        grid: usize,
+        kernels: usize,
+    ) -> Result<Arc<LithoSimulator<T>>, EngineError> {
+        let key = (TypeId::of::<T>(), grid, kernels);
         let mut sims = self.inner.sims.lock().unwrap_or_else(|e| e.into_inner());
-        if let Some(SimEntry::F64(sim)) = sims.get(&key) {
-            return Ok(sim.clone());
+        if let Some(erased) = sims.get(&key) {
+            return Ok(Arc::clone(erased)
+                .downcast()
+                .unwrap_or_else(|_| unreachable!("simulator keyed by TypeId has that type")));
         }
         let backend = AcceleratedBackend::new(self.inner.pool_threads);
         let sim = Arc::new(
-            LithoSimulator::from_optics(&Self::optics(key.kernels), key.grid, pixel_nm(key.grid))?
+            LithoSimulator::<T>::from_optics(&Self::optics(kernels), grid, pixel_nm(grid))?
                 .with_backend(Box::new(backend))
                 .with_caches(self.inner.caches.clone()),
         );
-        sims.insert(key, SimEntry::F64(sim.clone()));
-        Ok(sim)
-    }
-
-    /// The cached f32 simulator for `key` (building it on first use).
-    fn sim_f32(&self, key: SimKey) -> Result<Arc<LithoSimulator<f32>>, EngineError> {
-        debug_assert_eq!(key.precision, Precision::F32);
-        let mut sims = self.inner.sims.lock().unwrap_or_else(|e| e.into_inner());
-        if let Some(SimEntry::F32(sim)) = sims.get(&key) {
-            return Ok(sim.clone());
-        }
-        let backend = AcceleratedBackend::new(self.inner.pool_threads);
-        let sim = Arc::new(
-            LithoSimulator::<f32>::from_optics(
-                &Self::optics(key.kernels),
-                key.grid,
-                pixel_nm(key.grid),
-            )?
-            .with_backend(Box::new(backend))
-            .with_caches(self.inner.caches.clone()),
-        );
-        sims.insert(key, SimEntry::F32(sim.clone()));
+        sims.insert(key, sim.clone());
         Ok(sim)
     }
 
@@ -457,11 +437,7 @@ impl Engine {
         kernels: usize,
         _routing: Option<bool>,
     ) -> Result<Scorer, EngineError> {
-        let sim = self.sim_f64(SimKey {
-            grid,
-            kernels,
-            precision: Precision::F64,
-        })?;
+        let sim = self.sim::<f64>(grid, kernels)?;
         Ok(Scorer { sim })
     }
 
@@ -514,18 +490,13 @@ impl Engine {
             return self.submit_tiled(spec, &optics, ilt, tiling);
         }
 
-        let key = SimKey {
-            grid,
-            kernels: spec.kernels,
-            precision: spec.precision,
-        };
         let result = match spec.precision {
             Precision::F64 => {
-                let sim = self.sim_f64(key)?;
+                let sim = self.sim::<f64>(grid, spec.kernels)?;
                 ilt.optimize_controlled(&sim, &spec.target, &spec.control)?
             }
             Precision::F32 => {
-                let sim = self.sim_f32(key)?;
+                let sim = self.sim::<f32>(grid, spec.kernels)?;
                 let target32 = spec.target.map(|&v| v as f32);
                 ilt.optimize_controlled(&sim, &target32, &spec.control)?
                     .to_f64()

@@ -3,7 +3,7 @@
 //! concurrent submissions stay bit-identical with cleanly separated
 //! scoped trace streams.
 
-use lsopc_engine::{Caches, Engine, JobOutcome, JobSpec};
+use lsopc_engine::{Caches, Engine, JobOutcome, JobSpec, Precision};
 use lsopc_grid::Grid;
 use lsopc_trace::MetricsRegistry;
 use std::sync::Arc;
@@ -79,6 +79,44 @@ fn second_submission_runs_out_of_the_shared_caches() {
     for (x, y) in a.iter().zip(b) {
         assert_eq!(x.to_bits(), y.to_bits(), "cache reuse changed the mask");
     }
+}
+
+/// One engine keeps one simulator per precision of a geometry: an f64
+/// job and then an f32 job of the same grid and kernel count each match,
+/// bit for bit, the same job on a fresh engine, and a second f64 job
+/// still finds its simulator (no kernel set is generated again).
+#[test]
+fn one_engine_keeps_a_simulator_per_precision() {
+    let spec_at = |precision| {
+        let mut spec = small_spec();
+        spec.precision = precision;
+        spec
+    };
+    let engine = Engine::builder().caches(Caches::private()).build();
+    for precision in [Precision::F64, Precision::F32] {
+        let spec = spec_at(precision);
+        let served = engine.submit(&spec).expect("shared engine runs");
+        let fresh = Engine::builder()
+            .caches(Caches::private())
+            .build()
+            .submit(&spec)
+            .expect("fresh engine runs");
+        let (a, b) = (served.mask().as_slice(), fresh.mask().as_slice());
+        assert_eq!(a.len(), b.len());
+        for (x, y) in a.iter().zip(b) {
+            assert_eq!(
+                x.to_bits(),
+                y.to_bits(),
+                "{precision:?} job on a shared engine diverged"
+            );
+        }
+    }
+    let again = engine.submit(&spec_at(Precision::F64)).expect("f64 again");
+    assert_eq!(
+        counter(&again, "cache.kernels.miss"),
+        0,
+        "the f32 job displaced the f64 simulator"
+    );
 }
 
 /// Two threads submitting the same spec through one engine, each under

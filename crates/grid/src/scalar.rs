@@ -86,8 +86,6 @@ pub trait Scalar:
     fn is_finite(self) -> bool;
     /// Raise to an integer power.
     fn powi(self, n: i32) -> Self;
-    /// Raise to a floating-point power.
-    fn powf(self, n: Self) -> Self;
     /// Restrict to `[min, max]` with `f64::clamp` semantics (NaN passes
     /// through; `min`/`max` folds would swallow it).
     fn clamp(self, min: Self, max: Self) -> Self;
@@ -153,10 +151,6 @@ macro_rules! impl_scalar {
             #[inline]
             fn powi(self, n: i32) -> Self {
                 self.powi(n)
-            }
-            #[inline]
-            fn powf(self, n: Self) -> Self {
-                self.powf(n)
             }
             #[inline]
             fn clamp(self, min: Self, max: Self) -> Self {
@@ -228,14 +222,6 @@ mod tests {
         // scale guard thresholds per precision.
         let ratio = <f32 as Scalar>::EPSILON.to_f64() / <f64 as Scalar>::EPSILON;
         assert_eq!(ratio, (1u64 << 29) as f64);
-    }
-
-    #[test]
-    fn powf_delegates_to_std() {
-        assert_eq!(Scalar::powf(2.0_f64, 0.5), 2.0_f64.powf(0.5));
-        assert_eq!(Scalar::powf(3.0_f32, 1.5), 3.0_f32.powf(1.5));
-        // powf(1.5) is the curvature denominator |∇ψ|³ from |∇ψ|².
-        assert_eq!(Scalar::powf(4.0_f64, 1.5), 8.0);
     }
 
     #[test]

@@ -1,32 +1,6 @@
-//! Gradient-magnitude schemes for level-set evolution.
+//! The upwind gradient-magnitude scheme for level-set evolution.
 
 use lsopc_grid::{Grid, Scalar};
-
-/// Central-difference |∇ψ| with one-sided differences at the borders.
-///
-/// Used for the velocity magnitude factor `|∇ψ|` of paper Eq. (10); the
-/// advection update itself should prefer [`godunov_gradient`] for
-/// stability.
-///
-/// # Example
-///
-/// ```
-/// use lsopc_grid::{Grid, Scalar};
-/// use lsopc_levelset::gradient_magnitude;
-///
-/// // ψ = x: a unit-slope ramp has |∇ψ| = 1 everywhere.
-/// let psi = Grid::from_fn(8, 8, |x, _| x as f64);
-/// let g = gradient_magnitude(&psi);
-/// assert!(g.as_slice().iter().all(|&v| (v - 1.0).abs() < 1e-12));
-/// ```
-pub fn gradient_magnitude<T: Scalar>(psi: &Grid<T>) -> Grid<T> {
-    let (w, h) = psi.dims();
-    Grid::from_fn(w, h, |x, y| {
-        let dx = diff_central(psi, x, y, true);
-        let dy = diff_central(psi, x, y, false);
-        (dx * dx + dy * dy).sqrt()
-    })
-}
 
 /// Godunov upwind |∇ψ| for advection under the speed field `speed`.
 ///
@@ -104,25 +78,6 @@ fn godunov_at<T: Scalar>(psi: &Grid<T>, x: usize, y: usize, s: T) -> T {
 }
 
 #[inline]
-fn diff_central<T: Scalar>(psi: &Grid<T>, x: usize, y: usize, along_x: bool) -> T {
-    let (w, h) = psi.dims();
-    let two = T::from_f64(2.0);
-    if along_x {
-        match x {
-            0 => psi[(1, y)] - psi[(0, y)],
-            _ if x == w - 1 => psi[(w - 1, y)] - psi[(w - 2, y)],
-            _ => (psi[(x + 1, y)] - psi[(x - 1, y)]) / two,
-        }
-    } else {
-        match y {
-            0 => psi[(x, 1)] - psi[(x, 0)],
-            _ if y == h - 1 => psi[(x, h - 1)] - psi[(x, h - 2)],
-            _ => (psi[(x, y + 1)] - psi[(x, y - 1)]) / two,
-        }
-    }
-}
-
-#[inline]
 fn diff_backward<T: Scalar>(psi: &Grid<T>, x: usize, y: usize, along_x: bool) -> T {
     if along_x {
         if x == 0 {
@@ -157,23 +112,6 @@ fn diff_forward<T: Scalar>(psi: &Grid<T>, x: usize, y: usize, along_x: bool) -> 
 mod tests {
     use super::*;
     use crate::signed_distance;
-
-    #[test]
-    fn ramp_gradient_is_one() {
-        let psi = Grid::from_fn(16, 16, |_, y| y as f64 * 1.0);
-        let g = gradient_magnitude(&psi);
-        for (_, _, &v) in g.iter_coords() {
-            assert!((v - 1.0).abs() < 1e-12);
-        }
-    }
-
-    #[test]
-    fn diagonal_ramp_gradient() {
-        let psi = Grid::from_fn(16, 16, |x, y| (x + y) as f64);
-        let g = gradient_magnitude(&psi);
-        // |∇(x+y)| = sqrt(2) in the interior.
-        assert!((g[(8, 8)] - std::f64::consts::SQRT_2).abs() < 1e-12);
-    }
 
     #[test]
     fn godunov_matches_central_on_smooth_ramp() {

@@ -9,17 +9,13 @@
 //!
 //! * [`signed_distance`] — exact Euclidean signed distance from a binary
 //!   mask (Felzenszwalb–Huttenlocher parabolic envelope, O(n) per row);
-//! * [`gradient_magnitude`] / [`godunov_gradient`] — central-difference and
-//!   upwind |∇ψ| schemes; [`godunov_velocity`] writes the speed
-//!   `G·|∇ψ|` over `G` in one sweep;
+//! * [`godunov_gradient`] — the upwind |∇ψ| scheme; [`godunov_velocity`]
+//!   writes the speed `G·|∇ψ|` over `G` in one sweep;
 //! * [`evolve`] / [`cfl_time_step`] — the evolution update and the paper's
 //!   `Δt = λ_t / max|v|` step rule, from one [`SpeedScan`] of the speed;
 //! * [`reinitialize`] — restore the signed-distance property, preserving
 //!   the zero contour;
-//! * [`curvature`] — mean curvature `div(∇ψ/|∇ψ|)` for optional contour
-//!   smoothing (an extension beyond the paper);
-//! * [`NarrowBand`] — classic narrow-band restriction of the evolution
-//!   (extension).
+//! * [`upsample_levelset`] — carry ψ from a coarse grid to a finer one.
 //!
 //! # Example
 //!
@@ -40,16 +36,12 @@
 
 #![warn(missing_docs)]
 
-mod curvature;
 mod evolve;
 mod gradient;
-mod narrowband;
 mod resample;
 mod sdf;
 
-pub use curvature::curvature;
 pub use evolve::{cfl_time_step, evolve, reinitialize, SpeedScan};
-pub use gradient::{godunov_gradient, godunov_velocity, gradient_magnitude};
-pub use narrowband::NarrowBand;
+pub use gradient::{godunov_gradient, godunov_velocity};
 pub use resample::upsample_levelset;
 pub use sdf::{mask_from_levelset, mask_from_levelset_into, signed_distance};

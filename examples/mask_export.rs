@@ -26,11 +26,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let sim = LithoSimulator::from_optics(&optics, grid_px, pixel_nm)?.with_accelerated_backend(1);
     let target = rasterize(&design, grid_px, grid_px, pixel_nm);
 
-    // Optimize with light curvature smoothing so the exported geometry is
-    // manufacturable.
     let result = LevelSetIlt::builder()
         .max_iterations(25)
-        .curvature_weight(0.2)
         .build()
         .optimize(&sim, &target)?;
 

@@ -108,7 +108,7 @@ LSOPC_THREADS=4 cargo test -q -p lsopc-core schedule
 echo "==> kill/resume suite (checkpoint bit-identity at both pool sizes)"
 # A run killed at iteration k and resumed from its checkpoint must
 # reproduce the uninterrupted trajectory bit-for-bit, snapshots included:
-# at f64 on the plain, guarded, line-search, snapshotting and scheduled
+# at f64 on the plain, guarded, snapshotting and scheduled
 # (coarse & fine) paths, and at f32 on the plain and guarded paths (the
 # checkpoint widens to f64 and the resume narrows back). An uninterrupted
 # run writing periodic checkpoints stays bit-identical and writes exactly
